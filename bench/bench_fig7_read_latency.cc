@@ -32,24 +32,33 @@ main()
            "shows more 3Hop than AGG (home displacements)");
 
     const int threads = paperThreads();
+    const std::vector<std::string> apps = benchApps();
 
-    for (const auto &app : benchApps()) {
-        auto wl = makeWorkload(app);
+    // Four independent points per app: NUMA, COMA, 1/1 AGG and
+    // reduced-ratio AGG, all at 75% pressure.
+    std::vector<std::function<RunResult()>> jobs;
+    for (const auto &app : apps) {
         const int red = reducedDRatio(app);
+        for (const auto &[arch, ratio] :
+             {std::pair{ArchKind::Numa, 1}, std::pair{ArchKind::Coma, 1},
+              std::pair{ArchKind::Agg, 1}, std::pair{ArchKind::Agg, red}}) {
+            jobs.push_back([app, arch, ratio, threads] {
+                return run(*makeWorkload(app), arch, threads, 0.75, ratio);
+            });
+        }
+    }
+    const std::vector<RunResult> results = runPoints(jobs);
 
-        const RunResult numa =
-            run(*wl, ArchKind::Numa, threads, 0.75);
-        const double base =
-            static_cast<double>(numa.reads.totalAllLatency());
-
+    std::size_t next = 0;
+    for (const auto &app : apps) {
+        const std::vector<std::string> labels = {
+            "NUMA", "COMA75", "1/1AGG75",
+            "1/" + std::to_string(reducedDRatio(app)) + "AGG75"};
         std::vector<NamedRun> runs;
-        runs.push_back({"NUMA", numa});
-        runs.push_back(
-            {"COMA75", run(*wl, ArchKind::Coma, threads, 0.75)});
-        runs.push_back(
-            {"1/1AGG75", run(*wl, ArchKind::Agg, threads, 0.75, 1)});
-        runs.push_back({"1/" + std::to_string(red) + "AGG75",
-                        run(*wl, ArchKind::Agg, threads, 0.75, red)});
+        for (const auto &label : labels)
+            runs.push_back({label, results[next++]});
+        const double base =
+            static_cast<double>(runs[0].result.reads.totalAllLatency());
 
         std::vector<Bar> bars;
         for (const auto &nr : runs)

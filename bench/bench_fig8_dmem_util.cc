@@ -19,18 +19,28 @@ main()
            "50%, tiny at 25%; large Dirty-in-P fraction");
 
     const int threads = paperThreads();
+    const std::vector<std::string> apps = benchApps();
+    const std::vector<double> pressures = {0.75, 0.50, 0.25};
+
+    std::vector<std::function<RunResult()>> jobs;
+    for (const auto &app : apps) {
+        for (double pressure : pressures) {
+            jobs.push_back([app, pressure, threads] {
+                return run(*makeWorkload(app), ArchKind::Agg, threads,
+                           pressure, reducedDRatio(app));
+            });
+        }
+    }
+    const std::vector<RunResult> results = runPoints(jobs);
 
     TablePrinter t({"app", "pressure", "DirtyInP", "SharedInP",
                     "DNodeOnly", "unused D", "SharedList reused"});
 
-    for (const auto &app : benchApps()) {
-        auto wl = makeWorkload(app);
-        const int red = reducedDRatio(app);
-
+    std::size_t next = 0;
+    for (const auto &app : apps) {
         std::vector<Bar> bars;
-        for (double pressure : {0.75, 0.50, 0.25}) {
-            const RunResult r =
-                run(*wl, ArchKind::Agg, threads, pressure, red);
+        for (double pressure : pressures) {
+            const RunResult &r = results[next++];
             const double cap =
                 static_cast<double>(r.census.dNodeCapacityLines);
             const double scale = 100.0 / cap;

@@ -26,7 +26,11 @@ main()
         quick ? std::vector<int>{1, 2, 4} :
                 std::vector<int>{1, 2, 4, 8, 16};
 
-    for (const auto &app : benchApps()) {
+    // Per app: the reference configuration, then the P x D grid, all
+    // independent runs.
+    const std::vector<std::string> apps = benchApps();
+    std::vector<std::function<RunResult()>> jobs;
+    for (const auto &app : apps) {
         auto wl = makeWorkload(app);
 
         // Reference configuration: 2 P-nodes, 2 D-nodes, AGG75. Its
@@ -41,8 +45,31 @@ main()
         const std::uint64_t p_mem = ref_cfg.pNodeMemBytes;
         const std::uint64_t total_d_mem = 2 * ref_cfg.dNodeMemBytes;
 
-        const double base = static_cast<double>(
-            runWorkload(ref_cfg, *wl).totalTicks);
+        std::vector<MachineConfig> cfgs = {ref_cfg};
+        for (int p : p_counts) {
+            for (int d : d_counts) {
+                BuildSpec spec = ref;
+                spec.threads = p;
+                spec.dNodes = d;
+                MachineConfig cfg = buildConfig(*wl, spec);
+                cfg.pNodeMemBytes = p_mem;
+                cfg.dNodeMemBytes =
+                    ceilDiv(total_d_mem / d, cfg.pageBytes) *
+                    cfg.pageBytes;
+                cfgs.push_back(cfg);
+            }
+        }
+        for (const MachineConfig &cfg : cfgs) {
+            jobs.push_back(
+                [app, cfg] { return runWorkload(cfg, *makeWorkload(app)); });
+        }
+    }
+    const std::vector<RunResult> results = runPoints(jobs);
+
+    std::size_t next = 0;
+    for (const auto &app : apps) {
+        const double base =
+            static_cast<double>(results[next++].totalTicks);
 
         std::vector<std::string> headers = {"P \\ D"};
         for (int d : d_counts)
@@ -54,15 +81,7 @@ main()
         for (int p : p_counts) {
             std::vector<std::string> row = {std::to_string(p) + "P"};
             for (int d : d_counts) {
-                BuildSpec spec = ref;
-                spec.threads = p;
-                spec.dNodes = d;
-                MachineConfig cfg = buildConfig(*wl, spec);
-                cfg.pNodeMemBytes = p_mem;
-                cfg.dNodeMemBytes =
-                    ceilDiv(total_d_mem / d, cfg.pageBytes) *
-                    cfg.pageBytes;
-                const RunResult r = runWorkload(cfg, *wl);
+                const RunResult &r = results[next++];
                 const double norm = r.totalTicks / base;
                 row.push_back(TablePrinter::num(norm));
                 if (r.totalTicks < best) {

@@ -13,16 +13,6 @@
  *  - "fig6": one Figure-6 point (fft on AGG at the paper's thread
  *    count) — the representative paper experiment.
  *
- * A fourth group tracks sharded-kernel scaling: the fig6 point under
- * the windowed parallel kernel with the Region partition at 1/2/4/8
- * shards, plus a sharded variant of the stress churn (per-shard
- * queues under a ShardedEngine) at 1 and 4 shards. Worker threads are
- * capped at the host's core count; rows whose requested thread count
- * exceeded it are marked "capped" (a warning is printed, and the JSON
- * row records threads_requested/threads_used/capped). Sharded rows
- * also report the cross-shard message fraction and their speedup over
- * the matching 1-shard row.
- *
  * Each reports events executed, wall-clock seconds, events/second, and
  * per-workload peak RSS (the kernel's peak-RSS watermark is reset
  * between workloads via /proc/self/clear_refs, so rows are
@@ -32,30 +22,23 @@
  *
  * Usage: bench_selfperf [--quick] [--kernel=calendar|heap]
  *                       [--baseline PATH] [--drift F]
- *                       [--min-speedup F]
  * (--quick is implied by PIMDSM_QUICK; --kernel selects the scheduler
  * for the stress workload and the default for machine runs.
  * --baseline compares events/sec per workload against a committed
  * BENCH_selfperf.json and exits 1 on any slowdown beyond --drift
- * (default 0.25). --min-speedup requires stress_shards4 to beat
- * stress_shards1 by the given factor — skipped with a warning when
- * the row was thread-capped, since a host without the cores cannot
- * show parallel speedup. PIMDSM_PERF_WAIVE=1 downgrades either
- * failure to a warning for known-noisy hosts.)
+ * (default 0.25). PIMDSM_PERF_WAIVE=1 downgrades the failure to a
+ * warning for known-noisy hosts.)
  */
 
 #include "bench_util.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -63,7 +46,6 @@
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
-#include "sim/shard.hh"
 
 using namespace pimdsm;
 using namespace pimdsm::bench;
@@ -78,33 +60,7 @@ struct SelfPerfRow
     double wallSeconds = 0.0;
     double eventsPerSec = 0.0;
     long peakRssKb = 0;
-    // Sharded rows only (threadsRequested > 0).
-    int threadsRequested = 0;
-    int threadsUsed = 0;
-    bool capped = false;
-    double xshardFrac = -1.0;
-    double speedupVsShards1 = 0.0;
 };
-
-/** Cap @p requested worker threads at the host's core count, warning
- *  (and marking the row) when the cap bites: an oversubscribed host
- *  cannot show honest parallel scaling. */
-int
-capThreads(int requested, SelfPerfRow &row)
-{
-    const int hw = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-    row.threadsRequested = requested;
-    row.threadsUsed = std::min(requested, hw);
-    row.capped = row.threadsUsed < requested;
-    if (row.capped) {
-        std::cout << "warning: '" << row.name << "' wants " << requested
-                  << " threads but the host has " << hw
-                  << " core(s); running with " << row.threadsUsed
-                  << " (row marked capped)\n";
-    }
-    return row.threadsUsed;
-}
 
 /**
  * Reset the kernel's peak-RSS watermark so the next peakRssKb() read
@@ -260,166 +216,6 @@ runFig6Point()
     return row;
 }
 
-/**
- * The fig6 point under the windowed parallel kernel with the Region
- * partition (contiguous mesh blocks — the production scheme, with the
- * lowest cross-shard fraction).
- */
-SelfPerfRow
-runShardedFig6(int shards)
-{
-    resetPeakRss();
-    SelfPerfRow row;
-    row.name = "fig6_region_shards" + std::to_string(shards);
-    const int threads = capThreads(shards, row);
-
-    auto wl = makeWorkload("fft", 1);
-    BuildSpec spec;
-    spec.arch = ArchKind::Agg;
-    spec.threads = paperThreads();
-    spec.pressure = 0.25;
-    spec.dRatio = reducedDRatio("fft");
-    MachineConfig cfg = buildConfig(*wl, spec);
-    cfg.partition = PartitionScheme::Region;
-    cfg.shards.count = shards;
-    cfg.shards.threads = threads;
-
-    const auto t0 = Clock::now();
-    const RunResult r = runWorkload(cfg, *wl);
-    const double secs = secondsSince(t0);
-
-    row.events = static_cast<std::uint64_t>(
-        r.counters.at("sim.events_executed"));
-    row.wallSeconds = secs;
-    row.eventsPerSec =
-        secs > 0 ? static_cast<double>(row.events) / secs : 0;
-    row.peakRssKb = peakRssKb();
-    const auto xf = r.counters.find("sim.xshard_frac");
-    if (xf != r.counters.end())
-        row.xshardFrac = xf->second;
-    return row;
-}
-
-/**
- * Sharded scheduler churn: the stress distribution split across
- * per-shard queues under a ShardedEngine with a uniform lookahead.
- * No cross-shard traffic and no serial commit work — this is the
- * upper bound on the engine's parallel scaling, which is what the
- * --min-speedup CI gate checks.
- */
-class StressShardTask final : public ShardTask
-{
-  public:
-    StressShardTask(int shards, std::uint64_t events_per_shard,
-                    EventQueue::KernelKind kind)
-    {
-        queues_.reserve(static_cast<std::size_t>(shards));
-        for (int s = 0; s < shards; ++s)
-            queues_.push_back(std::make_unique<EventQueue>(kind));
-        states_.resize(static_cast<std::size_t>(shards));
-        for (int s = 0; s < shards; ++s) {
-            ShardState &st = states_[static_cast<std::size_t>(s)];
-            st.q = queues_[static_cast<std::size_t>(s)].get();
-            st.rng = Rng(0x5e1f9e4full + static_cast<std::uint64_t>(s));
-            st.budget = events_per_shard;
-            constexpr std::uint64_t kSeedEvents = 512;
-            for (std::uint64_t i = 0;
-                 i < kSeedEvents && st.scheduled < st.budget; ++i) {
-                ++st.scheduled;
-                st.q->scheduleIn(st.delay(), [&st] { st.tick(); });
-            }
-        }
-    }
-
-    void
-    runWindow(int shard, Tick, Tick end) override
-    {
-        queues_[static_cast<std::size_t>(shard)]->runUntil(end - 1);
-    }
-
-    Tick nextTime(int shard) override
-    {
-        return queues_[static_cast<std::size_t>(shard)]->nextEventTick();
-    }
-
-    bool commit(Tick) override { return true; }
-
-    std::uint64_t
-    executed() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &q : queues_)
-            n += q->executed();
-        return n;
-    }
-
-  private:
-    struct ShardState
-    {
-        EventQueue *q = nullptr;
-        Rng rng{0};
-        std::uint64_t scheduled = 0;
-        std::uint64_t budget = 0;
-
-        Tick
-        delay()
-        {
-            const std::uint64_t r = rng.nextBounded(1000);
-            if (r < 700)
-                return 1 + rng.nextBounded(16);
-            if (r < 950)
-                return 20 + rng.nextBounded(400);
-            if (r < 998)
-                return 1000 + rng.nextBounded(11000);
-            return 50000 + rng.nextBounded(200000);
-        }
-
-        void
-        tick()
-        {
-            if (scheduled < budget) {
-                ++scheduled;
-                q->scheduleIn(delay(), [this] { tick(); });
-            }
-            if (scheduled < budget && rng.chance(0.02)) {
-                ++scheduled;
-                q->scheduleIn(delay(), [this] { tick(); });
-            }
-        }
-    };
-
-    std::vector<std::unique_ptr<EventQueue>> queues_;
-    std::vector<ShardState> states_;
-};
-
-SelfPerfRow
-runShardedStress(int shards, std::uint64_t total,
-                 EventQueue::KernelKind kind)
-{
-    resetPeakRss();
-    SelfPerfRow row;
-    row.name = "stress_shards" + std::to_string(shards);
-    const int threads = capThreads(shards, row);
-
-    StressShardTask task(shards,
-                         total / static_cast<std::uint64_t>(shards),
-                         kind);
-    ShardedEngine eng(shards, threads, /*lookahead=*/64);
-
-    const auto t0 = Clock::now();
-    if (eng.run(task) != ShardedEngine::Stop::Idle)
-        panic("sharded stress stopped before going idle");
-    const double secs = secondsSince(t0);
-
-    row.events = task.executed();
-    row.wallSeconds = secs;
-    row.eventsPerSec =
-        secs > 0 ? static_cast<double>(row.events) / secs : 0;
-    row.peakRssKb = peakRssKb();
-    row.xshardFrac = 0.0; // task is fully shard-local by construction
-    return row;
-}
-
 /** Pull events_per_sec for @p workload out of a committed
  *  BENCH_selfperf.json (same hand-rolled lookup as speccheck: we own
  *  both ends of the format). */
@@ -448,7 +244,6 @@ main(int argc, char **argv)
     EventQueue::KernelKind kind = EventQueue::defaultKind();
     std::string baselinePath;
     double drift = 0.25;
-    double minSpeedup = 0.0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
@@ -461,12 +256,10 @@ main(int argc, char **argv)
             baselinePath = argv[++i];
         } else if (arg == "--drift" && i + 1 < argc) {
             drift = std::stod(argv[++i]);
-        } else if (arg == "--min-speedup" && i + 1 < argc) {
-            minSpeedup = std::stod(argv[++i]);
         } else {
             std::cerr << "usage: bench_selfperf [--quick] "
                          "[--kernel=calendar|heap] [--baseline PATH] "
-                         "[--drift F] [--min-speedup F]\n";
+                         "[--drift F]\n";
             return 2;
         }
     }
@@ -497,51 +290,14 @@ main(int argc, char **argv)
                 : 0;
         rows.push_back(fig6);
     }
-    for (int shards : {1, 2, 4, 8})
-        rows.push_back(runShardedFig6(shards));
-    const std::uint64_t stressTotal = quick ? 300'000 : 3'000'000;
-    for (int shards : {1, 4})
-        rows.push_back(runShardedStress(shards, stressTotal, kind));
-    std::cout << "host cores for sharded rows: "
-              << std::max(1u, std::thread::hardware_concurrency())
-              << "\n\n";
-
-    // Speedups are relative to the matching 1-shard row (same prefix).
-    const auto speedupBase = [&rows](const std::string &name) -> double {
-        const std::size_t us = name.rfind("_shards");
-        if (us == std::string::npos || name.substr(us) == "_shards1")
-            return 0.0;
-        const std::string base = name.substr(0, us) + "_shards1";
-        for (const auto &r : rows) {
-            if (r.name == base)
-                return r.eventsPerSec;
-        }
-        return 0.0;
-    };
-    for (auto &r : rows) {
-        const double base = speedupBase(r.name);
-        if (base > 0 && r.eventsPerSec > 0)
-            r.speedupVsShards1 = r.eventsPerSec / base;
-    }
-
     std::cout << "workload                 events      wall(s)"
-                 "     events/sec   peakRSS(MB)  thr  x-shard  speedup\n";
+                 "     events/sec   peakRSS(MB)\n";
     for (const auto &r : rows) {
         std::printf("%-20s %10llu %10.3f %14.0f %10.1f",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.events),
                     r.wallSeconds, r.eventsPerSec,
                     static_cast<double>(r.peakRssKb) / 1024.0);
-        if (r.threadsRequested > 0) {
-            std::printf("  %d/%d%s", r.threadsUsed, r.threadsRequested,
-                        r.capped ? "!" : " ");
-            if (r.xshardFrac >= 0)
-                std::printf("  %6.3f", r.xshardFrac);
-            else
-                std::printf("       -");
-            if (r.speedupVsShards1 > 0)
-                std::printf("  %5.2fx", r.speedupVsShards1);
-        }
         std::printf("\n");
     }
 
@@ -558,16 +314,6 @@ main(int argc, char **argv)
            << ", \"wall_seconds\": " << r.wallSeconds
            << ", \"events_per_sec\": " << r.eventsPerSec
            << ", \"peak_rss_kb\": " << r.peakRssKb;
-        if (r.threadsRequested > 0) {
-            js << ", \"threads_requested\": " << r.threadsRequested
-               << ", \"threads_used\": " << r.threadsUsed
-               << ", \"capped\": " << (r.capped ? "true" : "false");
-            if (r.xshardFrac >= 0)
-                js << ", \"xshard_frac\": " << r.xshardFrac;
-            if (r.speedupVsShards1 > 0)
-                js << ", \"speedup_vs_shards1\": "
-                   << r.speedupVsShards1;
-        }
         js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     js << "  ]\n}\n";
@@ -620,44 +366,5 @@ main(int argc, char **argv)
         }
     }
 
-    if (minSpeedup > 0) {
-        // Parallel-scaling gate: the 4-shard stress churn must beat
-        // the 1-shard run by the given factor. A thread-capped row is
-        // exempt — a host without the cores cannot show the speedup,
-        // and failing there would only teach people to waive the gate.
-        const SelfPerfRow *gated = nullptr;
-        for (const auto &r : rows) {
-            if (r.name == "stress_shards4")
-                gated = &r;
-        }
-        if (!gated) {
-            std::cerr << "bench_selfperf: --min-speedup given but no "
-                         "stress_shards4 row was produced\n";
-            return 2;
-        }
-        if (gated->capped) {
-            std::cout << "min-speedup gate skipped: 'stress_shards4' "
-                         "was thread-capped ("
-                      << gated->threadsUsed << "/"
-                      << gated->threadsRequested << " threads)\n";
-        } else if (gated->speedupVsShards1 < minSpeedup) {
-            std::cerr << "bench_selfperf: 'stress_shards4' speedup "
-                      << gated->speedupVsShards1 << "x is below the "
-                      << minSpeedup << "x gate\n";
-            if (std::getenv("PIMDSM_PERF_WAIVE")) {
-                std::cerr << "bench_selfperf: speedup gate WAIVED via "
-                             "PIMDSM_PERF_WAIVE\n";
-            } else {
-                std::cerr << "bench_selfperf: FAIL (set "
-                             "PIMDSM_PERF_WAIVE=1 to override on "
-                             "known-noisy hosts)\n";
-                return 1;
-            }
-        } else {
-            std::cout << "min-speedup gate ok: 'stress_shards4' "
-                      << gated->speedupVsShards1 << "x >= "
-                      << minSpeedup << "x\n";
-        }
-    }
     return 0;
 }

@@ -50,9 +50,6 @@ class StatSet;
 class CoherenceOracle
 {
   public:
-    CoherenceOracle() = default;
-    virtual ~CoherenceOracle() = default;
-
     /** Arm the oracle. @p faults_on selects relaxed (counting) mode. */
     void init(const CheckConfig &cfg, bool faults_on, StatSet *stats);
 
@@ -63,28 +60,24 @@ class CoherenceOracle
     std::uint64_t violations() const { return violations_; }
 
     // ------------------------------------------------------------------
-    // Event hooks (all no-ops until init() with cfg.enabled). Virtual
-    // so the windowed parallel kernel can substitute a per-shard
-    // journal that records the call and replays it at the window
-    // barrier in canonical order (see check/journal.hh).
+    // Event hooks (all no-ops until init() with cfg.enabled).
     // ------------------------------------------------------------------
 
     /** A message was delivered to its destination controller. */
-    virtual void noteMessage(Tick now, const Message &msg);
+    void noteMessage(Tick now, const Message &msg);
 
     /** Node @p node now holds @p line in @p st (Invalid = dropped). */
-    virtual void noteNodeState(Tick now, NodeId node, Addr line,
-                               CohState st, Version v, const char *why);
+    void noteNodeState(Tick now, NodeId node, Addr line, CohState st,
+                       Version v, const char *why);
 
     /** Node @p node dropped every line it held (flush / reconfig). */
-    virtual void noteNodeWipe(Tick now, NodeId node, const char *why);
+    void noteNodeWipe(Tick now, NodeId node, const char *why);
 
     /** Directory entry for @p line changed at home @p home. */
-    virtual void noteDirEntry(Tick now, NodeId home, Addr line,
-                              const DirEntry &e);
+    void noteDirEntry(Tick now, NodeId home, Addr line, const DirEntry &e);
 
     /** A write to @p line was serialized at its home as @p v. */
-    virtual void noteWriteCommit(Tick now, Addr line, Version v);
+    void noteWriteCommit(Tick now, Addr line, Version v);
 
     /**
      * A miss-path read of @p line, issued at @p issue_tick, completed
@@ -92,16 +85,15 @@ class CoherenceOracle
      * history: never newer than the latest commit, never older than
      * the newest commit that predates the issue.
      */
-    virtual void noteReadObserved(Tick now, NodeId node, Addr line,
-                                  Version observed, Tick issue_tick);
+    void noteReadObserved(Tick now, NodeId node, Addr line,
+                          Version observed, Tick issue_tick);
 
     /** D-node Data-slot lifecycle event (history only). */
-    virtual void noteSlotEvent(Tick now, NodeId home, Addr line,
-                               std::uint32_t slot, const char *what);
+    void noteSlotEvent(Tick now, NodeId home, Addr line, std::uint32_t slot,
+                       const char *what);
 
     /** Directory failover: @p dead_home's lines move to @p new_home. */
-    virtual void noteFailover(Tick now, NodeId dead_home,
-                              NodeId new_home);
+    void noteFailover(Tick now, NodeId dead_home, NodeId new_home);
 
     // ------------------------------------------------------------------
     // Queries (for check/scan.cc and tests).

@@ -252,21 +252,27 @@ nodeName(std::uint8_t id)
         return "home";
     if (id == kNil)
         return "-";
-    return "n" + std::to_string(static_cast<int>(id));
+    // Appended for the same GCC 12 -Wrestrict reason as renderMsg.
+    std::string name = "n";
+    name += std::to_string(static_cast<int>(id));
+    return name;
 }
 
 std::string
 renderMsg(const AMsg &m)
 {
+    // Appends only: GCC 12 at -O3 reports a false -Wrestrict on
+    // operator+(const char *, std::string &&).
     std::string s = msgTypeName(static_cast<MsgType>(m.type));
-    s += " " + nodeName(m.src) + "->" + nodeName(m.dst);
-    s += " ver" + std::to_string(static_cast<int>(m.ver));
+    s.append(" ").append(nodeName(m.src));
+    s.append("->").append(nodeName(m.dst));
+    s.append(" ver").append(std::to_string(static_cast<int>(m.ver)));
     if (m.ack)
-        s += " ack" + std::to_string(static_cast<int>(m.ack));
+        s.append(" ack").append(std::to_string(static_cast<int>(m.ack)));
     if (m.seq)
-        s += " seq" + std::to_string(static_cast<int>(m.seq));
+        s.append(" seq").append(std::to_string(static_cast<int>(m.seq)));
     if (m.req != kNil && m.req != m.dst)
-        s += " req=" + nodeName(m.req);
+        s.append(" req=").append(nodeName(m.req));
     if (m.flags & fGrantsMaster)
         s += " +master";
     if (m.flags & fMasterClean)

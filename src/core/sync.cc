@@ -6,32 +6,14 @@ namespace pimdsm
 {
 
 void
-SyncManager::runBody(NodeId node, std::function<void()> body)
-{
-    // Map mutations run inline on the sequential kernel; under the
-    // windowed kernel they are parked until the barrier so shard
-    // threads never race on barriers_/locks_.
-    if (hooks_.defer)
-        hooks_.defer(node, std::move(body));
-    else
-        body();
-}
-
-void
 SyncManager::refetchAndResume(ComputeBase *p, Addr addr,
                               std::function<void()> cb)
 {
     // The woken node re-reads the sync line before resuming
-    // (invalidation storm + refetch, like real spinning). Under the
-    // windowed kernel the access must issue from the node's own shard,
-    // so it is injected at the start of the next window.
-    auto body = [p, addr, cb = std::move(cb)]() {
-        p->access(addr, false, [cb](Tick, ReadService) { cb(); });
-    };
-    if (hooks_.inject)
-        hooks_.inject(p->self(), std::move(body));
-    else
-        body();
+    // (invalidation storm + refetch, like real spinning).
+    p->access(addr, false, [cb = std::move(cb)](Tick, ReadService) {
+        cb();
+    });
 }
 
 void
@@ -42,13 +24,11 @@ SyncManager::arriveBarrier(Addr addr, ComputeBase &port,
     port.access(addr, true, [this, addr, &port,
                              resume = std::move(resume)](Tick,
                                                          ReadService) {
-        runBody(port.self(), [this, addr, &port, resume] {
-            Barrier &b = barriers_[addr];
-            b.waiters.emplace_back(&port, resume);
-            if (++b.arrived < numThreads_)
-                return;
-            releaseBarrier(addr, b);
-        });
+        Barrier &b = barriers_[addr];
+        b.waiters.emplace_back(&port, resume);
+        if (++b.arrived < numThreads_)
+            return;
+        releaseBarrier(addr, b);
     });
 }
 
@@ -71,42 +51,35 @@ SyncManager::acquireLock(Addr addr, ComputeBase &port,
     port.access(addr, true, [this, addr, &port,
                              resume = std::move(resume)](Tick,
                                                          ReadService) {
-        runBody(port.self(), [this, addr, &port, resume] {
-            Lock &l = locks_[addr];
-            if (!l.held) {
-                l.held = true;
-                l.holder = &port;
-                if (hooks_.inject)
-                    hooks_.inject(port.self(), resume);
-                else
-                    resume();
-            } else {
-                l.waiters.emplace_back(&port, resume);
-            }
-        });
+        Lock &l = locks_[addr];
+        if (!l.held) {
+            l.held = true;
+            l.holder = &port;
+            resume();
+        } else {
+            l.waiters.emplace_back(&port, resume);
+        }
     });
 }
 
 void
 SyncManager::releaseLock(Addr addr, ComputeBase &port)
 {
-    port.access(addr, true, [this, addr, &port](Tick, ReadService) {
-        runBody(port.self(), [this, addr] {
-            Lock &l = locks_[addr];
-            if (!l.held)
-                panic("releasing a lock that is not held");
-            if (l.waiters.empty()) {
-                l.held = false;
-                l.holder = nullptr;
-                return;
-            }
-            ++lockHandoffs_;
-            auto [p, cb] = std::move(l.waiters.front());
-            l.waiters.pop_front();
-            l.holder = p;
-            // The next holder re-reads the lock line before entering.
-            refetchAndResume(p, addr, std::move(cb));
-        });
+    port.access(addr, true, [this, addr](Tick, ReadService) {
+        Lock &l = locks_[addr];
+        if (!l.held)
+            panic("releasing a lock that is not held");
+        if (l.waiters.empty()) {
+            l.held = false;
+            l.holder = nullptr;
+            return;
+        }
+        ++lockHandoffs_;
+        auto [p, cb] = std::move(l.waiters.front());
+        l.waiters.pop_front();
+        l.holder = p;
+        // The next holder re-reads the lock line before entering.
+        refetchAndResume(p, addr, std::move(cb));
     });
 }
 

@@ -30,27 +30,6 @@ class SyncManager
     int numThreads() const { return numThreads_; }
 
     /**
-     * Windowed-kernel hookup. Barrier and lock bookkeeping is global
-     * state, so under the parallel kernel it must not be touched from
-     * shard threads: completion continuations are parked through
-     * @c defer (keyed by the arriving node, run serially at the next
-     * window barrier in canonical order), and any cross-node fan-out
-     * they trigger — barrier release storms, lock handoffs — re-enters
-     * the simulation through @c inject, which schedules onto the
-     * target node's shard at the start of the next window. Both empty
-     * (the default) selects the legacy inline behavior.
-     */
-    struct WindowHooks
-    {
-        std::function<void(NodeId, std::function<void()>)> defer;
-        std::function<void(NodeId, std::function<void()>)> inject;
-
-        bool active() const { return static_cast<bool>(defer); }
-    };
-
-    void setWindowHooks(WindowHooks hooks) { hooks_ = std::move(hooks); }
-
-    /**
      * Arrive at the barrier identified by @p addr. The arrival performs
      * a store (fetch&increment) on the barrier line; the last arrival
      * releases everyone, and each waiter re-reads the line before
@@ -96,15 +75,10 @@ class SyncManager
     /** Release every waiter of @p b (invalidation storm + refetch). */
     void releaseBarrier(Addr addr, Barrier &b);
 
-    /** Run @p body inline, or park it via hooks_.defer when windowed. */
-    void runBody(NodeId node, std::function<void()> body);
-
-    /** Re-read @p addr on @p p's node, then run @p cb (injected onto
-     *  @p p's shard when windowed). */
+    /** Re-read @p addr on @p p's node, then run @p cb. */
     void refetchAndResume(ComputeBase *p, Addr addr,
                           std::function<void()> cb);
 
-    WindowHooks hooks_;
     int numThreads_;
     std::unordered_map<Addr, Barrier> barriers_;
     std::unordered_map<Addr, Lock> locks_;

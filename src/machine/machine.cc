@@ -1,7 +1,5 @@
 #include "machine/machine.hh"
 
-#include <algorithm>
-#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -10,24 +8,6 @@
 
 namespace pimdsm
 {
-
-thread_local Machine::MachineShard *Machine::curShard_ = nullptr;
-thread_local int Machine::curShardIdx_ = -1;
-
-namespace
-{
-
-/** splitmix64 finalizer: page number -> well-spread placement hash. */
-std::uint64_t
-mixPage(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), mesh_(eq_, cfg.net, cfg.totalNodes()),
@@ -45,71 +25,10 @@ Machine::Machine(const MachineConfig &cfg)
     mesh_.setStats(&stats_);
     oracle_.init(cfg_.check, cfg_.faults.enabled(), &stats_);
 
-    // Controllers and the physical placement must exist before the
-    // shard setup below: the Region partitioner splits the mesh by
-    // *slot*, which buildAgg's interleaved placement decides.
     if (cfg_.arch == ArchKind::Agg)
         buildAgg();
     else
         buildNumaOrComa();
-
-    if (cfg_.shards.enabled()) {
-        windowed_ = true;
-        const int total = cfg_.totalNodes();
-        int s = std::min(cfg_.shards.count, total);
-        if (s < 1)
-            s = 1;
-        shards_.reserve(static_cast<std::size_t>(s));
-        for (int i = 0; i < s; ++i) {
-            shards_.push_back(std::make_unique<MachineShard>());
-            shards_.back()->outbox.resize(static_cast<std::size_t>(s));
-        }
-
-        std::vector<int> node_slot(static_cast<std::size_t>(total));
-        for (NodeId n = 0; n < total; ++n)
-            node_slot[static_cast<std::size_t>(n)] = mesh_.nodeSlot(n);
-        nodeShard_ = buildPartition(cfg_.partition, total, s,
-                                    cfg_.net.meshX, cfg_.net.meshY,
-                                    node_slot);
-
-        syncCap_ = mesh_.maxCrossNodeLatency();
-        rebuildLookahead();
-        mesh_.setTopologyListener([this] { rebuildLookahead(); });
-
-        horizons_.assign(static_cast<std::size_t>(s), 0);
-        pending_.resize(static_cast<std::size_t>(s) *
-                        static_cast<std::size_t>(s));
-        mesh_.setDeliverySink(this);
-        pageMap_.setThreadSafe(true);
-    }
-}
-
-void
-Machine::rebuildLookahead()
-{
-    // Only routability changes here: a pair severed by dead links
-    // contributes kMaxTick (nothing can arrive before the canonical
-    // heal, where this runs again); everything else keeps its static
-    // Manhattan bound, which detours can only exceed.
-    matrix_ = buildLookaheadMatrix(
-        nodeShard_, static_cast<int>(shards_.size()),
-        [this](NodeId a, NodeId b) {
-            return mesh_.minLatencyBetween(a, b);
-        });
-    // The mesh is not the only influence channel: a deferred op parked
-    // at tick t re-injects work into its *own* shard at t + syncCap_
-    // through the barrier (partition cuts do not block it). That self
-    // edge's lookahead must bound the diagonal, or a window could run
-    // past an op's injection tick and force a clock-dependent — i.e.
-    // partition-dependent — late placement.
-    for (int j = 0; j < matrix_.shards; ++j) {
-        Tick &d = matrix_.pair[static_cast<std::size_t>(j) *
-                                   static_cast<std::size_t>(
-                                       matrix_.shards) +
-                               static_cast<std::size_t>(j)];
-        if (syncCap_ < d)
-            d = syncCap_;
-    }
 }
 
 void
@@ -223,13 +142,7 @@ Machine::homeOf(Addr line_addr, NodeId toucher)
         return mapped;
 
     NodeId home;
-    if (windowed_) {
-        // Shard threads race on first touch, so placement must be a
-        // pure function of the page: both racers compute the same home
-        // and the double assign is idempotent. (Round-robin/first-touch
-        // order would depend on the window interleaving.)
-        home = hashPlacement(line_addr);
-    } else if (cfg_.arch == ArchKind::Agg) {
+    if (cfg_.arch == ArchKind::Agg) {
         // First touch maps the page at a D-node; spread pages across
         // the directory nodes round-robin.
         const auto dnodes = directoryNodes();
@@ -244,22 +157,6 @@ Machine::homeOf(Addr line_addr, NodeId toucher)
     return home;
 }
 
-NodeId
-Machine::hashPlacement(Addr line_addr)
-{
-    // Candidate homes: directory nodes on AGG, every (Both-role) node
-    // on NUMA/COMA. Dead nodes are excluded, and deaths only happen at
-    // window barriers, so the candidate list is stable inside a window.
-    const auto candidates = cfg_.arch == ArchKind::Agg
-                                ? directoryNodes()
-                                : computeNodes();
-    if (candidates.empty())
-        panic("no live candidate homes for page placement");
-    const std::uint64_t h = mixPage(
-        static_cast<std::uint64_t>(pageMap_.pageOf(line_addr)));
-    return candidates[h % candidates.size()];
-}
-
 void
 Machine::send(Message msg)
 {
@@ -269,7 +166,7 @@ Machine::send(Message msg)
     // Fail-stop: a dead node emits nothing (events queued before the
     // death still fire, so the send side must filter too).
     if (isDead(msg.src)) {
-        stats().add("fault.msg_from_dead");
+        stats_.add("fault.msg_from_dead");
         return;
     }
 
@@ -278,38 +175,6 @@ Machine::send(Message msg)
     // whatever order the current schedule dictates.
     if (interceptor_ && interceptor_(msg))
         return;
-
-    if (windowed_) {
-        if (curShard_) {
-            if (msg.src == msg.dst) {
-                // On-chip: stays inside the shard, no synchronization.
-                auto deliver = [this,
-                                h = curShard_->pool.make(std::move(msg))] {
-                    deliverDirect(h.get());
-                };
-                curShard_->eq.scheduleIn(1, std::move(deliver));
-            } else {
-                // Cross-node: park in the per-destination-shard
-                // outbox; the barrier commits all shards' sends
-                // serially in (tick, src node, seq) order. Same-shard
-                // destinations park too — mesh links are shared with
-                // through-traffic, so their acquisition order must
-                // stay canonical.
-                const int d = shardOf(msg.dst);
-                ++curShard_->xnodeMsgs;
-                if (d != curShardIdx_)
-                    ++curShard_->xshardMsgs;
-                curShard_->outbox[static_cast<std::size_t>(d)]
-                    .push_back(ParkedSend{curShard_->eq.curTick(),
-                                          curShard_->nextSendSeq++,
-                                          std::move(msg)});
-            }
-        } else {
-            // Serial phase (barrier-time fault handling and the like).
-            commitSend(eq_.curTick(), std::move(msg), externalKey());
-        }
-        return;
-    }
 
     const NodeId src = msg.src;
     const NodeId dst = msg.dst;
@@ -331,82 +196,18 @@ Machine::send(Message msg)
     mesh_.send(src, dst, payload, std::move(deliver), cls);
 }
 
-EventQueue::ExternalKey
-Machine::externalKey()
-{
-    if (commitKeyValid_)
-        return commitKey_;
-    return EventQueue::ExternalKey{eq_.curTick(), 0,
-                                   kSerialKeyBand + nextSerialKeySeq_++};
-}
-
-void
-Machine::commitSend(Tick t, Message msg, EventQueue::ExternalKey key)
-{
-    const NodeId src = msg.src;
-    const NodeId dst = msg.dst;
-    const int payload = msg.payloadBytes(cfg_.mem.lineBytes);
-    const MsgClass cls = msgClassOf(msg.type);
-
-    // The payload lives in the destination shard's pool: the delivery
-    // runs (and the slot frees) on that shard's thread, and allocation
-    // here happens in the serial barrier phase, so the pool is only
-    // ever touched by one thread at a time.
-    MachineShard *dsh = shards_[shardOf(dst)].get();
-    auto deliver = [this, h = dsh->pool.make(std::move(msg))] {
-        deliverDirect(h.get());
-    };
-
-    // Everything this commit inserts — the delivery, a faulted
-    // duplicate's delivery — carries the parked item's key, so its
-    // placement among same-tick external events is decided by the
-    // item, not by which barrier committed it. Saved and restored
-    // because op bodies send serially mid-drain.
-    const EventQueue::ExternalKey saved_key = commitKey_;
-    const bool saved_valid = commitKeyValid_;
-    commitKey_ = key;
-    commitKeyValid_ = true;
-
-    if (src == dst) {
-        // External lane: a barrier-committed self-delivery must not
-        // overtake (or be overtaken by) the shard's own same-tick
-        // events in a round-structure-dependent way.
-        dsh->eq.scheduleExternal(t + 1, key, std::move(deliver));
-    } else {
-        mesh_.setCommitTime(t);
-        mesh_.send(src, dst, payload, std::move(deliver), cls);
-    }
-
-    commitKey_ = saved_key;
-    commitKeyValid_ = saved_valid;
-}
-
-void
-Machine::meshDeliver(Tick when, NodeId dst, InlineCallback deliver)
-{
-    const int d = shardOf(dst);
-    if (when < horizons_[static_cast<std::size_t>(d)])
-        panic("mesh delivery at tick " + std::to_string(when) +
-              " inside the lookahead horizon (shard " +
-              std::to_string(d) + " already ran to " +
-              std::to_string(horizons_[static_cast<std::size_t>(d)]) +
-              "): cross-node latency fell below its matrix bound");
-    shards_[static_cast<std::size_t>(d)]->eq.scheduleExternal(
-        when, externalKey(), std::move(deliver));
-}
-
 void
 Machine::deliverDirect(const Message &msg)
 {
     if (isDead(msg.dst)) {
         // Died while the message was in flight.
-        stats().add("fault.msg_to_dead");
+        stats_.add("fault.msg_to_dead");
         return;
     }
-    if (CoherenceOracle *chk = checker())
-        chk->noteMessage(nowTick(), msg);
+    if (oracle_.enabled())
+        oracle_.noteMessage(eq_.curTick(), msg);
     if (Trace::enabled("proto"))
-        Trace::print(nowTick(), "proto", msg.toString());
+        Trace::print(eq_.curTick(), "proto", msg.toString());
     if (msgBoundForHome(msg.type)) {
         if (!homes_[msg.dst])
             panic("home-bound message to a pure compute node: " +
@@ -423,24 +224,9 @@ Machine::deliverDirect(const Message &msg)
 Version
 Machine::bumpVersion(Addr line)
 {
-    Version v;
-    {
-        VersionStripe &s = versionStripe(line);
-        std::unique_lock<std::mutex> g(s.mu, std::defer_lock);
-        if (windowed_)
-            g.lock();
-        v = ++s.map[line];
-    }
-    if (oracle_.enabled()) {
-        if (curShard_) {
-            // The plain hook has no node argument; key the journal
-            // entry by the line's home (the committing controller).
-            curShard_->journal.recordWriteCommit(
-                nowTick(), pageMap_.homeOf(line), line, v);
-        } else {
-            oracle_.noteWriteCommit(eq_.curTick(), line, v);
-        }
-    }
+    const Version v = ++versions_[line];
+    if (oracle_.enabled())
+        oracle_.noteWriteCommit(eq_.curTick(), line, v);
     return v;
 }
 
@@ -458,12 +244,8 @@ Machine::computeNodeMask() const
 Version
 Machine::latestVersion(Addr line) const
 {
-    const VersionStripe &s = versionStripe(line);
-    std::unique_lock<std::mutex> g(s.mu, std::defer_lock);
-    if (windowed_)
-        g.lock();
-    auto it = s.map.find(line);
-    return it == s.map.end() ? 0 : it->second;
+    auto it = versions_.find(line);
+    return it == versions_.end() ? 0 : it->second;
 }
 
 LineCensus
@@ -556,356 +338,6 @@ void
 Machine::checkCoherenceQuiescent() const
 {
     checkQuiescentCoherence(*this);
-}
-
-// --- windowed parallel kernel ---------------------------------------
-
-void
-Machine::runShardWindow(int s, Tick begin, Tick end)
-{
-    (void)begin;
-    const std::size_t i = static_cast<std::size_t>(s);
-    MachineShard *sh = shards_[i].get();
-    curShard_ = sh;
-    curShardIdx_ = s;
-    // Events strictly below `end` belong to this window; anything a
-    // handler schedules at or past `end` waits for a later window.
-    // Each index is written by exactly one thread per round and read
-    // serially after the barrier, so no synchronization is needed.
-    if (end > horizons_[i])
-        horizons_[i] = end;
-    sh->eq.runUntil(end - 1);
-    curShard_ = nullptr;
-    curShardIdx_ = -1;
-}
-
-Tick
-Machine::shardNextTime(int s) const
-{
-    const std::size_t S = shards_.size();
-    const std::size_t si = static_cast<std::size_t>(s);
-    Tick t = shards_[si]->eq.nextEventTick();
-    for (std::size_t d = 0; d < S; ++d) {
-        const PendingBuf &buf = pending_[si * S + d];
-        if (!buf.drained() && buf.front().tick < t)
-            t = buf.front().tick;
-    }
-    for (std::size_t i = pendingOpsHead_; i < pendingOps_.size(); ++i) {
-        // Sorted by tick: the first op of this shard is its earliest.
-        if (shardOf(pendingOps_[i].node) == s) {
-            if (pendingOps_[i].tick < t)
-                t = pendingOps_[i].tick;
-            break;
-        }
-    }
-    return t;
-}
-
-Tick
-Machine::minNextTime() const
-{
-    const std::size_t S = shards_.size();
-    Tick c = kMaxTick;
-    for (const auto &sh : shards_) {
-        const Tick t = sh->eq.nextEventTick();
-        if (t < c)
-            c = t;
-    }
-    for (std::size_t s = 0; s < S; ++s) {
-        for (std::size_t d = 0; d < S; ++d) {
-            const PendingBuf &buf = pending_[s * S + d];
-            if (buf.drained())
-                continue;
-            // The buffer is tick-sorted, so its head's bound covers
-            // every item in it.
-            const Tick b = satAddTick(
-                buf.front().tick,
-                matrix_.at(static_cast<int>(s), static_cast<int>(d)));
-            if (b < c)
-                c = b;
-        }
-    }
-    if (pendingOpsHead_ < pendingOps_.size()) {
-        const Tick b =
-            satAddTick(pendingOps_[pendingOpsHead_].tick, syncCap_);
-        if (b < c)
-            c = b;
-    }
-    return c;
-}
-
-void
-Machine::collectParked()
-{
-    const std::size_t S = shards_.size();
-    for (std::size_t s = 0; s < S; ++s) {
-        MachineShard *sh = shards_[s].get();
-        for (std::size_t d = 0; d < S; ++d) {
-            auto &in = sh->outbox[d];
-            if (in.empty())
-                continue;
-            PendingBuf &buf = pending_[s * S + d];
-            // Slab recycle: drop the consumed prefix, then merge the
-            // new batch in. The batch arrives in per-shard seq order
-            // (ticks nondecreasing within one node), so a stable sort
-            // by (tick, src) keeps each node's program order, and
-            // every new tick is >= the last commit bound, so the two
-            // sorted runs interleave with a single inplace_merge.
-            if (buf.head > 0) {
-                buf.items.erase(buf.items.begin(),
-                                buf.items.begin() +
-                                    static_cast<std::ptrdiff_t>(
-                                        buf.head));
-                buf.head = 0;
-            }
-            const std::size_t mid = buf.items.size();
-            buf.items.insert(buf.items.end(),
-                             std::make_move_iterator(in.begin()),
-                             std::make_move_iterator(in.end()));
-            in.clear();
-            const auto by_tick_src = [](const ParkedSend &a,
-                                        const ParkedSend &b) {
-                if (a.tick != b.tick)
-                    return a.tick < b.tick;
-                return a.msg.src < b.msg.src;
-            };
-            std::stable_sort(buf.items.begin() +
-                                 static_cast<std::ptrdiff_t>(mid),
-                             buf.items.end(), by_tick_src);
-            std::inplace_merge(buf.items.begin(),
-                               buf.items.begin() +
-                                   static_cast<std::ptrdiff_t>(mid),
-                               buf.items.end(), by_tick_src);
-        }
-        if (!sh->ops.empty()) {
-            if (pendingOpsHead_ > 0) {
-                pendingOps_.erase(pendingOps_.begin(),
-                                  pendingOps_.begin() +
-                                      static_cast<std::ptrdiff_t>(
-                                          pendingOpsHead_));
-                pendingOpsHead_ = 0;
-            }
-            const std::size_t mid = pendingOps_.size();
-            pendingOps_.insert(pendingOps_.end(),
-                               std::make_move_iterator(sh->ops.begin()),
-                               std::make_move_iterator(sh->ops.end()));
-            sh->ops.clear();
-            const auto by_tick_node = [](const ParkedOp &a,
-                                         const ParkedOp &b) {
-                if (a.tick != b.tick)
-                    return a.tick < b.tick;
-                if (a.node != b.node)
-                    return a.node < b.node;
-                return a.seq < b.seq;
-            };
-            std::stable_sort(pendingOps_.begin() +
-                                 static_cast<std::ptrdiff_t>(mid),
-                             pendingOps_.end(), by_tick_node);
-            std::inplace_merge(pendingOps_.begin(),
-                               pendingOps_.begin() +
-                                   static_cast<std::ptrdiff_t>(mid),
-                               pendingOps_.end(), by_tick_node);
-        }
-        if (oracle_.enabled()) {
-            auto entries = sh->journal.take();
-            pendingJournal_.insert(
-                pendingJournal_.end(),
-                std::make_move_iterator(entries.begin()),
-                std::make_move_iterator(entries.end()));
-        }
-    }
-    if (oracle_.enabled() && !pendingJournal_.empty()) {
-        // Same-key same-tick entries come from one node's shard buffer
-        // in program order, and older barriers appended earlier, so a
-        // stable sort keeps the canonical sequence.
-        std::stable_sort(pendingJournal_.begin(), pendingJournal_.end(),
-                         [](const ShardOracleJournal::Entry &a,
-                            const ShardOracleJournal::Entry &b) {
-                             if (a.tick != b.tick)
-                                 return a.tick < b.tick;
-                             return a.key < b.key;
-                         });
-    }
-}
-
-void
-Machine::commitWindow(Tick cap)
-{
-    collectParked();
-
-    // The commit frontier: everything strictly below it is parked by
-    // now (future events all sit at or past their shard queue's next
-    // tick, and anything they might park inherits that bound), so the
-    // committed stream — concatenated across barriers — is the same
-    // for every partition, shard count, and thread count. The caller's
-    // cap pins the frontier at fault fire points.
-    Tick c = minNextTime();
-    if (cap < c)
-        c = cap;
-
-    // Keep the base clock on the frontier: serial-phase work (fault
-    // events, reports) reads eq_.curTick(). At the final (quiescent)
-    // barrier there is no frontier to chase — alignWindowedClocks
-    // settles the clock from the executed event set instead.
-    if (c != kMaxTick && c > eq_.curTick())
-        eq_.runUntil(c - 1);
-
-    // 1. Replay the committable oracle-journal prefix in (tick, key)
-    //    order — identical for every shard and thread count.
-    if (oracle_.enabled() && !pendingJournal_.empty()) {
-        std::size_t i = 0;
-        while (i < pendingJournal_.size() &&
-               pendingJournal_[i].tick < c) {
-            ShardOracleJournal::replayEntry(oracle_, pendingJournal_[i]);
-            ++i;
-        }
-        pendingJournal_.erase(pendingJournal_.begin(),
-                              pendingJournal_.begin() +
-                                  static_cast<std::ptrdiff_t>(i));
-    }
-
-    // 2. Commit parked cross-node sends below the frontier: a k-way
-    //    merge over the (src shard, dst shard) buffers in (tick, src
-    //    node, seq) order. This is where mesh link contention and
-    //    fault decisions happen, all on one thread, in an order no
-    //    window grouping can change. Ties on (tick, src node) span
-    //    only one source shard, whose seq counter orders them by that
-    //    node's program order.
-    const std::size_t S = shards_.size();
-    for (;;) {
-        PendingBuf *best = nullptr;
-        for (std::size_t i = 0; i < S * S; ++i) {
-            PendingBuf &buf = pending_[i];
-            if (buf.drained() || buf.front().tick >= c)
-                continue;
-            if (!best)
-                best = &buf;
-            else {
-                const ParkedSend &a = buf.front();
-                const ParkedSend &b = best->front();
-                if (a.tick != b.tick ? a.tick < b.tick
-                    : a.msg.src != b.msg.src ? a.msg.src < b.msg.src
-                                             : a.seq < b.seq)
-                    best = &buf;
-            }
-        }
-        if (!best)
-            break;
-        ParkedSend &ps = best->items[best->head++];
-        const EventQueue::ExternalKey key{ps.tick, ps.msg.src, ps.seq};
-        commitSend(ps.tick, std::move(ps.msg), key);
-    }
-
-    // 3. Run the committable deferred sync-manager bodies in
-    //    (tick, node, seq) order. Work they re-inject lands at the
-    //    op's tick + syncCap_, which clears every shard horizon, and
-    //    carries the op's key: whether an injection shares its landing
-    //    tick with a step-2 delivery is load-dependent, so only an
-    //    intrinsic key keeps that collision's order canonical.
-    while (pendingOpsHead_ < pendingOps_.size() &&
-           pendingOps_[pendingOpsHead_].tick < c) {
-        ParkedOp &op = pendingOps_[pendingOpsHead_++];
-        injectTick_ = satAddTick(op.tick, syncCap_);
-        commitKey_ = EventQueue::ExternalKey{op.tick, op.node, op.seq};
-        commitKeyValid_ = true;
-        op.fn();
-        commitKeyValid_ = false;
-    }
-
-    // Any serial-phase mesh traffic after this point (partition drains
-    // on link heals, barrier-time resends) is stamped with the
-    // frontier, and late injections (fault recovery) land there too.
-    if (c != kMaxTick) {
-        mesh_.setCommitTime(c);
-        injectTick_ = c;
-    }
-}
-
-void
-Machine::alignWindowedClocks()
-{
-    Tick t = eq_.lastExecutedTick();
-    for (const auto &sh : shards_) {
-        if (!sh->eq.empty())
-            panic("alignWindowedClocks on a non-quiescent machine");
-        if (sh->eq.lastExecutedTick() > t)
-            t = sh->eq.lastExecutedTick();
-    }
-    for (auto &sh : shards_) {
-        if (sh->eq.curTick() < t)
-            sh->eq.runUntil(t);
-        else
-            sh->eq.rewindTo(t);
-    }
-    if (eq_.curTick() < t)
-        eq_.runUntil(t);
-    else if (eq_.curTick() > t)
-        eq_.rewindTo(t);
-    // Void the granted horizons: they overshoot t by partition-
-    // dependent amounts, and next-phase work scheduled at t must not
-    // trip the delivery check against a stale grant. The caller resets
-    // the engine's window state to t in the same breath.
-    for (auto &h : horizons_)
-        h = t;
-    mesh_.setCommitTime(t);
-    injectTick_ = t;
-}
-
-void
-Machine::deferToBarrier(NodeId node, std::function<void()> fn)
-{
-    if (!curShard_) {
-        fn();
-        return;
-    }
-    curShard_->ops.push_back(ParkedOp{curShard_->eq.curTick(), node,
-                                      curShard_->nextSendSeq++,
-                                      std::move(fn)});
-}
-
-void
-Machine::injectNextWindow(NodeId node, std::function<void()> fn)
-{
-    if (!windowed_) {
-        fn();
-        return;
-    }
-    if (curShard_)
-        panic("injectNextWindow called from inside a window");
-    EventQueue &q = shards_[static_cast<std::size_t>(shardOf(node))]->eq;
-    // With the matrix diagonal clamped to syncCap (rebuildLookahead),
-    // no window can have run past an op's injection tick, so this
-    // clamp only engages when all clocks sit aligned at a phase
-    // boundary — where it is the same for every partition.
-    Tick at = injectTick_;
-    if (at <= q.curTick())
-        at = q.curTick() + 1;
-    q.scheduleExternal(at, externalKey(), [fn = std::move(fn)] { fn(); });
-}
-
-void
-Machine::mergeShardStats()
-{
-    for (auto &sh : shards_) {
-        for (const auto &[name, v] : sh->stats.all())
-            stats_.add(name, v);
-        sh->stats.clear();
-        stats_.add("sim.xnode_msgs",
-                   static_cast<double>(sh->xnodeMsgs));
-        stats_.add("sim.xshard_msgs",
-                   static_cast<double>(sh->xshardMsgs));
-        sh->xnodeMsgs = 0;
-        sh->xshardMsgs = 0;
-    }
-}
-
-std::uint64_t
-Machine::shardExecutedTotal() const
-{
-    std::uint64_t total = eq_.executed();
-    for (const auto &sh : shards_)
-        total += sh->eq.executed();
-    return total;
 }
 
 } // namespace pimdsm

@@ -8,19 +8,15 @@
 #ifndef PIMDSM_MACHINE_MACHINE_HH
 #define PIMDSM_MACHINE_MACHINE_HH
 
-#include <array>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "check/journal.hh"
 #include "check/oracle.hh"
 #include "machine/page_map.hh"
 #include "net/mesh.hh"
 #include "sim/fault.hh"
 #include "sim/flat_map.hh"
-#include "sim/partition.hh"
 #include "sim/pool.hh"
 #include "proto/agg_dnode.hh"
 #include "proto/agg_pnode.hh"
@@ -41,7 +37,7 @@ enum class NodeRole
     Both,       ///< NUMA/COMA node: compute + home on one chip
 };
 
-class Machine : public ProtoContext, public MeshDeliverySink
+class Machine : public ProtoContext
 {
   public:
     explicit Machine(const MachineConfig &cfg);
@@ -51,29 +47,24 @@ class Machine : public ProtoContext, public MeshDeliverySink
     Machine &operator=(const Machine &) = delete;
 
     // --- ProtoContext ---
-    /** The executing shard's queue during a window; the base queue
-     *  otherwise (legacy mode and the serial barrier phase). */
-    EventQueue &eq() override { return curShard_ ? curShard_->eq : eq_; }
+    EventQueue &eq() override { return eq_; }
     const MachineConfig &config() const override { return cfg_; }
     NodeId homeOf(Addr line_addr, NodeId toucher) override;
     void send(Message msg) override;
     Version bumpVersion(Addr line) override;
     Version latestVersion(Addr line) const override;
-    StatSet &stats() override
-    {
-        return curShard_ ? curShard_->stats : stats_;
-    }
+    StatSet &stats() override { return stats_; }
     std::uint64_t computeNodeMask() const override;
     CoherenceOracle *
     checker() override
     {
-        if (!oracle_.enabled())
-            return nullptr;
-        return curShard_ ? static_cast<CoherenceOracle *>(
-                               &curShard_->journal)
-                         : &oracle_;
+        return oracle_.enabled() ? &oracle_ : nullptr;
     }
     bool nodeDead(NodeId n) const override { return isDead(n); }
+
+    /** Queue that drives node @p n: every node runs on the machine's
+     *  one event queue. */
+    EventQueue &eqFor(NodeId) { return eq_; }
 
     // --- topology ---
     int totalNodes() const { return static_cast<int>(roles_.size()); }
@@ -174,242 +165,11 @@ class Machine : public ProtoContext, public MeshDeliverySink
 
     std::uint64_t messagesSent() const { return mesh_.messagesSent(); }
 
-    // --- windowed parallel kernel (cfg.shards; see sim/shard.hh) -----
-    //
-    // The machine is partitioned into shards by cfg.partition (node %
-    // S, or contiguous mesh regions; see sim/partition.hh). Each shard
-    // owns an event queue, a message pool, a stats block, and an
-    // oracle journal; shard threads run disjoint per-shard windows
-    // bounded by the lookahead-matrix horizons. Cross-node sends are
-    // parked in per-(src-shard, dst-shard) outboxes during the window
-    // and committed serially at the barrier — but only the prefix
-    // strictly below the hold-back bound minNextTime(), merged in
-    // (tick, src-node, seq) order, so the committed stream (and with
-    // it every result) is identical for every partition scheme, shard
-    // count, and thread count (see DESIGN.md, "Partitioning & the
-    // lookahead matrix").
-
-    bool windowed() const { return windowed_; }
-    int numShards() const { return static_cast<int>(shards_.size()); }
-    /** Shard owning node @p n (windowed mode only). */
-    int
-    shardOf(NodeId n) const
-    {
-        return nodeShard_[static_cast<std::size_t>(n)];
-    }
-    /** Uniform conservative lookahead (minimum matrix entry bound). */
-    Tick lookahead() const { return mesh_.minCrossNodeLatency(); }
-    /** Per-shard-pair lookahead, rebuilt on topology changes. */
-    const LookaheadMatrix &lookaheadMatrix() const { return matrix_; }
-    /** Static bound >= every matrix entry: externally injected work
-     *  scheduled this far past its origin clears every horizon. */
-    Tick syncCap() const { return syncCap_; }
-    /** Queue that drives @p n (shard queue when windowed). */
-    EventQueue &
-    eqFor(NodeId n)
-    {
-        return windowed_ ? shards_[shardOf(n)]->eq : eq_;
-    }
-
-    /** Run shard @p s's events in [begin, end) (shard thread). */
-    void runShardWindow(int s, Tick begin, Tick end);
-    /** Earliest time shard @p s could still affect anything: its
-     *  queue's next event or its earliest uncommitted parked item
-     *  (kMaxTick if fully idle). */
-    Tick shardNextTime(int s) const;
-    /**
-     * Hold-back bound: every parked item strictly below it is
-     * committable now, and no future parking can land below it. The
-     * minimum of all shard queues' next events, every pending send's
-     * (tick + pair lookahead), and every pending op's (tick +
-     * syncCap). kMaxTick when the machine is quiescent.
-     */
-    Tick minNextTime() const;
-    /** Serial barrier: drain outboxes, replay the oracle-journal
-     *  prefix, commit parked sends and deferred ops strictly below
-     *  min(minNextTime(), cap) — all in canonical order. */
-    void commitWindow(Tick cap);
-
-    /** Park @p fn until the barrier ending the current window (run
-     *  immediately outside a window). Canonical key: (tick, node,
-     *  seq), seq drawn from the shard's shared parking counter. */
-    void deferToBarrier(NodeId node, std::function<void()> fn);
-    /** Schedule @p fn on @p node's shard at the committing op's
-     *  injection tick (serial phase only; immediate in legacy mode). */
-    void injectNextWindow(NodeId node, std::function<void()> fn);
-
-    /**
-     * Serial-phase clock alignment (phase boundaries): advance every
-     * drained shard queue and the base queue to the largest tick any
-     * of them actually executed. That clock is a pure function of the
-     * executed event set — unlike the per-shard horizons, which depend
-     * on the partition — so next-phase work starts at a canonical
-     * time. All queues must be empty (quiescent machine).
-     */
-    void alignWindowedClocks();
-
-    /** Fold per-shard stats (incl. cross-shard message counters) into
-     *  the base StatSet (drains them). */
-    void mergeShardStats();
-    /** Events executed across the base queue and every shard queue. */
-    std::uint64_t shardExecutedTotal() const;
-
-    // --- MeshDeliverySink ---
-    void meshDeliver(Tick when, NodeId dst,
-                     InlineCallback deliver) override;
-
   private:
     void buildAgg();
     void buildNumaOrComa();
 
-    /** Deterministic (hash-by-page) placement used in windowed mode. */
-    NodeId hashPlacement(Addr line_addr);
-    /** Commit one parked cross-node send onto the mesh at time @p t.
-     *  @p key is the parked item's canonical identity; every external
-     *  insertion the commit produces (delivery, self-delivery) is
-     *  ordered by it (see EventQueue::scheduleExternal). */
-    void commitSend(Tick t, Message msg, EventQueue::ExternalKey key);
-    /** Key for an external insertion made by the executing context:
-     *  the committing item's key during a commit step, a fresh
-     *  serial-band key otherwise (fault handling, partition drains —
-     *  serial points whose order is itself canonical). */
-    EventQueue::ExternalKey externalKey();
-    /** Current simulated time as seen by the executing context. */
-    Tick nowTick() const
-    {
-        return curShard_ ? curShard_->eq.curTick() : eq_.curTick();
-    }
-
-    /** A cross-node message parked during a window. @c seq is the
-     *  originating shard's monotone parking counter: for one (tick,
-     *  src node) it follows that node's program order, the canonical
-     *  tie-break of the commit merge. */
-    struct ParkedSend
-    {
-        Tick tick;
-        std::uint64_t seq;
-        Message msg;
-    };
-
-    /** A deferred sync-manager body parked during a window. @c seq
-     *  shares the parking shard's counter with ParkedSend, so a node's
-     *  same-tick sends and ops carry one program-order sequence. */
-    struct ParkedOp
-    {
-        Tick tick;
-        NodeId node;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-
-    /**
-     * One simulation domain of the windowed kernel: the event queue,
-     * message pool, stats block, and oracle journal for the nodes the
-     * partition assigned to this shard. Only the owning shard thread
-     * touches any of it during a window; the serial barrier phase
-     * drains the parked buffers.
-     */
-    struct MachineShard
-    {
-        /** Pool declared before eq so still-scheduled delivery
-         *  closures release their handles first at destruction. */
-        RefPool<Message> pool;
-        EventQueue eq;
-        StatSet stats;
-        ShardOracleJournal journal;
-        /** outbox[d]: sends parked this window for dst shard d
-         *  (intra-shard cross-node sends park too — mesh links are
-         *  shared, so their acquisition must stay canonical). */
-        std::vector<std::vector<ParkedSend>> outbox;
-        std::vector<ParkedOp> ops;
-        /** Monotone counter stamped on parked sends and ops. */
-        std::uint64_t nextSendSeq = 0;
-        /** Cross-node / cross-shard sends parked by this shard. */
-        std::uint64_t xnodeMsgs = 0;
-        std::uint64_t xshardMsgs = 0;
-    };
-
-    /**
-     * Not-yet-committed parked sends for one (src shard, dst shard)
-     * pair, sorted by (tick, src node, seq). Slab-recycled: commits
-     * advance @c head, and the consumed prefix is erased in bulk at
-     * the next barrier before new items merge in.
-     */
-    struct PendingBuf
-    {
-        std::vector<ParkedSend> items;
-        std::size_t head = 0;
-
-        bool drained() const { return head >= items.size(); }
-        const ParkedSend &front() const { return items[head]; }
-    };
-
-    /** Drain every shard's outboxes/ops/journal into the pending
-     *  buffers (serial barrier phase). */
-    void collectParked();
-    /** Rebuild matrix_ after a topology change (serial points only:
-     *  horizons are clamped at the fault tick and pending items park
-     *  at or after it, so swapping bounds here is race-free). */
-    void rebuildLookahead();
-
-    /** Striped so shard threads bump/read line versions without a
-     *  global serialization point (locked only when windowed). */
-    struct VersionStripe
-    {
-        mutable std::mutex mu;
-        FlatMap<Addr, Version> map;
-    };
-    static constexpr int kVersionStripes = 16;
-    VersionStripe &
-    versionStripe(Addr line)
-    {
-        return versions_[(line >> 6) & (kVersionStripes - 1)];
-    }
-    const VersionStripe &
-    versionStripe(Addr line) const
-    {
-        return versions_[(line >> 6) & (kVersionStripes - 1)];
-    }
-
     MachineConfig cfg_;
-    /** Shard domains; declared first so everything that may hold
-     *  pooled message handles (mesh, base queue) dies before the
-     *  per-shard pools. Empty in legacy mode. */
-    std::vector<std::unique_ptr<MachineShard>> shards_;
-    /** Shard the calling thread is executing a window for (null on
-     *  the serial phase and in legacy mode). */
-    static thread_local MachineShard *curShard_;
-    bool windowed_ = false;
-    /** Shard index of the executing thread's shard (pairs curShard_). */
-    static thread_local int curShardIdx_;
-    /** Node -> shard table (windowed mode; see sim/partition.hh). */
-    std::vector<int> nodeShard_;
-    /** Per-shard-pair conservative lookahead over the partition. */
-    LookaheadMatrix matrix_;
-    /** Static bound >= every matrix entry (maxCrossNodeLatency). */
-    Tick syncCap_ = 0;
-    /** Horizon each shard has been run to = earliest tick a committed
-     *  delivery may land in it (monotone; written serially). */
-    std::vector<Tick> horizons_;
-    /** Pending (uncommitted) parked sends, indexed src * S + dst. */
-    std::vector<PendingBuf> pending_;
-    /** Pending deferred ops, sorted by (tick, node); head-consumed. */
-    std::vector<ParkedOp> pendingOps_;
-    std::size_t pendingOpsHead_ = 0;
-    /** Pending oracle-journal entries, sorted by (tick, key). */
-    std::vector<ShardOracleJournal::Entry> pendingJournal_;
-    /** Tick injectNextWindow schedules at: the committing op's tick +
-     *  syncCap_ during the op drain, the commit frontier otherwise. */
-    Tick injectTick_ = 0;
-    /** Key of the parked item the serial phase is currently
-     *  committing; external insertions it produces inherit it. */
-    EventQueue::ExternalKey commitKey_;
-    bool commitKeyValid_ = false;
-    /** Serial-band keys for external insertions outside any commit
-     *  step; the band keeps them disjoint from parked-item seqs. */
-    static constexpr std::uint64_t kSerialKeyBand = 1ull << 62;
-    std::uint64_t nextSerialKeySeq_ = 0;
-
     /** In-flight message payloads; delivery closures capture a pooled
      *  handle instead of a Message copy. Declared before eq_ so it
      *  outlives any still-scheduled delivery events at destruction. */
@@ -420,7 +180,8 @@ class Machine : public ProtoContext, public MeshDeliverySink
     std::vector<NodeRole> roles_;
     std::vector<std::unique_ptr<ComputeBase>> computes_;
     std::vector<std::unique_ptr<HomeBase>> homes_;
-    std::array<VersionStripe, kVersionStripes> versions_;
+    /** Latest committed version per line (the functional oracle). */
+    FlatMap<Addr, Version> versions_;
     StatSet stats_;
     std::uint64_t nextDNode_ = 0;
     FaultPlan faults_;

@@ -7,33 +7,6 @@
 namespace pimdsm
 {
 
-namespace
-{
-
-/** Lock @p mu only when @p on (the sequential kernel pays nothing). */
-class OptionalLock
-{
-  public:
-    OptionalLock(std::mutex &mu, bool on) : mu_(mu), on_(on)
-    {
-        if (on_)
-            mu_.lock();
-    }
-    ~OptionalLock()
-    {
-        if (on_)
-            mu_.unlock();
-    }
-    OptionalLock(const OptionalLock &) = delete;
-    OptionalLock &operator=(const OptionalLock &) = delete;
-
-  private:
-    std::mutex &mu_;
-    bool on_;
-};
-
-} // namespace
-
 PageMap::PageMap(std::uint64_t page_bytes) : pageBytes_(page_bytes)
 {
     if (!isPow2(page_bytes))
@@ -43,7 +16,6 @@ PageMap::PageMap(std::uint64_t page_bytes) : pageBytes_(page_bytes)
 NodeId
 PageMap::homeOf(Addr addr) const
 {
-    OptionalLock g(mu_, threadSafe_);
     auto it = pages_.find(pageOf(addr));
     return it == pages_.end() ? kInvalidNode : it->second;
 }
@@ -51,9 +23,7 @@ PageMap::homeOf(Addr addr) const
 void
 PageMap::assign(Addr addr, NodeId home)
 {
-    const Addr page = pageOf(addr);
-    OptionalLock g(mu_, threadSafe_);
-    auto [it, inserted] = pages_.emplace(page, home);
+    auto [it, inserted] = pages_.emplace(pageOf(addr), home);
     if (!inserted && it->second != home)
         panic("page assigned to two different homes");
 }
@@ -61,30 +31,19 @@ PageMap::assign(Addr addr, NodeId home)
 void
 PageMap::remap(Addr page, NodeId new_home)
 {
-    OptionalLock g(mu_, threadSafe_);
     auto it = pages_.find(pageOf(page));
     if (it == pages_.end())
         panic("remap of an unmapped page");
     it->second = new_home;
 }
 
-std::uint64_t
-PageMap::numPages() const
-{
-    OptionalLock g(mu_, threadSafe_);
-    return pages_.size();
-}
-
 std::vector<Addr>
 PageMap::pagesHomedAt(NodeId node) const
 {
     std::vector<Addr> result;
-    {
-        OptionalLock g(mu_, threadSafe_);
-        for (const auto &[page, home] : pages_) {
-            if (home == node)
-                result.push_back(page);
-        }
+    for (const auto &[page, home] : pages_) {
+        if (home == node)
+            result.push_back(page);
     }
     // Callers (failover, reconfiguration) mutate state page by page;
     // sorting makes that order independent of the hash table's
@@ -96,7 +55,6 @@ PageMap::pagesHomedAt(NodeId node) const
 void
 PageMap::forEach(const std::function<void(Addr, NodeId)> &fn) const
 {
-    OptionalLock g(mu_, threadSafe_);
     for (const auto &[page, home] : pages_)
         fn(page, home);
 }

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +34,7 @@ class PageMap
     /** Move one page to a new home (reconfiguration). */
     void remap(Addr page, NodeId new_home);
 
-    std::uint64_t numPages() const;
+    std::uint64_t numPages() const { return pages_.size(); }
 
     /** Pages currently homed at @p node, in ascending page order
      *  (deterministic regardless of hash-table iteration order). */
@@ -45,19 +44,8 @@ class PageMap
 
     void clear() { pages_.clear(); }
 
-    /**
-     * Guard lookups/assignments with an internal mutex. The windowed
-     * parallel kernel turns this on: shard threads race on first-touch
-     * lookups, and the (hash-based) placement they assign is
-     * idempotent, so a mutex around the table structure is all that is
-     * needed. Off (default) for the sequential kernel — no overhead.
-     */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
-
   private:
     std::uint64_t pageBytes_;
-    bool threadSafe_ = false;
-    mutable std::mutex mu_;
     std::unordered_map<Addr, NodeId> pages_;
 };
 

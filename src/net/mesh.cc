@@ -147,8 +147,6 @@ Mesh::setLinkAlive(int x, int y, int dir, bool alive)
                           : "fault.net.link_deaths");
     if (alive && !blocked_.empty())
         drainBlocked();
-    if (topoListener_)
-        topoListener_();
 }
 
 void
@@ -272,7 +270,7 @@ Mesh::send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
         ++partitionBlockedTotal_;
         if (stats_)
             stats_->add("fault.net.partition_blocked");
-        return sink_ ? commitNow_ : eq_.curTick();
+        return eq_.curTick();
     }
 
     FaultDecision fd;
@@ -287,7 +285,7 @@ Mesh::send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
         send(src, dst, payload_bytes, deliver, MsgClass::Immune);
     }
 
-    const Tick now = sink_ ? commitNow_ : eq_.curTick();
+    const Tick now = eq_.curTick();
     const Tick ser = serTicks(payload_bytes);
     const Tick per_hop = params_.routerLatency + params_.wireLatency;
 
@@ -316,10 +314,7 @@ Mesh::send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
         return arrival;
     }
 
-    if (sink_)
-        sink_->meshDeliver(arrival, dst, std::move(deliver));
-    else
-        eq_.schedule(arrival, std::move(deliver));
+    eq_.schedule(arrival, std::move(deliver));
     return arrival;
 }
 

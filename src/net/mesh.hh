@@ -30,20 +30,6 @@ namespace pimdsm
 
 class StatSet;
 
-/**
- * Where a Mesh hands completed deliveries when it is not scheduling
- * them itself. The windowed parallel kernel installs one so arrivals
- * land in the destination node's shard queue (see machine/machine.cc);
- * the legacy kernel schedules straight into the machine's EventQueue.
- */
-class MeshDeliverySink
-{
-  public:
-    virtual ~MeshDeliverySink() = default;
-    virtual void meshDeliver(Tick when, NodeId dst,
-                             InlineCallback deliver) = 0;
-};
-
 class Mesh
 {
   public:
@@ -77,77 +63,6 @@ class Mesh
 
     /** Attach the machine's fault plan (nullptr detaches). */
     void setFaultPlan(FaultPlan *plan) { faults_ = plan; }
-
-    /**
-     * Windowed-kernel hookup: deliveries go to @p sink instead of the
-     * construction EventQueue, and send() reads "now" from the commit
-     * clock (setCommitTime) instead of that queue — the windowed
-     * kernel commits sends at a barrier, charging the links as of the
-     * tick each send was issued, not the barrier's wall time.
-     */
-    void setDeliverySink(MeshDeliverySink *sink) { sink_ = sink; }
-
-    /** Set the windowed commit clock (meaningful only with a sink). */
-    void setCommitTime(Tick now) { commitNow_ = now; }
-
-    /**
-     * Conservative lookahead: a lower bound on the latency of any
-     * cross-node message — two NI traversals, at least one
-     * router+wire hop, and the serialization of an empty payload.
-     * Contention, faults, longer paths, and real payloads only add to
-     * it, so a send issued at tick t cannot arrive before
-     * t + minCrossNodeLatency().
-     */
-    Tick
-    minCrossNodeLatency() const
-    {
-        return 2 * params_.niLatency + params_.routerLatency +
-               params_.wireLatency + serTicks(0);
-    }
-
-    /**
-     * Lower bound on the latency of any @p src -> @p dst message:
-     * two NI traversals, the Manhattan hop distance, and an empty
-     * payload's serialization. Detours (degraded mode) only lengthen
-     * paths, so the Manhattan distance stays a valid bound; when the
-     * pair is currently unroutable the bound is kMaxTick — nothing can
-     * be delivered before the next (canonical) heal event, at which
-     * point the listener (setTopologyListener) rebuilds whatever was
-     * derived from these bounds.
-     */
-    Tick
-    minLatencyBetween(NodeId src, NodeId dst) const
-    {
-        if (deadLinks_ > 0 && !routable(src, dst))
-            return kMaxTick;
-        return unloadedLatency(src, dst, 0);
-    }
-
-    /**
-     * Static upper bound on minLatencyBetween over all routable pairs:
-     * the corner-to-corner Manhattan distance. Used as the injection
-     * delay that keeps externally injected work (synchronization
-     * releases, fault commits) ahead of every shard horizon.
-     */
-    Tick
-    maxCrossNodeLatency() const
-    {
-        const Tick per_hop = params_.routerLatency + params_.wireLatency;
-        return 2 * params_.niLatency +
-               static_cast<Tick>(params_.meshX - 1 + params_.meshY - 1) *
-                   per_hop +
-               serTicks(0);
-    }
-
-    /**
-     * Invoked (serially, at canonical fault points) after any
-     * setLinkAlive call that changed the topology — deaths and heals
-     * both. The windowed kernel rebuilds its lookahead matrix here.
-     */
-    void setTopologyListener(InlineCallback cb)
-    {
-        topoListener_ = std::move(cb);
-    }
 
     /** Mesh slot of node @p n (after placement permutation). */
     int nodeSlot(NodeId n) const { return slotOf(n); }
@@ -288,11 +203,6 @@ class Mesh
     int deadLinks_ = 0;
     FaultPlan *faults_ = nullptr;
     StatSet *stats_ = nullptr;
-    MeshDeliverySink *sink_ = nullptr;
-    /** Topology-change notification (see setTopologyListener). */
-    InlineCallback topoListener_;
-    /** send()'s "now" while a delivery sink is installed. */
-    Tick commitNow_ = 0;
     std::uint64_t messagesSent_ = 0;
     std::uint64_t bytesSent_ = 0;
     std::uint64_t partitionBlockedTotal_ = 0;

@@ -446,13 +446,7 @@ ComputeBase::finishAccess(Mshr &m)
     // version must still be the latest. (Unblocked simple reads may
     // legally race with a newer write whose invalidation is already
     // on its way; the home asserts their freshness at serve time.)
-    // Tick-ordered execution only (serial kernel or a single shard):
-    // with 2+ shards a later-tick, non-causal write on another shard
-    // may already have bumped the live version table mid-window, so
-    // both the panic and the fault-mode degradation counter would
-    // depend on thread interleaving. The oracle's ReadObserved journal
-    // is the canonical multi-shard freshness check.
-    if (ctx_.config().shards.count < 2 && !m.isWrite && m.needsTxnDone &&
+    if (!m.isWrite && m.needsTxnDone &&
         m.version != ctx_.latestVersion(line)) {
         if (faultsOn_) {
             // Failover and forced-ack recovery legitimately weaken the

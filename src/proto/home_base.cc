@@ -297,15 +297,7 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
 
     if (hasData(line, e)) {
         // Functional freshness assertion at the serialization point.
-        // Valid only when execution is tick-ordered (serial kernel or
-        // a single shard): with 2+ shards the live version table can
-        // already hold a bump from a *later-tick*, non-causal write on
-        // another shard — the window protocol orders message-mediated
-        // influence, not side reads of global state. The canonical
-        // multi-shard check is the oracle's ReadObserved journal,
-        // replayed in tick order at the barrier.
-        if (ctx_.config().shards.count < 2 &&
-            e.version != ctx_.latestVersion(line)) {
+        if (e.version != ctx_.latestVersion(line)) {
             if (faultsOn_) {
                 // P-node failover legitimately weakens freshness
                 // transiently: between a compute death and its

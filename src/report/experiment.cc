@@ -1,8 +1,6 @@
 #include "report/experiment.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -12,8 +10,6 @@
 #include "machine/reconfig.hh"
 #include "proto/stuck.hh"
 #include "sim/log.hh"
-#include "sim/partition.hh"
-#include "sim/shard.hh"
 
 namespace pimdsm
 {
@@ -72,93 +68,16 @@ buildFaultTimeline(const FaultConfig &fc)
     return ev;
 }
 
-/** ShardTask adapter: windows run on the Machine's shards; the serial
- *  barrier work (commitWindow + fault timeline + event budget) is a
- *  callback set by runWorkload, which owns that bookkeeping. */
-class MachineShardTask final : public ShardTask
-{
-  public:
-    explicit MachineShardTask(Machine &m) : m_(m) {}
-
-    std::function<bool(Tick)> onCommit;
-
-    std::function<Tick()> onClamp;
-
-    void
-    runWindow(int shard, Tick begin, Tick end) override
-    {
-        m_.runShardWindow(shard, begin, end);
-    }
-
-    Tick nextTime(int shard) override { return m_.shardNextTime(shard); }
-
-    Tick
-    horizonClamp() override
-    {
-        return onClamp ? onClamp() : kMaxTick;
-    }
-
-    bool commit(Tick cap) override { return onCommit(cap); }
-
-  private:
-    Machine &m_;
-};
-
 } // namespace
 
 RunResult
 runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
 {
-    if (std::getenv("PIMDSM_TRACE"))
-        Trace::enable("proto");
     cfg.l1.sizeBytes = wl.l1Bytes();
     cfg.l2.sizeBytes = wl.l2Bytes();
 
-    // Environment opt-in for the windowed parallel kernel: lets any
-    // driver (benches, chaos replay, CI) run multi-shard without
-    // plumbing a flag. Explicit cfg.shards settings win; runs that
-    // reconfigure stay on the legacy kernel.
-    if (!cfg.shards.enabled() && !cfg.reconfigurable &&
-        opts.reconfig.empty() && !opts.autoReconfig) {
-        if (const char *s = std::getenv("PIMDSM_SHARDS"))
-            cfg.shards.count = std::atoi(s);
-        if (const char *t = std::getenv("PIMDSM_SHARD_THREADS"))
-            cfg.shards.threads = std::atoi(t);
-    }
-    // The partition scheme is a pure perf knob (results are identical
-    // either way), so the environment may override it unconditionally.
-    if (const char *p = std::getenv("PIMDSM_PARTITION")) {
-        PartitionScheme scheme;
-        if (parsePartitionScheme(p, scheme))
-            cfg.partition = scheme;
-        else
-            warn(std::string("unknown PIMDSM_PARTITION '") + p +
-                 "' ignored (want roundrobin|region)");
-    }
-
     Machine m(cfg);
     SyncManager sync(static_cast<int>(m.computeNodes().size()));
-
-    // Windowed parallel kernel: route the sync manager's global-state
-    // mutations through the barrier, and build the window engine. The
-    // lookahead is the machine's minimum cross-node mesh latency.
-    std::unique_ptr<ShardedEngine> engine;
-    MachineShardTask task(m);
-    if (m.windowed()) {
-        if (!opts.reconfig.empty() || opts.autoReconfig)
-            fatal("the windowed parallel kernel does not support "
-                  "reconfiguration runs");
-        SyncManager::WindowHooks hooks;
-        hooks.defer = [&m](NodeId n, std::function<void()> fn) {
-            m.deferToBarrier(n, std::move(fn));
-        };
-        hooks.inject = [&m](NodeId n, std::function<void()> fn) {
-            m.injectNextWindow(n, std::move(fn));
-        };
-        sync.setWindowHooks(std::move(hooks));
-        engine = std::make_unique<ShardedEngine>(
-            m.numShards(), cfg.shards.threads, &m.lookaheadMatrix());
-    }
 
     RunResult result;
 
@@ -263,13 +182,10 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
 
         std::vector<std::unique_ptr<Processor>> procs;
         procs.reserve(threads);
-        // Completion callbacks fire on shard threads under the
-        // windowed kernel, hence the atomic.
-        std::atomic<int> done{0};
+        int done = 0;
         for (int t = 0; t < threads; ++t) {
             procs.push_back(std::make_unique<Processor>(
-                m.eqFor(compute_ids[t]), *m.compute(compute_ids[t]),
-                sync, t, cfg.proc));
+                m.eq(), *m.compute(compute_ids[t]), sync, t, cfg.proc));
         }
         for (int t = 0; t < threads; ++t) {
             procs[t]->run(wl.makeStream(phase, t, threads),
@@ -302,58 +218,6 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                                     m.stuckDiagnostic(),
                                 m.collectStuck(), 0);
         };
-
-        if (m.windowed()) {
-            const std::uint64_t exec_at_start = m.shardExecutedTotal();
-            task.onCommit = [&](Tick cap) {
-                m.commitWindow(cap);
-                if (m.shardExecutedTotal() - exec_at_start >
-                    opts.maxEventsPerPhase)
-                    panic("phase '" + pr.name +
-                          "' exceeded event budget");
-                return true;
-            };
-            // Horizon clamp: no shard may run past a scheduled fault
-            // before it fires (fire point = fault tick + 1: every
-            // event at the fault's own tick still precedes it).
-            task.onClamp = [&]() -> Tick {
-                return fev_idx < fevents.size()
-                           ? fevents[fev_idx].tick + 1
-                           : kMaxTick;
-            };
-            while (true) {
-                engine->run(task);
-                // Idle under the clamp: everything below the next
-                // fault's fire point has run and committed. Fire it if
-                // anything still cares — threads are unfinished, work
-                // is parked behind a partition, or trailing protocol
-                // activity remains to drain past the fault.
-                if (fev_idx < fevents.size() &&
-                    (done.load() < threads ||
-                     m.mesh().partitionBlocked() > 0 ||
-                     m.minNextTime() != kMaxTick)) {
-                    const Tick ft = fevents[fev_idx].tick;
-                    m.commitWindow(ft + 1);
-                    // Serial-phase traffic at the fire point (heal
-                    // drains, failover resends) is stamped with the
-                    // fault tick itself, as in the legacy kernel.
-                    m.mesh().setCommitTime(ft);
-                    fire_event(fevents[fev_idx++]);
-                    continue;
-                }
-                if (done.load() < threads)
-                    throw_watchdog();
-                break;
-            }
-            task.onCommit = nullptr;
-            task.onClamp = nullptr;
-            // Settle every clock on the canonical end-of-phase tick
-            // (horizons overshoot by partition-dependent amounts), and
-            // restart the engine's window grid there so the next phase
-            // earns fresh horizons from the common clock.
-            m.alignWindowedClocks();
-            engine->resetWindows(m.eq().curTick());
-        } else {
 
         std::uint64_t events = 0;
         while (done < threads) {
@@ -393,8 +257,6 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
             }
             break;
         }
-
-        } // legacy (non-windowed) phase loop
         cur_procs = nullptr;
         cur_ids = nullptr;
 
@@ -441,9 +303,6 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                       static_cast<double>(fevents.size() - fev_idx));
     }
 
-    if (m.windowed())
-        m.mergeShardStats();
-
     result.totalTicks = m.eq().curTick();
     result.reads = m.aggregateReadStats();
     result.census = m.collectCensus();
@@ -461,24 +320,8 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 static_cast<double>(m.home(n)->engine().waitTicks());
     }
     result.counters["home.engine_wait_ticks"] = engine_wait;
-    result.counters["sim.events_executed"] = static_cast<double>(
-        m.windowed() ? m.shardExecutedTotal() : m.eq().executed());
-    if (m.windowed()) {
-        result.counters["sim.shards"] =
-            static_cast<double>(m.numShards());
-        result.counters["sim.threads"] =
-            static_cast<double>(engine->numThreads());
-        result.counters["sim.windows"] =
-            static_cast<double>(engine->windowsRun());
-        result.counters["sim.window_count"] =
-            static_cast<double>(engine->windowsRun());
-        result.counters["sim.barrier_wait_ticks"] =
-            static_cast<double>(engine->barrierSpins());
-        const double xnode = result.counters["sim.xnode_msgs"];
-        const double xshard = result.counters["sim.xshard_msgs"];
-        result.counters["sim.xshard_frac"] =
-            xnode > 0 ? xshard / xnode : 0.0;
-    }
+    result.counters["sim.events_executed"] =
+        static_cast<double>(m.eq().executed());
 
     const auto dnodes = m.directoryNodes();
     if (!dnodes.empty() && result.totalTicks > 0) {

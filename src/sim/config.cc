@@ -59,13 +59,6 @@ MachineConfig::validate() const
         fatal("issue width must be positive");
     if (proc.maxOutstandingLoads > proc.maxOutstanding)
         fatal("load limit exceeds total outstanding limit");
-    if (shards.count < 0 || shards.threads < 0)
-        fatal("shard count/threads must be non-negative");
-    if (shards.enabled() && reconfigurable) {
-        fatal("the windowed parallel kernel does not support "
-              "reconfigurable machines (role changes mutate global "
-              "state mid-window)");
-    }
     faults.validate();
     faults.validateTopology(net.meshX, net.meshY, numPNodes);
     for (const auto &d : faults.deaths) {

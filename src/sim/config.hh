@@ -188,43 +188,6 @@ struct CheckConfig
     ProtoMutation mutation = ProtoMutation::None;
 };
 
-/**
- * How nodes map to simulation shards (see sim/partition.hh).
- * Results are bit-identical across schemes; the choice only affects
- * how much traffic crosses shards and therefore parallel speed.
- */
-enum class PartitionScheme : std::uint8_t
-{
-    RoundRobin, ///< node % S (PR 8 behaviour; maximal cross-shard traffic)
-    Region,     ///< contiguous mesh regions (grid blocks; snake fallback)
-};
-
-/**
- * Parallel-kernel knobs: split the machine into per-node-group
- * simulation shards driven under a conservative time-window protocol
- * (see sim/shard.hh and DESIGN.md "Parallel kernel & lookahead").
- */
-struct ShardConfig
-{
-    /**
-     * Number of simulation shards. 0 (default) selects the legacy
-     * single-queue sequential kernel, byte-for-byte unchanged. Any
-     * value >= 1 selects the windowed kernel; results are identical
-     * for every shard and thread count (1 shard on 1 thread is the
-     * sequential reference the differential tests compare against).
-     */
-    int count = 0;
-
-    /**
-     * Worker threads driving the shards. 0 = one per shard;
-     * 1 = execute every shard on the caller's thread (deterministic
-     * reference mode, also what the differential tests pin).
-     */
-    int threads = 0;
-
-    bool enabled() const { return count > 0; }
-};
-
 /** Complete description of one simulated machine. */
 struct MachineConfig
 {
@@ -284,17 +247,6 @@ struct MachineConfig
 
     /** Coherence-oracle knobs (inert by default; see src/check/). */
     CheckConfig check;
-
-    /** Parallel-kernel knobs (legacy sequential kernel by default). */
-    ShardConfig shards;
-
-    /**
-     * Node-to-shard partition scheme (windowed kernel only; ignored by
-     * the legacy kernel). Region keeps mesh neighbours in one shard so
-     * most protocol traffic stays shard-local; results are identical
-     * either way (the differential suite pins both).
-     */
-    PartitionScheme partition = PartitionScheme::Region;
 
     /** Nodes in the machine (P + D). */
     int totalNodes() const { return numPNodes + numDNodes; }

@@ -42,8 +42,6 @@ EventQueue::EventQueue(KernelKind kind) : kind_(kind)
     if (kind_ == KernelKind::Calendar) {
         bucketHead_.assign(kBuckets, nullptr);
         bucketTail_.assign(kBuckets, nullptr);
-        bucketHeadExt_.assign(kBuckets, nullptr);
-        bucketTailExt_.assign(kBuckets, nullptr);
         occ_.assign(kOccWords, 0);
     }
 }
@@ -82,48 +80,31 @@ EventQueue::pushBucket(EventNode *n)
 {
     const std::size_t idx = static_cast<std::size_t>(n->when) &
                             kBucketMask;
-    // The seq band decides the lane (survives overflow migration).
-    const bool ext = n->seq >= kExternalSeqBase;
-    if (!bucketHead_[idx] && !bucketHeadExt_[idx])
-        occ_[idx >> 6] |= 1ull << (idx & 63);
-    if (!ext) {
-        // Local lane: plain FIFO append.
-        n->next = nullptr;
-        if (bucketTail_[idx])
-            bucketTail_[idx]->next = n;
-        else
-            bucketHead_[idx] = n;
-        bucketTail_[idx] = n;
+    n->next = nullptr;
+    if (bucketTail_[idx]) {
+        bucketTail_[idx]->next = n;
     } else {
-        // External lane: sorted insertion before the first node with a
-        // strictly greater key, so equal keys keep insertion order.
-        // The list is a handful of barrier commits at most.
-        EventNode **pp = &bucketHeadExt_[idx];
-        while (*pp && !extKeyLess(*n, **pp))
-            pp = &(*pp)->next;
-        n->next = *pp;
-        *pp = n;
-        if (!n->next)
-            bucketTailExt_[idx] = n;
+        bucketHead_[idx] = n;
+        occ_[idx >> 6] |= 1ull << (idx & 63);
     }
+    bucketTail_[idx] = n;
     ++bucketedCount_;
 }
 
 void
-EventQueue::scheduleSeq(Tick when, std::uint64_t seq, ExternalKey key,
-                        Callback fn)
+EventQueue::schedule(Tick when, Callback fn)
 {
     if (when < curTick_)
         panic("event scheduled in the past");
     ++size_;
+    const std::uint64_t seq = nextSeq_++;
     if (kind_ == KernelKind::ReferenceHeap) {
-        heap_.push(RefEntry{when, seq, key, std::move(fn)});
+        heap_.push(RefEntry{when, seq, std::move(fn)});
         return;
     }
     EventNode *n = allocNode();
     n->when = when;
     n->seq = seq;
-    n->key = key;
     n->fn = std::move(fn);
     // Ring window is [base_, base_ + kBuckets). base_ can sit ahead of
     // curTick after a migration whose events a bounded runUntil() did
@@ -137,44 +118,11 @@ EventQueue::scheduleSeq(Tick when, std::uint64_t seq, ExternalKey key,
 }
 
 void
-EventQueue::schedule(Tick when, Callback fn)
-{
-    scheduleSeq(when, nextSeq_++, ExternalKey{}, std::move(fn));
-}
-
-void
-EventQueue::scheduleExternal(Tick when, ExternalKey key, Callback fn)
-{
-    scheduleSeq(when, nextExternalSeq_++, key, std::move(fn));
-}
-
-Tick
-EventQueue::nextEventTick() const
-{
-    if (size_ == 0)
-        return kMaxTick;
-    if (kind_ == KernelKind::ReferenceHeap)
-        return heap_.top().when;
-    // An event can sit in the overflow heap even when its tick is
-    // inside the ring window (scheduled below a migrated base_), so
-    // the earliest event is the min over both structures.
-    Tick best = kMaxTick;
-    if (bucketedCount_ > 0) {
-        std::size_t idx;
-        best = scanBuckets(idx)->when;
-    }
-    if (!overflow_.empty() && overflow_.top()->when < best)
-        best = overflow_.top()->when;
-    return best;
-}
-
-void
 EventQueue::migrateOverflow()
 {
     // The buckets drained: jump the window to the next overflow event
     // and pull everything now in range into the ring. Popping the heap
-    // yields (when, lane, key, seq) order, so each bucket's per-lane
-    // order is preserved (external inserts land at the list tail).
+    // yields (when, seq) order, so each bucket stays FIFO.
     base_ = overflow_.top()->when;
     while (!overflow_.empty() &&
            overflow_.top()->when - base_ < kBuckets) {
@@ -201,10 +149,7 @@ EventQueue::scanBuckets(std::size_t &bucket_idx_out) const
                                     static_cast<std::size_t>(
                                         std::countr_zero(word));
             bucket_idx_out = idx;
-            // Local lane pops first; the external lane only runs once
-            // the tick's local FIFO is empty.
-            return bucketHead_[idx] ? bucketHead_[idx]
-                                    : bucketHeadExt_[idx];
+            return bucketHead_[idx];
         }
         w = (w + 1) & (kOccWords - 1);
         word = occ_[w];
@@ -226,7 +171,6 @@ EventQueue::runCore(std::uint64_t max_events, Tick until)
             heap_.pop();
             --size_;
             curTick_ = e.when;
-            lastExec_ = e.when;
             e.fn();
             ++n;
         }
@@ -256,16 +200,10 @@ EventQueue::runCore(std::uint64_t max_events, Tick until)
         // Unlink and recycle the node before invoking the callback, so
         // the callback may schedule events (possibly reusing the slot).
         if (fromBucket) {
-            const bool ext = ev->seq >= kExternalSeqBase;
-            EventNode **head = ext ? &bucketHeadExt_[idx]
-                                   : &bucketHead_[idx];
-            EventNode **tail = ext ? &bucketTailExt_[idx]
-                                   : &bucketTail_[idx];
-            *head = ev->next;
-            if (!*head) {
-                *tail = nullptr;
-                if (!bucketHead_[idx] && !bucketHeadExt_[idx])
-                    occ_[idx >> 6] &= ~(1ull << (idx & 63));
+            bucketHead_[idx] = ev->next;
+            if (!bucketHead_[idx]) {
+                bucketTail_[idx] = nullptr;
+                occ_[idx >> 6] &= ~(1ull << (idx & 63));
             }
             --bucketedCount_;
         } else {
@@ -273,7 +211,6 @@ EventQueue::runCore(std::uint64_t max_events, Tick until)
         }
         --size_;
         curTick_ = ev->when;
-        lastExec_ = ev->when;
         Callback fn = std::move(ev->fn);
         freeNode(ev);
         fn();

@@ -57,7 +57,8 @@ class EventQueue
      * Kernel used by default-constructed queues. Initialized from the
      * PIMDSM_REF_KERNEL environment variable (differential testing of
      * whole machines without plumbing a flag through every ctor);
-     * tests may override it at runtime.
+     * tests may override it at runtime, but not while other threads
+     * construct queues (the setting is a plain global).
      */
     static KernelKind defaultKind();
     static void setDefaultKind(KernelKind kind);
@@ -70,42 +71,6 @@ class EventQueue
     /** Schedule @p fn at absolute time @p when (>= curTick). */
     void schedule(Tick when, Callback fn);
 
-    /**
-     * Canonical ordering key for external-lane events: the identity of
-     * the parked item (send or deferred op) whose commit produced the
-     * insertion — its park tick, originating node, and the originating
-     * shard's parking counter. Intrinsic to the item, never to the
-     * barrier that committed it.
-     */
-    struct ExternalKey
-    {
-        Tick srcTick = 0;
-        NodeId srcNode = 0;
-        std::uint64_t srcSeq = 0;
-    };
-
-    /**
-     * Schedule @p fn at @p when in the *external* lane: at any given
-     * tick, every event scheduled with schedule() runs before every
-     * event scheduled with scheduleExternal(), and external events at
-     * one tick run in @p key order (ties in insertion order) — never
-     * in insertion order across distinct keys.
-     *
-     * The windowed parallel kernel needs both properties: barrier
-     * commits insert cross-shard deliveries and op injections into a
-     * shard's queue *between* execution rounds, and which round a
-     * given commit lands in depends on the partition and shard count.
-     * The trailing lane keeps commits from interleaving with same-tick
-     * local work, and the key ordering makes collisions *within* the
-     * lane — a delivery and an op injection landing on the same tick,
-     * committed at different barriers under different partitions — a
-     * pure function of the items themselves, not of the round
-     * structure (see DESIGN.md, "Partitioning & the lookahead
-     * matrix"). The legacy kernel never uses this lane, so its FIFO
-     * order is byte-identical to the pre-lane queue.
-     */
-    void scheduleExternal(Tick when, ExternalKey key, Callback fn);
-
     /** Schedule @p fn @p delta ticks from now. */
     void scheduleIn(Tick delta, Callback fn)
     {
@@ -116,10 +81,6 @@ class EventQueue
     std::size_t pending() const { return size_; }
 
     bool empty() const { return size_ == 0; }
-
-    /** Timestamp of the earliest pending event (kMaxTick if empty).
-     *  Used by the windowed scheduler to pick the next window. */
-    Tick nextEventTick() const;
 
     /**
      * Execute the next event, advancing curTick to its time.
@@ -156,14 +117,6 @@ class EventQueue
     /** Cumulative events executed over this queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
-    /**
-     * Timestamp of the latest event actually *executed* (0 if none).
-     * Unlike curTick(), runUntil() does not inflate this, so it is a
-     * pure function of the executed event set — the windowed kernel
-     * uses it to derive a partition-independent end-of-phase clock.
-     */
-    Tick lastExecutedTick() const { return lastExec_; }
-
     /** Event nodes ever allocated (high-water mark of pending events,
      *  rounded up to a slab). */
     std::size_t poolCapacity() const { return poolCapacity_; }
@@ -171,52 +124,17 @@ class EventQueue
     /** Event nodes currently on the free list. */
     std::size_t poolFree() const { return poolFreeCount_; }
 
-    /**
-     * Move the clock *back* to @p t. Only legal on an empty queue and
-     * not before the last executed event, so no causal order can be
-     * disturbed — the clock is simply renamed. The windowed kernel
-     * uses this at phase barriers: per-shard horizons overshoot the
-     * last real event by partition-dependent amounts, and the shard
-     * clocks must re-converge on the canonical phase-end time before
-     * the next phase schedules against them.
-     */
-    void
-    rewindTo(Tick t)
-    {
-        if (size_ != 0)
-            panic("rewindTo on a non-empty queue");
-        if (t < lastExec_)
-            panic("rewindTo below the last executed event");
-        if (t < curTick_)
-            curTick_ = t;
-    }
-
   private:
-    /** A pooled event: intrusive FIFO link + inline closure. The key
-     *  fields are meaningful only in the external seq band. */
+    /** A pooled event: intrusive FIFO link + inline closure. */
     struct EventNode
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        ExternalKey key;
         EventNode *next = nullptr;
         Callback fn;
     };
 
-    /** Key order within the external lane (ties fall through). */
-    template <typename Ev>
-    static bool
-    extKeyLess(const Ev &a, const Ev &b)
-    {
-        if (a.key.srcTick != b.key.srcTick)
-            return a.key.srcTick < b.key.srcTick;
-        if (a.key.srcNode != b.key.srcNode)
-            return a.key.srcNode < b.key.srcNode;
-        return a.key.srcSeq < b.key.srcSeq;
-    }
-
-    /** Later-first comparator for heap ordering: (when, lane, external
-     *  key, seq) — local lane first, then key order, then FIFO. */
+    /** Later-first comparator for heap ordering: (when, seq). */
     struct NodeLater
     {
         bool
@@ -224,12 +142,6 @@ class EventQueue
         {
             if (a->when != b->when)
                 return a->when > b->when;
-            const bool ae = a->seq >= kExternalSeqBase;
-            const bool be = b->seq >= kExternalSeqBase;
-            if (ae != be)
-                return ae;
-            if (ae && (extKeyLess(*a, *b) || extKeyLess(*b, *a)))
-                return extKeyLess(*b, *a);
             return a->seq > b->seq;
         }
     };
@@ -246,22 +158,9 @@ class EventQueue
     static constexpr std::size_t kOccWords = kBuckets / 64;
     static constexpr std::size_t kSlabNodes = 256;
 
-    /**
-     * External-lane events draw seqs from a disjoint high band: the
-     * band decides the lane everywhere the queue compares events
-     * (overflow heap, reference heap), and within the band the
-     * ExternalKey — not the seq — decides same-tick order. The bucket
-     * ring keeps a separate key-sorted list per lane instead.
-     */
-    static constexpr std::uint64_t kExternalSeqBase = 1ull << 63;
-
     /** Shared run loop: execute events while (when <= until) and fewer
      *  than @p max_events have run. */
     std::uint64_t runCore(std::uint64_t max_events, Tick until);
-
-    /** Common scheduling tail for both lanes. */
-    void scheduleSeq(Tick when, std::uint64_t seq, ExternalKey key,
-                     Callback fn);
 
     /** Earliest bucketed event (bucketedCount_ must be non-zero);
      *  @p bucket_idx_out receives the ring index it was found in. */
@@ -276,9 +175,7 @@ class EventQueue
     KernelKind kind_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::uint64_t nextExternalSeq_ = kExternalSeqBase;
     std::uint64_t executed_ = 0;
-    Tick lastExec_ = 0;
     std::size_t size_ = 0;
 
     // --- calendar state ----------------------------------------------
@@ -291,13 +188,9 @@ class EventQueue
      */
     Tick base_ = 0;
     std::size_t bucketedCount_ = 0;
-    /** Local-lane FIFO per bucket; pops before the external lane. */
+    /** FIFO per bucket. */
     std::vector<EventNode *> bucketHead_;
     std::vector<EventNode *> bucketTail_;
-    /** External lane per bucket (barrier-inserted events), kept in
-     *  ExternalKey order by sorted insertion. */
-    std::vector<EventNode *> bucketHeadExt_;
-    std::vector<EventNode *> bucketTailExt_;
     /** One bit per bucket: non-empty. */
     std::vector<std::uint64_t> occ_;
     std::priority_queue<EventNode *, std::vector<EventNode *>, NodeLater>
@@ -314,7 +207,6 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        ExternalKey key;
         Callback fn;
     };
 
@@ -325,12 +217,6 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            const bool ae = a.seq >= kExternalSeqBase;
-            const bool be = b.seq >= kExternalSeqBase;
-            if (ae != be)
-                return ae;
-            if (ae && (extKeyLess(a, b) || extKeyLess(b, a)))
-                return extKeyLess(b, a);
             return a.seq > b.seq;
         }
     };

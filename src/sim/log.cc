@@ -1,6 +1,7 @@
 #include "sim/log.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <set>
 
@@ -29,7 +30,7 @@ warnedSet()
     return s;
 }
 
-/** warn() can fire from shard threads under the windowed kernel. */
+/** warn() can fire from concurrent simulations (the bench point pool). */
 std::mutex &
 warnMutex()
 {
@@ -37,10 +38,17 @@ warnMutex()
     return mu;
 }
 
-std::set<std::string> &
+std::set<std::string, std::less<>> &
 traceSet()
 {
-    static std::set<std::string> s;
+    // PIMDSM_TRACE=1 turns on "proto" before any simulation reads the
+    // set, so concurrent runs only ever read it.
+    static std::set<std::string, std::less<>> s = [] {
+        std::set<std::string, std::less<>> init;
+        if (std::getenv("PIMDSM_TRACE"))
+            init.insert("proto");
+        return init;
+    }();
     return s;
 }
 
@@ -75,9 +83,10 @@ Trace::enable(const std::string &component, bool on)
 }
 
 bool
-Trace::enabled(const std::string &component)
+Trace::enabled(std::string_view component)
 {
-    return traceSet().count(component) != 0;
+    const auto &s = traceSet();
+    return !s.empty() && s.find(component) != s.end();
 }
 
 void

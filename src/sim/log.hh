@@ -16,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace pimdsm
 {
@@ -45,17 +46,20 @@ bool warn(const std::string &msg);
 void warnResetForTest();
 
 /**
- * Debug trace control. Tracing is off by default; tests and the
- * protocol_trace example turn it on per component.
+ * Debug trace control. Tracing is off by default; PIMDSM_TRACE=1 turns
+ * on "proto", and tests and the protocol_trace example turn components
+ * on explicitly.
  */
 class Trace
 {
   public:
-    /** Enable/disable tracing for a named component (e.g. "proto"). */
+    /** Enable/disable tracing for a named component (e.g. "proto").
+     *  Not synchronized: call it before starting concurrent
+     *  simulations, which only read the setting. */
     static void enable(const std::string &component, bool on = true);
 
     /** True iff tracing is enabled for @p component. */
-    static bool enabled(const std::string &component);
+    static bool enabled(std::string_view component);
 
     /** Emit one trace line "tick: component: msg" to stderr. */
     static void print(std::uint64_t tick, const std::string &component,

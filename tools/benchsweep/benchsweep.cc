@@ -8,13 +8,14 @@
  * captures each one's stdout+stderr to <outdir>/<bench>.log, and
  * prints a pass/fail summary with per-bench wall time.
  *
- * Usage: pimdsm-benchsweep [-j N] [-o outdir] [-p SCHEME] [benchdir]
+ * Usage: pimdsm-benchsweep [-j N] [-o outdir] [benchdir]
  *   benchdir  directory of bench binaries (default: build/bench)
  *   -j N      worker processes (default: hardware concurrency)
  *   -o DIR    log directory (default: benchsweep-logs)
- *   -p SCHEME shard partition scheme forwarded to every bench via
- *             PIMDSM_PARTITION (roundrobin|region); lets one sweep
- *             compare schemes without editing bench sources
+ *
+ * The sweep already fills the cores with whole benches, so each bench
+ * runs its own simulation points one at a time (PIMDSM_BENCH_JOBS=1)
+ * unless the caller's environment sets PIMDSM_BENCH_JOBS.
  *
  * Exit status is the number of failing benches (0 = all green).
  */
@@ -40,7 +41,6 @@ struct BenchJob
 {
     fs::path binary;
     fs::path log;
-    std::string partition; // forwarded as PIMDSM_PARTITION if set
     int exitCode = -1;
     double wallSeconds = 0.0;
 };
@@ -62,9 +62,7 @@ runJob(BenchJob &job)
     // run from the log directory so artifacts land in one place, and
     // shell-redirect output to the per-bench log.
     const std::string env =
-        job.partition.empty()
-            ? std::string{}
-            : "PIMDSM_PARTITION='" + job.partition + "' ";
+        std::getenv("PIMDSM_BENCH_JOBS") ? "" : "PIMDSM_BENCH_JOBS=1 ";
     const std::string cmd = "cd '" + job.log.parent_path().string() +
                             "' && " + env + "'" +
                             fs::absolute(job.binary).string() + "' > '" +
@@ -85,7 +83,6 @@ main(int argc, char **argv)
 {
     fs::path benchDir = "build/bench";
     fs::path outDir = "benchsweep-logs";
-    std::string partition;
     unsigned workers = std::thread::hardware_concurrency();
     if (workers == 0)
         workers = 4;
@@ -97,19 +94,11 @@ main(int argc, char **argv)
                 std::max(1, std::atoi(argv[++i])));
         } else if (arg == "-o" && i + 1 < argc) {
             outDir = argv[++i];
-        } else if (arg == "-p" && i + 1 < argc) {
-            partition = argv[++i];
-            if (partition != "roundrobin" && partition != "region") {
-                std::cerr << "benchsweep: unknown partition scheme '"
-                          << partition
-                          << "' (want roundrobin|region)\n";
-                return 2;
-            }
         } else if (!arg.empty() && arg[0] != '-') {
             benchDir = arg;
         } else {
             std::cerr << "usage: pimdsm-benchsweep [-j N] [-o outdir] "
-                         "[-p roundrobin|region] [benchdir]\n";
+                         "[benchdir]\n";
             return 2;
         }
     }
@@ -129,7 +118,6 @@ main(int argc, char **argv)
         BenchJob job;
         job.binary = entry.path();
         job.log = outDir / (entry.path().filename().string() + ".log");
-        job.partition = partition;
         jobs.push_back(std::move(job));
     }
     // Deterministic order (directory iteration order is unspecified).
@@ -144,10 +132,7 @@ main(int argc, char **argv)
     }
 
     std::cout << "benchsweep: " << jobs.size() << " benches, "
-              << workers << " workers";
-    if (!partition.empty())
-        std::cout << ", PIMDSM_PARTITION=" << partition;
-    std::cout << "\n";
+              << workers << " workers\n";
 
     std::atomic<std::size_t> next{0};
     std::mutex ioMutex;

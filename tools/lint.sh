@@ -156,41 +156,6 @@ for enum_name in FaultAction FaultDomain; do
     fi
 done
 
-# --- 8. Shard-state discipline ----------------------------------------
-# The windowed parallel kernel made the event queue, stats, and version
-# oracle per-shard: Machine::eq()/stats()/checker() consult a
-# thread-local to route to the running shard. Protocol and memory code
-# (which executes on shard threads) must call through ProtoContext on
-# every use; a cached `EventQueue &` / `StatSet &` member binds the
-# pre-shard global at construction time and silently writes one
-# shard's events/stats from another's thread. Only shard-aware code
-# may hold such references: Machine itself, the shard engine, Mesh
-# (commits only at serial barriers), and Processor (pinned to its
-# node's queue via eqFor()).
-hits=$(find src/proto src/mem -name '*.cc' -o -name '*.hh' | sort |
-       xargs grep -nE '(EventQueue|StatSet) *[&*] *[a-zA-Z_]+ *(;|=)' \
-           2>/dev/null |
-       grep -vE '^\s*[^:]+:[0-9]+:\s*(//|\*|/\*)')
-if [ -n "$hits" ]; then
-    complain "cached EventQueue/StatSet member in src/proto or src/mem (route through ProtoContext::eq()/stats() per call — shard routing is thread-local):" "$hits"
-fi
-
-# --- 9. Node-to-shard mapping discipline ------------------------------
-# The node→shard map is single-source: src/sim/partition.cc builds it
-# (round-robin modulo, region blocks, snake fallback) and everyone else
-# consumes the PartitionMap. Ad-hoc `node % shards` arithmetic anywhere
-# else bakes the round-robin assumption into a consumer and silently
-# disagrees with the map once the Region scheme (the default) is
-# active — the exact class of bug the partition differential tests
-# exist to catch.
-hits=$(src_files | cat - <(find tools -name '*.cc' | sort) |
-       grep -v 'src/sim/partition.cc' |
-       xargs grep -nE '%\s*[A-Za-z_.]*[sS]hards' 2>/dev/null |
-       grep -vE '^\s*[^:]+:[0-9]+:\s*(//|\*|/\*)')
-if [ -n "$hits" ]; then
-    complain "node % shards arithmetic outside src/sim/partition.cc (consume the PartitionMap):" "$hits"
-fi
-
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2
     exit 1
