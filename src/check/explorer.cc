@@ -1,12 +1,7 @@
 #include "check/explorer.hh"
 
-#include <deque>
-#include <map>
-#include <memory>
 #include <sstream>
-#include <utility>
 
-#include "machine/machine.hh"
 #include "machine/reconfig.hh"
 #include "sim/log.hh"
 
@@ -20,12 +15,255 @@ namespace
  *  far below the pushed-out fault timeouts. */
 constexpr Tick kSettleWindow = 1u << 20;
 
-/** Timeout/sweep horizon the explorer pushes past: it drives recovery
- *  explicitly via retryStalledTransactions instead of simulated time. */
+/** Timeout/sweep horizon a recovery-armed run pushes past: forced
+ *  retry rounds drive recovery instead of simulated time. */
 constexpr Tick kFarFuture = Tick{1} << 50;
 
-/** Forced-retry rounds before a stalled schedule is declared wedged. */
+/** Forced-retry rounds before a stalled run is declared wedged. */
 constexpr int kMaxRetryRounds = 16;
+
+MachineConfig
+armed(MachineConfig mc, bool recovery)
+{
+    mc.check.enabled = true;
+    if (recovery) {
+        mc.faults.armRecovery = true;
+        mc.faults.timeoutTicks = kFarFuture;
+        mc.faults.sweepInterval = kFarFuture;
+    }
+    return mc;
+}
+
+} // namespace
+
+// ----------------------------------------------------------------------
+// The harness.
+// ----------------------------------------------------------------------
+
+Addr
+modelCheckLine(int i)
+{
+    return (Addr{1} << 16) + static_cast<Addr>(i) * 4096;
+}
+
+MachineConfig
+modelCheckMachine(ArchKind arch, int pNodes, int dNodes)
+{
+    MachineConfig mc = makeBaseConfig(arch);
+    mc.numPNodes = pNodes;
+    mc.numThreads = pNodes;
+    mc.numDNodes = arch == ArchKind::Agg ? dNodes : 0;
+    mc.pNodeMemBytes = 64 * 1024;
+    mc.dNodeMemBytes = 64 * 1024;
+    mc.l1 = CacheParams{1024, 1, 64, 3};
+    mc.l2 = CacheParams{4096, 1, 64, 6};
+    fitMesh(mc.net, mc.totalNodes());
+    mc.validate();
+    return mc;
+}
+
+ModelCheckRun::ModelCheckRun(MachineConfig mc, bool recovery)
+    : recovery_(recovery), m_(armed(std::move(mc), recovery))
+{
+    m_.setSendInterceptor([this](const Message &msg) {
+        queues_[{msg.src, msg.dst}].push_back(msg);
+        return true;
+    });
+}
+
+void
+ModelCheckRun::issue(const ScriptedAccess &a, Tick delay)
+{
+    const Addr line = blockAlign(
+        a.addr, static_cast<std::uint64_t>(m_.config().mem.lineBytes));
+    expectWrites_.emplace(line, 0);
+    if (a.isWrite)
+        ++expectWrites_[line];
+    ++issued_;
+    m_.eq().scheduleIn(delay, [this, a] {
+        m_.compute(a.node)->access(
+            a.addr, a.isWrite,
+            [this](Tick, ReadService) { ++completions_; });
+    });
+}
+
+void
+ModelCheckRun::settle()
+{
+    m_.eq().runUntil(m_.eq().curTick() + kSettleWindow);
+}
+
+void
+ModelCheckRun::deliver(QueueKey q)
+{
+    std::deque<Message> &fifo = queues_.at(q);
+    const Message msg = fifo.front();
+    fifo.pop_front();
+    note("deliver " + msg.toString());
+    m_.deliverDirect(msg);
+    ++deliveries_;
+    settle();
+}
+
+void
+ModelCheckRun::drop(QueueKey q)
+{
+    std::deque<Message> &fifo = queues_.at(q);
+    note("drop " + fifo.front().toString());
+    fifo.pop_front();
+    ++faults_;
+    settle();
+}
+
+void
+ModelCheckRun::dup(QueueKey q)
+{
+    const Message &msg = queues_.at(q).front();
+    note("dup " + msg.toString());
+    m_.deliverDirect(msg);
+    ++deliveries_;
+    ++faults_;
+    settle();
+}
+
+void
+ModelCheckRun::discardTo(NodeId dst)
+{
+    for (auto &[key, fifo] : queues_) {
+        if (key.second == dst)
+            fifo.clear();
+    }
+}
+
+void
+ModelCheckRun::note(std::string step)
+{
+    trace_.push_back(std::move(step));
+}
+
+bool
+ModelCheckRun::quiescent() const
+{
+    if (completions_ != issued_)
+        return false;
+    for (NodeId n : m_.computeNodes()) {
+        if (!m_.compute(n)->quiescent())
+            return false;
+    }
+    return true;
+}
+
+void
+ModelCheckRun::finish(const std::function<bool()> &decide)
+{
+    while (true) {
+        if (decide())
+            continue;
+        if (quiescent())
+            break;
+        forceRetries();
+    }
+    checkTerminal();
+}
+
+void
+ModelCheckRun::finish()
+{
+    finish([this] {
+        for (const auto &[key, fifo] : queues_) {
+            if (!fifo.empty()) {
+                deliver(key);
+                return true;
+            }
+        }
+        return false;
+    });
+}
+
+void
+ModelCheckRun::traced(const std::function<void()> &body)
+{
+    try {
+        body();
+    } catch (const PanicError &e) {
+        std::ostringstream os;
+        os << e.what() << "\n  model-check schedule (" << trace_.size()
+           << " steps):";
+        for (const std::string &s : trace_)
+            os << "\n    " << s;
+        throw PanicError(os.str());
+    }
+}
+
+void
+ModelCheckRun::forceRetries()
+{
+    if (!recovery_)
+        panic("model-check deadlock without any injected fault\n" +
+              m_.stuckDiagnostic());
+    if (++retryRounds_ > kMaxRetryRounds)
+        panic("model-check schedule wedged: " +
+              std::to_string(kMaxRetryRounds) +
+              " forced-retry rounds made no progress\n" +
+              m_.stuckDiagnostic());
+    int sent = 0;
+    for (NodeId n : m_.computeNodes())
+        sent += m_.compute(n)->retryStalledTransactions(true);
+    note("force-retry round " + std::to_string(retryRounds_) + " (" +
+         std::to_string(sent) + " resends)");
+    settle();
+}
+
+void
+ModelCheckRun::checkTerminal()
+{
+    if (completions_ != issued_)
+        panic("model-check schedule lost accesses: " +
+              std::to_string(completions_) + "/" +
+              std::to_string(issued_) + " completed\n" +
+              m_.stuckDiagnostic());
+    m_.checkInvariants();
+    m_.checkCoherenceQuiescent();
+
+    // Sequential reference: every scripted write must have committed
+    // exactly once, so each touched line's final version is its script
+    // write count (dedup must stop retried or duplicated requests from
+    // committing twice). A write whose grant was lost and whose cached
+    // reply was then scrubbed by a later invalidation gets re-served,
+    // serializing the same store twice; the home counts those, and the
+    // final versions may legitimately run ahead by exactly that many.
+    Version extra = 0;
+    for (const auto &[line, v] : expectWrites_) {
+        const Version got = m_.latestVersion(line);
+        if (got < v) {
+            std::ostringstream os;
+            os << "sequential reference mismatch on line 0x" << std::hex
+               << line << std::dec << ": committed v" << got
+               << ", script wrote " << v << " times";
+            panic(os.str() + m_.oracle().lineHistory(line));
+        }
+        extra += got - v;
+    }
+    const auto reserved = m_.stats().get("home.extra_write_serializations");
+    if (extra != static_cast<Version>(reserved))
+        panic("sequential reference mismatch: final versions run " +
+              std::to_string(extra) +
+              " ahead of the script's write count but the homes "
+              "re-serialized " +
+              std::to_string(reserved) + " scrubbed write retries");
+
+    if (m_.oracle().violations() != 0)
+        panic("model-check schedule ended with " +
+              std::to_string(m_.oracle().violations()) +
+              " coherence violations (degraded mode)");
+}
+
+// ----------------------------------------------------------------------
+// The stateless-DFS explorer.
+// ----------------------------------------------------------------------
+
+namespace
+{
 
 /** One executable option at a decision point. */
 struct Choice
@@ -39,309 +277,125 @@ struct Choice
     };
     Kind kind = Kind::Deliver;
     /** Deliver/Drop/Dup: which pair queue's head. */
-    std::pair<NodeId, NodeId> queue{kInvalidNode, kInvalidNode};
+    ModelCheckRun::QueueKey queue{kInvalidNode, kInvalidNode};
     /** Kill: the D-node to fail-stop. */
     NodeId victim = kInvalidNode;
 };
 
-/** One schedule: a fresh machine run replaying a choice prefix. */
+/** One schedule: a fresh run replaying a choice prefix. */
 class ScheduleRun
 {
   public:
     ScheduleRun(const ExplorerConfig &cfg, const std::vector<int> &prefix)
-        : cfg_(cfg), prefix_(prefix), m_(cfg.machine)
+        : cfg_(cfg), prefix_(prefix),
+          run_(cfg.machine, cfg.faultMode != ExplorerFaultMode::None)
     {
-        m_.setSendInterceptor([this](const Message &msg) {
-            queues_[{msg.src, msg.dst}].push_back(msg);
-            return true;
-        });
     }
 
     void
     execute()
     {
-        try {
-            executeInner();
-        } catch (const PanicError &e) {
-            std::ostringstream os;
-            os << e.what() << "\n  model-check schedule (" << trace_.size()
-               << " choices):";
-            for (const std::string &s : trace_)
-                os << "\n    " << s;
-            throw PanicError(os.str());
-        }
+        run_.traced([this] {
+            // Stagger issues by one tick for a deterministic order.
+            for (std::size_t i = 0; i < cfg_.accesses.size(); ++i)
+                run_.issue(cfg_.accesses[i], static_cast<Tick>(i));
+            run_.settle();
+            run_.finish([this] { return decide(); });
+        });
     }
 
     /** Choice indices actually taken, in order. */
     const std::vector<int> &taken() const { return taken_; }
-    /** Branching factor per decision (recorded up to maxDecisionDepth;
-     *  parallel to the first counts().size() entries of taken()). */
+    /** Branching factor at each decision (parallel to taken()). */
     const std::vector<int> &counts() const { return counts_; }
-    bool faultUsed() const { return faultsUsed_ > 0; }
+    bool faultUsed() const { return run_.faults() > 0 || killed_; }
 
   private:
-    void
-    settle()
-    {
-        m_.eq().runUntil(m_.eq().curTick() + kSettleWindow);
-    }
-
-    bool
-    allQuiescent() const
-    {
-        if (completions_ != cfg_.accesses.size())
-            return false;
-        for (NodeId n : m_.computeNodes()) {
-            if (!m_.compute(n)->quiescent())
-                return false;
-        }
-        return true;
-    }
-
     std::vector<Choice>
     enumerateChoices() const
     {
         std::vector<Choice> out;
-        for (const auto &[key, q] : queues_) {
-            if (q.empty())
-                continue;
-            Choice c;
-            c.kind = Choice::Kind::Deliver;
-            c.queue = key;
-            out.push_back(c);
+        for (const auto &[key, q] : run_.queues()) {
+            if (!q.empty())
+                out.push_back({Choice::Kind::Deliver, key, kInvalidNode});
         }
-        const bool budget = cfg_.faultMode != ExplorerFaultMode::None &&
-                            faultsUsed_ < cfg_.faultBudget;
-        if (budget && cfg_.faultMode == ExplorerFaultMode::DropDup) {
-            for (const auto &[key, q] : queues_) {
+        if (cfg_.faultMode == ExplorerFaultMode::DropDup &&
+            run_.faults() < cfg_.faultBudget) {
+            for (const auto &[key, q] : run_.queues()) {
                 if (q.empty())
                     continue;
                 const MsgClass cls = msgClassOf(q.front().type);
-                if (msgClassDroppable(cls)) {
-                    Choice c;
-                    c.kind = Choice::Kind::Drop;
-                    c.queue = key;
-                    out.push_back(c);
-                }
-                if (msgClassDupSafe(cls)) {
-                    Choice c;
-                    c.kind = Choice::Kind::Dup;
-                    c.queue = key;
-                    out.push_back(c);
-                }
+                if (msgClassDroppable(cls))
+                    out.push_back({Choice::Kind::Drop, key, kInvalidNode});
+                if (msgClassDupSafe(cls))
+                    out.push_back({Choice::Kind::Dup, key, kInvalidNode});
             }
         }
-        if (cfg_.faultMode == ExplorerFaultMode::Death &&
-            faultsUsed_ == 0 && !allQuiescent()) {
-            const auto dnodes = m_.directoryNodes();
+        if (cfg_.faultMode == ExplorerFaultMode::Death && !killed_ &&
+            !run_.quiescent()) {
+            const std::vector<NodeId> dnodes =
+                run_.machine().directoryNodes();
             if (dnodes.size() >= 2) {
-                for (NodeId d : dnodes) {
-                    Choice c;
-                    c.kind = Choice::Kind::Kill;
-                    c.victim = d;
-                    out.push_back(c);
-                }
+                for (NodeId d : dnodes)
+                    out.push_back({Choice::Kind::Kill, {}, d});
             }
         }
         return out;
     }
 
-    std::string
-    describe(const Choice &c) const
+    /** Take the prefix's choice, or choice 0 past its end. */
+    bool
+    decide()
     {
-        std::ostringstream os;
-        switch (c.kind) {
-          case Choice::Kind::Deliver:
-          case Choice::Kind::Drop:
-          case Choice::Kind::Dup: {
-            const char *verb = c.kind == Choice::Kind::Deliver ? "deliver"
-                               : c.kind == Choice::Kind::Drop  ? "drop"
-                                                               : "dup";
-            os << verb << " "
-               << queues_.at(c.queue).front().toString();
-            break;
-          }
-          case Choice::Kind::Kill:
-            os << "kill D-node " << c.victim;
-            break;
-        }
-        return os.str();
+        const std::vector<Choice> choices = enumerateChoices();
+        if (choices.empty())
+            return false;
+        const std::size_t depth = taken_.size();
+        const int pick = depth < prefix_.size() ? prefix_[depth] : 0;
+        if (pick >= static_cast<int>(choices.size()))
+            panic("model-check replay prefix names choice " +
+                  std::to_string(pick) + " of " +
+                  std::to_string(choices.size()) +
+                  " (nondeterministic run?)");
+        counts_.push_back(static_cast<int>(choices.size()));
+        taken_.push_back(pick);
+        apply(choices[pick]);
+        return true;
     }
 
     void
     apply(const Choice &c)
     {
         switch (c.kind) {
-          case Choice::Kind::Deliver: {
-            auto &q = queues_[c.queue];
-            const Message msg = q.front();
-            q.pop_front();
-            m_.deliverDirect(msg);
+          case Choice::Kind::Deliver:
+            run_.deliver(c.queue);
             break;
-          }
-          case Choice::Kind::Drop: {
-            auto &q = queues_[c.queue];
-            q.pop_front();
-            m_.stats().add("mc.dropped");
-            ++faultsUsed_;
+          case Choice::Kind::Drop:
+            run_.drop(c.queue);
             break;
-          }
-          case Choice::Kind::Dup: {
-            // The duplicate rides right behind the original in the
-            // pair's FIFO: deliver the head once and leave the copy at
-            // the head, so its delivery is a later choice that can
-            // interleave with other pairs' traffic.
-            auto &q = queues_[c.queue];
-            m_.deliverDirect(q.front());
-            m_.stats().add("mc.duplicated");
-            ++faultsUsed_;
+          case Choice::Kind::Dup:
+            run_.dup(c.queue);
             break;
-          }
-          case Choice::Kind::Kill: {
-            failOverDNode(m_, c.victim);
+          case Choice::Kind::Kill:
+            run_.note("kill D-node " + std::to_string(c.victim));
+            failOverDNode(run_.machine(), c.victim);
             // In-flight traffic to the dead node would be dropped at
             // delivery anyway; purge it so it stops generating
             // meaningless delivery choices. Traffic it already sent
             // is on the wire and stays deliverable.
-            for (auto &[key, q] : queues_) {
-                if (key.second == c.victim)
-                    q.clear();
-            }
-            ++faultsUsed_;
+            run_.discardTo(c.victim);
+            killed_ = true;
+            run_.settle();
             break;
-          }
         }
-    }
-
-    /** The schedule stalled with no message in flight: drive the
-     *  recovery paths the pushed-out timeouts would have driven. */
-    void
-    forceRetries()
-    {
-        if (cfg_.faultMode == ExplorerFaultMode::None)
-            panic("model-check deadlock without any injected fault\n" +
-                  m_.stuckDiagnostic());
-        if (++retryRounds_ > kMaxRetryRounds)
-            panic("model-check schedule wedged: " +
-                  std::to_string(kMaxRetryRounds) +
-                  " forced-retry rounds made no progress\n" +
-                  m_.stuckDiagnostic());
-        int sent = 0;
-        for (NodeId n : m_.computeNodes())
-            sent += m_.compute(n)->retryStalledTransactions(true);
-        trace_.push_back("force-retry round " +
-                         std::to_string(retryRounds_) + " (" +
-                         std::to_string(sent) + " resends)");
-        settle();
-    }
-
-    void
-    checkTerminal()
-    {
-        if (completions_ != cfg_.accesses.size())
-            panic("model-check schedule lost accesses: " +
-                  std::to_string(completions_) + "/" +
-                  std::to_string(cfg_.accesses.size()) + " completed\n" +
-                  m_.stuckDiagnostic());
-        m_.checkInvariants();
-        if (cfg_.quiescentScan)
-            m_.checkCoherenceQuiescent();
-
-        // Sequential reference: every scripted write must have
-        // committed exactly once, so each touched line's final version
-        // is its script write count (dedup must stop retried or
-        // duplicated requests from committing twice).
-        std::map<Addr, Version> expect;
-        const int line_bytes = m_.config().mem.lineBytes;
-        for (const ScriptedAccess &a : cfg_.accesses) {
-            const Addr line =
-                blockAlign(a.addr, static_cast<std::uint64_t>(line_bytes));
-            expect.emplace(line, 0);
-            if (a.isWrite)
-                ++expect[line];
-        }
-        // A write whose grant was lost and whose cached reply was then
-        // scrubbed by a later invalidation gets re-served, serializing
-        // the same store twice; the home counts those, and the final
-        // versions may legitimately run ahead by exactly that many.
-        Version extra = 0;
-        for (const auto &[line, v] : expect) {
-            const Version got = m_.latestVersion(line);
-            if (got < v) {
-                std::ostringstream os;
-                os << "sequential reference mismatch on line 0x"
-                   << std::hex << line << std::dec << ": committed v"
-                   << got << ", script wrote " << v << " times";
-                panic(os.str() + m_.oracle().lineHistory(line));
-            }
-            extra += got - v;
-        }
-        const auto reserved =
-            m_.stats().get("home.extra_write_serializations");
-        if (extra != static_cast<Version>(reserved))
-            panic("sequential reference mismatch: final versions run " +
-                  std::to_string(extra) +
-                  " ahead of the script's write count but the homes "
-                  "re-serialized " +
-                  std::to_string(reserved) + " scrubbed write retries");
-
-        if (m_.oracle().violations() != 0)
-            panic("model-check schedule ended with " +
-                  std::to_string(m_.oracle().violations()) +
-                  " coherence violations (degraded mode)");
-    }
-
-    void
-    executeInner()
-    {
-        for (std::size_t i = 0; i < cfg_.accesses.size(); ++i) {
-            const ScriptedAccess a = cfg_.accesses[i];
-            // Stagger issues by one tick for a deterministic order.
-            m_.eq().schedule(static_cast<Tick>(i), [this, a] {
-                m_.compute(a.node)->access(
-                    a.addr, a.isWrite,
-                    [this](Tick, ReadService) { ++completions_; });
-            });
-        }
-        settle();
-
-        while (true) {
-            const std::vector<Choice> choices = enumerateChoices();
-            if (choices.empty()) {
-                if (allQuiescent())
-                    break;
-                forceRetries();
-                continue;
-            }
-            const int depth = static_cast<int>(taken_.size());
-            int pick = 0;
-            if (depth < static_cast<int>(prefix_.size()))
-                pick = prefix_[depth];
-            if (pick >= static_cast<int>(choices.size()))
-                panic("model-check replay prefix names choice " +
-                      std::to_string(pick) + " of " +
-                      std::to_string(choices.size()) +
-                      " (nondeterministic run?)");
-            if (depth < cfg_.maxDecisionDepth)
-                counts_.push_back(static_cast<int>(choices.size()));
-            taken_.push_back(pick);
-            trace_.push_back(describe(choices[pick]));
-            apply(choices[pick]);
-            settle();
-        }
-        checkTerminal();
     }
 
     const ExplorerConfig &cfg_;
     const std::vector<int> &prefix_;
-    Machine m_;
-    std::map<std::pair<NodeId, NodeId>, std::deque<Message>> queues_;
+    ModelCheckRun run_;
     std::vector<int> taken_;
     std::vector<int> counts_;
-    std::vector<std::string> trace_;
-    std::size_t completions_ = 0;
-    int faultsUsed_ = 0;
-    int retryRounds_ = 0;
+    bool killed_ = false;
 };
 
 } // namespace
@@ -350,20 +404,9 @@ Explorer::Explorer(ExplorerConfig cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.accesses.empty())
         fatal("explorer needs at least one scripted access");
-    if (cfg_.maxDecisionDepth <= 0)
-        fatal("explorer needs a positive decision depth");
     if (cfg_.faultMode != ExplorerFaultMode::None && cfg_.faultBudget < 1)
         fatal("fault exploration needs a positive fault budget");
-    MachineConfig &mc = cfg_.machine;
-    mc.check.enabled = true;
-    if (cfg_.faultMode != ExplorerFaultMode::None) {
-        // Arm txn seqs / dedup / retry bookkeeping but push the
-        // simulated timers past the horizon: the explorer injects
-        // faults and drives recovery at its own decision points.
-        mc.faults.armRecovery = true;
-        mc.faults.timeoutTicks = kFarFuture;
-        mc.faults.sweepInterval = kFarFuture;
-    }
+    const MachineConfig &mc = cfg_.machine;
     if (cfg_.faultMode == ExplorerFaultMode::Death) {
         if (mc.arch != ArchKind::Agg)
             fatal("D-node death exploration requires an AGG machine");
@@ -389,11 +432,8 @@ Explorer::run()
         res.decisions += sched.taken().size();
         res.reExecuted += prefix.size();
         res.visited += sched.taken().size() - prefix.size();
-        res.pruned += sched.taken().size() - sched.counts().size();
         if (sched.faultUsed())
             ++res.faultSchedules;
-        if (sched.taken().size() > res.maxDepthSeen)
-            res.maxDepthSeen = sched.taken().size();
 
         // Backtrack to the deepest decision with an unexplored sibling.
         const std::vector<int> &taken = sched.taken();

@@ -1,44 +1,57 @@
 /**
  * @file
- * Protocol model-check explorer.
+ * Model checking on the real Machine: one intercepted-machine harness
+ * (ModelCheckRun) and the stateless-DFS Explorer built on it.
  *
- * Runs a tiny scripted workload (a few accesses to one or two lines on
- * a 2-4 node machine) under every message-delivery ordering the mesh
- * could legally produce, optionally extended with a single injected
- * fault (one message drop, one duplicate, or one D-node fail-stop) per
- * schedule. Every outgoing message is captured at the Machine::send
+ * The harness captures every outgoing message at the Machine::send
  * interception point into per-(src, dst) FIFO queues — the mesh never
  * reorders messages within a pair (XY routing + FIFO links), so the
  * legal delivery choices at any instant are exactly the queue heads.
+ * Its driver delivers, drops or duplicates queue heads; when nothing
+ * is in flight but the run is not quiescent, the harness forces a
+ * retry round (the recovery the pushed-out fault timeouts would have
+ * driven). Every run must end quiescent (all MSHRs and writebacks
+ * drained, every scripted access completed), pass the machine
+ * invariants and the quiescent whole-machine coherence scan, end with
+ * each touched line's committed version equal to the sequential
+ * reference (the number of scripted writes to it — no write lost, none
+ * applied twice), and leave the coherence oracle with zero violations.
+ * Any failure panics with the run's step trace.
  *
- * Exploration is stateless DFS with choice-prefix replay: each schedule
- * is a fresh deterministic Machine run that replays a recorded prefix
- * of choice indices and then defaults to choice 0, recording the
- * branching factor at each decision so the driver can backtrack to the
- * deepest unexplored sibling.
- *
- * Every completed schedule must reach quiescence (all MSHRs and
- * writebacks drained, every scripted access completed), pass the
- * coherence oracle with zero violations, pass the quiescent whole-
- * machine coherence scan, and end with each touched line's committed
- * version equal to the sequential reference (the number of scripted
- * writes to it — no write lost, none applied twice). Any failure
- * panics with the full choice sequence of the offending schedule.
+ * Two checkers drive the harness:
+ *  - Explorer (below) runs a tiny scripted workload (a few accesses to
+ *    one or two lines on a 2-4 node machine) under every delivery
+ *    ordering, optionally extended with injected faults (drops and
+ *    duplicates, or one D-node fail-stop) per schedule. Exploration is
+ *    stateless DFS with choice-prefix replay: each schedule is a fresh
+ *    run that replays a recorded prefix of choice indices and then
+ *    defaults to choice 0, recording the branching factor at each
+ *    decision so the driver can backtrack to the deepest unexplored
+ *    sibling.
+ *  - replaySpecTraces (check/spec_explorer.hh) maps each step of an
+ *    abstract spec trace to a queue-head choice, then takes the same
+ *    default tail as the DFS to quiescence.
  */
 
 #ifndef PIMDSM_CHECK_EXPLORER_HH
 #define PIMDSM_CHECK_EXPLORER_HH
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "machine/machine.hh"
 #include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace pimdsm
 {
 
-/** One scripted access of the model-check workload. */
+/** One scripted access of a model-check workload. */
 struct ScriptedAccess
 {
     NodeId node = 0;
@@ -46,19 +59,104 @@ struct ScriptedAccess
     bool isWrite = false;
 };
 
+/** Address of model-check line @p i (each on its own page). */
+Addr modelCheckLine(int i);
+
+/** A tiny model-check machine: @p pNodes P-nodes, @p dNodes D-nodes
+ *  (AGG only; other organizations get none), 64 KiB node memories and
+ *  direct-mapped 1 KiB L1 / 4 KiB L2 caches. */
+MachineConfig modelCheckMachine(ArchKind arch, int pNodes, int dNodes);
+
+/** One run of a real Machine whose messages the caller schedules. */
+class ModelCheckRun
+{
+  public:
+    using QueueKey = std::pair<NodeId, NodeId>;
+    using Queues = std::map<QueueKey, std::deque<Message>>;
+
+    /** Builds a Machine of @p mc with the coherence oracle armed. With
+     *  @p recovery, also arms txn seqs / dedup / retry bookkeeping but
+     *  pushes the simulated timers past the horizon: the driver
+     *  injects faults and forced retry rounds drive recovery. */
+    ModelCheckRun(MachineConfig mc, bool recovery);
+
+    Machine &machine() { return m_; }
+    const Machine &machine() const { return m_; }
+    /** The per-(src, dst) FIFOs of intercepted messages. */
+    const Queues &queues() const { return queues_; }
+    /** Drop and duplicate choices applied so far. */
+    int faults() const { return faults_; }
+    /** Messages delivered so far (duplicates count twice). */
+    std::uint64_t deliveries() const { return deliveries_; }
+
+    /** Issue @p a @p delay ticks from now; it counts toward the
+     *  terminal lost-access and version checks. */
+    void issue(const ScriptedAccess &a, Tick delay = 0);
+    /** Run far past any handler or disk latency chain, far short of
+     *  the pushed-out fault timeouts. */
+    void settle();
+
+    /** Deliver the head of queue @p q, then settle. */
+    void deliver(QueueKey q);
+    /** Discard the head of queue @p q (a fault), then settle. */
+    void drop(QueueKey q);
+    /** Deliver the head of queue @p q and leave its copy at the head,
+     *  so the duplicate's delivery is a later choice that can
+     *  interleave with other pairs' traffic (a fault); then settle. */
+    void dup(QueueKey q);
+    /** Discard everything queued for @p dst (it fail-stopped). */
+    void discardTo(NodeId dst);
+    /** Append @p step to the trace a panic reports. */
+    void note(std::string step);
+
+    /** Every scripted access completed and every node is quiescent. */
+    bool quiescent() const;
+
+    /**
+     * Drive the run to quiescence, then run the terminal checks. At
+     * each decision @p decide acts on the run, returning false when it
+     * has no live choice; the harness then stops if quiescent and
+     * otherwise forces a retry round, panicking when recovery is not
+     * armed (a deadlock) or after too many rounds (wedged).
+     */
+    void finish(const std::function<bool()> &decide);
+    /** The DFS's default tail: always take choice 0, the first
+     *  non-empty queue's head. */
+    void finish();
+
+    /** Run @p body; a PanicError from it is rethrown with the run's
+     *  step trace appended. */
+    void traced(const std::function<void()> &body);
+
+  private:
+    void forceRetries();
+    void checkTerminal();
+
+    bool recovery_;
+    Machine m_;
+    Queues queues_;
+    /** Scripted writes per touched line (the sequential reference). */
+    std::map<Addr, Version> expectWrites_;
+    std::vector<std::string> trace_;
+    std::size_t issued_ = 0;
+    std::size_t completions_ = 0;
+    std::uint64_t deliveries_ = 0;
+    int faults_ = 0;
+    int retryRounds_ = 0;
+};
+
 /** What the explorer may inject on top of delivery reordering. */
 enum class ExplorerFaultMode
 {
     None,    ///< pure delivery-order exploration
-    DropDup, ///< plus one drop or duplicate of a recoverable message
+    DropDup, ///< plus drops or duplicates of recoverable messages
     Death,   ///< plus one D-node fail-stop + failover (AGG only)
 };
 
 struct ExplorerConfig
 {
-    /** Tiny machine shape (2-4 nodes; validated by the caller). The
-     *  explorer forces check.enabled and, for fault modes, arms the
-     *  recovery machinery with timeouts pushed past the horizon. */
+    /** Tiny machine shape (2-4 nodes; see modelCheckMachine). The run
+     *  arms the oracle and, for fault modes, the recovery machinery. */
     MachineConfig machine;
     std::vector<ScriptedAccess> accesses;
     ExplorerFaultMode faultMode = ExplorerFaultMode::None;
@@ -69,10 +167,6 @@ struct ExplorerConfig
     /** Stop after this many complete schedules (the frontier may be
      *  unexhausted; ExplorerResult::truncated reports that). */
     std::uint64_t maxSchedules = 100000;
-    /** Decisions beyond this depth take choice 0 without branching. */
-    int maxDecisionDepth = 64;
-    /** Run the full quiescent coherence scan at every terminal. */
-    bool quiescentScan = true;
 };
 
 struct ExplorerResult
@@ -80,7 +174,6 @@ struct ExplorerResult
     std::uint64_t schedules = 0;      ///< distinct complete schedules
     std::uint64_t decisions = 0;      ///< total choices taken
     std::uint64_t faultSchedules = 0; ///< schedules containing a fault
-    std::uint64_t maxDepthSeen = 0;   ///< deepest decision sequence
     /** Decision-tree nodes first reached this run (decisions minus the
      *  replay overhead: decisions == visited + reExecuted). */
     std::uint64_t visited = 0;
@@ -89,9 +182,6 @@ struct ExplorerResult
      *  checker, which deduplicates states instead; see
      *  docs/model-checking.md). */
     std::uint64_t reExecuted = 0;
-    /** Decisions past maxDecisionDepth where branching was suppressed
-     *  (siblings pruned by the depth cap rather than explored). */
-    std::uint64_t pruned = 0;
     bool truncated = false;           ///< hit maxSchedules early
 };
 

@@ -39,10 +39,9 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <utility>
 
-#include "machine/machine.hh"
+#include "check/explorer.hh"
 #include "proto/compute_base.hh"
 #include "proto/spec.hh"
 #include "sim/flat_map.hh"
@@ -2491,256 +2490,82 @@ SpecExplorer::run()
 
 // ----------------------------------------------------------------------
 // Conformance sampling: replay sampled spec traces through the real
-// Machine (PR 2 harness: send interception + direct delivery).
+// Machine on the model-check harness (check/explorer.hh).
 // ----------------------------------------------------------------------
 
 namespace
 {
 
-/** Ticks per settle step (same rationale as check/explorer.cc). */
-constexpr Tick kConfSettleWindow = 1u << 20;
-constexpr Tick kConfFarFuture = Tick{1} << 50;
-constexpr int kConfMaxRetryRounds = 16;
-constexpr Addr kConfLineBase = 1ull << 16;
-
-Addr
-confLineAddr(int li)
+/** The live queue head a trace delivery/fault event names, matched by
+ *  (message type, line). The real machine's traffic is a superset of
+ *  the abstract model's (it also has e.g. timing-only flows), and fault
+ *  recovery can diverge in detail, so a step may have no match. */
+const ModelCheckRun::QueueKey *
+matchHead(const ModelCheckRun &run, const SpecTraceStep &s)
 {
-    // Distinct pages, like the model-check tests' kLine/kOtherLine.
-    return kConfLineBase + static_cast<Addr>(li) * 4096;
+    const Addr line = modelCheckLine(s.line);
+    for (const auto &[key, q] : run.queues()) {
+        if (!q.empty() && q.front().type == s.msg &&
+            q.front().lineAddr == line)
+            return &key;
+    }
+    return nullptr;
 }
 
-MachineConfig
-confMachine(const SpecExplorerConfig &cfg)
+/** Replay one trace against one fresh machine: accesses and retries
+ *  run as scripted, delivery/fault events take their matching queue
+ *  head (an unmatched one is skipped and counted — the terminal checks
+ *  are the bar), and the DFS's default tail drains the rest. */
+void
+replayTrace(const SpecExplorerConfig &cfg, const SpecTrace &tr,
+            SpecConformanceResult &sum)
 {
-    MachineConfig mc = makeBaseConfig(cfg.arch);
-    mc.numPNodes = cfg.nodes;
-    mc.numThreads = cfg.nodes;
-    mc.numDNodes = cfg.arch == ArchKind::Agg ? 1 : 0;
-    mc.pNodeMemBytes = 64 * 1024;
-    mc.dNodeMemBytes = 64 * 1024;
-    mc.l1 = CacheParams{1024, 1, 64, 3};
-    mc.l2 = CacheParams{4096, 1, 64, 6};
-    fitMesh(mc.net, mc.totalNodes());
-    mc.check.enabled = true;
-    if (cfg.faults > 0) {
-        mc.faults.armRecovery = true;
-        mc.faults.timeoutTicks = kConfFarFuture;
-        mc.faults.sweepInterval = kConfFarFuture;
-    }
-    mc.validate();
-    return mc;
-}
-
-/** One trace replayed against one fresh machine. */
-class ConformanceRun
-{
-  public:
-    ConformanceRun(const SpecExplorerConfig &cfg, const SpecTrace &tr,
-                   SpecConformanceResult &sum)
-        : cfg_(cfg), tr_(tr), sum_(sum), m_(confMachine(cfg))
-    {
-        m_.setSendInterceptor([this](const Message &msg) {
-            queues_[{msg.src, msg.dst}].push_back(msg);
-            return true;
-        });
-    }
-
-    void
-    execute()
-    {
-        const std::vector<NodeId> computes = m_.computeNodes();
-        for (const SpecTraceStep &s : tr_) {
+    ModelCheckRun run(modelCheckMachine(cfg.arch, cfg.nodes, 1),
+                      cfg.faults > 0);
+    Machine &m = run.machine();
+    const std::vector<NodeId> computes = m.computeNodes();
+    run.traced([&] {
+        for (const SpecTraceStep &s : tr) {
             switch (s.kind) {
               case SpecTraceStep::Kind::Read:
-              case SpecTraceStep::Kind::Write: {
-                const bool isWrite =
-                    s.kind == SpecTraceStep::Kind::Write;
-                const Addr addr = confLineAddr(s.line);
-                const NodeId n = computes.at(
-                    static_cast<std::size_t>(s.node));
-                m_.eq().scheduleIn(Tick{0}, [this, n, addr, isWrite] {
-                    m_.compute(n)->access(
-                        addr, isWrite,
-                        [this](Tick, ReadService) { ++completions_; });
-                });
-                if (isWrite)
-                    ++expectWrites_[blockAlign(
-                        addr, static_cast<std::uint64_t>(
-                                  m_.config().mem.lineBytes))];
-                else
-                    expectWrites_.emplace(
-                        blockAlign(addr,
-                                   static_cast<std::uint64_t>(
-                                       m_.config().mem.lineBytes)),
-                        0);
-                ++issued_;
-                settle();
+              case SpecTraceStep::Kind::Write:
+                run.issue({computes.at(static_cast<std::size_t>(s.node)),
+                           modelCheckLine(s.line),
+                           s.kind == SpecTraceStep::Kind::Write});
+                run.settle();
                 break;
-              }
-              case SpecTraceStep::Kind::Retry: {
-                const NodeId n = computes.at(
-                    static_cast<std::size_t>(s.node));
-                m_.compute(n)->retryStalledTransactions(true);
-                settle();
+              case SpecTraceStep::Kind::Retry:
+                m.compute(computes.at(static_cast<std::size_t>(s.node)))
+                    ->retryStalledTransactions(true);
+                run.settle();
                 break;
-              }
               case SpecTraceStep::Kind::Evict:
                 panic("conformance replay got an Evict step; sample "
                       "traces from an evicts == 0 exploration");
               case SpecTraceStep::Kind::Deliver:
               case SpecTraceStep::Kind::Drop:
-              case SpecTraceStep::Kind::Dup:
-                guided(s);
+              case SpecTraceStep::Kind::Dup: {
+                const ModelCheckRun::QueueKey *q = matchHead(run, s);
+                if (!q) {
+                    ++sum.missedSteps;
+                    break;
+                }
+                ++sum.guidedSteps;
+                if (s.kind == SpecTraceStep::Kind::Deliver)
+                    run.deliver(*q);
+                else if (s.kind == SpecTraceStep::Kind::Drop)
+                    run.drop(*q);
+                else
+                    run.dup(*q);
                 break;
+              }
             }
         }
-        drain();
-        checkTerminal();
-        ++sum_.replayed;
-    }
-
-  private:
-    void
-    settle()
-    {
-        m_.eq().runUntil(m_.eq().curTick() + kConfSettleWindow);
-    }
-
-    bool
-    allQuiescent() const
-    {
-        if (completions_ != issued_)
-            return false;
-        for (NodeId n : m_.computeNodes()) {
-            if (!m_.compute(n)->quiescent())
-                return false;
-        }
-        return true;
-    }
-
-    /** Match a trace delivery/fault event to a live pair-queue head by
-     *  (message type, line). The real machine's traffic is a superset
-     *  of the abstract model's (it also has e.g. timing-only flows),
-     *  and fault recovery can diverge in detail, so an unmatched step
-     *  is skipped and counted — the terminal checks are the bar. */
-    void
-    guided(const SpecTraceStep &s)
-    {
-        const Addr line = confLineAddr(s.line);
-        for (auto &[key, q] : queues_) {
-            if (q.empty() || q.front().type != s.msg ||
-                q.front().lineAddr != line)
-                continue;
-            const Message msg = q.front();
-            switch (s.kind) {
-              case SpecTraceStep::Kind::Deliver:
-                q.pop_front();
-                m_.deliverDirect(msg);
-                ++sum_.deliveries;
-                break;
-              case SpecTraceStep::Kind::Drop:
-                q.pop_front();
-                break;
-              case SpecTraceStep::Kind::Dup:
-                // Deliver the head and leave the copy queued, exactly
-                // like the abstract model's Dup transition.
-                m_.deliverDirect(msg);
-                ++sum_.deliveries;
-                break;
-              default:
-                break;
-            }
-            ++sum_.guidedSteps;
-            settle();
-            return;
-        }
-        ++sum_.missedSteps;
-    }
-
-    /** The trace script is exhausted; deliver whatever remains (the
-     *  trace's own tail plus any recovery traffic) until quiescence. */
-    void
-    drain()
-    {
-        int retryRounds = 0;
-        while (true) {
-            settle();
-            bool delivered = false;
-            for (auto &[key, q] : queues_) {
-                if (q.empty())
-                    continue;
-                const Message msg = q.front();
-                q.pop_front();
-                m_.deliverDirect(msg);
-                ++sum_.deliveries;
-                delivered = true;
-                break;
-            }
-            if (delivered)
-                continue;
-            if (allQuiescent())
-                return;
-            if (cfg_.faults == 0)
-                panic("conformance replay deadlocked without faults\n" +
-                      m_.stuckDiagnostic());
-            if (++retryRounds > kConfMaxRetryRounds)
-                panic("conformance replay wedged: " +
-                      std::to_string(kConfMaxRetryRounds) +
-                      " forced-retry rounds made no progress\n" +
-                      m_.stuckDiagnostic());
-            for (NodeId n : m_.computeNodes())
-                m_.compute(n)->retryStalledTransactions(true);
-        }
-    }
-
-    void
-    checkTerminal()
-    {
-        if (completions_ != issued_)
-            panic("conformance replay lost accesses: " +
-                  std::to_string(completions_) + "/" +
-                  std::to_string(issued_) + " completed\n" +
-                  m_.stuckDiagnostic());
-        m_.checkInvariants();
-        m_.checkCoherenceQuiescent();
-        // Mirror of the abstract terminal check: scrubbed write
-        // retries re-serialize, so versions may run ahead by exactly
-        // the homes' re-serialization count.
-        Version extra = 0;
-        for (const auto &[line, v] : expectWrites_) {
-            const Version got = m_.latestVersion(line);
-            if (got < v)
-                panic("conformance replay version mismatch on line " +
-                      std::to_string(line) + ": committed v" +
-                      std::to_string(got) + ", trace wrote " +
-                      std::to_string(v) + " times" +
-                      m_.oracle().lineHistory(line));
-            extra += got - v;
-        }
-        const auto reserved =
-            m_.stats().get("home.extra_write_serializations");
-        if (extra != static_cast<Version>(reserved))
-            panic("conformance replay: final versions run " +
-                  std::to_string(extra) +
-                  " ahead of the trace's write count but the homes "
-                  "re-serialized " +
-                  std::to_string(reserved) + " scrubbed write retries");
-        if (m_.oracle().violations() != 0)
-            panic("conformance replay ended with " +
-                  std::to_string(m_.oracle().violations()) +
-                  " coherence-oracle violations");
-    }
-
-    const SpecExplorerConfig &cfg_;
-    const SpecTrace &tr_;
-    SpecConformanceResult &sum_;
-    Machine m_;
-    std::map<std::pair<NodeId, NodeId>, std::deque<Message>> queues_;
-    std::map<Addr, Version> expectWrites_;
-    std::size_t issued_ = 0;
-    std::size_t completions_ = 0;
-};
+        run.finish();
+    });
+    sum.deliveries += run.deliveries();
+    ++sum.replayed;
+}
 
 } // namespace
 
@@ -2751,10 +2576,8 @@ replaySpecTraces(const SpecExplorerConfig &cfg,
     if (cfg.mutation != SpecMutation::None)
         fatal("conformance replay is for unmutated specs");
     SpecConformanceResult sum;
-    for (const SpecTrace &tr : traces) {
-        ConformanceRun run(cfg, tr, sum);
-        run.execute();
-    }
+    for (const SpecTrace &tr : traces)
+        replayTrace(cfg, tr, sum);
     return sum;
 }
 

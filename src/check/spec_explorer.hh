@@ -23,9 +23,10 @@
  * into the transition relation under a per-line budget.
  *
  * A conformance-sampling mode replays a random sample of explored
- * terminal traces through the real Machine via the PR 2 explorer
- * harness (send interception + direct delivery), with the coherence
- * oracle armed, tying the abstract model back to the implementation.
+ * terminal traces through the real Machine on the model-check harness
+ * (ModelCheckRun, check/explorer.hh: send interception + direct
+ * delivery + the full terminal check), tying the abstract model back
+ * to the implementation.
  */
 
 #ifndef PIMDSM_CHECK_SPEC_EXPLORER_HH
@@ -167,9 +168,10 @@ struct SpecConformanceResult
  * scripted accesses are issued in trace order and message deliveries
  * (plus injected drops/dups) are scheduled to follow the trace's
  * interleaving where the real machine offers a matching choice. Every
- * run must reach quiescence and pass the full terminal checks
- * (machine invariants, quiescent coherence scan, sequential version
- * reference, zero oracle violations); any failure panics. Traces with
+ * run is drained with the DFS explorer's default tail and must pass
+ * ModelCheckRun's terminal checks (machine invariants, quiescent
+ * coherence scan, sequential version reference, zero oracle
+ * violations); any failure panics. Traces with
  * evictions are rejected (the real machine's evictions are
  * capacity-driven and cannot be scripted) — sample from an
  * evicts == 0 exploration.

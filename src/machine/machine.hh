@@ -104,7 +104,7 @@ class Machine : public ProtoContext
     CoherenceOracle &oracle() { return oracle_; }
     const CoherenceOracle &oracle() const { return oracle_; }
 
-    // --- model-check explorer hooks (see check/explorer.hh) ---
+    // --- model-check harness hooks (ModelCheckRun, check/explorer.hh) ---
     /**
      * Intercept every outgoing message after the dead-source filter
      * but before mesh scheduling. Return true to take custody (the
@@ -119,8 +119,8 @@ class Machine : public ProtoContext
 
     /**
      * Deliver @p msg to its destination controller immediately (the
-     * tail of the normal mesh path; also the explorer's delivery
-     * primitive, bypassing mesh timing entirely).
+     * tail of the normal mesh path; also the model-check harness's
+     * delivery primitive, bypassing mesh timing entirely).
      */
     void deliverDirect(const Message &msg);
 

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <bit>
-#include <cstdlib>
 
 #include "sim/log.hh"
 
@@ -14,12 +13,7 @@ namespace
 EventQueue::KernelKind &
 defaultKindStorage()
 {
-    static EventQueue::KernelKind kind = [] {
-        const char *env = std::getenv("PIMDSM_REF_KERNEL");
-        return (env && env[0] != '\0' && env[0] != '0')
-                   ? EventQueue::KernelKind::ReferenceHeap
-                   : EventQueue::KernelKind::Calendar;
-    }();
+    static EventQueue::KernelKind kind = EventQueue::KernelKind::Calendar;
     return kind;
 }
 

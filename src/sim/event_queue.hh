@@ -54,11 +54,11 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Kernel used by default-constructed queues. Initialized from the
-     * PIMDSM_REF_KERNEL environment variable (differential testing of
-     * whole machines without plumbing a flag through every ctor);
-     * tests may override it at runtime, but not while other threads
-     * construct queues (the setting is a plain global).
+     * Kernel used by default-constructed queues: Calendar unless
+     * setDefaultKind chose otherwise (differential testing of whole
+     * machines without plumbing a flag through every ctor). Not to be
+     * changed while other threads construct queues (the setting is a
+     * plain global).
      */
     static KernelKind defaultKind();
     static void setDefaultKind(KernelKind kind);
