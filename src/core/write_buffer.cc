@@ -11,6 +11,8 @@ WriteBuffer::WriteBuffer(ComputeBase &port, const ProcParams &params)
 {
     if (maxInflight_ < 1)
         maxInflight_ = 1;
+    if (capacity_ > 0)
+        queued_.reserve(static_cast<std::size_t>(capacity_));
     lineMask_ = ~static_cast<std::uint64_t>(63); // coalesce at 64 B
 }
 
@@ -26,12 +28,13 @@ WriteBuffer::push(Addr addr)
     if (full())
         panic("push into a full write buffer");
     const Addr line = addr & lineMask_;
-    if (queuedLines_.count(line)) {
-        ++coalesced_;
-        return;
+    for (Addr queued : queued_) {
+        if ((queued & lineMask_) == line) {
+            ++coalesced_;
+            return;
+        }
     }
     queued_.push_back(addr);
-    queuedLines_.insert(line);
     drain();
 }
 
@@ -40,8 +43,7 @@ WriteBuffer::drain()
 {
     while (inflight_ < maxInflight_ && !queued_.empty()) {
         const Addr addr = queued_.front();
-        queued_.pop_front();
-        queuedLines_.erase(addr & lineMask_);
+        queued_.erase(queued_.begin());
         ++inflight_;
         port_.access(addr, true,
                      [this](Tick, ReadService) { onStoreDone(); });

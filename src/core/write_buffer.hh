@@ -10,9 +10,8 @@
 #define PIMDSM_CORE_WRITE_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_set>
+#include <vector>
 
 #include "proto/compute_base.hh"
 #include "sim/config.hh"
@@ -51,8 +50,10 @@ class WriteBuffer
     ComputeBase &port_;
     int capacity_;
     int maxInflight_;
-    std::deque<Addr> queued_;
-    std::unordered_set<Addr> queuedLines_;
+    /** Stores not yet issued, oldest first; at most one per 64 B line.
+     *  Never longer than capacity_, so push coalesces by scanning it
+     *  and drain pops from the front. */
+    std::vector<Addr> queued_;
     int inflight_ = 0;
     std::function<void()> spaceCb_;
     std::function<void()> flushCb_;

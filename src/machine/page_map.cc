@@ -52,11 +52,4 @@ PageMap::pagesHomedAt(NodeId node) const
     return result;
 }
 
-void
-PageMap::forEach(const std::function<void(Addr, NodeId)> &fn) const
-{
-    for (const auto &[page, home] : pages_)
-        fn(page, home);
-}
-
 } // namespace pimdsm

@@ -7,7 +7,6 @@
 #define PIMDSM_MACHINE_PAGE_MAP_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -39,8 +38,6 @@ class PageMap
     /** Pages currently homed at @p node, in ascending page order
      *  (deterministic regardless of hash-table iteration order). */
     std::vector<Addr> pagesHomedAt(NodeId node) const;
-
-    void forEach(const std::function<void(Addr, NodeId)> &fn) const;
 
     void clear() { pages_.clear(); }
 

@@ -211,11 +211,9 @@ Mesh::drainBlocked()
 {
     // Swap the queue out so still-unroutable messages re-enqueue
     // cleanly; FIFO order keeps the replay deterministic.
-    std::deque<BlockedMsg> pend;
+    std::vector<BlockedMsg> pend;
     pend.swap(blocked_);
-    while (!pend.empty()) {
-        BlockedMsg b = std::move(pend.front());
-        pend.pop_front();
+    for (BlockedMsg &b : pend) {
         if (stats_ && routable(b.src, b.dst))
             stats_->add("fault.net.partition_drained");
         send(b.src, b.dst, b.payloadBytes, std::move(b.deliver),

@@ -15,7 +15,6 @@
 #define PIMDSM_NET_MESH_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/config.hh"
@@ -199,7 +198,7 @@ class Mesh
     /** Next-hop detour table, routeDir_[cur_slot * R + dst_slot] =
      *  direction (or -1 unreachable). Valid only while degraded(). */
     std::vector<std::int8_t> routeDir_;
-    std::deque<BlockedMsg> blocked_;
+    std::vector<BlockedMsg> blocked_;
     int deadLinks_ = 0;
     FaultPlan *faults_ = nullptr;
     StatSet *stats_ = nullptr;

@@ -128,7 +128,10 @@ ComputeBase::memLine(Addr addr) const
 void
 ComputeBase::complete(Tick when, ReadService svc, const CompletionFn &cb)
 {
-    ctx_.eq().schedule(when, [cb, when, svc] { cb(when, svc); });
+    // Init-capture: a plain [cb] copy of a const reference would make
+    // the member const, hence not nothrow-movable, and InlineCallback
+    // would move the closure to the heap.
+    ctx_.eq().schedule(when, [fn = cb, when, svc] { fn(when, svc); });
 }
 
 void
@@ -486,8 +489,8 @@ ComputeBase::finishAccess(Mshr &m)
     else
         svc = ReadService::Hop3;
 
-    for (auto &[addr, cb] : m.waiters) {
-        auto f = l1_.fill(addr, m.isWrite);
+    for (const Waiter &w : m.waiters) {
+        auto f = l1_.fill(w.addr, m.isWrite);
         if (f.evictedDirty) {
             if (CacheLine *p = l2_.array().find(f.evictedLine))
                 p->dirty = true;
@@ -498,7 +501,7 @@ ComputeBase::finishAccess(Mshr &m)
             ++loadsServed_;
             readStats_.record(svc, done - m.issueTick);
         }
-        complete(done, svc, cb);
+        complete(done, svc, w.cb);
     }
 
     if (m.needsTxnDone) {
@@ -512,7 +515,7 @@ ComputeBase::finishAccess(Mshr &m)
         ctx_.eq().schedule(done, [this, ack] { ctx_.send(ack); });
     }
 
-    std::deque<PendingAccess> deferred = std::move(m.deferred);
+    auto deferred = std::move(m.deferred);
     std::vector<Message> fwds = std::move(m.deferredFwds);
     mshrs_.erase(line);
 
@@ -521,8 +524,11 @@ ComputeBase::finishAccess(Mshr &m)
     for (const auto &f : fwds)
         handleFwd(f);
 
-    for (const auto &acc : deferred) {
-        ctx_.eq().schedule(done, [this, acc] { startAccess(acc); });
+    for (PendingAccess &acc : deferred) {
+        // Moved in, not copied: see complete().
+        ctx_.eq().schedule(done, [this, acc = std::move(acc)] {
+            startAccess(acc);
+        });
     }
     drainBlocked();
 }
@@ -671,7 +677,7 @@ ComputeBase::handleWriteBackAck(const Message &msg)
 
     auto it = wbBlocked_.find(msg.lineAddr);
     if (it != wbBlocked_.end()) {
-        std::deque<PendingAccess> waiters = std::move(it->second);
+        std::vector<PendingAccess> waiters = std::move(it->second);
         wbBlocked_.erase(it);
         for (const auto &acc : waiters)
             startAccess(acc);

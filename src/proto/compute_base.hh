@@ -32,6 +32,7 @@
 #include "proto/stuck.hh"
 #include "sim/flat_map.hh"
 #include "sim/function_ref.hh"
+#include "sim/small_vec.hh"
 #include "sim/stats.hh"
 
 namespace pimdsm
@@ -146,6 +147,12 @@ class ComputeBase
         CompletionFn cb;
     };
 
+    struct Waiter
+    {
+        Addr addr = kInvalidAddr;
+        CompletionFn cb;
+    };
+
     struct Mshr
     {
         Addr line = kInvalidAddr;
@@ -160,10 +167,11 @@ class ComputeBase
         int legs = 0;
         bool grantsMaster = false;
         bool needsTxnDone = false;
-        /** Original virtual addresses + callbacks coalesced here. */
-        std::vector<std::pair<Addr, CompletionFn>> waiters;
+        /** Accesses coalesced here (virtual address + callback), the
+         *  one that opened the MSHR first. */
+        SmallVec<Waiter, 2> waiters;
         /** Accesses re-issued after completion (write joining a read). */
-        std::deque<PendingAccess> deferred;
+        SmallVec<PendingAccess, 1> deferred;
 
         // --- fault tolerance (active only when faults are enabled) ---
         /** Request type sent (resent verbatim on timeout). */
@@ -365,7 +373,7 @@ class ComputeBase
     /** Displaced owned lines awaiting WriteBackAck. */
     FlatMap<Addr, WbPending> wbPending_;
     /** Accesses waiting for a WriteBackAck on their line. */
-    FlatMap<Addr, std::deque<PendingAccess>> wbBlocked_;
+    FlatMap<Addr, std::vector<PendingAccess>> wbBlocked_;
 
     int maxMshrs_ = 16;
     /** Fixed cost of detecting a node-level miss (tag check). */

@@ -8,7 +8,6 @@
 #define PIMDSM_PROTO_DIRECTORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "proto/message.hh"
@@ -63,8 +62,9 @@ struct DirEntry
      *  transaction's progress depends on the old owner — if it
      *  fail-stops, the forward is lost and the home must abort. */
     NodeId fwdTo = kInvalidNode;
-    /** Requests blocked on busy. */
-    std::deque<Message> pending;
+    /** Requests blocked on busy, oldest first (drained from the
+     *  front; blocked queues are short). */
+    std::vector<Message> pending;
 
     bool
     isSharer(NodeId n) const
@@ -119,9 +119,6 @@ class DirectoryTable
      */
     void forEach(FunctionRef<void(Addr, const DirEntry &)> fn) const;
     void forEach(FunctionRef<void(Addr, DirEntry &)> fn);
-
-    /** Size the table for @p n lines up front (no rehash below that). */
-    void reserve(std::size_t n) { entries_.reserve(n); }
 
     /** Drop every entry (reconfiguration: pages unmapped). */
     void clear() { entries_.clear(); }

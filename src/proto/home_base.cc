@@ -705,7 +705,7 @@ HomeBase::finishTxn(Addr line, NodeId from)
     // past it.)
     while (!e.busy && !e.pending.empty()) {
         Message next = e.pending.front();
-        e.pending.pop_front();
+        e.pending.erase(e.pending.begin());
         if (faultsOn_ && ctx_.nodeDead(next.src)) {
             ctx_.stats().add("home.req_from_dead_dropped");
             continue;
@@ -723,7 +723,7 @@ HomeBase::abortNode(NodeId dead, std::vector<Addr> *unblocked_out)
     dir_.forEach([&](Addr line, DirEntry &e) {
         // Purge the dead node's queued requests.
         if (!e.pending.empty()) {
-            std::deque<Message> keep;
+            std::vector<Message> keep;
             for (Message &m : e.pending) {
                 if (m.src == dead || m.requester == dead)
                     ctx_.stats().add("home.req_from_dead_dropped");
@@ -770,7 +770,7 @@ HomeBase::drainQueued(Addr line)
     DirEntry &e = entryFor(line);
     while (!e.busy && !e.pending.empty()) {
         Message next = e.pending.front();
-        e.pending.pop_front();
+        e.pending.erase(e.pending.begin());
         if (ctx_.nodeDead(next.src)) {
             ctx_.stats().add("home.req_from_dead_dropped");
             continue;

@@ -4,10 +4,19 @@ namespace pimdsm
 {
 
 double
-StatSet::get(const std::string &name) const
+StatSet::get(std::string_view name) const
 {
     auto it = scalars_.find(name);
     return it == scalars_.end() ? 0.0 : it->second;
+}
+
+double &
+StatSet::slot(std::string_view name)
+{
+    auto it = scalars_.find(name);
+    if (it == scalars_.end())
+        it = scalars_.emplace(std::string(name), 0.0).first;
+    return it->second;
 }
 
 void

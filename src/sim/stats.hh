@@ -15,6 +15,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -26,20 +27,22 @@ namespace pimdsm
 class StatSet
 {
   public:
-    /** Add @p v to counter @p name, creating it at zero if absent. */
-    void add(const std::string &name, double v = 1.0)
-    {
-        scalars_[name] += v;
-    }
+    /** Add @p v to counter @p name, creating it at zero if absent.
+     *  Only the first add of a name allocates its key. */
+    void add(std::string_view name, double v = 1.0) { slot(name) += v; }
 
     /** Overwrite counter @p name. */
-    void set(const std::string &name, double v) { scalars_[name] = v; }
+    void set(std::string_view name, double v) { slot(name) = v; }
 
     /** Read counter @p name (0 if absent). */
-    double get(const std::string &name) const;
+    double get(std::string_view name) const;
 
     /** All counters, sorted by name. */
-    const std::map<std::string, double> &all() const { return scalars_; }
+    std::map<std::string, double>
+    all() const
+    {
+        return {scalars_.begin(), scalars_.end()};
+    }
 
     /** Pretty-print "name value" lines. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
@@ -47,7 +50,10 @@ class StatSet
     void clear() { scalars_.clear(); }
 
   private:
-    std::map<std::string, double> scalars_;
+    double &slot(std::string_view name);
+
+    /** Transparent comparator: lookups by string_view build no key. */
+    std::map<std::string, double, std::less<>> scalars_;
 };
 
 /**

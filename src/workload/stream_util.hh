@@ -6,7 +6,8 @@
 #ifndef PIMDSM_WORKLOAD_STREAM_UTIL_HH
 #define PIMDSM_WORKLOAD_STREAM_UTIL_HH
 
-#include <deque>
+#include <cstddef>
+#include <vector>
 
 #include "sim/random.hh"
 #include "workload/workload.hh"
@@ -24,13 +25,15 @@ class BatchStream : public OpStream
     bool
     next(Op &op) override
     {
-        while (buf_.empty()) {
+        while (head_ == buf_.size()) {
             if (done_)
                 return false;
+            // Reuse the consumed batch's storage for the next one.
+            buf_.clear();
+            head_ = 0;
             refill();
         }
-        op = buf_.front();
-        buf_.pop_front();
+        op = buf_[head_++];
         return true;
     }
 
@@ -55,7 +58,10 @@ class BatchStream : public OpStream
         }
     }
 
-    std::deque<Op> buf_;
+  private:
+    std::vector<Op> buf_;
+    /** Next op of buf_ to hand out. */
+    std::size_t head_ = 0;
     bool done_ = false;
 };
 

@@ -22,6 +22,7 @@
 #include "sim/inline_callback.hh"
 #include "sim/pool.hh"
 #include "sim/random.hh"
+#include "sim/small_vec.hh"
 #include "workload/apps.hh"
 
 namespace pimdsm
@@ -236,6 +237,48 @@ TEST(InlineCallback, CopyableCapturesSurviveDuplication)
     cb();
     dup();
     EXPECT_EQ(*shared, 2);
+}
+
+TEST(InlineCallback, ConstCopyCapturesGoToHeapInitCapturesStayInline)
+{
+    // A by-copy capture of a const reference is a const member, which
+    // cannot be moved without a (possibly throwing) copy; the hot
+    // paths init-capture to stay inline.
+    const std::function<void()> fn = [] {};
+    const std::function<void()> &ref = fn;
+    InlineCallback copied([ref] { ref(); });
+    EXPECT_FALSE(copied.storedInline());
+    InlineCallback init([f = ref] { f(); });
+    EXPECT_TRUE(init.storedInline());
+}
+
+// ---------------------------------------------------------------------
+// SmallVec.
+// ---------------------------------------------------------------------
+
+TEST(SmallVec, KeepsOrderPastInlineCapacityAndMovesOut)
+{
+    SmallVec<std::string, 2> v;
+    EXPECT_TRUE(v.empty());
+    for (int i = 0; i < 5; ++i)
+        v.push_back("s" + std::to_string(i));
+    ASSERT_EQ(v.size(), 5u);
+    int i = 0;
+    for (const std::string &s : v)
+        EXPECT_EQ(s, "s" + std::to_string(i++));
+    EXPECT_EQ(i, 5);
+    EXPECT_EQ(v[3], "s3");
+
+    SmallVec<std::string, 2> moved = std::move(v);
+    EXPECT_TRUE(v.empty()); // NOLINT: moved-from state is specified
+    ASSERT_EQ(moved.size(), 5u);
+    EXPECT_EQ(moved[0], "s0");
+    EXPECT_EQ(moved[4], "s4");
+
+    v = std::move(moved);
+    EXPECT_TRUE(moved.empty()); // NOLINT: moved-from state is specified
+    ASSERT_EQ(v.size(), 5u);
+    EXPECT_EQ(v[1], "s1");
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "sim/log.hh"
 #include "workload/apps.hh"
+#include "workload/stream_util.hh"
 #include "workload/workload.hh"
 
 namespace pimdsm
@@ -30,6 +31,45 @@ drain(OpStream &s, std::size_t cap = 5'000'000)
             ADD_FAILURE() << "stream did not terminate";
     }
     return ops;
+}
+
+/** Batch b (0-based) emits b % 3 loads: sizes 0, 1, 2, 0, 1, 2, ...
+ *  so batches are empty, shrink, and grow across refills. */
+class CountingBatchStream : public BatchStream
+{
+  public:
+    explicit CountingBatchStream(int batches) : batches_(batches) {}
+
+  protected:
+    void
+    refill() override
+    {
+        if (batch_ == batches_) {
+            finish();
+            return;
+        }
+        for (int i = 0; i < batch_ % 3; ++i)
+            emit(Op::load(static_cast<Addr>(next_++) * 64));
+        ++batch_;
+    }
+
+  private:
+    int batches_;
+    int batch_ = 0;
+    int next_ = 0;
+};
+
+TEST(BatchStream, YieldsOpsAcrossRefillsInEmitOrder)
+{
+    CountingBatchStream s(10); // 0+1+2 + 0+1+2 + 0+1+2 + 0 = 9 ops
+    const std::vector<Op> ops = drain(s);
+    ASSERT_EQ(ops.size(), 9u);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        EXPECT_EQ(ops[i].kind, Op::Kind::Load);
+        EXPECT_EQ(ops[i].addr, i * 64) << "op " << i;
+    }
+    Op op;
+    EXPECT_FALSE(s.next(op)); // stays exhausted
 }
 
 class EveryWorkload : public ::testing::TestWithParam<std::string>

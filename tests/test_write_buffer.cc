@@ -69,6 +69,33 @@ TEST(WriteBufferTest, CoalescesQueuedSameLineStores)
     EXPECT_TRUE(wb.empty());
 }
 
+TEST(WriteBufferTest, CoalescesOnlyWhileTheLineIsQueued)
+{
+    Rig rig;
+    WriteBuffer wb(*rig.m.compute(0), rig.params());
+    // Fill the in-flight window so the next stores stay queued.
+    const int inflight = rig.params().maxOutstanding -
+                         rig.params().maxOutstandingLoads;
+    for (int i = 0; i < inflight; ++i)
+        wb.push((1 << 20) + (i + 1) * 4096);
+    const Addr hot = (1 << 20) + 4096 * (inflight + 1);
+    wb.push(hot);
+    wb.push(hot + 8);  // same 64 B line, still queued: coalesces
+    wb.push(hot + 64); // next 64 B line: a store of its own
+    EXPECT_EQ(wb.coalesced(), 1u);
+
+    rig.m.eq().run();
+    EXPECT_TRUE(wb.empty());
+    EXPECT_EQ(wb.storesRetired(), static_cast<std::uint64_t>(inflight) + 2);
+
+    // The queued entry has drained, so the line is no longer in the
+    // buffer: a new store to it retires separately.
+    wb.push(hot + 16);
+    EXPECT_EQ(wb.coalesced(), 1u);
+    rig.m.eq().run();
+    EXPECT_EQ(wb.storesRetired(), static_cast<std::uint64_t>(inflight) + 3);
+}
+
 TEST(WriteBufferTest, FullAndSpaceCallback)
 {
     Rig rig;

@@ -81,31 +81,43 @@ if [ -n "$hits" ]; then
 fi
 
 # --- 6. Hot-path container/callback discipline ------------------------
-# The kernel overhaul moved src/sim, src/net, and src/proto hot paths
-# to InlineCallback / FunctionRef / FlatMap. New std::function members
-# and node-based maps reintroduce per-event allocations; use
-# sim/inline_callback.hh (owning), sim/function_ref.hh (borrowing
-# visitor parameters), or sim/flat_map.hh instead. The allowlist
-# covers cold paths: the user-facing completion-callback API, CIM
-# completion plumbing, reconfig-time scratch maps, the sorted stats
-# report, and the spec static analyzer.
+# The simulated access path allocates nothing on the heap (DESIGN.md
+# 3.1; tests/test_alloc_budget.cc pins the count). src/sim, src/net and
+# src/proto use InlineCallback / FunctionRef / FlatMap / SmallVec and
+# std::vector. New std::function members, node-based maps and sets,
+# and std::deque (which allocates its map and a 512 B node on
+# construction and on every move) bring per-event allocations back;
+# use sim/inline_callback.hh (owning), sim/function_ref.hh (borrowing
+# visitor parameters), sim/flat_map.hh, sim/small_vec.hh or a vector
+# instead. Allowlist, one reason each:
+#  - CompletionFn / std::function<void(Tick)> / flushAll / flushDone_:
+#    the user-facing completion-callback API (stored by value, moved).
+#  - cimCallbacks_: one FIFO per node, allocated once; CIM requests
+#    are per chunk, not per access.
+#  - blocked_: one FIFO per node of accesses waiting for a free MSHR,
+#    allocated once per node.
+#  - page_heat: reconfiguration-time scratch map.
+#  - stats.hh std::map<std::string, double...>: the sorted stats
+#    report; lookups by string_view build no key.
+#  - spec_check.cc dfs: the spec static analyzer, run once.
 hits=$(find src/sim src/net src/proto -name '*.cc' -o -name '*.hh' |
        sort |
-       xargs grep -nE 'std::function<|std::map<|std::unordered_map<' \
+       xargs grep -nE 'std::function<|std::map<|std::unordered_map<|std::deque<|std::unordered_set<' \
            2>/dev/null |
        grep -vE '^\s*[^:]+:[0-9]+:\s*(//|\*|/\*)' |
        grep -v 'compute_base.hh:.*CompletionFn' |
        grep -v 'compute_base.hh:.*std::function<void(Tick)>' |
        grep -v 'compute_base.hh:.*cimCallbacks_' |
+       grep -v 'compute_base.hh:.*std::deque<PendingAccess> blocked_' |
        grep -v 'compute_base.hh:.*flushDone_' |
        grep -v 'compute_base.hh:.*flushAll' |
        grep -v 'compute_base.cc:.*std::function<void(Tick)> cb' |
        grep -v 'compute_base.cc:.*flushAll' |
        grep -v 'agg_dnode.cc:.*page_heat' |
-       grep -v 'stats.hh:.*std::map<std::string, double>' |
+       grep -v 'stats.hh:.*std::map<std::string, double' |
        grep -v 'spec_check.cc:.*std::function<bool(int)> dfs')
 if [ -n "$hits" ]; then
-    complain "std::function / node-based map in a hot path (use sim/inline_callback.hh, sim/function_ref.hh, or sim/flat_map.hh):" "$hits"
+    complain "std::function / std::deque / node-based map or set in a hot path (use sim/inline_callback.hh, sim/function_ref.hh, sim/flat_map.hh, sim/small_vec.hh, or std::vector):" "$hits"
 fi
 
 # --- 6b. Transition-table construction discipline ---------------------
