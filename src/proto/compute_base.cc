@@ -25,9 +25,15 @@ ComputeBase::ComputeBase(ProtoContext &ctx, NodeId self, spec::Role role)
       msgEngineLatency_(ctx.config().handlers.msgEngineLatency),
       faultsOn_(ctx.config().faults.enabled())
 {
-    // The MSHR file is bounded by config, so sizing the flat maps for
-    // twice that keeps them below max load forever: no rehash, and no
-    // reference ever invalidated by an insert.
+    // startMiss() never lets mshrs_ grow past maxMshrs_, so sized for
+    // twice that it never rehashes. The slack is not free to trim: the
+    // fault sweep resends timed-out requests in slot order, which
+    // depends on the table's capacity, so a smaller table reorders
+    // retries and changes fault-campaign results. Outstanding
+    // writebacks have no bound at all. wbPending_ and wbBlocked_ get
+    // the same sizing, which covers the bench workloads (at most 30
+    // writebacks per node on fft, 12 on barnes, against a rehash
+    // threshold of 48), but an eviction burst may still rehash them.
     const std::size_t cap =
         2 * static_cast<std::size_t>(maxMshrs_ > 0 ? maxMshrs_ : 16);
     mshrs_.reserve(cap);

@@ -31,27 +31,18 @@ struct DirEntry
         Dirty,    ///< exactly one modified copy, at owner
     };
 
-    State state = State::Uncached;
+    // Fields are ordered widest first, so the entry has no interior
+    // padding and fits 64 B.
+
     /** Bit per node holding (possibly stale) a shared copy. */
     std::uint64_t sharers = 0;
-    /** Dirty owner, or the shared-master holder when masterOut. */
-    NodeId owner = kInvalidNode;
-    /** A compute node holds mastership of this Shared line. */
-    bool masterOut = false;
-    /** Home storage holds an up-to-date copy. */
-    bool homeHasData = false;
-    /** AGG: index into the D-node Data array (kNilPtr if none). */
-    std::uint32_t localPtr = kNilPtr;
-    /** AGG: the home copy was paged out to disk. */
-    bool pagedOut = false;
     /** Version of the home copy (when homeHasData/pagedOut). */
     Version version = 0;
-    /** Limited-pointer overflow: sharer set is imprecise and writes
-     *  must broadcast invalidations (Section 2.2.2's 3-pointer
-     *  limited-vector scheme). */
-    bool ptrOverflow = false;
-    /** A transaction is in flight; new requests queue. */
-    bool busy = false;
+    /** Requests blocked on busy, oldest first (drained from the
+     *  front; blocked queues are short). */
+    std::vector<Message> pending;
+    /** Dirty owner, or the shared-master holder when masterOut. */
+    NodeId owner = kInvalidNode;
     /** Requester of the in-flight transaction (meaningful only while
      *  busy): its TxnDone unblocks the line, so if it fail-stops the
      *  home must administratively finish the transaction. */
@@ -62,9 +53,21 @@ struct DirEntry
      *  transaction's progress depends on the old owner — if it
      *  fail-stops, the forward is lost and the home must abort. */
     NodeId fwdTo = kInvalidNode;
-    /** Requests blocked on busy, oldest first (drained from the
-     *  front; blocked queues are short). */
-    std::vector<Message> pending;
+    /** AGG: index into the D-node Data array (kNilPtr if none). */
+    std::uint32_t localPtr = kNilPtr;
+    State state = State::Uncached;
+    /** A compute node holds mastership of this Shared line. */
+    bool masterOut = false;
+    /** Home storage holds an up-to-date copy. */
+    bool homeHasData = false;
+    /** AGG: the home copy was paged out to disk. */
+    bool pagedOut = false;
+    /** Limited-pointer overflow: sharer set is imprecise and writes
+     *  must broadcast invalidations (Section 2.2.2's 3-pointer
+     *  limited-vector scheme). */
+    bool ptrOverflow = false;
+    /** A transaction is in flight; new requests queue. */
+    bool busy = false;
 
     bool
     isSharer(NodeId n) const
@@ -93,6 +96,9 @@ struct DirEntry
 
     int sharerCount() const { return __builtin_popcountll(sharers); }
 };
+
+static_assert(sizeof(DirEntry) <= 64,
+              "DirEntry grew past 64 B; reorder or shrink its fields");
 
 /**
  * All directory entries homed at one node. Entries are created lazily

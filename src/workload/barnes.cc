@@ -25,6 +25,7 @@ class BarnesStream : public BatchStream
         bodyBase_ = kDataBase;
         cellBase_ = kDataBase + bodies_ * kBodyBytes;
         force_ = phase > 0 && (phase - 1) % 2 == 0;
+        body_ = part_.begin;
     }
 
   protected:
@@ -42,30 +43,28 @@ class BarnesStream : public BatchStream
     }
 
   private:
+    /** Ops one body emits in the force phase. */
+    static constexpr std::size_t kForceOps = 2 + 12 * 2 + 2;
+    /** Ops one tree-rebuild critical section emits. */
+    static constexpr std::size_t kRebuildOps = 1 + 8 + 2;
+
     void
     refillInit()
     {
-        const std::uint64_t chunk = 256;
-        std::uint64_t b = part_.begin + step_ * chunk;
-        if (b < part_.end) {
-            const std::uint64_t end = std::min(part_.end, b + chunk);
-            for (; b < end; ++b) {
+        if (body_ < part_.end) {
+            for (; body_ < part_.end && room(2); ++body_) {
                 emit(Op::compute(10));
-                emit(Op::store(bodyBase_ + b * kBodyBytes));
+                emit(Op::store(bodyBase_ + body_ * kBodyBytes));
             }
-            ++step_;
             return;
         }
-        if (!cellsInit_) {
-            cellsInit_ = true;
-            // The tree is built serially by the master thread (as in
-            // the original), so every cell page is first-touched --
-            // and placed -- at thread 0's node.
-            if (tid_ == 0) {
-                for (std::uint64_t c = 0; c < cells_; ++c) {
-                    emit(Op::compute(6));
-                    emit(Op::store(cellBase_ + c * kCellBytes));
-                }
+        // The tree is built serially by the master thread (as in the
+        // original), so every cell page is first-touched -- and
+        // placed -- at thread 0's node.
+        if (tid_ == 0 && cell_ < cells_) {
+            for (; cell_ < cells_ && room(2); ++cell_) {
+                emit(Op::compute(6));
+                emit(Op::store(cellBase_ + cell_ * kCellBytes));
             }
             return;
         }
@@ -85,15 +84,12 @@ class BarnesStream : public BatchStream
     void
     refillForce()
     {
-        const std::uint64_t chunk = 64;
-        const std::uint64_t begin = part_.begin + step_ * chunk;
-        if (begin >= part_.end) {
+        if (body_ >= part_.end) {
             finish();
             return;
         }
-        const std::uint64_t end = std::min(part_.end, begin + chunk);
-        for (std::uint64_t bb = begin; bb < end; ++bb) {
-            const std::uint64_t b = driftedBody(bb);
+        for (; body_ < part_.end && room(kForceOps); ++body_) {
+            const std::uint64_t b = driftedBody(body_);
             emit(Op::load(bodyBase_ + b * kBodyBytes, 12));
             // The accumulator is updated in place as the walk
             // proceeds, so ownership is requested right away.
@@ -112,56 +108,52 @@ class BarnesStream : public BatchStream
             emit(Op::compute(60));
             emit(Op::store(bodyBase_ + b * kBodyBytes));
         }
-        ++step_;
     }
 
     void
     refillUpdate()
     {
-        const std::uint64_t chunk = 256;
-        const std::uint64_t begin = part_.begin + step_ * chunk;
-        if (begin >= part_.end) {
-            if (!rebuilt_) {
-                rebuilt_ = true;
-                // Tree rebuild: lock-protected scattered cell updates.
-                for (std::uint64_t i = 0; i < cellPart_.size(); i += 32) {
-                    emit(Op::lock(kSyncBase + 256));
-                    for (int j = 0; j < 8; ++j) {
-                        const std::uint64_t c =
-                            rng_.nextBounded(cells_);
-                        emit(Op::store(cellBase_ + c * kCellBytes));
-                    }
-                    emit(Op::compute(80));
-                    emit(Op::unlock(kSyncBase + 256));
-                }
-                return;
+        if (body_ < part_.end) {
+            for (; body_ < part_.end && room(3); ++body_) {
+                const std::uint64_t b = driftedBody(body_);
+                emit(Op::load(bodyBase_ + b * kBodyBytes, 14));
+                emit(Op::compute(16));
+                emit(Op::store(bodyBase_ + b * kBodyBytes));
             }
+            return;
+        }
+        // Tree rebuild: lock-protected scattered cell updates.
+        if (cell_ >= cellPart_.size()) {
             finish();
             return;
         }
-        const std::uint64_t end = std::min(part_.end, begin + chunk);
-        for (std::uint64_t bb = begin; bb < end; ++bb) {
-            const std::uint64_t b = driftedBody(bb);
-            emit(Op::load(bodyBase_ + b * kBodyBytes, 14));
-            emit(Op::compute(16));
-            emit(Op::store(bodyBase_ + b * kBodyBytes));
+        for (; cell_ < cellPart_.size() && room(kRebuildOps);
+             cell_ += 32) {
+            emit(Op::lock(kSyncBase + 256));
+            for (int j = 0; j < 8; ++j) {
+                const std::uint64_t c = rng_.nextBounded(cells_);
+                emit(Op::store(cellBase_ + c * kCellBytes));
+            }
+            emit(Op::compute(80));
+            emit(Op::unlock(kSyncBase + 256));
         }
-        ++step_;
     }
 
     std::uint64_t bodies_;
     std::uint64_t cells_;
     int phase_;
     ThreadId tid_;
-    Partition part_;
-    Partition cellPart_;
+    ThreadSlice part_;
+    ThreadSlice cellPart_;
     Rng rng_;
     Addr bodyBase_;
     Addr cellBase_;
     bool force_;
-    std::uint64_t step_ = 0;
-    bool cellsInit_ = false;
-    bool rebuilt_ = false;
+    /** Next body of part_ (every phase). */
+    std::uint64_t body_;
+    /** Next cell: init (all cells) and update's rebuild (cellPart_
+     *  offsets). */
+    std::uint64_t cell_ = 0;
 };
 
 } // namespace

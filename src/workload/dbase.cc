@@ -12,6 +12,10 @@ constexpr std::uint64_t kRecBytes = 128;
 constexpr std::uint64_t kChunkRecs = 64; // 8 KB chunks
 constexpr int kLocks = 64;
 constexpr double kSelectivity = 0.25;
+constexpr std::uint64_t kJoinPasses = 8;
+/** Most ops one hash insert / one join probe emits. */
+constexpr std::size_t kInsertOps = 5;
+constexpr std::size_t kProbeOps = 3;
 
 /**
  * TPC-D Q3 skeleton.
@@ -79,6 +83,14 @@ class DbaseStream : public BatchStream
     void
     refillInit()
     {
+        if (initRegion_ >= 3) {
+            // Private result area.
+            const Addr lo = resultBase_ +
+                            static_cast<std::uint64_t>(tid_) * 65536;
+            if (sweep(lo, lo + 65536, sweepOff_, 2, true))
+                finish();
+            return;
+        }
         struct Region { Addr base; std::uint64_t recs; };
         const Region regions[3] = {
             {custBase_, nc_}, {ordBase_, no_}, {hashBase_, nb_}};
@@ -90,13 +102,6 @@ class DbaseStream : public BatchStream
         if (step_ >= chunks) {
             ++initRegion_;
             step_ = 0;
-            if (initRegion_ >= 3) {
-                // Private result area.
-                const Addr lo = resultBase_ +
-                                static_cast<std::uint64_t>(tid_) * 65536;
-                emitSweep(lo, lo + 65536, 2, true);
-                finish();
-            }
             return;
         }
         const std::uint64_t first = step_ * kChunkRecs;
@@ -140,15 +145,19 @@ class DbaseStream : public BatchStream
                 emit(Op::load(custBase_ + r * kRecBytes, 24));
                 emitInsert();
             }
-        } else {
-            for (std::uint64_t r = first; r < last; ++r) {
-                emit(Op::compute(200));
-                emit(Op::load(custBase_ + r * kRecBytes, 48));
-                if (rng_.chance(kSelectivity))
-                    emitInsert();
-            }
+            ++step_;
+            return;
         }
-        ++step_;
+        for (; rec_ < recs && room(2 + kInsertOps); ++rec_) {
+            emit(Op::compute(200));
+            emit(Op::load(custBase_ + (first + rec_) * kRecBytes, 48));
+            if (rng_.chance(kSelectivity))
+                emitInsert();
+        }
+        if (rec_ == recs) {
+            rec_ = 0;
+            ++step_;
+        }
     }
 
     void
@@ -210,21 +219,24 @@ class DbaseStream : public BatchStream
                 emit(Op::compute(1800));
                 probe();
             }
-        } else {
-            // "Once a P-node brings a chunk into its cache, it can
-            // reuse it to some extent" (Section 4.2): the two joins
-            // walk the chunk repeatedly, so only the first pass pays
-            // remote latency.
-            for (int pass = 0; pass < 8; ++pass) {
-                for (std::uint64_t r = first; r < last; ++r) {
-                    emit(Op::compute(900));
-                    emit(Op::load(ordBase_ + r * kRecBytes, 48));
-                    if (pass > 0)
-                        probe();
-                }
-            }
+            ++step_;
+            return;
         }
-        ++step_;
+        // "Once a P-node brings a chunk into its cache, it can reuse
+        // it to some extent" (Section 4.2): the two joins walk the
+        // chunk repeatedly, so only the first pass pays remote
+        // latency. rec_ counts (pass, record) pairs, pass-major.
+        for (; rec_ < kJoinPasses * recs && room(2 + kProbeOps); ++rec_) {
+            const std::uint64_t r = first + rec_ % recs;
+            emit(Op::compute(900));
+            emit(Op::load(ordBase_ + r * kRecBytes, 48));
+            if (rec_ >= recs)
+                probe();
+        }
+        if (rec_ == kJoinPasses * recs) {
+            rec_ = 0;
+            ++step_;
+        }
     }
 
     std::uint64_t nc_, no_, nb_;
@@ -235,6 +247,11 @@ class DbaseStream : public BatchStream
     Rng rng_;
     Addr custBase_, ordBase_, hashBase_, resultBase_;
     std::uint64_t step_ = 0;
+    /** Hash and join: next record (join: (pass, record) pair) of the
+     *  chunk in progress. */
+    std::uint64_t rec_ = 0;
+    /** Init: byte offset into the result-area sweep. */
+    std::uint64_t sweepOff_ = 0;
     int initRegion_ = 0;
 };
 

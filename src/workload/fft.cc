@@ -21,40 +21,31 @@ class FftStream : public BatchStream
     {
         srcBase_ = kDataBase;
         dstBase_ = kDataBase + points_ * kElemBytes;
+        elem_ = part_.begin;
     }
 
   protected:
     void
     refill() override
     {
-        const std::uint64_t row_elems = 512; // batch granularity
         switch (phase_) {
           case 0: // init: first-touch own partition of both arrays
-            {
-                if (!initBatch(srcBase_) && !initBatch(dstBase_)) {
-                    finish();
-                }
-                return;
-            }
+            refillInit();
+            return;
           case 1:
           case 3:
           case 5: // local butterfly pass: read src, write dst
             {
-                const std::uint64_t begin =
-                    part_.begin + step_ * row_elems;
-                if (begin >= part_.end) {
+                if (elem_ >= part_.end) {
                     finish();
                     return;
                 }
-                const std::uint64_t end =
-                    std::min(part_.end, begin + row_elems);
                 // ~5 instructions per complex element, 4 elems/line.
-                for (std::uint64_t e = begin; e < end; e += 4) {
+                for (; elem_ < part_.end && room(3); elem_ += 4) {
                     emit(Op::compute(48));
-                    emit(Op::load(srcBase_ + e * kElemBytes, 32));
-                    emit(Op::store(dstBase_ + e * kElemBytes));
+                    emit(Op::load(srcBase_ + elem_ * kElemBytes, 32));
+                    emit(Op::store(dstBase_ + elem_ * kElemBytes));
                 }
-                ++step_;
                 return;
             }
           case 2:
@@ -66,7 +57,7 @@ class FftStream : public BatchStream
                 }
                 const int peer = (tid_ + 1 + static_cast<int>(step_)) %
                                  nt_;
-                const Partition peer_part(points_, peer, nt_);
+                const ThreadSlice peer_part(points_, peer, nt_);
                 // Block (tid, peer): our slice of the peer's partition.
                 const std::uint64_t blk =
                     peer_part.size() / static_cast<std::uint64_t>(nt_);
@@ -78,14 +69,18 @@ class FftStream : public BatchStream
                                  : std::min(peer_part.end, begin + blk);
                 const Addr rd = phase_ == 2 ? dstBase_ : srcBase_;
                 const Addr wr = phase_ == 2 ? srcBase_ : dstBase_;
-                for (std::uint64_t e = begin; e < end; e += 4) {
+                for (; begin + blockOff_ < end && room(3);
+                     blockOff_ += 4) {
                     emit(Op::compute(16));
-                    emit(Op::load(rd + e * kElemBytes, 40));
+                    emit(Op::load(rd + (begin + blockOff_) * kElemBytes,
+                                  40));
                     emit(Op::store(wr +
-                                   (part_.begin +
-                                    (e - begin)) * kElemBytes));
+                                   (part_.begin + blockOff_) * kElemBytes));
                 }
-                ++step_;
+                if (begin + blockOff_ >= end) {
+                    ++step_;
+                    blockOff_ = 0;
+                }
                 return;
             }
           default:
@@ -94,39 +89,44 @@ class FftStream : public BatchStream
     }
 
   private:
-    /** Emit one init batch; false when this array's range is done. */
-    bool
-    initBatch(Addr base)
+    void
+    refillInit()
     {
-        auto &cursor = base == srcBase_ ? initSrc_ : initDst_;
-        const std::uint64_t row_elems = 512;
-        const std::uint64_t begin = part_.begin + cursor * row_elems;
-        if (begin >= part_.end)
-            return false;
-        const std::uint64_t end = std::min(part_.end, begin + row_elems);
+        if (elem_ >= part_.end) {
+            if (initArray_ == 1) {
+                finish();
+                return;
+            }
+            initArray_ = 1;
+            elem_ = part_.begin;
+        }
+        const Addr base = initArray_ == 0 ? srcBase_ : dstBase_;
         // The data initialization loop is blocked differently from the
         // FFT passes, so half of each partition is first-touched (and
         // page-placed) by a neighboring thread.
         const std::uint64_t shift = part_.size() / 2;
-        for (std::uint64_t e = begin; e < end; e += 4) {
-            const std::uint64_t ie = (e + shift) % points_;
+        for (; elem_ < part_.end && room(2); elem_ += 4) {
+            const std::uint64_t ie = (elem_ + shift) % points_;
             emit(Op::compute(4));
             emit(Op::store(base + ie * kElemBytes));
         }
-        ++cursor;
-        return true;
     }
 
     std::uint64_t points_;
     int phase_;
     ThreadId tid_;
     int nt_;
-    Partition part_;
+    ThreadSlice part_;
     Addr srcBase_;
     Addr dstBase_;
+    /** Next element of part_ (init and butterfly passes). */
+    std::uint64_t elem_;
+    /** Init: 0 while first-touching src, 1 for dst. */
+    int initArray_ = 0;
+    /** Transpose: peers done, and the next offset in this one's
+     *  block. */
     std::uint64_t step_ = 0;
-    std::uint64_t initSrc_ = 0;
-    std::uint64_t initDst_ = 0;
+    std::uint64_t blockOff_ = 0;
 };
 
 } // namespace

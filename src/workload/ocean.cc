@@ -54,14 +54,17 @@ class OceanStream : public BatchStream
         const Addr row = rd + r * g_ * kCell;
         const Addr north = r > 0 ? row - g_ * kCell : row;
         const Addr south = r + 1 < g_ ? row + g_ * kCell : row;
-        for (std::uint64_t c = 0; c < g_ * kCell; c += 64) {
+        for (; col_ < g_ * kCell && room(5); col_ += 64) {
             emit(Op::compute(100));
-            emit(Op::load(row + c, 28));
-            emit(Op::load(north + c, 28));
-            emit(Op::load(south + c, 28));
-            emit(Op::store(wr + r * g_ * kCell + c));
+            emit(Op::load(row + col_, 28));
+            emit(Op::load(north + col_, 28));
+            emit(Op::load(south + col_, 28));
+            emit(Op::store(wr + r * g_ * kCell + col_));
         }
-        ++step_;
+        if (col_ >= g_ * kCell) {
+            col_ = 0;
+            ++step_;
+        }
     }
 
   private:
@@ -77,23 +80,32 @@ class OceanStream : public BatchStream
         // sweeps: part of each thread's rows are first-touched by a
         // neighbor (multigrid setup vs. solver schedules).
         const std::uint64_t ir = (r + rows_.size() / 2) % g_;
-        for (Addr base : {aBase_, bBase_}) {
-            const Addr row = base + ir * g_ * kCell;
-            for (std::uint64_t c = 0; c < g_ * kCell; c += 64) {
-                emit(Op::compute(4));
-                emit(Op::store(row + c));
-            }
+        const Addr row = (initArray_ == 0 ? aBase_ : bBase_) +
+                         ir * g_ * kCell;
+        for (; col_ < g_ * kCell && room(2); col_ += 64) {
+            emit(Op::compute(4));
+            emit(Op::store(row + col_));
         }
-        ++step_;
+        if (col_ < g_ * kCell)
+            return;
+        col_ = 0;
+        if (++initArray_ == 2) {
+            initArray_ = 0;
+            ++step_;
+        }
     }
 
     std::uint64_t g_;
     int phase_;
     ThreadId tid_;
-    Partition rows_;
+    ThreadSlice rows_;
     Addr aBase_;
     Addr bBase_;
+    /** Rows of rows_ done, and the next byte of the row in progress. */
     std::uint64_t step_ = 0;
+    std::uint64_t col_ = 0;
+    /** Init: the row in progress is in a (0) or b (1). */
+    int initArray_ = 0;
     bool reduced_ = false;
 };
 

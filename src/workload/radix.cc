@@ -27,6 +27,7 @@ class RadixStream : public BatchStream
         inBase_ = kDataBase;
         outBase_ = kDataBase + keys_ * kKeyBytes;
         histBase_ = outBase_ + keys_ * kKeyBytes;
+        key_ = part_.begin;
         if (phase == 0) {
             kind_ = Kind::Init;
         } else {
@@ -69,49 +70,41 @@ class RadixStream : public BatchStream
     void
     refillInit()
     {
-        const std::uint64_t chunk = 1024;
-        const std::uint64_t begin = part_.begin + step_ * chunk;
-        if (begin >= part_.end) {
-            if (!histInit_) {
-                histInit_ = true;
-                emitSweep(histOf(tid_), histOf(tid_ + 1), 2, true);
-                // Out array is written during permutation; touch our
-                // slice so its pages get first-touch homes too.
-                emitSweep(outBase_ + part_.begin * kKeyBytes,
-                          outBase_ + part_.end * kKeyBytes, 2, true);
-                return;
+        if (key_ < part_.end) {
+            for (; key_ < part_.end && room(2); key_ += 8) {
+                emit(Op::compute(8));
+                emit(Op::store(inBase_ + key_ * kKeyBytes));
             }
-            finish();
             return;
         }
-        const std::uint64_t end = std::min(part_.end, begin + chunk);
-        for (std::uint64_t k = begin; k < end; k += 8) {
-            emit(Op::compute(8));
-            emit(Op::store(inBase_ + k * kKeyBytes));
+        if (!histInit_) {
+            histInit_ = sweep(histOf(tid_), histOf(tid_ + 1), sweepOff_,
+                              2, true);
+            return;
         }
-        ++step_;
+        // Out array is written during permutation; touch our slice so
+        // its pages get first-touch homes too.
+        if (sweep(outBase_ + part_.begin * kKeyBytes,
+                  outBase_ + part_.end * kKeyBytes, sweepOff_, 2, true))
+            finish();
     }
 
     void
     refillHistogram()
     {
-        const std::uint64_t chunk = 512;
-        const std::uint64_t begin = part_.begin + step_ * chunk;
-        if (begin >= part_.end) {
+        if (key_ >= part_.end) {
             finish();
             return;
         }
-        const std::uint64_t end = std::min(part_.end, begin + chunk);
-        for (std::uint64_t k = begin; k < end; k += 8) {
+        for (; key_ < part_.end && room(4); key_ += 8) {
             emit(Op::compute(48));
-            emit(Op::load(inBase_ + k * kKeyBytes, 36));
+            emit(Op::load(inBase_ + key_ * kKeyBytes, 36));
             // Two counter bumps in our private histogram per key line.
             for (int i = 0; i < 2; ++i) {
                 const std::uint64_t bin = rng_.nextBounded(radix_);
                 emit(Op::store(histOf(tid_) + bin * 8));
             }
         }
-        ++step_;
     }
 
     void
@@ -132,23 +125,20 @@ class RadixStream : public BatchStream
             (tid_ + step_) % static_cast<std::uint64_t>(nt_));
         const std::uint64_t slice = radix_ / nt_;
         const Addr lo = histOf(peer) + tid_ * slice * 8;
-        emitSweep(lo, lo + slice * 8, 6, false, 40);
-        ++step_;
+        if (sweep(lo, lo + slice * 8, sweepOff_, 6, false, 40))
+            ++step_;
     }
 
     void
     refillPermute()
     {
-        const std::uint64_t chunk = 512;
-        const std::uint64_t begin = part_.begin + step_ * chunk;
-        if (begin >= part_.end) {
+        if (key_ >= part_.end) {
             finish();
             return;
         }
-        const std::uint64_t end = std::min(part_.end, begin + chunk);
-        for (std::uint64_t k = begin; k < end; k += 8) {
+        for (; key_ < part_.end && room(5); key_ += 8) {
             emit(Op::compute(48));
-            emit(Op::load(inBase_ + k * kKeyBytes, 36));
+            emit(Op::load(inBase_ + key_ * kKeyBytes, 36));
             // Keys scatter across the whole output array: remote
             // ownership requests — radix's heavy coherence traffic.
             for (int i = 0; i < 3; ++i) {
@@ -156,19 +146,23 @@ class RadixStream : public BatchStream
                 emit(Op::store(outBase_ + pos * kKeyBytes));
             }
         }
-        ++step_;
     }
 
     std::uint64_t keys_;
     int radix_;
     ThreadId tid_;
     int nt_;
-    Partition part_;
+    ThreadSlice part_;
     Rng rng_;
     Kind kind_;
     Addr inBase_;
     Addr outBase_;
     Addr histBase_;
+    /** Next key of part_ (init, histogram and permute). */
+    std::uint64_t key_;
+    /** Byte offset into the sweep in progress. */
+    std::uint64_t sweepOff_ = 0;
+    /** Prefix: peers whose histogram slice is read. */
     std::uint64_t step_ = 0;
     bool histInit_ = false;
 };

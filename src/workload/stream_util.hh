@@ -7,8 +7,10 @@
 #define PIMDSM_WORKLOAD_STREAM_UTIL_HH
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
+#include "sim/log.hh"
 #include "sim/random.hh"
 #include "workload/workload.hh"
 
@@ -16,12 +18,27 @@ namespace pimdsm
 {
 
 /**
+ * Most ops one BatchStream::refill() may emit. Every stream's batch
+ * buffer is reserved to this once, so what a thread keeps resident for
+ * its op stream is bounded whatever the workload's size or thread
+ * count.
+ */
+constexpr std::size_t kMaxBatchOps = 256;
+
+/**
  * Op stream refilled one batch at a time (one row, one chunk, ...)
  * so that traces are never fully materialized.
+ *
+ * A refill emits at most kMaxBatchOps ops (a larger one panics).
+ * Loops that could exceed it run only while room() holds and keep
+ * their loop variable in a member, so the next refill() resumes
+ * mid-loop and the op sequence does not depend on where batches end.
  */
 class BatchStream : public OpStream
 {
   public:
+    BatchStream() { buf_.reserve(kMaxBatchOps); }
+
     bool
     next(Op &op) override
     {
@@ -32,6 +49,10 @@ class BatchStream : public OpStream
             buf_.clear();
             head_ = 0;
             refill();
+            if (buf_.size() > kMaxBatchOps)
+                panic("workload refill emitted " +
+                      std::to_string(buf_.size()) + " ops, over the " +
+                      std::to_string(kMaxBatchOps) + "-op batch bound");
         }
         op = buf_[head_++];
         return true;
@@ -44,18 +65,38 @@ class BatchStream : public OpStream
     void emit(const Op &op) { buf_.push_back(op); }
     void finish() { done_ = true; }
 
-    /** One 64 B-granule sweep over [lo, hi) bytes of an array. */
-    void
-    emitSweep(Addr lo, Addr hi, std::uint64_t instr_per_line,
-              bool store_too, int use_dist = 28)
+    /** True while @p ops more ops fit in the current batch. */
+    bool
+    room(std::size_t ops) const
     {
-        for (Addr a = lo; a < hi; a += 64) {
+        return buf_.size() + ops <= kMaxBatchOps;
+    }
+
+    /**
+     * Continue a 64 B-granule sweep over [lo, hi) bytes of an array at
+     * byte offset @p off while the batch has room.
+     * @return true once the sweep is done; @p off is then back at 0
+     *         for the next sweep.
+     */
+    bool
+    sweep(Addr lo, Addr hi, std::uint64_t &off,
+          std::uint64_t instr_per_line, bool store_too,
+          int use_dist = 28)
+    {
+        const std::size_t per_line =
+            1 + (instr_per_line ? 1 : 0) + (store_too ? 1 : 0);
+        for (; lo + off < hi && room(per_line); off += 64) {
+            const Addr a = lo + off;
             if (instr_per_line)
                 emit(Op::compute(instr_per_line));
             emit(Op::load(a, use_dist));
             if (store_too)
                 emit(Op::store(a));
         }
+        if (lo + off < hi)
+            return false;
+        off = 0;
+        return true;
     }
 
   private:
@@ -66,12 +107,12 @@ class BatchStream : public OpStream
 };
 
 /** Element range [begin, end) owned by @p tid out of @p n elements. */
-struct Partition
+struct ThreadSlice
 {
     std::uint64_t begin;
     std::uint64_t end;
 
-    Partition(std::uint64_t n, ThreadId tid, int num_threads)
+    ThreadSlice(std::uint64_t n, ThreadId tid, int num_threads)
     {
         const std::uint64_t per =
             (n + num_threads - 1) / num_threads;

@@ -40,14 +40,18 @@ class SwimStream : public BatchStream
             // first-touched -- and page-placed -- by a neighbor.
             const std::uint64_t shift = rows_.size() / 2;
             const std::uint64_t ir = (r + shift) % g_;
-            for (int a = 0; a < kArrays; ++a) {
-                const Addr row = arr(a) + ir * row_bytes;
-                for (std::uint64_t c = 0; c < row_bytes; c += 64) {
-                    emit(Op::compute(4));
-                    emit(Op::store(row + c));
-                }
+            const Addr row = arr(initArray_) + ir * row_bytes;
+            for (; col_ < row_bytes && room(2); col_ += 64) {
+                emit(Op::compute(4));
+                emit(Op::store(row + col_));
             }
-            ++step_;
+            if (col_ < row_bytes)
+                return;
+            col_ = 0;
+            if (++initArray_ == kArrays) {
+                initArray_ = 0;
+                ++step_;
+            }
             return;
         }
 
@@ -56,15 +60,18 @@ class SwimStream : public BatchStream
         // fit the L2 (Table 3's working-set structure).
         const Addr north = r > 0 ? arr(0) + (r - 1) * row_bytes
                                  : arr(0) + r * row_bytes;
-        for (std::uint64_t c = 0; c < row_bytes; c += 64) {
+        for (; col_ < row_bytes && room(6); col_ += 64) {
             emit(Op::compute(150));
-            emit(Op::load(arr(0) + r * row_bytes + c, 30));
-            emit(Op::load(arr(1) + r * row_bytes + c, 30));
-            emit(Op::load(arr(2) + r * row_bytes + c, 30));
-            emit(Op::load(north + c, 30));
-            emit(Op::store(arr(3) + r * row_bytes + c));
+            emit(Op::load(arr(0) + r * row_bytes + col_, 30));
+            emit(Op::load(arr(1) + r * row_bytes + col_, 30));
+            emit(Op::load(arr(2) + r * row_bytes + col_, 30));
+            emit(Op::load(north + col_, 30));
+            emit(Op::store(arr(3) + r * row_bytes + col_));
         }
-        ++step_;
+        if (col_ >= row_bytes) {
+            col_ = 0;
+            ++step_;
+        }
     }
 
   private:
@@ -76,8 +83,12 @@ class SwimStream : public BatchStream
 
     std::uint64_t g_;
     int phase_;
-    Partition rows_;
+    ThreadSlice rows_;
+    /** Rows of rows_ done, and the next byte of the row in progress. */
     std::uint64_t step_ = 0;
+    std::uint64_t col_ = 0;
+    /** Init: the array whose row is in progress. */
+    int initArray_ = 0;
 };
 
 } // namespace

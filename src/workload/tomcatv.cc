@@ -39,14 +39,18 @@ class TomcatvStream : public BatchStream
             // Mesh generation touches rows in a different schedule
             // than the solver sweeps.
             const std::uint64_t ir = (r + rows_.size() / 2) % g_;
-            for (int a = 0; a < kArrays; ++a) {
-                const Addr row = arr(a) + ir * row_bytes;
-                for (std::uint64_t c = 0; c < row_bytes; c += 64) {
-                    emit(Op::compute(4));
-                    emit(Op::store(row + c));
-                }
+            const Addr row = arr(initArray_) + ir * row_bytes;
+            for (; pos_ < row_bytes && room(2); pos_ += 64) {
+                emit(Op::compute(4));
+                emit(Op::store(row + pos_));
             }
-            ++step_;
+            if (pos_ < row_bytes)
+                return;
+            pos_ = 0;
+            if (++initArray_ == kArrays) {
+                initArray_ = 0;
+                ++step_;
+            }
             return;
         }
 
@@ -56,14 +60,18 @@ class TomcatvStream : public BatchStream
                 finish();
                 return;
             }
-            for (std::uint64_t c = 0; c < row_bytes; c += 64) {
+            for (; pos_ < row_bytes && room(5); pos_ += 64) {
+                const Addr off = r * row_bytes + pos_;
                 emit(Op::compute(110));
-                emit(Op::load(arr(0) + r * row_bytes + c, 30));
-                emit(Op::load(arr(1) + r * row_bytes + c, 30));
-                emit(Op::load(arr(2) + r * row_bytes + c, 30));
-                emit(Op::store(arr(0) + r * row_bytes + c));
+                emit(Op::load(arr(0) + off, 30));
+                emit(Op::load(arr(1) + off, 30));
+                emit(Op::load(arr(2) + off, 30));
+                emit(Op::store(arr(0) + off));
             }
-            ++step_;
+            if (pos_ >= row_bytes) {
+                pos_ = 0;
+                ++step_;
+            }
             return;
         }
 
@@ -75,12 +83,15 @@ class TomcatvStream : public BatchStream
             finish();
             return;
         }
-        for (std::uint64_t r = 0; r < g_; r += 8) {
+        for (; pos_ < g_ && room(3); pos_ += 8) {
             emit(Op::compute(60));
-            emit(Op::load(arr(0) + (r * g_ + c) * kCell, 16));
-            emit(Op::store(arr(1) + (r * g_ + c) * kCell));
+            emit(Op::load(arr(0) + (pos_ * g_ + c) * kCell, 16));
+            emit(Op::store(arr(1) + (pos_ * g_ + c) * kCell));
         }
-        ++step_;
+        if (pos_ >= g_) {
+            pos_ = 0;
+            ++step_;
+        }
     }
 
   private:
@@ -92,10 +103,15 @@ class TomcatvStream : public BatchStream
 
     std::uint64_t g_;
     int phase_;
-    Partition rows_;
-    Partition cols_;
+    ThreadSlice rows_;
+    ThreadSlice cols_;
     bool rowPhase_;
+    /** Rows (column sweep: columns) done, and the position in the one
+     *  in progress: a byte of the row, or the column sweep's row. */
     std::uint64_t step_ = 0;
+    std::uint64_t pos_ = 0;
+    /** Init: the array whose row is in progress. */
+    int initArray_ = 0;
 };
 
 } // namespace

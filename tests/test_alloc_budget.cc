@@ -1,24 +1,30 @@
 /**
  * @file
- * Heap-allocation budget of one simulated run.
+ * Heap-allocation and heap-footprint budgets of one simulated run.
  *
  * The per-access path (MSHRs, completions, home queues, the write
  * buffer, workload op batches) must not touch the heap; see DESIGN.md
  * section 3.1. This binary replaces the global operator new with a
- * counting one, so it is built apart from pimdsm_tests.
+ * counting one that also tracks live heap bytes, so it is built apart
+ * from pimdsm_tests.
  *
  * Reference point: quick-mode AGG fft (8 threads, 1/2 AGG, 75%
  * pressure), oracle off, second run of the process. Before the
  * per-access containers were fixed this run allocated 1,511,260
  * times; afterwards 3,179, nearly all of them per page (first-touch
- * placement) or per processor, not per access. Allocation counts are
- * deterministic, so the ceiling sits just above the measured value,
- * with room only for standard-library growth policies to differ: one
- * allocation per miss (tens of thousands here) blows through it.
+ * placement) or per processor, not per access; 2,739 once each
+ * op-batch buffer was reserved at its bound instead of grown.
+ * Allocation counts are deterministic, so the ceiling sits just above
+ * the 3,179, with room only for standard-library growth policies to
+ * differ: one allocation per miss (tens of thousands here) blows
+ * through it.
  */
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -30,6 +36,17 @@ namespace
 {
 
 std::uint64_t allocCount = 0;
+/** Heap bytes held through operator new (usable sizes), and their
+ *  high-water mark. */
+std::size_t liveBytes = 0;
+std::size_t peakLiveBytes = 0;
+
+void
+release(void *p) noexcept
+{
+    liveBytes -= malloc_usable_size(p);
+    std::free(p);
+}
 
 } // namespace
 
@@ -39,13 +56,16 @@ void *
 operator new(std::size_t n)
 {
     ++allocCount;
-    if (void *p = std::malloc(n ? n : 1))
+    if (void *p = std::malloc(n ? n : 1)) {
+        liveBytes += malloc_usable_size(p);
+        peakLiveBytes = std::max(peakLiveBytes, liveBytes);
         return p;
+    }
     throw std::bad_alloc();
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { release(p); }
+void operator delete(void *p, std::size_t) noexcept { release(p); }
 
 namespace pimdsm
 {
@@ -72,6 +92,38 @@ TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
     ASSERT_GT(r.messages, 250'000u); // the run did real protocol work
     EXPECT_LE(allocs, 3'500u)
         << "per-access heap allocation crept back into the hot path";
+}
+
+/**
+ * What a run keeps resident on the heap: op-batch buffers, MSHR
+ * tables, directory tables, tagged-memory tags, D-node stores. Quick
+ * AGG barnes (8 threads, 1/1 AGG, 25% pressure), oracle off, second
+ * run of the process. Peak live heap bytes above the pre-run level
+ * were 4,656,672 while refills were unbounded (barnes emitted all
+ * 4,096 tree cells in one 8,192-op batch and 64 bodies per force
+ * batch) and directory entries took 80 B; 3,593,840 since. The peak
+ * is deterministic, so the ceiling sits about 100 KB above it, well
+ * below what the unbounded batches held (barnes's cell batch alone
+ * was 448 KiB).
+ */
+TEST(AllocBudget, QuickAggBarnesPeakHeapStaysUnderCeiling)
+{
+    auto wl = makeWorkload("barnes");
+    BuildSpec spec;
+    spec.arch = ArchKind::Agg;
+    spec.threads = 8;
+    spec.pressure = 0.25;
+    spec.dRatio = 1;
+
+    const RunResult warm = runWorkload(*wl, spec);
+    peakLiveBytes = liveBytes;
+    const std::size_t base = liveBytes;
+    const RunResult r = runWorkload(*wl, spec);
+    const std::size_t peak = peakLiveBytes - base;
+
+    ASSERT_EQ(r.totalTicks, warm.totalTicks);
+    EXPECT_LE(peak, 3'700'000u)
+        << "a per-run buffer grew past its bound";
 }
 
 } // namespace

@@ -72,6 +72,117 @@ TEST(BatchStream, YieldsOpsAcrossRefillsInEmitOrder)
     EXPECT_FALSE(s.next(op)); // stays exhausted
 }
 
+/** Emits @p ops ops in its first refill, then finishes. */
+class OneBatchStream : public BatchStream
+{
+  public:
+    explicit OneBatchStream(std::size_t ops) : ops_(ops) {}
+
+  protected:
+    void
+    refill() override
+    {
+        for (std::size_t i = 0; i < ops_; ++i)
+            emit(Op::compute(1));
+        finish();
+    }
+
+  private:
+    std::size_t ops_;
+};
+
+TEST(BatchStream, RefillPastTheBatchBoundPanics)
+{
+    OneBatchStream full(kMaxBatchOps);
+    EXPECT_EQ(drain(full).size(), kMaxBatchOps);
+    OneBatchStream over(kMaxBatchOps + 1);
+    Op op;
+    EXPECT_THROW(over.next(op), PanicError);
+}
+
+/**
+ * FNV-1a over every field of every op of every (phase, thread) stream
+ * of @p wl, each stream closed by its op count. Draining through
+ * BatchStream::next() also proves no refill broke kMaxBatchOps: one
+ * that did would have panicked.
+ */
+std::uint64_t
+opStreamHash(const Workload &wl, int threads)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    auto as_u64 = [](std::int64_t v) {
+        return static_cast<std::uint64_t>(v);
+    };
+    for (int phase = 0; phase < wl.numPhases(); ++phase) {
+        for (ThreadId t = 0; t < threads; ++t) {
+            auto s = wl.makeStream(phase, t, threads);
+            Op op;
+            std::uint64_t n = 0;
+            while (s->next(op)) {
+                mix(static_cast<std::uint64_t>(op.kind));
+                mix(op.count);
+                mix(op.addr);
+                mix(as_u64(op.useDist));
+                mix(op.cimRecords);
+                mix(op.cimMatches);
+                mix(as_u64(op.cimNode));
+                ++n;
+            }
+            mix(n);
+        }
+    }
+    return h;
+}
+
+TEST(WorkloadGolden, OpStreamsAreByteIdenticalAcrossBatchBounds)
+{
+    // Recorded from the generators before refills were bounded (when
+    // barnes emitted its 4,096 tree cells in one batch and dbase its
+    // 64 KiB result sweep): resuming loops mid-batch must not move,
+    // add or drop a single op. 32 threads is the paper's machine; 3
+    // gives uneven slices and long transpose blocks.
+    struct Golden
+    {
+        const char *name;
+        bool cim;
+        int threads;
+        std::uint64_t hash;
+    };
+    const Golden golden[] = {
+        {"fft", false, 32, 0x7e568027fc657325ull},
+        {"radix", false, 32, 0xe1b46f9fc858ba5eull},
+        {"ocean", false, 32, 0xa8a05dcf5b394dd9ull},
+        {"barnes", false, 32, 0xad7e2455b38dfb56ull},
+        {"swim", false, 32, 0x252479e9ef2518e5ull},
+        {"tomcatv", false, 32, 0x0880705200c8e725ull},
+        {"dbase", false, 32, 0x8c36a8ce1d40d253ull},
+        {"dbase", true, 32, 0x4b09536f19fe5672ull},
+        {"fft", false, 3, 0xe00524ceaa6e07e7ull},
+        {"radix", false, 3, 0x825925739bd58e9dull},
+        {"ocean", false, 3, 0xd25777ad302033b9ull},
+        {"barnes", false, 3, 0xb2eec10b6b636179ull},
+        {"swim", false, 3, 0x9a5c3bd49794041cull},
+        {"tomcatv", false, 3, 0x65e098db2d53f369ull},
+        {"dbase", false, 3, 0xdde8bb6afa2b847eull},
+        {"dbase", true, 3, 0x58d33b2832f78395ull},
+    };
+    for (const Golden &g : golden) {
+        const std::unique_ptr<Workload> wl =
+            g.cim ? std::make_unique<DbaseWorkload>(1, true)
+                  : makeWorkload(g.name, 1);
+        std::uint64_t h = 0;
+        ASSERT_NO_THROW(h = opStreamHash(*wl, g.threads))
+            << wl->name() << " x" << g.threads;
+        EXPECT_EQ(h, g.hash) << wl->name() << " x" << g.threads;
+    }
+}
+
 class EveryWorkload : public ::testing::TestWithParam<std::string>
 {
   protected:

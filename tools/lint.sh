@@ -168,6 +168,24 @@ for enum_name in FaultAction FaultDomain; do
     fi
 done
 
+# --- 8. One definition per class name in src/ headers ----------------
+# Two column-0 struct/class definitions with the same name in the one
+# pimdsm namespace are an ODR violation: the program silently mixes two
+# layouts, and only an -flto build warns (-Wodr). Forward declarations
+# (`struct X;`) and template specializations (`struct X<...>`) are not
+# definitions and do not count.
+hits=$(find src -name '*.hh' | sort |
+       xargs grep -nE '^(struct|class) [A-Za-z_][A-Za-z0-9_]*' 2>/dev/null |
+       grep -vE ':(struct|class) [A-Za-z_][A-Za-z0-9_]*\s*[<;]' |
+       awk '{ name = $2; sub(/[^A-Za-z0-9_].*/, "", name)
+              loc = $1; sub(/:(struct|class)$/, "", loc)
+              where[name] = where[name] " " loc; n[name]++ }
+            END { for (k in n) if (n[k] > 1) print k ":" where[k] }' |
+       sort)
+if [ -n "$hits" ]; then
+    complain "struct/class defined twice in src/ headers (ODR; rename one):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2
     exit 1
