@@ -1017,43 +1017,6 @@ ComputeBase::faultSweep()
         scheduleFaultSweep();
 }
 
-std::string
-ComputeBase::describeOutstanding() const
-{
-    std::vector<Addr> lines;
-    lines.reserve(mshrs_.size());
-    for (const auto &[line, m] : mshrs_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-
-    std::ostringstream os;
-    for (Addr line : lines) {
-        const Mshr &m = mshrs_.at(line);
-        os << "  node " << self_ << " line 0x" << std::hex << line
-           << std::dec << " " << msgTypeName(m.reqType)
-           << " seq=" << m.seq << " retries=" << m.retries << " state="
-           << (m.failed ? "abandoned"
-                        : m.replyArrived ? "waiting-acks"
-                                         : "waiting-reply")
-           << " acks=" << m.acksReceived << "/" << m.acksExpected
-           << " waiters=" << m.waiters.size() << " issue="
-           << m.issueTick << " last=" << m.lastProgress << "\n";
-    }
-
-    lines.clear();
-    for (const auto &[line, wb] : wbPending_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    for (Addr line : lines) {
-        const WbPending &wb = wbPending_.at(line);
-        os << "  node " << self_ << " line 0x" << std::hex << line
-           << std::dec << " WriteBack retries=" << wb.retries
-           << (wb.failed ? " abandoned" : " pending") << " last="
-           << wb.lastSend << "\n";
-    }
-    return os.str();
-}
-
 void
 ComputeBase::collectStuck(std::vector<StuckTxn> &out) const
 {

@@ -88,11 +88,8 @@ class ComputeBase
     std::uint64_t invalsReceived() const { return invalsReceived_; }
     std::uint64_t writeBacksSent() const { return writeBacksSent_; }
 
-    /** Watchdog diagnostic: one line per stuck MSHR / writeback, in
-     *  line-address order (empty string when nothing is outstanding). */
-    std::string describeOutstanding() const;
-
-    /** Structured form of describeOutstanding (watchdog reports). */
+    /** Watchdog diagnostic: append one entry per stuck MSHR /
+     *  writeback, in line-address order. */
     void collectStuck(std::vector<StuckTxn> &out) const;
 
     /**

@@ -116,9 +116,6 @@ struct ProcParams
     int maxOutstanding = 32;     ///< total outstanding memory accesses
     int maxOutstandingLoads = 16;
     int writeBufferEntries = 32;
-    int loadBufferEntries = 16;
-    /** Cycles between write-buffer drain attempts when non-empty. */
-    Tick writeBufferDrainInterval = 2;
 };
 
 /** D-node software storage management (Section 2.2.2). */

@@ -11,103 +11,52 @@ namespace
 constexpr std::uint64_t kCell = 8; // double
 
 /** Red-black stencil sweep over block-row-partitioned grids. */
-class OceanStream : public BatchStream
+OpGen
+oceanOps(std::uint64_t g, int phase, ThreadId tid, int nt)
 {
-  public:
-    OceanStream(std::uint64_t grid, int phase, ThreadId tid,
-                int num_threads)
-        : g_(grid), phase_(phase), tid_(tid),
-          rows_(grid, tid, num_threads)
-    {
-        aBase_ = kDataBase;
-        bBase_ = kDataBase + g_ * g_ * kCell;
-    }
+    const ThreadSlice rows(g, tid, nt);
+    const std::uint64_t row_bytes = g * kCell;
+    const Addr a_base = kDataBase;
+    const Addr b_base = kDataBase + g * row_bytes;
 
-  protected:
-    void
-    refill() override
-    {
-        if (phase_ == 0) {
-            refillInit();
-            return;
-        }
-        // Iteration i reads the array written by iteration i-1.
-        const Addr rd = phase_ % 2 ? aBase_ : bBase_;
-        const Addr wr = phase_ % 2 ? bBase_ : aBase_;
-
-        const std::uint64_t r = rows_.begin + step_;
-        if (r >= rows_.end) {
-            if (!reduced_) {
-                reduced_ = true;
-                // Global convergence check: a hot lock-protected sum.
-                emit(Op::lock(kSyncBase + 128));
-                emit(Op::load(kSyncBase + 192, 8));
-                emit(Op::compute(40));
-                emit(Op::store(kSyncBase + 192));
-                emit(Op::unlock(kSyncBase + 128));
-                return;
-            }
-            finish();
-            return;
-        }
-
-        const Addr row = rd + r * g_ * kCell;
-        const Addr north = r > 0 ? row - g_ * kCell : row;
-        const Addr south = r + 1 < g_ ? row + g_ * kCell : row;
-        for (; col_ < g_ * kCell && room(5); col_ += 64) {
-            emit(Op::compute(100));
-            emit(Op::load(row + col_, 28));
-            emit(Op::load(north + col_, 28));
-            emit(Op::load(south + col_, 28));
-            emit(Op::store(wr + r * g_ * kCell + col_));
-        }
-        if (col_ >= g_ * kCell) {
-            col_ = 0;
-            ++step_;
-        }
-    }
-
-  private:
-    void
-    refillInit()
-    {
-        const std::uint64_t r = rows_.begin + step_;
-        if (r >= rows_.end) {
-            finish();
-            return;
-        }
+    if (phase == 0) {
         // Initialization is scheduled differently from the relaxation
         // sweeps: part of each thread's rows are first-touched by a
         // neighbor (multigrid setup vs. solver schedules).
-        const std::uint64_t ir = (r + rows_.size() / 2) % g_;
-        const Addr row = (initArray_ == 0 ? aBase_ : bBase_) +
-                         ir * g_ * kCell;
-        for (; col_ < g_ * kCell && room(2); col_ += 64) {
-            emit(Op::compute(4));
-            emit(Op::store(row + col_));
+        for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
+            const std::uint64_t ir = (r + rows.size() / 2) % g;
+            for (const Addr base : {a_base, b_base}) {
+                for (std::uint64_t c = 0; c < row_bytes; c += 64) {
+                    co_yield Op::compute(4);
+                    co_yield Op::store(base + ir * row_bytes + c);
+                }
+            }
         }
-        if (col_ < g_ * kCell)
-            return;
-        col_ = 0;
-        if (++initArray_ == 2) {
-            initArray_ = 0;
-            ++step_;
-        }
+        co_return;
     }
 
-    std::uint64_t g_;
-    int phase_;
-    ThreadId tid_;
-    ThreadSlice rows_;
-    Addr aBase_;
-    Addr bBase_;
-    /** Rows of rows_ done, and the next byte of the row in progress. */
-    std::uint64_t step_ = 0;
-    std::uint64_t col_ = 0;
-    /** Init: the row in progress is in a (0) or b (1). */
-    int initArray_ = 0;
-    bool reduced_ = false;
-};
+    // Iteration i reads the array written by iteration i-1.
+    const Addr rd = phase % 2 ? a_base : b_base;
+    const Addr wr = phase % 2 ? b_base : a_base;
+    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
+        const Addr row = rd + r * row_bytes;
+        const Addr north = r > 0 ? row - row_bytes : row;
+        const Addr south = r + 1 < g ? row + row_bytes : row;
+        for (std::uint64_t c = 0; c < row_bytes; c += 64) {
+            co_yield Op::compute(100);
+            co_yield Op::load(row + c, 28);
+            co_yield Op::load(north + c, 28);
+            co_yield Op::load(south + c, 28);
+            co_yield Op::store(wr + r * row_bytes + c);
+        }
+    }
+    // Global convergence check: a hot lock-protected sum.
+    co_yield Op::lock(kSyncBase + 128);
+    co_yield Op::load(kSyncBase + 192, 8);
+    co_yield Op::compute(40);
+    co_yield Op::store(kSyncBase + 192);
+    co_yield Op::unlock(kSyncBase + 128);
+}
 
 } // namespace
 
@@ -125,7 +74,7 @@ OceanWorkload::phaseName(int p) const
 std::unique_ptr<OpStream>
 OceanWorkload::makeStream(int phase, ThreadId tid, int num_threads) const
 {
-    return std::make_unique<OceanStream>(grid_, phase, tid, num_threads);
+    return std::make_unique<OpGen>(oceanOps(grid_, phase, tid, num_threads));
 }
 
 std::uint64_t

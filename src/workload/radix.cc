@@ -13,159 +13,89 @@ constexpr std::uint64_t kKeyBytes = 8;
 /**
  * Per-pass phase kinds: histogram (local), prefix-sum (all-to-all
  * reads of every thread's histogram + locked global accumulate), and
- * permutation (streaming reads + scattered remote stores).
+ * permutation (streaming reads + scattered remote stores). Passes
+ * alternate the direction of the key arrays; the access pattern is
+ * identical, so every pass reads `in` and writes `out`.
  */
-class RadixStream : public BatchStream
+OpGen
+radixOps(std::uint64_t keys, int radix, int phase, ThreadId tid, int nt)
 {
-  public:
-    RadixStream(std::uint64_t keys, int radix, int phase, ThreadId tid,
-                int num_threads)
-        : keys_(keys), radix_(radix), tid_(tid), nt_(num_threads),
-          part_(keys, tid, num_threads),
-          rng_(streamSeed(2, phase, tid))
-    {
-        inBase_ = kDataBase;
-        outBase_ = kDataBase + keys_ * kKeyBytes;
-        histBase_ = outBase_ + keys_ * kKeyBytes;
-        key_ = part_.begin;
-        if (phase == 0) {
-            kind_ = Kind::Init;
-        } else {
-            const int sub = (phase - 1) % 3;
-            kind_ = sub == 0 ? Kind::Histogram
-                             : sub == 1 ? Kind::Prefix : Kind::Permute;
-            // Passes alternate the direction of the key arrays; the
-            // access pattern is identical, so we reuse inBase_.
+    const ThreadSlice part(keys, tid, nt);
+    Rng rng(streamSeed(2, phase, tid));
+    const Addr in = kDataBase;
+    const Addr out = kDataBase + keys * kKeyBytes;
+    const Addr hist_base = out + keys * kKeyBytes;
+    auto hist_of = [&](ThreadId t) {
+        return hist_base + static_cast<std::uint64_t>(t) * radix * 8;
+    };
+
+    if (phase == 0) {
+        for (std::uint64_t k = part.begin; k < part.end; k += 8) {
+            co_yield Op::compute(8);
+            co_yield Op::store(in + k * kKeyBytes);
         }
-    }
-
-  protected:
-    void
-    refill() override
-    {
-        switch (kind_) {
-          case Kind::Init:
-            refillInit();
-            return;
-          case Kind::Histogram:
-            refillHistogram();
-            return;
-          case Kind::Prefix:
-            refillPrefix();
-            return;
-          case Kind::Permute:
-            refillPermute();
-            return;
-        }
-    }
-
-  private:
-    enum class Kind { Init, Histogram, Prefix, Permute };
-
-    Addr histOf(ThreadId t) const
-    {
-        return histBase_ + static_cast<std::uint64_t>(t) * radix_ * 8;
-    }
-
-    void
-    refillInit()
-    {
-        if (key_ < part_.end) {
-            for (; key_ < part_.end && room(2); key_ += 8) {
-                emit(Op::compute(8));
-                emit(Op::store(inBase_ + key_ * kKeyBytes));
-            }
-            return;
-        }
-        if (!histInit_) {
-            histInit_ = sweep(histOf(tid_), histOf(tid_ + 1), sweepOff_,
-                              2, true);
-            return;
+        for (Addr a = hist_of(tid); a < hist_of(tid + 1); a += 64) {
+            co_yield Op::compute(2);
+            co_yield Op::load(a, 28);
+            co_yield Op::store(a);
         }
         // Out array is written during permutation; touch our slice so
         // its pages get first-touch homes too.
-        if (sweep(outBase_ + part_.begin * kKeyBytes,
-                  outBase_ + part_.end * kKeyBytes, sweepOff_, 2, true))
-            finish();
+        for (Addr a = out + part.begin * kKeyBytes;
+             a < out + part.end * kKeyBytes; a += 64) {
+            co_yield Op::compute(2);
+            co_yield Op::load(a, 28);
+            co_yield Op::store(a);
+        }
+        co_return;
     }
 
-    void
-    refillHistogram()
-    {
-        if (key_ >= part_.end) {
-            finish();
-            return;
-        }
-        for (; key_ < part_.end && room(4); key_ += 8) {
-            emit(Op::compute(48));
-            emit(Op::load(inBase_ + key_ * kKeyBytes, 36));
+    switch ((phase - 1) % 3) {
+      case 0: // histogram
+        for (std::uint64_t k = part.begin; k < part.end; k += 8) {
+            co_yield Op::compute(48);
+            co_yield Op::load(in + k * kKeyBytes, 36);
             // Two counter bumps in our private histogram per key line.
             for (int i = 0; i < 2; ++i) {
-                const std::uint64_t bin = rng_.nextBounded(radix_);
-                emit(Op::store(histOf(tid_) + bin * 8));
+                const std::uint64_t bin = rng.nextBounded(radix);
+                co_yield Op::store(hist_of(tid) + bin * 8);
             }
         }
-    }
-
-    void
-    refillPrefix()
-    {
-        // Read the digit slice of every thread's histogram, then fold
-        // into a lock-protected global rank array.
-        if (static_cast<int>(step_) >= nt_) {
-            emit(Op::lock(kSyncBase + 64));
-            emit(Op::compute(200));
-            emit(Op::store(histOf(nt_) + static_cast<std::uint64_t>(
-                                             tid_) * 64));
-            emit(Op::unlock(kSyncBase + 64));
-            finish();
-            return;
+        break;
+      case 1: // prefix
+        {
+            // Read the digit slice of every thread's histogram, then
+            // fold into a lock-protected global rank array.
+            const std::uint64_t slice = radix / nt;
+            for (int step = 0; step < nt; ++step) {
+                const auto peer = static_cast<ThreadId>((tid + step) % nt);
+                const Addr lo = hist_of(peer) + tid * slice * 8;
+                for (Addr a = lo; a < lo + slice * 8; a += 64) {
+                    co_yield Op::compute(6);
+                    co_yield Op::load(a, 40);
+                }
+            }
+            co_yield Op::lock(kSyncBase + 64);
+            co_yield Op::compute(200);
+            co_yield Op::store(hist_of(nt) +
+                               static_cast<std::uint64_t>(tid) * 64);
+            co_yield Op::unlock(kSyncBase + 64);
+            break;
         }
-        const ThreadId peer = static_cast<ThreadId>(
-            (tid_ + step_) % static_cast<std::uint64_t>(nt_));
-        const std::uint64_t slice = radix_ / nt_;
-        const Addr lo = histOf(peer) + tid_ * slice * 8;
-        if (sweep(lo, lo + slice * 8, sweepOff_, 6, false, 40))
-            ++step_;
-    }
-
-    void
-    refillPermute()
-    {
-        if (key_ >= part_.end) {
-            finish();
-            return;
-        }
-        for (; key_ < part_.end && room(5); key_ += 8) {
-            emit(Op::compute(48));
-            emit(Op::load(inBase_ + key_ * kKeyBytes, 36));
+      default: // permute
+        for (std::uint64_t k = part.begin; k < part.end; k += 8) {
+            co_yield Op::compute(48);
+            co_yield Op::load(in + k * kKeyBytes, 36);
             // Keys scatter across the whole output array: remote
             // ownership requests — radix's heavy coherence traffic.
             for (int i = 0; i < 3; ++i) {
-                const std::uint64_t pos = rng_.nextBounded(keys_);
-                emit(Op::store(outBase_ + pos * kKeyBytes));
+                const std::uint64_t pos = rng.nextBounded(keys);
+                co_yield Op::store(out + pos * kKeyBytes);
             }
         }
+        break;
     }
-
-    std::uint64_t keys_;
-    int radix_;
-    ThreadId tid_;
-    int nt_;
-    ThreadSlice part_;
-    Rng rng_;
-    Kind kind_;
-    Addr inBase_;
-    Addr outBase_;
-    Addr histBase_;
-    /** Next key of part_ (init, histogram and permute). */
-    std::uint64_t key_;
-    /** Byte offset into the sweep in progress. */
-    std::uint64_t sweepOff_ = 0;
-    /** Prefix: peers whose histogram slice is read. */
-    std::uint64_t step_ = 0;
-    bool histInit_ = false;
-};
+}
 
 } // namespace
 
@@ -192,8 +122,8 @@ RadixWorkload::phaseName(int p) const
 std::unique_ptr<OpStream>
 RadixWorkload::makeStream(int phase, ThreadId tid, int num_threads) const
 {
-    return std::make_unique<RadixStream>(keys_, radix_, phase, tid,
-                                         num_threads);
+    return std::make_unique<OpGen>(
+        radixOps(keys_, radix_, phase, tid, num_threads));
 }
 
 std::uint64_t

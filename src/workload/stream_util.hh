@@ -6,11 +6,10 @@
 #ifndef PIMDSM_WORKLOAD_STREAM_UTIL_HH
 #define PIMDSM_WORKLOAD_STREAM_UTIL_HH
 
-#include <cstddef>
-#include <string>
-#include <vector>
+#include <coroutine>
+#include <cstdint>
+#include <utility>
 
-#include "sim/log.hh"
 #include "sim/random.hh"
 #include "workload/workload.hh"
 
@@ -18,92 +17,65 @@ namespace pimdsm
 {
 
 /**
- * Most ops one BatchStream::refill() may emit. Every stream's batch
- * buffer is reserved to this once, so what a thread keeps resident for
- * its op stream is bounded whatever the workload's size or thread
- * count.
- */
-constexpr std::size_t kMaxBatchOps = 256;
-
-/**
- * Op stream refilled one batch at a time (one row, one chunk, ...)
- * so that traces are never fully materialized.
+ * Op stream backed by a coroutine: a generator is a plain function
+ * returning OpGen that co_yields its ops from ordinary nested loops.
+ * Ops are produced one next() at a time, so a stream holds one op and
+ * one coroutine frame, and traces are never materialized.
  *
- * A refill emits at most kMaxBatchOps ops (a larger one panics).
- * Loops that could exceed it run only while room() holds and keep
- * their loop variable in a member, so the next refill() resumes
- * mid-loop and the op sequence does not depend on where batches end.
+ * The frame copies the generator's parameters, so take them by value:
+ * a reference would dangle once the caller (makeStream) returns.
  */
-class BatchStream : public OpStream
+class OpGen final : public OpStream
 {
   public:
-    BatchStream() { buf_.reserve(kMaxBatchOps); }
+    struct promise_type
+    {
+        Op op;
+
+        OpGen get_return_object()
+        {
+            return OpGen(Handle::from_promise(*this));
+        }
+        std::suspend_always initial_suspend() noexcept { return {}; }
+        std::suspend_always final_suspend() noexcept { return {}; }
+        std::suspend_always
+        yield_value(const Op &o) noexcept
+        {
+            op = o;
+            return {};
+        }
+        void return_void() noexcept {}
+        /** A panic inside a generator reaches the caller of next(). */
+        void unhandled_exception() { throw; }
+    };
+
+    using Handle = std::coroutine_handle<promise_type>;
+
+    OpGen(OpGen &&o) noexcept : h_(std::exchange(o.h_, {})) {}
+    OpGen &operator=(OpGen &&) = delete;
+    ~OpGen() override
+    {
+        if (h_)
+            h_.destroy();
+    }
 
     bool
     next(Op &op) override
     {
-        while (head_ == buf_.size()) {
-            if (done_)
-                return false;
-            // Reuse the consumed batch's storage for the next one.
-            buf_.clear();
-            head_ = 0;
-            refill();
-            if (buf_.size() > kMaxBatchOps)
-                panic("workload refill emitted " +
-                      std::to_string(buf_.size()) + " ops, over the " +
-                      std::to_string(kMaxBatchOps) + "-op batch bound");
-        }
-        op = buf_[head_++];
-        return true;
-    }
-
-  protected:
-    /** Push the next batch via emit(); call finish() when exhausted. */
-    virtual void refill() = 0;
-
-    void emit(const Op &op) { buf_.push_back(op); }
-    void finish() { done_ = true; }
-
-    /** True while @p ops more ops fit in the current batch. */
-    bool
-    room(std::size_t ops) const
-    {
-        return buf_.size() + ops <= kMaxBatchOps;
-    }
-
-    /**
-     * Continue a 64 B-granule sweep over [lo, hi) bytes of an array at
-     * byte offset @p off while the batch has room.
-     * @return true once the sweep is done; @p off is then back at 0
-     *         for the next sweep.
-     */
-    bool
-    sweep(Addr lo, Addr hi, std::uint64_t &off,
-          std::uint64_t instr_per_line, bool store_too,
-          int use_dist = 28)
-    {
-        const std::size_t per_line =
-            1 + (instr_per_line ? 1 : 0) + (store_too ? 1 : 0);
-        for (; lo + off < hi && room(per_line); off += 64) {
-            const Addr a = lo + off;
-            if (instr_per_line)
-                emit(Op::compute(instr_per_line));
-            emit(Op::load(a, use_dist));
-            if (store_too)
-                emit(Op::store(a));
-        }
-        if (lo + off < hi)
+        // Resuming a finished coroutine is undefined: check first.
+        if (!h_ || h_.done())
             return false;
-        off = 0;
+        h_.resume();
+        if (h_.done())
+            return false;
+        op = h_.promise().op;
         return true;
     }
 
   private:
-    std::vector<Op> buf_;
-    /** Next op of buf_ to hand out. */
-    std::size_t head_ = 0;
-    bool done_ = false;
+    explicit OpGen(Handle h) : h_(h) {}
+
+    Handle h_;
 };
 
 /** Element range [begin, end) owned by @p tid out of @p n elements. */

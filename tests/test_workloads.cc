@@ -33,35 +33,25 @@ drain(OpStream &s, std::size_t cap = 5'000'000)
     return ops;
 }
 
-/** Batch b (0-based) emits b % 3 loads: sizes 0, 1, 2, 0, 1, 2, ...
- *  so batches are empty, shrink, and grow across refills. */
-class CountingBatchStream : public BatchStream
+/** Yields loads of lines 0 .. @p n-1, in order. */
+OpGen
+countingOps(int n)
 {
-  public:
-    explicit CountingBatchStream(int batches) : batches_(batches) {}
+    for (int i = 0; i < n; ++i)
+        co_yield Op::load(static_cast<Addr>(i) * 64);
+}
 
-  protected:
-    void
-    refill() override
-    {
-        if (batch_ == batches_) {
-            finish();
-            return;
-        }
-        for (int i = 0; i < batch_ % 3; ++i)
-            emit(Op::load(static_cast<Addr>(next_++) * 64));
-        ++batch_;
-    }
-
-  private:
-    int batches_;
-    int batch_ = 0;
-    int next_ = 0;
-};
-
-TEST(BatchStream, YieldsOpsAcrossRefillsInEmitOrder)
+/** Yields one op, then panics. */
+OpGen
+panickingOps()
 {
-    CountingBatchStream s(10); // 0+1+2 + 0+1+2 + 0+1+2 + 0 = 9 ops
+    co_yield Op::compute(1);
+    panic("generator failed");
+}
+
+TEST(OpGen, YieldsOpsInYieldOrderThenStaysExhausted)
+{
+    OpGen s = countingOps(9);
     const std::vector<Op> ops = drain(s);
     ASSERT_EQ(ops.size(), 9u);
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -69,42 +59,40 @@ TEST(BatchStream, YieldsOpsAcrossRefillsInEmitOrder)
         EXPECT_EQ(ops[i].addr, i * 64) << "op " << i;
     }
     Op op;
-    EXPECT_FALSE(s.next(op)); // stays exhausted
+    EXPECT_FALSE(s.next(op));
+    EXPECT_FALSE(s.next(op));
 }
 
-/** Emits @p ops ops in its first refill, then finishes. */
-class OneBatchStream : public BatchStream
+TEST(OpGen, EmptyGeneratorYieldsNothing)
 {
-  public:
-    explicit OneBatchStream(std::size_t ops) : ops_(ops) {}
-
-  protected:
-    void
-    refill() override
-    {
-        for (std::size_t i = 0; i < ops_; ++i)
-            emit(Op::compute(1));
-        finish();
-    }
-
-  private:
-    std::size_t ops_;
-};
-
-TEST(BatchStream, RefillPastTheBatchBoundPanics)
-{
-    OneBatchStream full(kMaxBatchOps);
-    EXPECT_EQ(drain(full).size(), kMaxBatchOps);
-    OneBatchStream over(kMaxBatchOps + 1);
+    OpGen s = countingOps(0);
     Op op;
-    EXPECT_THROW(over.next(op), PanicError);
+    EXPECT_FALSE(s.next(op));
+    EXPECT_FALSE(s.next(op));
+}
+
+TEST(OpGen, ExceptionInGeneratorPropagatesOutOfNext)
+{
+    OpGen s = panickingOps();
+    Op op;
+    ASSERT_TRUE(s.next(op));
+    EXPECT_EQ(op.kind, Op::Kind::Compute);
+    EXPECT_THROW(s.next(op), PanicError);
+    EXPECT_FALSE(s.next(op)); // the coroutine finished when it threw
+}
+
+TEST(OpGen, MovedFromStreamIsEmpty)
+{
+    OpGen a = countingOps(2);
+    OpGen b(std::move(a));
+    Op op;
+    EXPECT_FALSE(a.next(op)); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(drain(b).size(), 2u);
 }
 
 /**
  * FNV-1a over every field of every op of every (phase, thread) stream
- * of @p wl, each stream closed by its op count. Draining through
- * BatchStream::next() also proves no refill broke kMaxBatchOps: one
- * that did would have panicked.
+ * of @p wl, each stream closed by its op count.
  */
 std::uint64_t
 opStreamHash(const Workload &wl, int threads)
@@ -140,13 +128,13 @@ opStreamHash(const Workload &wl, int threads)
     return h;
 }
 
-TEST(WorkloadGolden, OpStreamsAreByteIdenticalAcrossBatchBounds)
+TEST(WorkloadGolden, OpStreamsMatchRecordedHashes)
 {
-    // Recorded from the generators before refills were bounded (when
-    // barnes emitted its 4,096 tree cells in one batch and dbase its
-    // 64 KiB result sweep): resuming loops mid-batch must not move,
-    // add or drop a single op. 32 threads is the paper's machine; 3
-    // gives uneven slices and long transpose blocks.
+    // Pins every field of every op each generator emits, in order, for
+    // every (phase, thread) stream: a generator edit that moves, adds
+    // or drops a single op changes its hash, and so every simulated
+    // result downstream. 32 threads is the paper's machine; 3 gives
+    // uneven slices and long transpose blocks.
     struct Golden
     {
         const char *name;

@@ -186,6 +186,25 @@ if [ -n "$hits" ]; then
     complain "struct/class defined twice in src/ headers (ODR; rename one):" "$hits"
 fi
 
+# --- 9. Op generators take their parameters by value ------------------
+# A coroutine frame outlives the call that created it: makeStream
+# returns the OpGen and its arguments go out of scope, so a reference
+# or pointer parameter of a generator dangles on the first next().
+# Flags any function returning OpGen whose parameter list (which may
+# span lines) holds a & or *.
+hits=$(src_files |
+       xargs perl -0777 -ne '
+           while (/\bOpGen\s+(\w+)\s*\(([^)]*)\)/g) {
+               my ($fn, $params, $at) = ($1, $2, $-[0]);
+               next unless $params =~ /[&*]/;
+               my $line = 1 + (substr($_, 0, $at) =~ tr/\n//);
+               $params =~ s/\s+/ /g;
+               print "$ARGV:$line: $fn($params)\n";
+           }' 2>/dev/null)
+if [ -n "$hits" ]; then
+    complain "OpGen generator with a reference or pointer parameter (coroutine frames outlive their arguments; take it by value):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2
     exit 1
