@@ -52,7 +52,8 @@ printConfiguredTable()
 void
 BM_DirectoryReadPath(benchmark::State &state)
 {
-    DirectoryTable dir;
+    const MachineConfig cfg;
+    DirectoryTable dir(cfg.mem.lineBytes, cfg.pageBytes);
     Rng rng(1);
     for (int i = 0; i < 4096; ++i)
         dir.entry(static_cast<Addr>(i) * 128);

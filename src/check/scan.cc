@@ -182,7 +182,7 @@ checkQuiescentCoherence(const Machine &m)
             const std::string at = where.str() +
                                    m.oracle().lineHistory(line);
 
-            if (e.busy || !e.pending.empty())
+            if (e.busy || m.home(hn)->directory().queued(line) != 0)
                 panic("quiescent coherence check ran on a busy " +
                       at);
 

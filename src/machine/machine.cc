@@ -11,7 +11,8 @@ namespace pimdsm
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), mesh_(eq_, cfg.net, cfg.totalNodes()),
-      pageMap_(cfg.pageBytes)
+      pageMap_(cfg.pageBytes),
+      versions_(cfg.mem.lineBytes, cfg.pageBytes)
 {
     cfg_.validate();
     roles_.resize(cfg_.totalNodes());
@@ -224,7 +225,7 @@ Machine::deliverDirect(const Message &msg)
 Version
 Machine::bumpVersion(Addr line)
 {
-    const Version v = ++versions_[line];
+    const Version v = ++versions_.slot(line);
     if (oracle_.enabled())
         oracle_.noteWriteCommit(eq_.curTick(), line, v);
     return v;
@@ -244,8 +245,8 @@ Machine::computeNodeMask() const
 Version
 Machine::latestVersion(Addr line) const
 {
-    auto it = versions_.find(line);
-    return it == versions_.end() ? 0 : it->second;
+    const Version *v = versions_.find(line);
+    return v ? *v : 0;
 }
 
 LineCensus
@@ -280,18 +281,19 @@ Machine::dumpState(std::ostream &os) const
                << " outstanding MSHRs\n";
         }
         if (homes_[n]) {
-            homes_[n]->directory().forEach(
-                [&](Addr a, const DirEntry &e) {
-                    if (e.busy || !e.pending.empty()) {
-                        os << "home " << n << ": line 0x" << std::hex
-                           << a << std::dec << " busy=" << e.busy
-                           << " pending=" << e.pending.size()
-                           << " state=" << static_cast<int>(e.state)
-                           << " owner=" << e.owner
-                           << " sharers=0x" << std::hex << e.sharers
-                           << std::dec << "\n";
-                    }
-                });
+            const DirectoryTable &dir = homes_[n]->directory();
+            dir.forEach([&](Addr a, const DirEntry &e) {
+                const std::size_t queued = dir.queued(a);
+                if (e.busy || queued != 0) {
+                    os << "home " << n << ": line 0x" << std::hex
+                       << a << std::dec << " busy=" << e.busy
+                       << " pending=" << queued
+                       << " state=" << static_cast<int>(e.state)
+                       << " owner=" << e.owner
+                       << " sharers=0x" << std::hex << e.sharers
+                       << std::dec << "\n";
+                }
+            });
         }
     }
 }

@@ -16,7 +16,7 @@
 #include "machine/page_map.hh"
 #include "net/mesh.hh"
 #include "sim/fault.hh"
-#include "sim/flat_map.hh"
+#include "sim/page_blocks.hh"
 #include "sim/pool.hh"
 #include "proto/agg_dnode.hh"
 #include "proto/agg_pnode.hh"
@@ -180,8 +180,9 @@ class Machine : public ProtoContext
     std::vector<NodeRole> roles_;
     std::vector<std::unique_ptr<ComputeBase>> computes_;
     std::vector<std::unique_ptr<HomeBase>> homes_;
-    /** Latest committed version per line (the functional oracle). */
-    FlatMap<Addr, Version> versions_;
+    /** Latest committed version per line (the functional oracle); a
+     *  line never written reads 0. */
+    PageBlocks<Version> versions_;
     StatSet stats_;
     std::uint64_t nextDNode_ = 0;
     FaultPlan faults_;

@@ -7,9 +7,9 @@
 #define PIMDSM_MACHINE_PAGE_MAP_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace pimdsm
@@ -43,7 +43,7 @@ class PageMap
 
   private:
     std::uint64_t pageBytes_;
-    std::unordered_map<Addr, NodeId> pages_;
+    FlatMap<Addr, NodeId> pages_;
 };
 
 } // namespace pimdsm

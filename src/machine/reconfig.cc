@@ -65,16 +65,16 @@ applyReconfig(Machine &m, int new_p, int new_d)
 
         // Move every directory entry (and home copy) to the page's
         // new home.
+        const DirectoryTable &dir = m.home(n)->directory();
         std::vector<std::pair<Addr, DirEntry>> entries;
-        m.home(n)->directory().forEach(
-            [&](Addr line, const DirEntry &e) {
-                entries.emplace_back(line, e);
-            });
+        dir.forEach([&](Addr line, const DirEntry &e) {
+            entries.emplace_back(line, e);
+        });
         for (auto &[line, e] : entries) {
             const NodeId target = m.pageMap().homeOf(line);
             if (target == kInvalidNode || target == n)
                 panic("page migration left a line behind");
-            m.home(target)->adoptEntry(line, e);
+            m.home(target)->adoptEntry(line, e, dir.queued(line));
             // Only entries with a home copy move a memory line; the
             // rest are 8-byte Directory entries.
             if (e.homeHasData)
@@ -142,18 +142,20 @@ failOverDNode(Machine &m, NodeId dead)
     // Adopt the directory entries. In-flight transactions die with the
     // home (requesters retry into the new home); home-only data is
     // lost and recovered from the disk backing store on next touch.
+    DirectoryTable &dir = m.home(dead)->directory();
     std::vector<std::pair<Addr, DirEntry>> entries;
-    m.home(dead)->directory().forEach(
-        [&](Addr line, const DirEntry &e) {
-            entries.emplace_back(line, e);
-        });
+    dir.forEach([&](Addr line, const DirEntry &e) {
+        entries.emplace_back(line, e);
+    });
     for (auto &[line, e] : entries) {
         if (e.busy)
             ++res.pendingDropped;
-        res.pendingDropped += e.pending.size();
+        if (dir.queued(line) != 0) {
+            res.pendingDropped += dir.queued(line);
+            dir.queue(line).clear();
+        }
         e.busy = false;
         e.busyFor = kInvalidNode;
-        e.pending.clear();
         if (e.homeHasData) {
             e.homeHasData = false;
             e.localPtr = kNilPtr;
@@ -166,7 +168,7 @@ failOverDNode(Machine &m, NodeId dead)
         const NodeId target = m.pageMap().homeOf(line);
         if (target == kInvalidNode || target == dead)
             panic("failover left a line behind");
-        m.home(target)->adoptEntry(line, e);
+        m.home(target)->adoptEntry(line, e, dir.queued(line));
         ++res.entriesMoved;
     }
     m.home(dead)->resetForReconfig();

@@ -8,11 +8,13 @@
 #define PIMDSM_PROTO_DIRECTORY_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "proto/message.hh"
 #include "sim/flat_map.hh"
 #include "sim/function_ref.hh"
+#include "sim/page_blocks.hh"
 #include "sim/types.hh"
 
 namespace pimdsm
@@ -32,15 +34,12 @@ struct DirEntry
     };
 
     // Fields are ordered widest first, so the entry has no interior
-    // padding and fits 64 B.
+    // padding and fits 40 B.
 
     /** Bit per node holding (possibly stale) a shared copy. */
     std::uint64_t sharers = 0;
     /** Version of the home copy (when homeHasData/pagedOut). */
     Version version = 0;
-    /** Requests blocked on busy, oldest first (drained from the
-     *  front; blocked queues are short). */
-    std::vector<Message> pending;
     /** Dirty owner, or the shared-master holder when masterOut. */
     NodeId owner = kInvalidNode;
     /** Requester of the in-flight transaction (meaningful only while
@@ -97,25 +96,48 @@ struct DirEntry
     int sharerCount() const { return __builtin_popcountll(sharers); }
 };
 
-static_assert(sizeof(DirEntry) <= 64,
-              "DirEntry grew past 64 B; reorder or shrink its fields");
+static_assert(sizeof(DirEntry) <= 40,
+              "DirEntry grew past 40 B; reorder or shrink its fields");
+static_assert(std::is_trivially_copyable_v<DirEntry>,
+              "DirEntry must stay plain data (queues live in the table)");
 
 /**
- * All directory entries homed at one node. Entries are created lazily
- * when the first request for a line arrives (the OS maps the page and
- * reserves Directory array entries at that point).
+ * All directory entries homed at one node, stored like the paper's
+ * Directory array: one dense block of entries per touched page (see
+ * sim/page_blocks.hh). A line's entry is created lazily when the first
+ * request for it arrives (the OS maps the page and reserves Directory
+ * array entries at that point); a per-slot presence bit tells created
+ * entries from the rest of the page's block. Entry addresses stay
+ * valid until clear().
+ *
+ * Requests that arrive while a line is busy wait in a per-line FIFO
+ * held here, not in the entry, so entries stay plain 40 B records.
  */
 class DirectoryTable
 {
   public:
+    /** Geometry: memory line and page bytes (powers of two). */
+    DirectoryTable(std::uint64_t line_bytes, std::uint64_t page_bytes)
+        : entries_(line_bytes, page_bytes)
+    {
+    }
+
     /** Entry for @p line, created Uncached on first use. */
-    DirEntry &entry(Addr line) { return entries_[line]; }
+    DirEntry &entry(Addr line);
 
     /** Entry if it exists, else nullptr. */
     const DirEntry *find(Addr line) const;
     DirEntry *find(Addr line);
 
-    std::size_t size() const { return entries_.size(); }
+    /** Entries created (present lines). */
+    std::size_t size() const { return size_; }
+
+    /** Requests blocked on busy @p line, oldest first (drained from
+     *  the front; blocked queues are short). */
+    std::vector<Message> &queue(Addr line) { return queues_[line]; }
+
+    /** Number of requests queued on @p line. */
+    std::size_t queued(Addr line) const;
 
     /**
      * Visit every entry in ascending line-address order. The canonical
@@ -126,16 +148,24 @@ class DirectoryTable
     void forEach(FunctionRef<void(Addr, const DirEntry &)> fn) const;
     void forEach(FunctionRef<void(Addr, DirEntry &)> fn);
 
-    /** Drop every entry (reconfiguration: pages unmapped). */
-    void clear() { entries_.clear(); }
-
-    /** Remove one entry (page migration). */
-    void erase(Addr line) { entries_.erase(line); }
+    /** Drop every entry and queue (reconfiguration: pages unmapped). */
+    void clear();
 
   private:
+    bool
+    present(std::uint32_t slot) const
+    {
+        return slot != PageBlocks<DirEntry>::kNoSlot &&
+               ((present_[slot >> 6] >> (slot & 63)) & 1);
+    }
+
     std::vector<Addr> sortedLines() const;
 
-    FlatMap<Addr, DirEntry> entries_;
+    PageBlocks<DirEntry> entries_;
+    /** Bit per slot of entries_: the line's entry was created. */
+    std::vector<std::uint64_t> present_;
+    std::size_t size_ = 0;
+    FlatMap<Addr, std::vector<Message>> queues_;
 };
 
 } // namespace pimdsm

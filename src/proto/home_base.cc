@@ -12,6 +12,7 @@ namespace pimdsm
 HomeBase::HomeBase(ProtoContext &ctx, NodeId self, spec::Role role)
     : ctx_(ctx), self_(self), role_(role),
       dispatch_(&dispatchFor(role)),
+      dir_(ctx.config().mem.lineBytes, ctx.config().pageBytes),
       faultsOn_(ctx.config().faults.enabled())
 {
 }
@@ -183,7 +184,7 @@ HomeBase::enqueueOrServe(const Message &msg)
 {
     DirEntry &e = entryFor(msg.lineAddr);
     if (e.busy) {
-        e.pending.push_back(msg);
+        dir_.queue(msg.lineAddr).push_back(msg);
         ctx_.stats().add("home.blocked_requests");
         return;
     }
@@ -703,9 +704,10 @@ HomeBase::finishTxn(Addr line, NodeId from)
     // Serve queued requests until one blocks the line again. (A queued
     // WriteBack completes without blocking, so draining must continue
     // past it.)
-    while (!e.busy && !e.pending.empty()) {
-        Message next = e.pending.front();
-        e.pending.erase(e.pending.begin());
+    while (!e.busy && dir_.queued(line) != 0) {
+        std::vector<Message> &q = dir_.queue(line);
+        Message next = q.front();
+        q.erase(q.begin());
         if (faultsOn_ && ctx_.nodeDead(next.src)) {
             ctx_.stats().add("home.req_from_dead_dropped");
             continue;
@@ -722,15 +724,16 @@ HomeBase::abortNode(NodeId dead, std::vector<Addr> *unblocked_out)
                                                  : local;
     dir_.forEach([&](Addr line, DirEntry &e) {
         // Purge the dead node's queued requests.
-        if (!e.pending.empty()) {
+        if (dir_.queued(line) != 0) {
+            std::vector<Message> &q = dir_.queue(line);
             std::vector<Message> keep;
-            for (Message &m : e.pending) {
+            for (Message &m : q) {
                 if (m.src == dead || m.requester == dead)
                     ctx_.stats().add("home.req_from_dead_dropped");
                 else
                     keep.push_back(std::move(m));
             }
-            e.pending = std::move(keep);
+            q = std::move(keep);
         }
         // A transaction blocked on the dead node — as the requester
         // whose TxnDone unblocks the line, as the owner a forward was
@@ -768,9 +771,10 @@ void
 HomeBase::drainQueued(Addr line)
 {
     DirEntry &e = entryFor(line);
-    while (!e.busy && !e.pending.empty()) {
-        Message next = e.pending.front();
-        e.pending.erase(e.pending.begin());
+    while (!e.busy && dir_.queued(line) != 0) {
+        std::vector<Message> &q = dir_.queue(line);
+        Message next = q.front();
+        q.erase(q.begin());
         if (ctx_.nodeDead(next.src)) {
             ctx_.stats().add("home.req_from_dead_dropped");
             continue;
@@ -814,7 +818,8 @@ void
 HomeBase::collectStuck(std::vector<StuckTxn> &out) const
 {
     dir_.forEach([&](Addr line, const DirEntry &e) {
-        if (!e.busy && e.pending.empty())
+        const std::size_t queued = dir_.queued(line);
+        if (!e.busy && queued == 0)
             return;
         StuckTxn t;
         t.kind = "home";
@@ -823,7 +828,7 @@ HomeBase::collectStuck(std::vector<StuckTxn> &out) const
         t.state = e.busy ? "busy" : "queued";
         t.seq = 0;
         t.retries = 0;
-        t.pendingQueued = static_cast<int>(e.pending.size());
+        t.pendingQueued = static_cast<int>(queued);
         // The forward target is the sharper diagnostic when one is
         // outstanding: that's the node whose reply the line awaits.
         t.waitingOn = !e.busy ? kInvalidNode
@@ -872,9 +877,9 @@ HomeBase::handleCimReq(const Message &msg)
 }
 
 void
-HomeBase::adoptEntry(Addr line, const DirEntry &e)
+HomeBase::adoptEntry(Addr line, const DirEntry &e, std::size_t queued)
 {
-    if (e.busy || !e.pending.empty())
+    if (e.busy || queued != 0)
         panic("adopting a busy directory entry");
     DirEntry &mine = entryFor(line);
     mine.state = e.state;
@@ -1004,8 +1009,10 @@ HomeBase::dedupRequest(const Message &msg)
         // dropped grant + later invalidation + same-seq retry.)
         const DirEntry &e = entryFor(msg.lineAddr);
         bool live = e.busy && e.busyFor == msg.src;
-        for (const Message &p : e.pending)
-            live = live || p.src == msg.src;
+        if (dir_.queued(msg.lineAddr) != 0) {
+            for (const Message &p : dir_.queue(msg.lineAddr))
+                live = live || p.src == msg.src;
+        }
         // Only a requester-marked retry is re-served: a mesh duplicate
         // of a request whose transaction already completed looks
         // identical here, and re-serving it would serialize a phantom

@@ -72,8 +72,10 @@ class HomeBase
     // Reconfiguration support (machine must be quiesced).
     // ------------------------------------------------------------------
 
-    /** Take over directory entry @p e for @p line from a retiring home. */
-    void adoptEntry(Addr line, const DirEntry &e);
+    /** Take over directory entry @p e for @p line from a retiring
+     *  home, which has @p queued requests waiting on the line; panics
+     *  unless the line is idle (not busy, nothing queued). */
+    void adoptEntry(Addr line, const DirEntry &e, std::size_t queued);
 
     /** Absorb an owned line flushed from a node that changes role. */
     void functionalWriteBack(Addr line, NodeId from, Version v);

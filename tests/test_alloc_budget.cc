@@ -15,7 +15,9 @@
  * placement) or per processor, not per access; 2,739 once each
  * op-batch buffer was reserved at its bound instead of grown, and
  * still 2,739 with coroutine op streams (one frame per stream
- * replaced one batch buffer).
+ * replaced one batch buffer); 2,442 once directory entries and line
+ * versions moved into per-page blocks and the page map into a FlatMap
+ * (no node per page).
  * Allocation counts are deterministic, so the ceiling sits just above
  * the 3,179, with room only for standard-library growth policies to
  * differ: one allocation per miss (tens of thousands here) blows
@@ -74,14 +76,36 @@ namespace pimdsm
 namespace
 {
 
-TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
+/** Quick-mode AGG run spec on 8 threads. */
+BuildSpec
+quickAgg(double pressure, int d_ratio)
 {
-    auto wl = makeWorkload("fft");
     BuildSpec spec;
     spec.arch = ArchKind::Agg;
     spec.threads = 8;
-    spec.pressure = 0.75;
-    spec.dRatio = 2;
+    spec.pressure = pressure;
+    spec.dRatio = d_ratio;
+    return spec;
+}
+
+/** Peak live heap bytes of the second of two runs of @p app, above
+ *  the level before it. */
+std::size_t
+secondRunPeakBytes(const char *app, const BuildSpec &spec)
+{
+    auto wl = makeWorkload(app);
+    const RunResult warm = runWorkload(*wl, spec);
+    peakLiveBytes = liveBytes;
+    const std::size_t base = liveBytes;
+    const RunResult r = runWorkload(*wl, spec);
+    EXPECT_EQ(r.totalTicks, warm.totalTicks);
+    return peakLiveBytes - base;
+}
+
+TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
+{
+    auto wl = makeWorkload("fft");
+    const BuildSpec spec = quickAgg(0.75, 2);
 
     // The first run also builds process-wide tables (protocol spec,
     // dispatch tables); count the second.
@@ -97,6 +121,19 @@ TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
 }
 
 /**
+ * Peak live heap of the same quick AGG fft run as the count test. It
+ * was 4,586,024 B while directory entries and line versions lived in
+ * line-keyed FlatMaps (64 B entries, tables doubled to stay under 75%
+ * load) and 2,244,232 B once they moved into dense per-page blocks
+ * with 40 B entries. The ceiling sits about 100 KB above the latter.
+ */
+TEST(AllocBudget, QuickAggFftPeakHeapStaysUnderCeiling)
+{
+    EXPECT_LE(secondRunPeakBytes("fft", quickAgg(0.75, 2)), 2'345'000u)
+        << "a per-run buffer grew past its bound";
+}
+
+/**
  * What a run keeps resident on the heap: MSHR tables, directory
  * tables, tagged-memory tags, D-node stores, and one op plus one
  * coroutine frame per op stream. Quick AGG barnes (8 threads, 1/1
@@ -104,27 +141,15 @@ TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
  * live heap bytes above the pre-run level were 4,656,672 while
  * refills were unbounded (barnes emitted all 4,096 tree cells in one
  * 8,192-op batch) and directory entries took 80 B; about 3,593,900
- * with 256-op batch buffers; 3,489,088 with coroutine op streams. The
- * peak is deterministic, so the ceiling sits about 100 KB above it,
- * below what the 256-op batches held.
+ * with 256-op batch buffers; 3,489,088 with coroutine op streams;
+ * 2,689,808 with directory entries and line versions in per-page
+ * blocks. The peak is deterministic, so the ceiling sits about 100 KB
+ * above it.
  */
 TEST(AllocBudget, QuickAggBarnesPeakHeapStaysUnderCeiling)
 {
-    auto wl = makeWorkload("barnes");
-    BuildSpec spec;
-    spec.arch = ArchKind::Agg;
-    spec.threads = 8;
-    spec.pressure = 0.25;
-    spec.dRatio = 1;
-
-    const RunResult warm = runWorkload(*wl, spec);
-    peakLiveBytes = liveBytes;
-    const std::size_t base = liveBytes;
-    const RunResult r = runWorkload(*wl, spec);
-    const std::size_t peak = peakLiveBytes - base;
-
-    ASSERT_EQ(r.totalTicks, warm.totalTicks);
-    EXPECT_LE(peak, 3'590'000u)
+    EXPECT_LE(secondRunPeakBytes("barnes", quickAgg(0.25, 1)),
+              2'790'000u)
         << "a per-run buffer grew past its bound";
 }
 

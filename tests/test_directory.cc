@@ -1,0 +1,191 @@
+/**
+ * @file
+ * Tests for the home directory's storage: per-page entry blocks
+ * (presence, stable addresses, canonical walk order, geometry), the
+ * table-owned blocked-request queues, and the machine's per-line
+ * version table built on the same page blocks.
+ */
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "machine/machine.hh"
+#include "proto/directory.hh"
+
+namespace pimdsm
+{
+namespace
+{
+
+constexpr Addr kLine = 128;
+constexpr Addr kPage = 4096;
+
+DirectoryTable
+defaultTable()
+{
+    const MachineConfig cfg;
+    return DirectoryTable(cfg.mem.lineBytes, cfg.pageBytes);
+}
+
+TEST(Directory, FindIsNullForLinesNeverCreated)
+{
+    DirectoryTable dir = defaultTable();
+    EXPECT_EQ(dir.find(5 * kPage), nullptr); // untouched page
+
+    dir.entry(5 * kPage + 3 * kLine);
+    EXPECT_NE(dir.find(5 * kPage + 3 * kLine), nullptr);
+    // Same page, other lines: the block exists, the entries do not.
+    EXPECT_EQ(dir.find(5 * kPage), nullptr);
+    EXPECT_EQ(dir.find(5 * kPage + 4 * kLine), nullptr);
+    EXPECT_EQ(dir.size(), 1u);
+
+    dir.entry(5 * kPage + 3 * kLine); // existing entry: no new line
+    EXPECT_EQ(dir.size(), 1u);
+}
+
+TEST(Directory, NewEntriesStartUncached)
+{
+    DirectoryTable dir = defaultTable();
+    const DirEntry &e = dir.entry(kPage);
+    EXPECT_EQ(e.state, DirEntry::State::Uncached);
+    EXPECT_EQ(e.sharers, 0u);
+    EXPECT_EQ(e.owner, kInvalidNode);
+    EXPECT_EQ(e.localPtr, kNilPtr);
+    EXPECT_FALSE(e.busy);
+}
+
+TEST(Directory, ForEachVisitsLinesInAscendingOrder)
+{
+    DirectoryTable dir = defaultTable();
+    // Pages created out of order, lines within a page out of order.
+    const std::vector<Addr> created = {
+        9 * kPage + 2 * kLine, 2 * kPage + 31 * kLine, 9 * kPage,
+        40 * kPage + kLine,    2 * kPage,              0,
+    };
+    for (Addr line : created)
+        dir.entry(line);
+
+    std::vector<Addr> seen;
+    dir.forEach([&](Addr line, const DirEntry &) { seen.push_back(line); });
+    const std::vector<Addr> want = {
+        0,         2 * kPage,          2 * kPage + 31 * kLine,
+        9 * kPage, 9 * kPage + 2 * kLine, 40 * kPage + kLine,
+    };
+    EXPECT_EQ(seen, want);
+}
+
+TEST(Directory, ForEachWalksASnapshot)
+{
+    DirectoryTable dir = defaultTable();
+    dir.entry(0);
+    dir.entry(kPage);
+    std::vector<Addr> seen;
+    dir.forEach([&](Addr line, DirEntry &) {
+        seen.push_back(line);
+        dir.entry(line + kLine); // created mid-walk: not visited
+    });
+    EXPECT_EQ(seen, (std::vector<Addr>{0, kPage}));
+    EXPECT_EQ(dir.size(), 4u);
+}
+
+TEST(Directory, EntryStaysValidWhileOthersAreCreated)
+{
+    DirectoryTable dir = defaultTable();
+    DirEntry &e = dir.entry(7 * kLine);
+    e.sharers = 0x5;
+    e.version = 42;
+    for (Addr i = 0; i < 1000; ++i)
+        dir.entry(kPage + i * kLine);
+    EXPECT_EQ(&e, dir.find(7 * kLine));
+    EXPECT_EQ(e.sharers, 0x5u);
+    EXPECT_EQ(e.version, 42u);
+    EXPECT_EQ(dir.size(), 1001u);
+}
+
+TEST(Directory, QueuesKeepFifoOrderAndCounts)
+{
+    DirectoryTable dir = defaultTable();
+    EXPECT_EQ(dir.queued(kLine), 0u);
+    for (NodeId src = 0; src < 3; ++src) {
+        Message m;
+        m.src = src;
+        m.lineAddr = kLine;
+        dir.queue(kLine).push_back(m);
+    }
+    EXPECT_EQ(dir.queued(kLine), 3u);
+    EXPECT_EQ(dir.queued(2 * kLine), 0u);
+
+    std::vector<Message> &q = dir.queue(kLine);
+    EXPECT_EQ(q.front().src, 0);
+    q.erase(q.begin());
+    EXPECT_EQ(dir.queued(kLine), 2u);
+    EXPECT_EQ(dir.queue(kLine).front().src, 1);
+    EXPECT_EQ(dir.queue(kLine).back().src, 2);
+}
+
+TEST(Directory, ClearDropsEntriesAndQueues)
+{
+    DirectoryTable dir = defaultTable();
+    dir.entry(kLine).version = 3;
+    dir.entry(3 * kPage);
+    dir.queue(kLine).push_back(Message{});
+    dir.clear();
+
+    EXPECT_EQ(dir.size(), 0u);
+    EXPECT_EQ(dir.find(kLine), nullptr);
+    EXPECT_EQ(dir.find(3 * kPage), nullptr);
+    EXPECT_EQ(dir.queued(kLine), 0u);
+    int visits = 0;
+    dir.forEach([&](Addr, const DirEntry &) { ++visits; });
+    EXPECT_EQ(visits, 0);
+
+    // Recreated entries start afresh.
+    EXPECT_EQ(dir.entry(kLine).version, 0u);
+    EXPECT_EQ(dir.size(), 1u);
+}
+
+/** Every line of two adjacent pages maps to its own entry and walks
+ *  back at its own address. */
+void
+checkGeometry(std::uint64_t line_bytes, std::uint64_t page_bytes)
+{
+    DirectoryTable dir(line_bytes, page_bytes);
+    const Addr base = 3 * page_bytes;
+    const Addr lines = 2 * page_bytes / line_bytes;
+    for (Addr i = 0; i < lines; ++i)
+        dir.entry(base + i * line_bytes).version = i + 1;
+    EXPECT_EQ(dir.size(), lines);
+    EXPECT_EQ(dir.find(base - line_bytes), nullptr);
+    EXPECT_EQ(dir.find(base + 2 * page_bytes), nullptr);
+
+    Addr next = base;
+    dir.forEach([&](Addr line, const DirEntry &e) {
+        EXPECT_EQ(line, next);
+        EXPECT_EQ(e.version, (line - base) / line_bytes + 1);
+        next += line_bytes;
+    });
+    EXPECT_EQ(next, base + 2 * page_bytes);
+}
+
+TEST(Directory, Geometry64BLines4KiBPages) { checkGeometry(64, 4096); }
+
+TEST(Directory, Geometry128BLines8KiBPages) { checkGeometry(128, 8192); }
+
+TEST(Directory, UnwrittenLineOnWrittenPageReadsVersionZero)
+{
+    MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
+    cfg.validate();
+    Machine m(cfg);
+    const Addr line = 4 * kPage + 5 * kLine;
+    EXPECT_EQ(m.latestVersion(line), 0u);
+
+    EXPECT_EQ(m.bumpVersion(line), 1u);
+    EXPECT_EQ(m.bumpVersion(line), 2u);
+    EXPECT_EQ(m.latestVersion(line), 2u);
+    EXPECT_EQ(m.latestVersion(line + kLine), 0u); // same page
+    EXPECT_EQ(m.latestVersion(line + kPage), 0u); // untouched page
+}
+
+} // namespace
+} // namespace pimdsm

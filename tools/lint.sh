@@ -82,14 +82,14 @@ fi
 
 # --- 6. Hot-path container/callback discipline ------------------------
 # The simulated access path allocates nothing on the heap (DESIGN.md
-# 3.1; tests/test_alloc_budget.cc pins the count). src/sim, src/net and
-# src/proto use InlineCallback / FunctionRef / FlatMap / SmallVec and
-# std::vector. New std::function members, node-based maps and sets,
-# and std::deque (which allocates its map and a 512 B node on
-# construction and on every move) bring per-event allocations back;
-# use sim/inline_callback.hh (owning), sim/function_ref.hh (borrowing
-# visitor parameters), sim/flat_map.hh, sim/small_vec.hh or a vector
-# instead. Allowlist, one reason each:
+# 3.1; tests/test_alloc_budget.cc pins the count). src/sim, src/net,
+# src/proto, src/machine and src/mem use InlineCallback / FunctionRef /
+# FlatMap / SmallVec and std::vector. New std::function members,
+# node-based maps and sets, and std::deque (which allocates its map and
+# a 512 B node on construction and on every move) bring per-event
+# allocations back; use sim/inline_callback.hh (owning),
+# sim/function_ref.hh (borrowing visitor parameters), sim/flat_map.hh,
+# sim/small_vec.hh or a vector instead. Allowlist, one reason each:
 #  - CompletionFn / std::function<void(Tick)> / flushAll / flushDone_:
 #    the user-facing completion-callback API (stored by value, moved).
 #  - cimCallbacks_: one FIFO per node, allocated once; CIM requests
@@ -100,7 +100,10 @@ fi
 #  - stats.hh std::map<std::string, double...>: the sorted stats
 #    report; lookups by string_view build no key.
 #  - spec_check.cc dfs: the spec static analyzer, run once.
-hits=$(find src/sim src/net src/proto -name '*.cc' -o -name '*.hh' |
+#  - machine.hh SendInterceptor: the model checker's send hook, set
+#    once per run, not per access.
+hits=$(find src/sim src/net src/proto src/machine src/mem \
+           -name '*.cc' -o -name '*.hh' |
        sort |
        xargs grep -nE 'std::function<|std::map<|std::unordered_map<|std::deque<|std::unordered_set<' \
            2>/dev/null |
@@ -115,7 +118,8 @@ hits=$(find src/sim src/net src/proto -name '*.cc' -o -name '*.hh' |
        grep -v 'compute_base.cc:.*flushAll' |
        grep -v 'agg_dnode.cc:.*page_heat' |
        grep -v 'stats.hh:.*std::map<std::string, double' |
-       grep -v 'spec_check.cc:.*std::function<bool(int)> dfs')
+       grep -v 'spec_check.cc:.*std::function<bool(int)> dfs' |
+       grep -v 'machine.hh:.*using SendInterceptor = std::function<')
 if [ -n "$hits" ]; then
     complain "std::function / std::deque / node-based map or set in a hot path (use sim/inline_callback.hh, sim/function_ref.hh, sim/flat_map.hh, sim/small_vec.hh, or std::vector):" "$hits"
 fi
