@@ -13,25 +13,32 @@
  *  - "fig6": one Figure-6 point (fft on AGG at the paper's thread
  *    count) — the representative paper experiment.
  *
- * Each reports events executed, wall-clock seconds, events/second, and
- * per-workload peak RSS (the kernel's peak-RSS watermark is reset
- * between workloads via /proc/self/clear_refs, so rows are
- * independent; on kernels without clear_refs the value degrades to the
- * monotone process-wide peak). Emits BENCH_selfperf.json for CI trend
- * tracking (see .github/workflows/perf.yml) and tools/benchsweep.
+ * Each row runs its workload once to warm up, then kTrials times, and
+ * reports the events executed, the median, min and quartiles of the
+ * trials' wall-clock seconds, events/second at the median, and the
+ * highest per-trial peak RSS (the kernel's peak-RSS watermark is reset
+ * before every trial via /proc/self/clear_refs, so rows are
+ * independent, though a trial's peak includes heap the allocator kept
+ * from earlier runs; on kernels without clear_refs the value degrades
+ * to the monotone process-wide peak). The JSON's top level records the
+ * host's core count, the compiler, the build type and whether the
+ * library was built with link-time optimization. Emits
+ * BENCH_selfperf.json for CI trend tracking (see
+ * .github/workflows/perf.yml) and tools/benchsweep.
  *
  * Usage: bench_selfperf [--quick] [--kernel=calendar|heap]
  *                       [--baseline PATH] [--drift F]
  * (--quick is implied by PIMDSM_QUICK; --kernel selects the scheduler
  * for the stress workload and the default for machine runs.
- * --baseline compares events/sec per workload against a committed
- * BENCH_selfperf.json and exits 1 on any slowdown beyond --drift
- * (default 0.25). PIMDSM_PERF_WAIVE=1 downgrades the failure to a
- * warning for known-noisy hosts.)
+ * --baseline compares median events/sec per workload against a
+ * committed BENCH_selfperf.json and exits 1 on any slowdown beyond
+ * --drift (default 0.25). PIMDSM_PERF_WAIVE=1 downgrades the failure
+ * to a warning for known-noisy hosts.)
  */
 
 #include "bench_util.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +46,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -53,11 +61,26 @@ using namespace pimdsm::bench;
 namespace
 {
 
+/** Timed trials per row, after one untimed warm-up run. */
+constexpr int kTrials = 5;
+
+/** One run of a workload. */
+struct Sample
+{
+    std::uint64_t events = 0;
+    double wallSeconds = 0.0;
+    long peakRssKb = 0;
+};
+
 struct SelfPerfRow
 {
     std::string name;
     std::uint64_t events = 0;
-    double wallSeconds = 0.0;
+    double wallMedian = 0.0;
+    double wallMin = 0.0;
+    double wallQ1 = 0.0;
+    double wallQ3 = 0.0;
+    /** At the median wall time. */
     double eventsPerSec = 0.0;
     long peakRssKb = 0;
 };
@@ -109,7 +132,7 @@ secondsSince(Clock::time_point t0)
  * (hops, occupancies), a tail of medium memory/disk latencies, and
  * rare far-future timeouts that exercise the overflow path.
  */
-SelfPerfRow
+Sample
 runStress(std::uint64_t total, EventQueue::KernelKind kind)
 {
     resetPeakRss();
@@ -156,17 +179,11 @@ runStress(std::uint64_t total, EventQueue::KernelKind kind)
     if (fired != scheduled)
         panic("stress workload lost events");
 
-    SelfPerfRow row;
-    row.name = "stress";
-    row.events = fired;
-    row.wallSeconds = secs;
-    row.eventsPerSec = secs > 0 ? static_cast<double>(fired) / secs : 0;
-    row.peakRssKb = peakRssKb();
-    return row;
+    return Sample{fired, secs, peakRssKb()};
 }
 
 /** Fault campaign: drops + retries + one mid-run D-node death. */
-SelfPerfRow
+Sample
 runFaultCampaign()
 {
     resetPeakRss();
@@ -188,35 +205,69 @@ runFaultCampaign()
     const double secs = secondsSince(t0);
     warnResetForTest();
 
-    SelfPerfRow row;
-    row.name = "faults";
-    row.events = static_cast<std::uint64_t>(
-        r.counters.at("sim.events_executed"));
-    row.wallSeconds = secs;
-    row.eventsPerSec =
-        secs > 0 ? static_cast<double>(row.events) / secs : 0;
-    row.peakRssKb = peakRssKb();
-    return row;
+    return Sample{static_cast<std::uint64_t>(
+                      r.counters.at("sim.events_executed")),
+                  secs, peakRssKb()};
 }
 
-/** One Figure-6 point: fft on AGG at the paper's thread count. */
-SelfPerfRow
+/** One Figure-6 point: fft on AGG at the paper's thread count. The
+ *  wall time includes machine construction. */
+Sample
 runFig6Point()
 {
     resetPeakRss();
+    const auto t0 = Clock::now();
     auto wl = makeWorkload("fft", 1);
     const RunResult r = run(*wl, ArchKind::Agg, paperThreads(), 0.25,
                             reducedDRatio("fft"));
+    const double secs = secondsSince(t0);
+    return Sample{static_cast<std::uint64_t>(
+                      r.counters.at("sim.events_executed")),
+                  secs, peakRssKb()};
+}
 
+/** Linear-interpolated quantile @p p of ascending @p v. */
+double
+quantile(const std::vector<double> &v, double p)
+{
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    if (lo + 1 >= v.size())
+        return v.back();
+    const double frac = pos - static_cast<double>(lo);
+    return v[lo] + frac * (v[lo + 1] - v[lo]);
+}
+
+/** Warm up once, then time kTrials runs of @p workload. Every run must
+ *  execute the same number of events (the simulations are seeded). */
+SelfPerfRow
+measure(const std::string &name, const std::function<Sample()> &workload)
+{
+    const Sample warm = workload();
     SelfPerfRow row;
-    row.name = "fig6";
-    row.events = static_cast<std::uint64_t>(
-        r.counters.at("sim.events_executed"));
-    row.peakRssKb = peakRssKb();
+    row.name = name;
+    row.events = warm.events;
+    std::vector<double> walls;
+    for (int t = 0; t < kTrials; ++t) {
+        const Sample s = workload();
+        if (s.events != warm.events)
+            panic("selfperf row '" + name + "' is not deterministic");
+        walls.push_back(s.wallSeconds);
+        row.peakRssKb = std::max(row.peakRssKb, s.peakRssKb);
+    }
+    std::sort(walls.begin(), walls.end());
+    row.wallMin = walls.front();
+    row.wallQ1 = quantile(walls, 0.25);
+    row.wallMedian = quantile(walls, 0.5);
+    row.wallQ3 = quantile(walls, 0.75);
+    row.eventsPerSec = row.wallMedian > 0
+                           ? static_cast<double>(row.events) /
+                                 row.wallMedian
+                           : 0;
     return row;
 }
 
-/** Pull events_per_sec for @p workload out of a committed
+/** Pull the median events_per_sec for @p workload out of a committed
  *  BENCH_selfperf.json (same hand-rolled lookup as speccheck: we own
  *  both ends of the format). */
 bool
@@ -275,30 +326,25 @@ main(int argc, char **argv)
                       : "reference-heap")
               << (quick ? " (quick)" : "") << "\n\n";
 
+    const std::uint64_t stressEvents = quick ? 300'000 : 3'000'000;
     std::vector<SelfPerfRow> rows;
-    rows.push_back(runStress(quick ? 300'000 : 3'000'000, kind));
-    // Machine runs re-time wall clock around the full experiment
-    // runner, so they include machine construction.
-    rows.push_back(runFaultCampaign());
-    {
-        const auto t0 = Clock::now();
-        SelfPerfRow fig6 = runFig6Point();
-        fig6.wallSeconds = secondsSince(t0);
-        fig6.eventsPerSec =
-            fig6.wallSeconds > 0
-                ? static_cast<double>(fig6.events) / fig6.wallSeconds
-                : 0;
-        rows.push_back(fig6);
-    }
-    std::cout << "workload                 events      wall(s)"
-                 "     events/sec   peakRSS(MB)\n";
+    rows.push_back(measure(
+        "stress", [&] { return runStress(stressEvents, kind); }));
+    rows.push_back(measure("faults", runFaultCampaign));
+    rows.push_back(measure("fig6", runFig6Point));
+
+    std::cout << kTrials << " trials per row after one warm-up; wall "
+                 "time median [q1, q3], min\n\n"
+              << "workload       events   median(s)       [q1, q3](s)"
+                 "     min(s)  events/sec  peakRSS(MB)\n";
     for (const auto &r : rows) {
-        std::printf("%-20s %10llu %10.3f %14.0f %10.1f",
+        std::printf("%-10s %10llu %11.4f  [%.4f, %.4f] %10.4f %11.0f "
+                    "%12.1f\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.events),
-                    r.wallSeconds, r.eventsPerSec,
+                    r.wallMedian, r.wallQ1, r.wallQ3, r.wallMin,
+                    r.eventsPerSec,
                     static_cast<double>(r.peakRssKb) / 1024.0);
-        std::printf("\n");
     }
 
     std::ofstream js("BENCH_selfperf.json");
@@ -306,13 +352,21 @@ main(int argc, char **argv)
        << (kind == EventQueue::KernelKind::Calendar ? "calendar"
                                                     : "heap")
        << "\",\n  \"quick\": " << (quick ? "true" : "false")
+       << ",\n  \"host_cores\": " << std::thread::hardware_concurrency()
+       << ",\n  \"compiler\": \"" << PIMDSM_COMPILER
+       << "\",\n  \"build_type\": \"" << PIMDSM_BUILD_TYPE
+       << "\",\n  \"ipo\": " << (PIMDSM_IPO ? "true" : "false")
+       << ",\n  \"warmup_runs\": 1,\n  \"trials\": " << kTrials
        << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         js << "    {\"workload\": \"" << r.name
            << "\", \"events\": " << r.events
-           << ", \"wall_seconds\": " << r.wallSeconds
            << ", \"events_per_sec\": " << r.eventsPerSec
+           << ", \"wall_median_s\": " << r.wallMedian
+           << ", \"wall_min_s\": " << r.wallMin
+           << ", \"wall_q1_s\": " << r.wallQ1
+           << ", \"wall_q3_s\": " << r.wallQ3
            << ", \"peak_rss_kb\": " << r.peakRssKb;
         js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -344,7 +398,7 @@ main(int argc, char **argv)
             const double floor = want * (1.0 - drift);
             if (r.eventsPerSec < floor) {
                 std::cerr << "bench_selfperf: '" << r.name
-                          << "' regressed: " << r.eventsPerSec
+                          << "' regressed: median " << r.eventsPerSec
                           << " events/sec vs baseline " << want
                           << " (allowed -" << drift * 100 << "%)\n";
                 regressed = true;

@@ -17,7 +17,6 @@
 #include "net/mesh.hh"
 #include "sim/fault.hh"
 #include "sim/page_blocks.hh"
-#include "sim/pool.hh"
 #include "proto/agg_dnode.hh"
 #include "proto/agg_pnode.hh"
 #include "proto/coma_node.hh"
@@ -97,10 +96,6 @@ class Machine : public ProtoContext
     PageMap &pageMap() { return pageMap_; }
     FaultPlan &faultPlan() { return faults_; }
 
-    /** In-flight message pool (tests assert it drains; selfperf
-     *  reports its high-water mark). */
-    const RefPool<Message> &messagePool() const { return msgPool_; }
-
     CoherenceOracle &oracle() { return oracle_; }
     const CoherenceOracle &oracle() const { return oracle_; }
 
@@ -170,10 +165,6 @@ class Machine : public ProtoContext
     void buildNumaOrComa();
 
     MachineConfig cfg_;
-    /** In-flight message payloads; delivery closures capture a pooled
-     *  handle instead of a Message copy. Declared before eq_ so it
-     *  outlives any still-scheduled delivery events at destruction. */
-    RefPool<Message> msgPool_;
     EventQueue eq_;
     Mesh mesh_;
     PageMap pageMap_;

@@ -61,7 +61,7 @@ EventQueue::allocNode()
 }
 
 void
-EventQueue::freeNode(EventNode *n)
+EventQueue::freeNode(EventNode *n) noexcept
 {
     n->fn.reset();
     n->next = freeList_;
@@ -86,20 +86,9 @@ EventQueue::pushBucket(EventNode *n)
 }
 
 void
-EventQueue::schedule(Tick when, Callback fn)
+EventQueue::enqueue(EventNode *n)
 {
-    if (when < curTick_)
-        panic("event scheduled in the past");
-    ++size_;
-    const std::uint64_t seq = nextSeq_++;
-    if (kind_ == KernelKind::ReferenceHeap) {
-        heap_.push(RefEntry{when, seq, std::move(fn)});
-        return;
-    }
-    EventNode *n = allocNode();
-    n->when = when;
-    n->seq = seq;
-    n->fn = std::move(fn);
+    const Tick when = n->when;
     // Ring window is [base_, base_ + kBuckets). base_ can sit ahead of
     // curTick after a migration whose events a bounded runUntil() did
     // not reach; events scheduled below the window then take the
@@ -191,8 +180,11 @@ EventQueue::runCore(std::uint64_t max_events, Tick until)
         if (ev->when > until)
             break;
 
-        // Unlink and recycle the node before invoking the callback, so
-        // the callback may schedule events (possibly reusing the slot).
+        // Unlink the node, then run the callback in place. Only this
+        // node is held back from the free list while it runs, and
+        // slabs never move, so the callback may schedule freely. The
+        // guard returns the node even when the callback throws (panic()
+        // raises PanicError, which tests catch and continue past).
         if (fromBucket) {
             bucketHead_[idx] = ev->next;
             if (!bucketHead_[idx]) {
@@ -205,9 +197,10 @@ EventQueue::runCore(std::uint64_t max_events, Tick until)
         }
         --size_;
         curTick_ = ev->when;
-        Callback fn = std::move(ev->fn);
-        freeNode(ev);
-        fn();
+        {
+            const NodeReturn back{this, ev};
+            ev->fn();
+        }
         ++n;
     }
     executed_ += n;

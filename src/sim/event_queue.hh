@@ -11,9 +11,10 @@
  * link hops, handler occupancies, memory latencies are all small
  * constants), plus a (when, seq)-ordered overflow heap for far-future
  * events such as watchdog timeouts and fault sweeps. Schedule and pop
- * are O(1) on the bucket path. Event closures are stored in pooled,
- * small-buffer-optimized nodes (see InlineCallback), so the steady
- * state allocates nothing.
+ * are O(1) on the bucket path. Event closures are built directly in
+ * pooled, small-buffer-optimized nodes (see InlineCallback) and run
+ * there, so the steady state allocates nothing and a closure is never
+ * moved between scheduling and execution.
  *
  * The execution order — strictly increasing (when, seq) — is
  * byte-identical to the original binary-heap kernel; a reference-heap
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "sim/inline_callback.hh"
+#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace pimdsm
@@ -68,13 +70,42 @@ class EventQueue
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
 
-    /** Schedule @p fn at absolute time @p when (>= curTick). */
-    void schedule(Tick when, Callback fn);
+    /**
+     * Schedule @p fn at absolute time @p when (>= curTick). The
+     * callable is constructed in its pooled node; a Callback argument
+     * is relocated into it once (rvalue) or copied (lvalue).
+     */
+    template <typename F>
+    void
+    schedule(Tick when, F &&fn)
+    {
+        if (when < curTick_)
+            panic("event scheduled in the past");
+        if (kind_ == KernelKind::ReferenceHeap) {
+            heap_.push(RefEntry{when, nextSeq_++,
+                                Callback(std::forward<F>(fn))});
+            ++size_;
+            return;
+        }
+        EventNode *n = allocNode();
+        try {
+            n->fn.assign(std::forward<F>(fn));
+        } catch (...) {
+            freeNode(n);
+            throw;
+        }
+        n->when = when;
+        n->seq = nextSeq_++;
+        ++size_;
+        enqueue(n);
+    }
 
     /** Schedule @p fn @p delta ticks from now. */
-    void scheduleIn(Tick delta, Callback fn)
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F &&fn)
     {
-        schedule(curTick_ + delta, std::move(fn));
+        schedule(curTick_ + delta, std::forward<F>(fn));
     }
 
     /** Number of events not yet executed. */
@@ -166,11 +197,22 @@ class EventQueue
      *  @p bucket_idx_out receives the ring index it was found in. */
     EventNode *scanBuckets(std::size_t &bucket_idx_out) const;
 
+    /** File a filled node into the ring or the overflow heap. */
+    void enqueue(EventNode *n);
     void pushBucket(EventNode *n);
     void migrateOverflow();
 
     EventNode *allocNode();
-    void freeNode(EventNode *n);
+    void freeNode(EventNode *n) noexcept;
+
+    /** Scope guard: destroys the closure of a node that has run (or
+     *  thrown) and puts the node back on the free list. */
+    struct NodeReturn
+    {
+        EventQueue *q;
+        EventNode *n;
+        ~NodeReturn() { q->freeNode(n); }
+    };
 
     KernelKind kind_;
     Tick curTick_ = 0;

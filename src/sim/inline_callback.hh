@@ -49,17 +49,7 @@ class InlineCallback
                   std::remove_cvref_t<F>, InlineCallback>>>
     InlineCallback(F &&fn) // NOLINT: implicit by design
     {
-        using Fn = std::remove_cvref_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            emplace<Fn, true>(std::forward<F>(fn));
-        } else {
-            // Heap fallback: shared ownership keeps the wrapper
-            // trivially copyable for the duplicate-delivery path.
-            emplace<HeapThunk<Fn>, false>(
-                HeapThunk<Fn>{std::make_shared<Fn>(std::forward<F>(fn))});
-        }
+        store(std::forward<F>(fn));
     }
 
     InlineCallback(InlineCallback &&other) noexcept { moveFrom(other); }
@@ -94,6 +84,25 @@ class InlineCallback
     }
 
     ~InlineCallback() { reset(); }
+
+    /**
+     * Replace the held callable with @p fn, constructed directly in
+     * this object's storage (the event queue builds closures in their
+     * pool node this way). Another InlineCallback is relocated when
+     * passed as an rvalue and copied when passed as an lvalue.
+     */
+    template <typename F>
+    void
+    assign(F &&fn)
+    {
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>,
+                                     InlineCallback>) {
+            *this = std::forward<F>(fn);
+        } else {
+            reset();
+            store(std::forward<F>(fn));
+        }
+    }
 
     void
     operator()()
@@ -160,6 +169,25 @@ class InlineCallback
             InlinePayload,
         };
         return &ops;
+    }
+
+    /** Construct @p fn inline when it fits and moves without
+     *  throwing, else behind a heap thunk. Requires an empty ops_. */
+    template <typename F>
+    void
+    store(F &&fn)
+    {
+        using Fn = std::remove_cvref_t<F>;
+        if constexpr (sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t) &&
+                      std::is_nothrow_move_constructible_v<Fn>) {
+            emplace<Fn, true>(std::forward<F>(fn));
+        } else {
+            // Heap fallback: shared ownership keeps the wrapper
+            // trivially copyable for the duplicate-delivery path.
+            emplace<HeapThunk<Fn>, false>(
+                HeapThunk<Fn>{std::make_shared<Fn>(std::forward<F>(fn))});
+        }
     }
 
     template <typename Fn, bool InlinePayload, typename F>

@@ -1,13 +1,14 @@
 /**
  * @file
  * Kernel-overhaul regression tests: calendar queue vs. reference heap
- * differential execution, event-node and message pool hygiene, flat
- * hot-path maps, InlineCallback semantics, and whole-machine
- * determinism across kernels.
+ * differential execution, event-node pool hygiene and in-node
+ * execution, flat hot-path maps, InlineCallback semantics, and
+ * whole-machine determinism across kernels.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -16,11 +17,12 @@
 
 #include "machine/builder.hh"
 #include "machine/machine.hh"
+#include "proto/message.hh"
 #include "report/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/inline_callback.hh"
-#include "sim/pool.hh"
+#include "sim/log.hh"
 #include "sim/random.hh"
 #include "sim/small_vec.hh"
 #include "workload/apps.hh"
@@ -148,54 +150,124 @@ TEST(EventPool, ReusesNodesInsteadOfGrowing)
     EXPECT_EQ(eq.poolFree(), eq.poolCapacity());
 }
 
-TEST(MessagePool, DrainsAfterRealTransactions)
+TEST(EventPool, CallbackSchedulingPastASlabKeepsItsCaptures)
 {
-    auto wl = makeWorkload("fft", 1);
-    BuildSpec spec;
-    spec.arch = ArchKind::Agg;
-    spec.threads = 4;
-    spec.pressure = 0.25;
-    MachineConfig cfg = buildConfig(*wl, spec);
-    Machine m(cfg);
-    EXPECT_EQ(m.messagePool().live(), 0u);
-
-    // Real protocol traffic: reads and writes from several nodes to
-    // shared lines, drained to quiescence.
-    int completed = 0;
-    for (int i = 0; i < 64; ++i) {
-        const Addr a = 0x100000 + 64 * (i % 8);
-        m.compute(i % 4)->access(a, (i % 3) == 0,
-                                 [&](Tick, ReadService) {
-                                     ++completed;
-                                 });
-        m.eq().runUntil(m.eq().curTick() + 5);
-    }
-    m.eq().run();
-    EXPECT_EQ(completed, 64);
-    EXPECT_GT(m.messagesSent(), 0u);
-    // Quiescent: every message slot must be back on the free list.
-    EXPECT_EQ(m.messagePool().live(), 0u);
-    EXPECT_EQ(m.messagePool().freeSlots(), m.messagePool().capacity());
+    // The callback runs inside its pool node. Scheduling more events
+    // than one slab holds makes the pool grow while it runs; slabs
+    // never move, so its captures must read back intact.
+    EventQueue eq(EventQueue::KernelKind::Calendar);
+    std::array<std::uint64_t, 12> vals{};
+    for (std::size_t i = 0; i < vals.size(); ++i)
+        vals[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    std::uint64_t seen = 0;
+    int children = 0;
+    eq.schedule(1, [&eq, &seen, &children, vals] {
+        for (int i = 0; i < 300; ++i)
+            eq.scheduleIn(1 + i % 7, [&children] { ++children; });
+        for (const std::uint64_t v : vals)
+            seen ^= v;
+    });
+    eq.run();
+    std::uint64_t want = 0;
+    for (const std::uint64_t v : vals)
+        want ^= v;
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(children, 300);
+    EXPECT_GT(eq.poolCapacity(), 256u);
+    EXPECT_EQ(eq.poolFree(), eq.poolCapacity());
 }
 
-TEST(MessagePool, RefcountedHandlesRecycleSlots)
+TEST(EventPool, ThrowingCallbackStillReturnsItsNode)
 {
-    RefPool<int> pool;
-    auto a = pool.make(7);
-    EXPECT_EQ(pool.live(), 1u);
+    EventQueue eq(EventQueue::KernelKind::Calendar);
+    int ran = 0;
+    eq.schedule(1, [&ran] { ++ran; });
+    eq.schedule(2, [] { panic("callback failed"); });
+    eq.schedule(3, [&ran] { ++ran; });
+    EXPECT_THROW(eq.run(), PanicError);
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(eq.curTick(), 2u);
+    EXPECT_EQ(eq.pending(), 1u);
+    // The queue keeps running after the throw.
+    eq.scheduleIn(5, [&ran] { ++ran; });
+    eq.run();
+    EXPECT_EQ(ran, 3);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.poolFree(), eq.poolCapacity());
+}
+
+/** Counts copies and moves of a closure's capture. */
+struct CopyCounter
+{
+    int *copies;
+    int *moves;
+    CopyCounter(int *c, int *m) : copies(c), moves(m) {}
+    CopyCounter(const CopyCounter &o) : copies(o.copies), moves(o.moves)
     {
-        auto b = a; // shared slot
-        EXPECT_EQ(pool.live(), 1u);
-        EXPECT_EQ(b.get(), 7);
+        ++*copies;
     }
-    EXPECT_EQ(pool.live(), 1u); // copy released, original holds on
-    const std::size_t cap = pool.capacity();
-    a = {};
-    EXPECT_EQ(pool.live(), 0u);
-    // Recycled, not grown.
-    auto c = pool.make(9);
-    EXPECT_EQ(pool.capacity(), cap);
-    EXPECT_EQ(c.get(), 9);
+    CopyCounter(CopyCounter &&o) noexcept
+        : copies(o.copies), moves(o.moves)
+    {
+        ++*moves;
+    }
+    CopyCounter &operator=(const CopyCounter &) = delete;
+    CopyCounter &operator=(CopyCounter &&) = delete;
+};
+
+TEST(EventPool, ScheduleCopiesLvalueAndMovesRvalueCallbacks)
+{
+    EventQueue eq(EventQueue::KernelKind::Calendar);
+    int copies = 0;
+    int moves = 0;
+    int hits = 0;
+    InlineCallback cb([c = CopyCounter(&copies, &moves), &hits] {
+        (void)c;
+        ++hits;
+    });
+    ASSERT_TRUE(cb.storedInline());
+    copies = moves = 0;
+
+    eq.schedule(1, cb); // lvalue: copied into the node
+    EXPECT_EQ(copies, 1);
+    EXPECT_EQ(moves, 0);
+    ASSERT_TRUE(cb);
+    cb(); // the original is untouched and still callable
+    eq.run();
+    EXPECT_EQ(hits, 2);
+
+    copies = moves = 0;
+    eq.schedule(2, std::move(cb)); // rvalue: relocated once
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(moves, 1);
+    EXPECT_FALSE(cb); // NOLINT: moved-from state is specified
+    eq.run();
+    EXPECT_EQ(hits, 3);
+    EXPECT_EQ(moves, 1); // ran in place, never moved out of the node
+}
+
+TEST(InlineCallback, MessageDeliveryClosureStaysInline)
+{
+    // Machine::send's delivery closure: a this-pointer plus a Message
+    // by value.
+    struct Sink
+    {
+        int acks = 0;
+        InlineCallback
+        deliver(Message msg)
+        {
+            return [this, msg] { acks += msg.ackCount; };
+        }
+    };
+    Sink sink;
+    Message msg;
+    msg.ackCount = 3;
+    InlineCallback cb = sink.deliver(msg);
+    EXPECT_TRUE(cb.storedInline());
+    InlineCallback dup = cb; // the mesh's Duplicate path copies it
+    cb();
+    dup();
+    EXPECT_EQ(sink.acks, 6);
 }
 
 // ---------------------------------------------------------------------
