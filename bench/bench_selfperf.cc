@@ -33,7 +33,10 @@
  * --baseline compares median events/sec per workload against a
  * committed BENCH_selfperf.json and exits 1 on any slowdown beyond
  * --drift (default 0.25). PIMDSM_PERF_WAIVE=1 downgrades the failure
- * to a warning for known-noisy hosts.)
+ * to a warning for known-noisy hosts. The baseline must come from a
+ * run of the same mode: a quick run against a full-mode baseline, or
+ * the reverse, exits 2 without comparing. BENCH_selfperf_quick.json
+ * is the committed quick-mode baseline.)
  */
 
 #include "bench_util.hh"
@@ -286,6 +289,26 @@ baselineEventsPerSec(const std::string &json,
     return out > 0;
 }
 
+/** Read the top-level "quick" flag of a committed BENCH_selfperf.json. */
+bool
+baselineQuick(const std::string &json, bool &out)
+{
+    const std::string key = "\"quick\":";
+    std::size_t p = json.find(key);
+    if (p == std::string::npos)
+        return false;
+    p = json.find_first_not_of(' ', p + key.size());
+    if (p == std::string::npos)
+        return false;
+    if (json.compare(p, 4, "true") == 0)
+        out = true;
+    else if (json.compare(p, 5, "false") == 0)
+        out = false;
+    else
+        return false;
+    return true;
+}
+
 } // namespace
 
 int
@@ -385,6 +408,20 @@ main(int argc, char **argv)
         std::ostringstream os;
         os << f.rdbuf();
         const std::string baseline = os.str();
+        bool baseQuick = false;
+        if (!baselineQuick(baseline, baseQuick)) {
+            std::cerr << "bench_selfperf: " << baselinePath
+                      << " has no \"quick\" flag\n";
+            return 2;
+        }
+        if (baseQuick != quick) {
+            std::cerr << "bench_selfperf: " << baselinePath << " is a "
+                      << (baseQuick ? "quick" : "full")
+                      << "-mode baseline but this run is "
+                      << (quick ? "quick" : "full")
+                      << "; compare only runs of the same mode\n";
+            return 2;
+        }
         const bool waived =
             std::getenv("PIMDSM_PERF_WAIVE") != nullptr;
         bool regressed = false;

@@ -158,7 +158,8 @@ CachedMemCompute::handleInject(const Message &msg)
     CacheLine *way = mem_.find(line);
     if (!way)
         way = mem_.victim(line, VictimPolicy::ComaPriority);
-    const bool conflict = mshrs_.count(line) || wbPending_.count(line);
+    const bool conflict =
+        mshrs_.find(line) != nullptr || wbPending_.count(line) != 0;
     if (conflict || (way->valid() && way->lineAddr != line &&
                      cohOwned(way->state))) {
         ++injectsRefused_;

@@ -21,24 +21,117 @@ ComputeBase::ComputeBase(ProtoContext &ctx, NodeId self, spec::Role role)
               p.lineBytes = ctx.config().mem.lineBytes;
               return p;
           }()),
-      maxMshrs_(ctx.config().proc.maxOutstandingLoads),
+      mshrs_(ctx.config().proc.maxOutstandingLoads),
       msgEngineLatency_(ctx.config().handlers.msgEngineLatency),
       faultsOn_(ctx.config().faults.enabled())
 {
-    // startMiss() never lets mshrs_ grow past maxMshrs_, so sized for
-    // twice that it never rehashes. The slack is not free to trim: the
-    // fault sweep resends timed-out requests in slot order, which
-    // depends on the table's capacity, so a smaller table reorders
-    // retries and changes fault-campaign results. Outstanding
-    // writebacks have no bound at all. wbPending_ and wbBlocked_ get
-    // the same sizing, which covers the bench workloads (at most 30
-    // writebacks per node on fft, 12 on barnes, against a rehash
-    // threshold of 48), but an eviction burst may still rehash them.
+    // Outstanding writebacks have no bound. This sizing covers the
+    // bench workloads (at most 30 writebacks per node on fft, 12 on
+    // barnes, against a rehash threshold of 48), but an eviction
+    // burst may still rehash them; walks are line-ordered, so a
+    // rehash moves no simulated result.
+    const int loads = ctx.config().proc.maxOutstandingLoads;
     const std::size_t cap =
-        2 * static_cast<std::size_t>(maxMshrs_ > 0 ? maxMshrs_ : 16);
-    mshrs_.reserve(cap);
+        2 * static_cast<std::size_t>(loads > 0 ? loads : 16);
     wbPending_.reserve(cap);
     wbBlocked_.reserve(cap);
+}
+
+ComputeBase::Mshr &
+ComputeBase::MshrFile::open(Addr line)
+{
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+        if (lines_[i] == kInvalidAddr) {
+            lines_[i] = line;
+            slots_[i].line = line;
+            ++size_;
+            return slots_[i];
+        }
+    }
+    panic("MSHR file full");
+}
+
+void
+ComputeBase::MshrFile::close(Mshr &m)
+{
+    const auto i = static_cast<std::size_t>(&m - slots_.data());
+    lines_[i] = kInvalidAddr;
+    slots_[i] = Mshr{};
+    --size_;
+}
+
+void
+ComputeBase::MshrFile::clear()
+{
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+        if (lines_[i] != kInvalidAddr) {
+            lines_[i] = kInvalidAddr;
+            slots_[i] = Mshr{};
+        }
+    }
+    size_ = 0;
+}
+
+std::vector<Addr>
+ComputeBase::MshrFile::sortedLines() const
+{
+    std::vector<Addr> lines;
+    lines.reserve(size_);
+    for (Addr line : lines_)
+        if (line != kInvalidAddr)
+            lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+namespace
+{
+
+template <typename V>
+std::vector<Addr>
+sortedLines(const FlatMap<Addr, V> &map)
+{
+    std::vector<Addr> lines;
+    lines.reserve(map.size());
+    for (const auto &entry : map)
+        lines.push_back(entry.first);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+} // namespace
+
+void
+ComputeBase::forEachMshr(FunctionRef<void(Mshr &)> fn)
+{
+    for (Addr line : mshrs_.sortedLines())
+        if (Mshr *m = mshrs_.find(line))
+            fn(*m);
+}
+
+void
+ComputeBase::forEachMshr(FunctionRef<void(const Mshr &)> fn) const
+{
+    for (Addr line : mshrs_.sortedLines())
+        fn(*mshrs_.find(line));
+}
+
+void
+ComputeBase::forEachWbPending(FunctionRef<void(Addr, WbPending &)> fn)
+{
+    for (Addr line : sortedLines(wbPending_)) {
+        auto it = wbPending_.find(line);
+        if (it != wbPending_.end())
+            fn(line, it->second);
+    }
+}
+
+void
+ComputeBase::forEachWbPending(
+    FunctionRef<void(Addr, const WbPending &)> fn) const
+{
+    for (Addr line : sortedLines(wbPending_))
+        fn(line, wbPending_.at(line));
 }
 
 const ComputeBase::DispatchTable &
@@ -168,13 +261,11 @@ ComputeBase::startAccess(const PendingAccess &acc)
     }
 
     // Coalesce with an outstanding miss on the same line.
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) {
-        Mshr &m = it->second;
-        if (!acc.isWrite || m.isWrite)
-            m.waiters.push_back({acc.addr, acc.cb});
+    if (Mshr *m = mshrs_.find(line)) {
+        if (!acc.isWrite || m->isWrite)
+            m->waiters.push_back({acc.addr, acc.cb});
         else
-            m.deferred.push_back(acc); // write joining a read: re-issue
+            m->deferred.push_back(acc); // write joining a read: re-issue
         return;
     }
 
@@ -248,14 +339,13 @@ ComputeBase::fillL2(Addr line, CohState st, Version v, bool dirty)
 void
 ComputeBase::startMiss(const PendingAccess &acc, Addr line, CohState st)
 {
-    if (static_cast<int>(mshrs_.size()) >= maxMshrs_) {
+    if (mshrs_.full()) {
         blocked_.push_back(acc);
         return;
     }
 
     const Tick now = ctx_.eq().curTick();
-    Mshr m;
-    m.line = line;
+    Mshr &m = mshrs_.open(line);
     m.isWrite = acc.isWrite;
     m.issueTick = now;
     m.waiters.push_back({acc.addr, acc.cb});
@@ -288,7 +378,6 @@ ComputeBase::startMiss(const PendingAccess &acc, Addr line, CohState st)
         m.curTimeout = cfg().faults.timeoutTicks;
         req.txnSeq = m.seq;
     }
-    mshrs_.emplace(line, std::move(m));
     ctx_.eq().schedule(send_time, [this, req] { ctx_.send(req); });
     scheduleFaultSweep();
 }
@@ -310,8 +399,8 @@ ComputeBase::handleMessage(const Message &msg)
 void
 ComputeBase::handleReply(const Message &msg)
 {
-    auto it = mshrs_.find(msg.lineAddr);
-    if (it == mshrs_.end()) {
+    Mshr *mp = mshrs_.find(msg.lineAddr);
+    if (!mp) {
         if (faultsOn_) {
             // A duplicated/replayed reply for a transaction that
             // already completed.
@@ -321,7 +410,7 @@ ComputeBase::handleReply(const Message &msg)
         }
         panic("reply with no MSHR: " + msg.toString());
     }
-    Mshr &m = it->second;
+    Mshr &m = *mp;
     if (faultsOn_ && msg.txnSeq != 0 && m.seq != 0 &&
         msg.txnSeq != m.seq) {
         // Reply belongs to a previous transaction on the same line.
@@ -385,15 +474,15 @@ ComputeBase::ackStaleBlockingReply(const Message &msg)
 void
 ComputeBase::handleInvalAck(const Message &msg)
 {
-    auto it = mshrs_.find(msg.lineAddr);
-    if (it == mshrs_.end()) {
+    Mshr *mp = mshrs_.find(msg.lineAddr);
+    if (!mp) {
         if (faultsOn_) {
             ctx_.stats().add("fault.orphan_inval_ack");
             return;
         }
         panic("inval ack with no MSHR: " + msg.toString());
     }
-    Mshr &m = it->second;
+    Mshr &m = *mp;
     // Dedup by sender: a duplicated InvalAck must not over-count.
     if (msg.src >= 0 && msg.src < 64) {
         const std::uint64_t bit = 1ull << msg.src;
@@ -411,14 +500,11 @@ ComputeBase::handleInvalAck(const Message &msg)
 void
 ComputeBase::tryComplete(Addr line)
 {
-    auto it = mshrs_.find(line);
-    if (it == mshrs_.end())
+    Mshr *m = mshrs_.find(line);
+    if (!m || !m->replyArrived || m->acksExpected < 0 ||
+        m->acksReceived < m->acksExpected)
         return;
-    Mshr &m = it->second;
-    if (!m.replyArrived || m.acksExpected < 0 ||
-        m.acksReceived < m.acksExpected)
-        return;
-    finishAccess(m);
+    finishAccess(*m);
 }
 
 void
@@ -523,7 +609,7 @@ ComputeBase::finishAccess(Mshr &m)
 
     auto deferred = std::move(m.deferred);
     std::vector<Message> fwds = std::move(m.deferredFwds);
-    mshrs_.erase(line);
+    mshrs_.close(m);
 
     // Replay forwards that raced ahead of our data: the line is
     // installed now, so they can be served normally.
@@ -580,9 +666,8 @@ ComputeBase::handleFwd(const Message &msg)
             // forward can reach us before the reply that grants us the
             // line, or after a failover reconstructed the directory
             // from stale state.
-            auto mit = mshrs_.find(line);
-            if (mit != mshrs_.end()) {
-                mit->second.deferredFwds.push_back(msg);
+            if (Mshr *m = mshrs_.find(line)) {
+                m->deferredFwds.push_back(msg);
                 ctx_.stats().add("fault.fwd_deferred");
                 return;
             }
@@ -600,15 +685,14 @@ ComputeBase::handleFwd(const Message &msg)
     }
 
     if (live && msg.fwdKind == FwdKind::Read && msg.version > data_version) {
-        auto mit = mshrs_.find(line);
-        if (mit != mshrs_.end()) {
+        if (Mshr *m = mshrs_.find(line)) {
             // The directory stamped a version ahead of our copy while
             // we have our own transaction in flight on this line: our
             // granting reply was lost, and serving now would hand the
             // reader a stale copy the directory believes is current.
             // Park the forward; the MSHR's retry/replay installs the
             // granted version and then re-drives it.
-            mit->second.deferredFwds.push_back(msg);
+            m->deferredFwds.push_back(msg);
             ctx_.stats().add("fault.fwd_deferred_stale");
             return;
         }
@@ -650,10 +734,9 @@ ComputeBase::handleFwd(const Message &msg)
             noteState(line, "fwd-inval");
             // Our own transaction (if any) just lost the race: any
             // grant it was promised at or below this version is dead.
-            auto mit = mshrs_.find(line);
-            if (mit != mshrs_.end() &&
-                msg.version > mit->second.supersededVer) {
-                mit->second.supersededVer = msg.version;
+            Mshr *m = mshrs_.find(line);
+            if (m && msg.version > m->supersededVer) {
+                m->supersededVer = msg.version;
                 ctx_.stats().add("fault.grant_superseded");
             }
         }
@@ -717,8 +800,7 @@ ComputeBase::emitWriteBack(Addr line, CohState st, Version v)
 void
 ComputeBase::drainBlocked()
 {
-    while (!blocked_.empty() &&
-           static_cast<int>(mshrs_.size()) < maxMshrs_) {
+    while (!blocked_.empty() && !mshrs_.full()) {
         PendingAccess acc = blocked_.front();
         blocked_.pop_front();
         startAccess(acc);
@@ -810,8 +892,9 @@ ComputeBase::wipeForDeath()
     // A displaced owned line whose WriteBack is still in flight exists
     // only in that message; salvage its version too in case the mesh
     // dropped it (the home treats a later duplicate as stale).
-    for (const auto &[line, wb] : wbPending_)
+    forEachWbPending([&](Addr line, const WbPending &wb) {
         lines.emplace_back(line, CohState::Dirty, wb.version);
+    });
 
     invalidateAllLocal();
     l1_.invalidateAll();
@@ -849,26 +932,26 @@ ComputeBase::retryStalledTransactions(bool force_acks)
 {
     int sent = 0;
     std::vector<Addr> force_complete;
-    for (auto &[line, m] : mshrs_) {
+    forEachMshr([&](Mshr &m) {
         if (m.replyArrived) {
             if (force_acks && m.acksExpected > 0 &&
                 m.acksReceived < m.acksExpected) {
                 ctx_.stats().add("fault.acks_forced",
                                  m.acksExpected - m.acksReceived);
                 m.acksReceived = m.acksExpected;
-                force_complete.push_back(line);
+                force_complete.push_back(m.line);
             }
-            continue;
+            return;
         }
         resendRequest(m);
         ++sent;
-    }
+    });
     for (Addr line : force_complete)
         tryComplete(line);
-    for (auto &[line, wb] : wbPending_) {
+    forEachWbPending([&](Addr line, WbPending &wb) {
         resendWriteBack(line, wb);
         ++sent;
-    }
+    });
     return sent;
 }
 
@@ -947,21 +1030,21 @@ ComputeBase::faultSweep()
     // stale data, which the version oracle counts.
     std::vector<Addr> force_complete;
 
-    for (auto &[line, m] : mshrs_) {
+    forEachMshr([&](Mshr &m) {
         if (m.failed)
-            continue;
+            return;
         if (m.replyArrived) {
             if (m.acksExpected > 0 && m.acksReceived < m.acksExpected &&
                 now >= m.lastProgress + 4 * fc.timeoutTicks) {
                 ctx_.stats().add("fault.acks_forced",
                                  m.acksExpected - m.acksReceived);
                 m.acksReceived = m.acksExpected;
-                force_complete.push_back(line);
+                force_complete.push_back(m.line);
             }
-            continue;
+            return;
         }
         if (now < m.lastProgress + m.curTimeout)
-            continue;
+            return;
         if (m.retries >= fc.retryLimit) {
             m.failed = true;
             ctx_.stats().add("fault.txn_abandoned");
@@ -974,45 +1057,35 @@ ComputeBase::faultSweep()
                      return os.str();
                  }() +
                  ")");
-            continue;
+            return;
         }
         resendRequest(m);
-    }
+    });
 
     for (Addr line : force_complete)
         tryComplete(line);
 
-    for (auto &[line, wb] : wbPending_) {
+    forEachWbPending([&](Addr line, WbPending &wb) {
         if (wb.failed)
-            continue;
+            return;
         if (now < wb.lastSend + wb.curTimeout)
-            continue;
+            return;
         if (wb.retries >= fc.retryLimit) {
             wb.failed = true;
             ctx_.stats().add("fault.wb_abandoned");
-            continue;
+            return;
         }
         resendWriteBack(line, wb);
-    }
+    });
 
     // Keep sweeping while anything can still make progress; once only
     // failed transactions remain the queue may drain, which is what
     // lets the watchdog fire instead of spinning forever.
     bool live = false;
-    for (const auto &[line, m] : mshrs_) {
-        if (!m.failed) {
-            live = true;
-            break;
-        }
-    }
-    if (!live) {
-        for (const auto &[line, wb] : wbPending_) {
-            if (!wb.failed) {
-                live = true;
-                break;
-            }
-        }
-    }
+    forEachMshr([&](const Mshr &m) { live = live || !m.failed; });
+    forEachWbPending([&](Addr, const WbPending &wb) {
+        live = live || !wb.failed;
+    });
     if (live)
         scheduleFaultSweep();
 }
@@ -1020,17 +1093,11 @@ ComputeBase::faultSweep()
 void
 ComputeBase::collectStuck(std::vector<StuckTxn> &out) const
 {
-    std::vector<Addr> lines;
-    lines.reserve(mshrs_.size());
-    for (const auto &[line, m] : mshrs_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    for (Addr line : lines) {
-        const Mshr &m = mshrs_.at(line);
+    forEachMshr([&](const Mshr &m) {
         StuckTxn t;
         t.kind = "mshr";
         t.node = self_;
-        t.line = line;
+        t.line = m.line;
         t.req = m.reqType;
         t.seq = m.seq;
         t.retries = m.retries;
@@ -1042,13 +1109,8 @@ ComputeBase::collectStuck(std::vector<StuckTxn> &out) const
         t.issueTick = m.issueTick;
         t.lastProgressTick = m.lastProgress;
         out.push_back(t);
-    }
-    lines.clear();
-    for (const auto &[line, wb] : wbPending_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    for (Addr line : lines) {
-        const WbPending &wb = wbPending_.at(line);
+    });
+    forEachWbPending([&](Addr line, const WbPending &wb) {
         StuckTxn t;
         t.kind = "writeback";
         t.node = self_;
@@ -1057,7 +1119,7 @@ ComputeBase::collectStuck(std::vector<StuckTxn> &out) const
         t.state = wb.failed ? "abandoned" : "pending";
         t.lastProgressTick = wb.lastSend;
         out.push_back(t);
-    }
+    });
 }
 
 void

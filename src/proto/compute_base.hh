@@ -219,6 +219,75 @@ class ComputeBase
         std::uint64_t seq = 0;
     };
 
+    /**
+     * The MSHR file: one slot per load the processor may have
+     * outstanding (Table 1: 16), like the hardware's fixed register
+     * file. A line is found by a linear scan of the slot lines (16 x
+     * 8 B), a new transaction takes the lowest free slot, and a slot's
+     * address is stable for the file's lifetime. Slot order is not
+     * line order: walks go through forEachMshr.
+     */
+    class MshrFile
+    {
+      public:
+        explicit MshrFile(int slots)
+            : slots_(slots > 0 ? static_cast<std::size_t>(slots) : 0),
+              lines_(slots_.size(), kInvalidAddr)
+        {
+        }
+
+        Mshr *
+        find(Addr line)
+        {
+            for (std::size_t i = 0; i < lines_.size(); ++i)
+                if (lines_[i] == line)
+                    return &slots_[i];
+            return nullptr;
+        }
+
+        const Mshr *
+        find(Addr line) const
+        {
+            return const_cast<MshrFile *>(this)->find(line);
+        }
+
+        /** Open a transaction on @p line in the lowest free slot (the
+         *  file must not be full and @p line must not be open). */
+        Mshr &open(Addr line);
+
+        /** Free @p m's slot. */
+        void close(Mshr &m);
+
+        void clear();
+
+        std::size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+        bool full() const { return size_ == slots_.size(); }
+
+        /** Lines of the open transactions, ascending. */
+        std::vector<Addr> sortedLines() const;
+
+      private:
+        std::vector<Mshr> slots_;
+        /** Slot i's line; kInvalidAddr marks a free slot. */
+        std::vector<Addr> lines_;
+        std::size_t size_ = 0;
+    };
+
+    /**
+     * Visit every open MSHR / pending writeback in ascending line
+     * order, so fault recovery and diagnostics never depend on slot
+     * or hash layout. The lines are snapshotted first and each is
+     * looked up again before its visit: the visitor may complete,
+     * open or resend transactions, and an entry closed by an earlier
+     * visit is skipped.
+     */
+    void forEachMshr(FunctionRef<void(Mshr &)> fn);
+    void forEachMshr(FunctionRef<void(const Mshr &)> fn) const;
+    void forEachWbPending(FunctionRef<void(Addr, WbPending &)> fn);
+    void forEachWbPending(
+        FunctionRef<void(Addr, const WbPending &)> fn) const;
+
     // ------------------------------------------------------------------
     // Node-level storage hooks.
     // ------------------------------------------------------------------
@@ -365,14 +434,13 @@ class ComputeBase
     Cache l1_;
     Cache l2_;
 
-    FlatMap<Addr, Mshr> mshrs_;
+    MshrFile mshrs_;
     std::deque<PendingAccess> blocked_;
     /** Displaced owned lines awaiting WriteBackAck. */
     FlatMap<Addr, WbPending> wbPending_;
     /** Accesses waiting for a WriteBackAck on their line. */
     FlatMap<Addr, std::vector<PendingAccess>> wbBlocked_;
 
-    int maxMshrs_ = 16;
     /** Fixed cost of detecting a node-level miss (tag check). */
     Tick missDetectLatency_ = 10;
     /** Cost of the hardware message engine handling one message. */

@@ -34,8 +34,7 @@ EventQueue::setDefaultKind(KernelKind kind)
 EventQueue::EventQueue(KernelKind kind) : kind_(kind)
 {
     if (kind_ == KernelKind::Calendar) {
-        bucketHead_.assign(kBuckets, nullptr);
-        bucketTail_.assign(kBuckets, nullptr);
+        buckets_.assign(kBuckets, Bucket{});
         occ_.assign(kOccWords, 0);
     }
 }
@@ -74,14 +73,15 @@ EventQueue::pushBucket(EventNode *n)
 {
     const std::size_t idx = static_cast<std::size_t>(n->when) &
                             kBucketMask;
+    Bucket &b = buckets_[idx];
     n->next = nullptr;
-    if (bucketTail_[idx]) {
-        bucketTail_[idx]->next = n;
+    if (b.tail) {
+        b.tail->next = n;
     } else {
-        bucketHead_[idx] = n;
+        b.head = n;
         occ_[idx >> 6] |= 1ull << (idx & 63);
     }
-    bucketTail_[idx] = n;
+    b.tail = n;
     ++bucketedCount_;
 }
 
@@ -132,7 +132,7 @@ EventQueue::scanBuckets(std::size_t &bucket_idx_out) const
                                     static_cast<std::size_t>(
                                         std::countr_zero(word));
             bucket_idx_out = idx;
-            return bucketHead_[idx];
+            return buckets_[idx].head;
         }
         w = (w + 1) & (kOccWords - 1);
         word = occ_[w];
@@ -186,9 +186,10 @@ EventQueue::runCore(std::uint64_t max_events, Tick until)
         // guard returns the node even when the callback throws (panic()
         // raises PanicError, which tests catch and continue past).
         if (fromBucket) {
-            bucketHead_[idx] = ev->next;
-            if (!bucketHead_[idx]) {
-                bucketTail_[idx] = nullptr;
+            Bucket &b = buckets_[idx];
+            b.head = ev->next;
+            if (!b.head) {
+                b.tail = nullptr;
                 occ_[idx >> 6] &= ~(1ull << (idx & 63));
             }
             --bucketedCount_;

@@ -8,7 +8,7 @@
  * richer entries (bounding the variance of probe lengths), and erase
  * uses backward-shift deletion so no tombstones accumulate. It
  * replaces std::unordered_map / std::map for the per-tick lookups that
- * dominate the simulator: MSHRs, pending writebacks, served-transaction
+ * dominate the simulator: pending writebacks, served-transaction
  * dedup, the page map, and the page index of sim/page_blocks.hh.
  *
  * API is the std::unordered_map subset those call sites use (find /

@@ -125,16 +125,19 @@ TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
  * was 4,586,024 B while directory entries and line versions lived in
  * line-keyed FlatMaps (64 B entries, tables doubled to stay under 75%
  * load) and 2,244,232 B once they moved into dense per-page blocks
- * with 40 B entries. The ceiling sits about 100 KB above the latter.
+ * with 40 B entries. It fell to 1,973,344 B when each P-node's 64-slot
+ * MSHR hash table became a fixed 16-slot file and the event ring
+ * shrank from 16,384 to 8,192 buckets. The ceiling sits about 100 KB
+ * above that.
  */
 TEST(AllocBudget, QuickAggFftPeakHeapStaysUnderCeiling)
 {
-    EXPECT_LE(secondRunPeakBytes("fft", quickAgg(0.75, 2)), 2'345'000u)
+    EXPECT_LE(secondRunPeakBytes("fft", quickAgg(0.75, 2)), 2'075'000u)
         << "a per-run buffer grew past its bound";
 }
 
 /**
- * What a run keeps resident on the heap: MSHR tables, directory
+ * What a run keeps resident on the heap: MSHR files, directory
  * tables, tagged-memory tags, D-node stores, and one op plus one
  * coroutine frame per op stream. Quick AGG barnes (8 threads, 1/1
  * AGG, 25% pressure), oracle off, second run of the process. Peak
@@ -143,13 +146,14 @@ TEST(AllocBudget, QuickAggFftPeakHeapStaysUnderCeiling)
  * 8,192-op batch) and directory entries took 80 B; about 3,593,900
  * with 256-op batch buffers; 3,489,088 with coroutine op streams;
  * 2,689,808 with directory entries and line versions in per-page
- * blocks. The peak is deterministic, so the ceiling sits about 100 KB
- * above it.
+ * blocks; 2,413,472 with a fixed 16-slot MSHR file per P-node and an
+ * 8,192-bucket event ring. The peak is deterministic, so the ceiling
+ * sits about 100 KB above it.
  */
 TEST(AllocBudget, QuickAggBarnesPeakHeapStaysUnderCeiling)
 {
     EXPECT_LE(secondRunPeakBytes("barnes", quickAgg(0.25, 1)),
-              2'790'000u)
+              2'515'000u)
         << "a per-run buffer grew past its bound";
 }
 

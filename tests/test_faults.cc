@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -198,6 +199,162 @@ TEST(FaultInjection, DuplicatedReplyIsIgnoredOnce)
                   m.stats().get("fault.orphan_reply"),
               0.0);
     m.checkInvariants();
+}
+
+// ----------------------------------------------------------- MSHR file
+
+/** Run every event of the next @p budget ticks. */
+void
+runFor(Machine &m, Tick budget)
+{
+    m.eq().runUntil(m.eq().curTick() + budget);
+}
+
+TEST(MshrFile, SeventeenthMissWaitsForAFreeSlot)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    ASSERT_EQ(cfg.proc.maxOutstandingLoads, 16);
+    Machine m(cfg);
+    const Addr lb = static_cast<Addr>(cfg.mem.lineBytes);
+    std::set<Addr> requested;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.type == MsgType::ReadReq && msg.src == 0)
+            requested.insert(msg.lineAddr);
+        return false;
+    });
+
+    std::vector<Tracker> t(17);
+    for (int i = 0; i < 17; ++i)
+        m.compute(0)->access(kLine + i * lb, false, t[i].fn());
+    EXPECT_EQ(m.compute(0)->outstanding(), 16u);
+
+    const Addr last = kLine + 16 * lb;
+    while (m.eq().runOne()) {
+        EXPECT_LE(m.compute(0)->outstanding(), 16u);
+        const bool any_done = std::any_of(
+            t.begin(), t.end() - 1, [](const Tracker &x) { return x.done; });
+        if (!any_done) {
+            // The 17th miss waits for a slot, not for the network.
+            EXPECT_EQ(requested.count(last), 0u);
+            EXPECT_EQ(m.compute(0)->outstanding(), 16u);
+        }
+    }
+    for (const Tracker &x : t)
+        EXPECT_TRUE(x.done);
+    EXPECT_EQ(requested.size(), 17u);
+    EXPECT_TRUE(m.compute(0)->quiescent());
+    m.checkInvariants();
+}
+
+TEST(MshrFile, FreedSlotIsFoundByItsNewLineOnly)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    cfg.proc.maxOutstandingLoads = 1; // one slot, reused by every miss
+    cfg.faults.armRecovery = true;
+    cfg.faults.timeoutTicks = 1'000'000;
+    Machine m(cfg);
+    const Addr a = kLine;
+    const Addr b = kLine + 4 * static_cast<Addr>(cfg.mem.lineBytes);
+    std::vector<Message> replies;
+    bool hold = false;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.type != MsgType::ReadReply || msg.dst != 0)
+            return false;
+        replies.push_back(msg);
+        return hold;
+    });
+
+    doAccess(m, 0, a, false);
+    ASSERT_EQ(replies.size(), 1u);
+    hold = true;
+    Tracker tb;
+    m.compute(0)->access(b, false, tb.fn());
+    runFor(m, 5000);
+    ASSERT_EQ(replies.size(), 2u);
+    const std::vector<StuckTxn> open = m.collectStuck();
+    ASSERT_EQ(open.size(), 1u);
+    EXPECT_EQ(open[0].line, b);
+
+    // A replayed reply for a finds no MSHR: the slot now holds b.
+    m.deliverDirect(replies[0]);
+    EXPECT_EQ(m.stats().get("fault.orphan_reply"), 1.0);
+    EXPECT_FALSE(tb.done);
+    m.deliverDirect(replies[1]);
+    m.eq().run();
+    EXPECT_TRUE(tb.done);
+    EXPECT_EQ(m.compute(0)->outstanding(), 0u);
+    m.checkInvariants();
+}
+
+TEST(MshrFile, RetryResendsMissesInAscendingLineOrder)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    cfg.faults.armRecovery = true;
+    cfg.faults.timeoutTicks = 1'000'000;
+    Machine m(cfg);
+    const Addr lb = static_cast<Addr>(cfg.mem.lineBytes);
+    std::vector<Message> sent;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.src == 0)
+            sent.push_back(msg);
+        return true; // nothing is delivered: every miss stays open
+    });
+
+    // Opened in descending line order, so slot order is descending.
+    std::vector<Tracker> t(8);
+    for (int i = 7; i >= 0; --i)
+        m.compute(0)->access(kLine + i * lb, false, t[i].fn());
+    runFor(m, 5000);
+    ASSERT_EQ(sent.size(), 8u);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(sent[i].lineAddr, kLine + (7 - i) * lb);
+
+    sent.clear();
+    EXPECT_EQ(m.compute(0)->retryStalledTransactions(false), 8);
+    ASSERT_EQ(sent.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(sent[i].type, MsgType::ReadReq);
+        EXPECT_TRUE(sent[i].isRetry);
+        EXPECT_EQ(sent[i].lineAddr, kLine + i * lb);
+    }
+}
+
+TEST(MshrFile, RetryResendsWritebacksInAscendingLineOrder)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 1, 1);
+    cfg.pNodeMemBytes = 4096;
+    cfg.mem.assoc = 1; // 32 direct-mapped sets of 128 B
+    cfg.faults.armRecovery = true;
+    cfg.faults.timeoutTicks = 1'000'000;
+    Machine m(cfg);
+    const Addr lb = static_cast<Addr>(cfg.mem.lineBytes);
+    const Addr conflict = cfg.pNodeMemBytes; // same set, next tag
+
+    for (int i = 0; i < 8; ++i)
+        doAccess(m, 0, kLine + i * lb, true);
+    std::vector<Addr> wbs;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.type != MsgType::WriteBack)
+            return false;
+        wbs.push_back(msg.lineAddr);
+        return true; // never acked: the writebacks stay pending
+    });
+    // Displace the owned lines in descending line order.
+    for (int i = 7; i >= 0; --i) {
+        Tracker t;
+        m.compute(0)->access(kLine + i * lb + conflict, true, t.fn());
+        runFor(m, 5000);
+        EXPECT_TRUE(t.done);
+    }
+    ASSERT_EQ(wbs.size(), 8u);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(wbs[i], kLine + (7 - i) * lb);
+
+    wbs.clear();
+    EXPECT_EQ(m.compute(0)->retryStalledTransactions(false), 8);
+    ASSERT_EQ(wbs.size(), 8u);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(wbs[i], kLine + i * lb);
 }
 
 // ------------------------------------------------------------ watchdog

@@ -115,6 +115,59 @@ TEST(CalendarQueue, MatchesReferenceAcrossSeeds)
     }
 }
 
+/**
+ * One kernel's execution trace for a schedule aimed at the ring's
+ * edges: horizons just inside, at and just past 4,096 and 8,192 ticks
+ * (the ring is 8,192 buckets), beyond it and deep in the overflow
+ * heap, each hit by same-tick FIFO bursts, from callbacks that keep
+ * rescheduling across the edge.
+ */
+std::vector<std::uint64_t>
+traceRingEdges(EventQueue::KernelKind kind)
+{
+    static constexpr std::array<Tick, 8> kHorizons = {
+        4095, 4096, 4097, 8191, 8192, 8193, 12000, 250000};
+    EventQueue eq(kind);
+    Rng rng(0x41'00ull);
+    std::vector<std::uint64_t> trace;
+    std::uint64_t id = 0;
+    std::uint64_t budget = 40'000;
+
+    std::function<void(std::uint64_t)> fire;
+    // A burst of 1-4 events on one tick; FIFO order must hold.
+    auto burst = [&](Tick when) {
+        const std::uint64_t n = 1 + rng.nextBounded(4);
+        for (std::uint64_t k = 0; k < n && budget > 0; ++k, --budget) {
+            const std::uint64_t kid = id++;
+            eq.schedule(when, [&fire, kid] { fire(kid); });
+        }
+    };
+    fire = [&](std::uint64_t my_id) {
+        trace.push_back(my_id);
+        const Tick h = kHorizons[rng.nextBounded(kHorizons.size())];
+        burst(eq.curTick() + h - 1 + rng.nextBounded(3));
+        if (rng.nextBounded(4) == 0)
+            burst(eq.curTick()); // joins the running tick's FIFO
+    };
+
+    for (int round = 0; round < 3; ++round)
+        for (Tick h : kHorizons)
+            burst(h);
+    eq.run();
+    return trace;
+}
+
+TEST(CalendarQueue, MatchesReferenceAcrossTheRingEdge)
+{
+    const auto ref = traceRingEdges(EventQueue::KernelKind::ReferenceHeap);
+    const auto cal = traceRingEdges(EventQueue::KernelKind::Calendar);
+    ASSERT_EQ(ref.size(), 40'000u);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i], cal[i]) << "first divergence at event " << i;
+    }
+}
+
 TEST(CalendarQueue, RunUntilThenBackfillBeforeTheWindowBase)
 {
     // Regression: after runUntil stops short of a far-future event the
