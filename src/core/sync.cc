@@ -6,26 +6,34 @@ namespace pimdsm
 {
 
 void
-SyncManager::refetchAndResume(ComputeBase *p, Addr addr,
-                              std::function<void()> cb)
+SyncManager::resumeThread(ComputeBase *p)
+{
+    const auto it = resume_.find(p);
+    if (it == resume_.end() || !it->second)
+        panic("sync resume with no parked callback");
+    const std::function<void()> cb = std::move(it->second);
+    it->second = nullptr;
+    cb();
+}
+
+void
+SyncManager::refetchAndResume(ComputeBase *p, Addr addr)
 {
     // The woken node re-reads the sync line before resuming
     // (invalidation storm + refetch, like real spinning).
-    p->access(addr, false, [cb = std::move(cb)](Tick, ReadService) {
-        cb();
-    });
+    p->access(addr, false,
+              [this, p](Tick, ReadService) { resumeThread(p); });
 }
 
 void
 SyncManager::arriveBarrier(Addr addr, ComputeBase &port,
                            std::function<void()> resume)
 {
+    resume_[&port] = std::move(resume);
     // The arrival is a store on the barrier line (fetch&increment).
-    port.access(addr, true, [this, addr, &port,
-                             resume = std::move(resume)](Tick,
-                                                         ReadService) {
+    port.access(addr, true, [this, addr, p = &port](Tick, ReadService) {
         Barrier &b = barriers_[addr];
-        b.waiters.emplace_back(&port, resume);
+        b.waiters.push_back(p);
         if (++b.arrived < numThreads_)
             return;
         releaseBarrier(addr, b);
@@ -36,28 +44,29 @@ void
 SyncManager::releaseBarrier(Addr addr, Barrier &b)
 {
     ++barrierEpisodes_;
-    auto waiters = std::move(b.waiters);
     b.arrived = 0;
+    // access() never completes synchronously, so the list cannot
+    // change under the loop; clearing it keeps its capacity for the
+    // next episode.
+    for (ComputeBase *p : b.waiters)
+        refetchAndResume(p, addr);
     b.waiters.clear();
-    for (auto &[p, cb] : waiters)
-        refetchAndResume(p, addr, cb);
 }
 
 void
 SyncManager::acquireLock(Addr addr, ComputeBase &port,
                          std::function<void()> resume)
 {
+    resume_[&port] = std::move(resume);
     // test&set: a store on the lock line.
-    port.access(addr, true, [this, addr, &port,
-                             resume = std::move(resume)](Tick,
-                                                         ReadService) {
+    port.access(addr, true, [this, addr, p = &port](Tick, ReadService) {
         Lock &l = locks_[addr];
         if (!l.held) {
             l.held = true;
-            l.holder = &port;
-            resume();
+            l.holder = p;
+            resumeThread(p);
         } else {
-            l.waiters.emplace_back(&port, resume);
+            l.waiters.push_back(p);
         }
     });
 }
@@ -75,11 +84,11 @@ SyncManager::releaseLock(Addr addr, ComputeBase &port)
             return;
         }
         ++lockHandoffs_;
-        auto [p, cb] = std::move(l.waiters.front());
+        ComputeBase *p = l.waiters.front();
         l.waiters.pop_front();
         l.holder = p;
         // The next holder re-reads the lock line before entering.
-        refetchAndResume(p, addr, std::move(cb));
+        refetchAndResume(p, addr);
     });
 }
 
@@ -91,7 +100,7 @@ SyncManager::threadDied(ComputeBase *port)
 
     for (auto &[addr, b] : barriers_) {
         for (auto it = b.waiters.begin(); it != b.waiters.end();) {
-            if (it->first == port) {
+            if (*it == port) {
                 it = b.waiters.erase(it);
                 --b.arrived;
             } else {
@@ -105,7 +114,7 @@ SyncManager::threadDied(ComputeBase *port)
 
     for (auto &[addr, l] : locks_) {
         for (auto it = l.waiters.begin(); it != l.waiters.end();) {
-            if (it->first == port)
+            if (*it == port)
                 it = l.waiters.erase(it);
             else
                 ++it;
@@ -118,10 +127,10 @@ SyncManager::threadDied(ComputeBase *port)
                 l.holder = nullptr;
             } else {
                 ++lockHandoffs_;
-                auto [p, cb] = std::move(l.waiters.front());
+                ComputeBase *p = l.waiters.front();
                 l.waiters.pop_front();
                 l.holder = p;
-                refetchAndResume(p, addr, std::move(cb));
+                refetchAndResume(p, addr);
             }
         }
     }

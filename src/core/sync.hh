@@ -60,26 +60,34 @@ class SyncManager
     struct Barrier
     {
         int arrived = 0;
-        std::vector<std::pair<ComputeBase *, std::function<void()>>>
-            waiters;
+        /** Ports whose arrival completed, in arrival order. */
+        std::vector<ComputeBase *> waiters;
     };
 
     struct Lock
     {
         bool held = false;
         ComputeBase *holder = nullptr;
-        std::deque<std::pair<ComputeBase *, std::function<void()>>>
-            waiters;
+        std::deque<ComputeBase *> waiters;
     };
 
     /** Release every waiter of @p b (invalidation storm + refetch). */
     void releaseBarrier(Addr addr, Barrier &b);
 
-    /** Re-read @p addr on @p p's node, then run @p cb. */
-    void refetchAndResume(ComputeBase *p, Addr addr,
-                          std::function<void()> cb);
+    /** Re-read @p addr on @p p's node, then resume @p p's thread. */
+    void refetchAndResume(ComputeBase *p, Addr addr);
+
+    /** Run (and clear) the resume callback parked for @p p. */
+    void resumeThread(ComputeBase *p);
 
     int numThreads_;
+    /**
+     * Each port's parked resume callback. A thread stalls on its sync
+     * operation, so a port has at most one outstanding; keeping it
+     * here lets every coherence completion capture only pointers and
+     * the sync address.
+     */
+    std::unordered_map<ComputeBase *, std::function<void()>> resume_;
     std::unordered_map<Addr, Barrier> barriers_;
     std::unordered_map<Addr, Lock> locks_;
     std::uint64_t barrierEpisodes_ = 0;

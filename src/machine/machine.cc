@@ -184,17 +184,18 @@ Machine::send(Message msg)
     const MsgClass cls = msgClassOf(msg.type);
 
     // The closure carries the Message by value: this plus a trivially
-    // copyable Message fits InlineCallback's inline budget, so the
-    // delivery is built in its event node and never touches the heap.
+    // copyable Message fits InlineCallback's budget, so the mesh builds
+    // the delivery directly in its event node and never touches the
+    // heap.
     static_assert(std::is_trivially_copyable_v<Message>);
-    auto deliver = [this, msg] { deliverDirect(msg); };
+    const auto deliver = [this, msg] { deliverDirect(msg); };
 
     if (src == dst) {
         // On-chip: bypass the network entirely.
-        eq_.scheduleIn(1, std::move(deliver));
+        eq_.scheduleIn(1, deliver);
         return;
     }
-    mesh_.send(src, dst, payload, std::move(deliver), cls);
+    mesh_.send(src, dst, payload, deliver, cls);
 }
 
 void

@@ -70,9 +70,9 @@ Mesh::hops(NodeId src, NodeId dst) const
            std::abs(nodeY(src) - nodeY(dst));
 }
 
+template <typename PerHop>
 void
-Mesh::walkPath(NodeId src, NodeId dst,
-               FunctionRef<void(int, int, int)> per_hop) const
+Mesh::walkPath(NodeId src, NodeId dst, PerHop &&per_hop) const
 {
     int x = nodeX(src);
     int y = nodeY(src);
@@ -216,8 +216,7 @@ Mesh::drainBlocked()
     for (BlockedMsg &b : pend) {
         if (stats_ && routable(b.src, b.dst))
             stats_->add("fault.net.partition_drained");
-        send(b.src, b.dst, b.payloadBytes, std::move(b.deliver),
-             b.cls);
+        send(b.src, b.dst, b.payloadBytes, b.deliver, b.cls);
     }
 }
 
@@ -248,41 +247,31 @@ Mesh::averageUnloadedLatency(int payload_bytes) const
     return pairs ? sum / pairs : 0;
 }
 
-Tick
-Mesh::send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
-           MsgClass cls)
+void
+Mesh::badEndpoints(NodeId src, NodeId dst, int payload_bytes,
+                   MsgClass cls) const
 {
-    if (src < 0 || src >= numNodes_ || dst < 0 || dst >= numNodes_)
-        panic("mesh send with out-of-range node id: " +
-              std::to_string(src) + " -> " + std::to_string(dst) +
-              " (mesh has " + std::to_string(numNodes_) + " nodes, " +
-              std::to_string(payload_bytes) + "-byte " +
-              msgClassName(cls) + " message)");
+    panic("mesh send with out-of-range node id: " + std::to_string(src) +
+          " -> " + std::to_string(dst) + " (mesh has " +
+          std::to_string(numNodes_) + " nodes, " +
+          std::to_string(payload_bytes) + "-byte " + msgClassName(cls) +
+          " message)");
+}
 
-    if (deadLinks_ > 0 && src != dst && !routable(src, dst)) {
-        // True partition: park the message against the cut. It drains
-        // (and only then pays latency and faults) when a heal makes
-        // the destination reachable again.
-        blocked_.push_back(BlockedMsg{src, dst, payload_bytes,
-                                      std::move(deliver), cls});
-        ++partitionBlockedTotal_;
-        if (stats_)
-            stats_->add("fault.net.partition_blocked");
-        return eq_.curTick();
-    }
+Tick
+Mesh::park(const BlockedMsg &b)
+{
+    blocked_.push_back(b);
+    ++partitionBlockedTotal_;
+    if (stats_)
+        stats_->add("fault.net.partition_blocked");
+    return eq_.curTick();
+}
 
-    FaultDecision fd;
-    if (faults_ && faults_->active() && cls != MsgClass::Immune &&
-        src != dst)
-        fd = faults_->decide(cls);
-
-    if (fd.action == FaultAction::Duplicate) {
-        // The extra copy traverses the mesh independently (paying real
-        // contention) but is immune to further faults: one fault per
-        // message.
-        send(src, dst, payload_bytes, deliver, MsgClass::Immune);
-    }
-
+Tick
+Mesh::transit(NodeId src, NodeId dst, int payload_bytes,
+              const FaultDecision &fd)
+{
     const Tick now = eq_.curTick();
     const Tick ser = serTicks(payload_bytes);
     const Tick per_hop = params_.routerLatency + params_.wireLatency;
@@ -297,7 +286,7 @@ Mesh::send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
         last_link = linkIndex(x, y, dir);
     });
 
-    Tick arrival = head + ser + params_.niLatency + fd.extraDelay;
+    const Tick arrival = head + ser + params_.niLatency + fd.extraDelay;
 
     ++messagesSent_;
     bytesSent_ += static_cast<std::uint64_t>(payload_bytes) +
@@ -309,10 +298,7 @@ Mesh::send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
         // final link; the destination never sees it.
         if (last_link < linkDrops_.size())
             ++linkDrops_[last_link];
-        return arrival;
     }
-
-    eq_.schedule(arrival, std::move(deliver));
     return arrival;
 }
 

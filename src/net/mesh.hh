@@ -15,12 +15,12 @@
 #define PIMDSM_NET_MESH_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
-#include "sim/function_ref.hh"
 #include "sim/inline_callback.hh"
 #include "sim/types.hh"
 
@@ -32,10 +32,8 @@ class StatSet;
 class Mesh
 {
   public:
-    /** Invoked at the destination when the message tail arrives.
-     *  Pooled small-buffer callback: scheduling a delivery allocates
-     *  nothing as long as the closure fits inline (see Machine::send,
-     *  which captures a pooled message handle, not the Message). */
+    /** A delivery held past its send: a message parked against a
+     *  partition, or the extra copy of a duplicated one. */
     using DeliverFn = InlineCallback;
 
     Mesh(EventQueue &eq, const NetParams &params, int num_nodes);
@@ -49,6 +47,11 @@ class Mesh
      * Send @p payload_bytes from @p src to @p dst; @p deliver runs when
      * the tail arrives. Self-sends pay only the NI latencies.
      *
+     * @p deliver is any trivially copyable callable that fits
+     * InlineCallback's budget (others fail to compile). On the normal
+     * path it is built directly in its event node; only the parked
+     * and duplicate paths wrap it in a DeliverFn.
+     *
      * When a fault plan is attached (setFaultPlan) and @p cls is not
      * Immune, the message may be dropped (deliver never runs; the drop
      * is charged to the last link on the path), extra-delayed, or
@@ -57,8 +60,41 @@ class Mesh
      *
      * @return the scheduled arrival tick (of the original copy).
      */
-    Tick send(NodeId src, NodeId dst, int payload_bytes, DeliverFn deliver,
-              MsgClass cls = MsgClass::Immune);
+    template <typename F>
+        requires std::is_constructible_v<DeliverFn, F>
+    Tick
+    send(NodeId src, NodeId dst, int payload_bytes, F &&deliver,
+         MsgClass cls = MsgClass::Immune)
+    {
+        if (src < 0 || src >= numNodes_ || dst < 0 || dst >= numNodes_)
+            badEndpoints(src, dst, payload_bytes, cls);
+
+        if (deadLinks_ > 0 && src != dst && !routable(src, dst)) {
+            // True partition: park the message against the cut. It
+            // drains (and only then pays latency and faults) when a
+            // heal makes the destination reachable again.
+            return park(BlockedMsg{src, dst, payload_bytes,
+                                   DeliverFn(deliver), cls});
+        }
+
+        FaultDecision fd;
+        if (faults_ && faults_->active() && cls != MsgClass::Immune &&
+            src != dst)
+            fd = faults_->decide(cls);
+
+        if (fd.action == FaultAction::Duplicate) {
+            // The extra copy traverses the mesh independently (paying
+            // real contention) but is immune to further faults: one
+            // fault per message.
+            send(src, dst, payload_bytes, DeliverFn(deliver),
+                 MsgClass::Immune);
+        }
+
+        const Tick arrival = transit(src, dst, payload_bytes, fd);
+        if (fd.action != FaultAction::Drop)
+            eq_.schedule(arrival, std::forward<F>(deliver));
+        return arrival;
+    }
 
     /** Attach the machine's fault plan (nullptr detaches). */
     void setFaultPlan(FaultPlan *plan) { faults_ = plan; }
@@ -166,8 +202,19 @@ class Mesh
      * every link alive this is the XY path; in degraded mode it
      * follows the detour table (caller must have checked routable()).
      */
-    void walkPath(NodeId src, NodeId dst,
-                  FunctionRef<void(int, int, int)> per_hop) const;
+    template <typename PerHop>
+    void walkPath(NodeId src, NodeId dst, PerHop &&per_hop) const;
+
+    /**
+     * Move a message over its path: reserve each link, account the
+     * send, and charge a Drop to the last link.
+     * @return the tail's arrival tick, including @p fd's extra delay.
+     */
+    Tick transit(NodeId src, NodeId dst, int payload_bytes,
+                 const FaultDecision &fd);
+
+    [[noreturn]] void badEndpoints(NodeId src, NodeId dst,
+                                   int payload_bytes, MsgClass cls) const;
 
     /** A message queued against an unroutable partition. */
     struct BlockedMsg
@@ -178,6 +225,9 @@ class Mesh
         DeliverFn deliver;
         MsgClass cls;
     };
+
+    /** Queue @p b against the partition; returns the current tick. */
+    Tick park(const BlockedMsg &b);
 
     /** Recompute the per-destination next-hop detour table (BFS over
      *  live links, deterministic E/W/N/S tie-break). */

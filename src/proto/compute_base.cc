@@ -225,12 +225,11 @@ ComputeBase::memLine(Addr addr) const
 }
 
 void
-ComputeBase::complete(Tick when, ReadService svc, const CompletionFn &cb)
+ComputeBase::complete(Tick when, ReadService svc, CompletionFn cb)
 {
-    // Init-capture: a plain [cb] copy of a const reference would make
-    // the member const, hence not nothrow-movable, and InlineCallback
-    // would move the closure to the heap.
-    ctx_.eq().schedule(when, [fn = cb, when, svc] { fn(when, svc); });
+    // The completion is plain bytes: the closure copies it into its
+    // event node next to the tick and service class.
+    ctx_.eq().schedule(when, [cb, when, svc] { cb(when, svc); });
 }
 
 void
@@ -241,11 +240,7 @@ ComputeBase::access(Addr addr, bool is_write, CompletionFn cb)
         // buffer or a late sync callback) vanishes; nobody is waiting.
         return;
     }
-    PendingAccess acc;
-    acc.addr = addr;
-    acc.isWrite = is_write;
-    acc.cb = std::move(cb);
-    startAccess(acc);
+    startAccess(PendingAccess{addr, is_write, cb});
 }
 
 void
@@ -616,12 +611,8 @@ ComputeBase::finishAccess(Mshr &m)
     for (const auto &f : fwds)
         handleFwd(f);
 
-    for (PendingAccess &acc : deferred) {
-        // Moved in, not copied: see complete().
-        ctx_.eq().schedule(done, [this, acc = std::move(acc)] {
-            startAccess(acc);
-        });
-    }
+    for (const PendingAccess &acc : deferred)
+        ctx_.eq().schedule(done, [this, acc] { startAccess(acc); });
     drainBlocked();
 }
 

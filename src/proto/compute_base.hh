@@ -32,6 +32,7 @@
 #include "proto/stuck.hh"
 #include "sim/flat_map.hh"
 #include "sim/function_ref.hh"
+#include "sim/inline_callback.hh"
 #include "sim/small_vec.hh"
 #include "sim/stats.hh"
 
@@ -41,8 +42,13 @@ namespace pimdsm
 class ComputeBase
 {
   public:
-    /** Completion: tick the access finished and where it was served. */
-    using CompletionFn = std::function<void(Tick, ReadService)>;
+    /**
+     * Completion: tick the access finished and where it was served.
+     * Trivially copyable with a three-word capture budget, so pending
+     * accesses, MSHR waiters and completion events carry it as plain
+     * bytes; a closure that does not fit fails to compile.
+     */
+    using CompletionFn = InlineFunction<void(Tick, ReadService), 24>;
 
     ComputeBase(ProtoContext &ctx, NodeId self, spec::Role role);
     virtual ~ComputeBase() = default;
@@ -395,7 +401,7 @@ class ComputeBase
     void drainBlocked();
 
     /** Schedule @p cb at @p when with service class @p svc. */
-    void complete(Tick when, ReadService svc, const CompletionFn &cb);
+    void complete(Tick when, ReadService svc, CompletionFn cb);
 
     // ------------------------------------------------------------------
     // Fault tolerance (inert unless cfg().faults.enabled()).

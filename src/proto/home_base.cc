@@ -1,5 +1,6 @@
 #include "proto/home_base.hh"
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -497,9 +498,9 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
     const Tick start = engine_.acquire(now, occ);
     Tick when = start + handlerLatency(req, costs().readExLatency);
 
-    for (NodeId t = 0; t < 64; ++t) {
-        if (!((inv_set >> t) & 1))
-            continue;
+    // Walk the set bits in ascending node order.
+    for (std::uint64_t rest = inv_set; rest; rest &= rest - 1) {
+        const NodeId t = static_cast<NodeId>(std::countr_zero(rest));
         ++invals_;
         Message i;
         i.type = MsgType::Inval;

@@ -62,7 +62,6 @@ EventQueue::allocNode()
 void
 EventQueue::freeNode(EventNode *n) noexcept
 {
-    n->fn.reset();
     n->next = freeList_;
     freeList_ = n;
     ++poolFreeCount_;

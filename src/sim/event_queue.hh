@@ -11,10 +11,11 @@
  * link hops, handler occupancies, memory latencies are all small
  * constants), plus a (when, seq)-ordered overflow heap for far-future
  * events such as watchdog timeouts and fault sweeps. Schedule and pop
- * are O(1) on the bucket path. Event closures are built directly in
- * pooled, small-buffer-optimized nodes (see InlineCallback) and run
- * there, so the steady state allocates nothing and a closure is never
- * moved between scheduling and execution.
+ * are O(1) on the bucket path. Event closures are trivially copyable
+ * (see InlineCallback), built directly in pooled nodes and run there,
+ * so the steady state allocates nothing, a closure is never moved
+ * between scheduling and execution, and freeing a node runs no
+ * destructor.
  *
  * The execution order — strictly increasing (when, seq) — is
  * byte-identical to the original binary-heap kernel; a reference-heap
@@ -25,7 +26,9 @@
 #define PIMDSM_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <memory>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/inline_callback.hh"
@@ -72,10 +75,12 @@ class EventQueue
 
     /**
      * Schedule @p fn at absolute time @p when (>= curTick). The
-     * callable is constructed in its pooled node; a Callback argument
-     * is relocated into it once (rvalue) or copied (lvalue).
+     * callable must be trivially copyable and fit Callback's budget
+     * (anything else fails to compile); it is constructed directly in
+     * its pooled node, and a Callback argument is copied there.
      */
     template <typename F>
+        requires std::is_constructible_v<Callback, F>
     void
     schedule(Tick when, F &&fn)
     {
@@ -88,12 +93,10 @@ class EventQueue
             return;
         }
         EventNode *n = allocNode();
-        try {
-            n->fn.assign(std::forward<F>(fn));
-        } catch (...) {
-            freeNode(n);
-            throw;
-        }
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>)
+            n->fn = fn;
+        else
+            n->fn.emplace(std::forward<F>(fn));
         n->when = when;
         n->seq = nextSeq_++;
         ++size_;
@@ -102,6 +105,7 @@ class EventQueue
 
     /** Schedule @p fn @p delta ticks from now. */
     template <typename F>
+        requires std::is_constructible_v<Callback, F>
     void
     scheduleIn(Tick delta, F &&fn)
     {
@@ -213,8 +217,8 @@ class EventQueue
     EventNode *allocNode();
     void freeNode(EventNode *n) noexcept;
 
-    /** Scope guard: destroys the closure of a node that has run (or
-     *  thrown) and puts the node back on the free list. */
+    /** Scope guard: puts a node whose closure has run (or thrown)
+     *  back on the free list. */
     struct NodeReturn
     {
         EventQueue *q;

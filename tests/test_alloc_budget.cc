@@ -21,7 +21,10 @@
  * Allocation counts are deterministic, so the ceiling sits just above
  * the 3,179, with room only for standard-library growth policies to
  * differ: one allocation per miss (tens of thousands here) blows
- * through it.
+ * through it. fft takes no locks, so a second count covers the sync
+ * path: quick AGG barnes, whose lock and barrier completions
+ * allocated until completions became trivially copyable closures
+ * (6,673 -> 5,166; fft stayed at 2,439).
  */
 
 #include <gtest/gtest.h>
@@ -118,6 +121,28 @@ TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
     ASSERT_GT(r.messages, 250'000u); // the run did real protocol work
     EXPECT_LE(allocs, 3'500u)
         << "per-access heap allocation crept back into the hot path";
+}
+
+/**
+ * Quick AGG barnes (8 threads, 1/1 AGG, 25% pressure), second run:
+ * the sync-heavy counterpart of the fft count. Its lock and barrier
+ * accesses once each heap-allocated a std::function completion
+ * capturing the resume callback (6,673 allocations in all, about
+ * 1,490 of them sync accesses); with trivially copyable completions
+ * and the resume callbacks parked in SyncManager's table the run
+ * allocates 5,166 times, and the ceiling sits just above that.
+ */
+TEST(AllocBudget, QuickAggBarnesRunStaysUnderCeiling)
+{
+    auto wl = makeWorkload("barnes");
+    const BuildSpec spec = quickAgg(0.25, 1);
+    const RunResult warm = runWorkload(*wl, spec);
+    const std::uint64_t before = allocCount;
+    const RunResult r = runWorkload(*wl, spec);
+    const std::uint64_t allocs = allocCount - before;
+    ASSERT_EQ(r.totalTicks, warm.totalTicks);
+    EXPECT_LE(allocs, 5'300u)
+        << "a sync or per-access allocation crept back into the hot path";
 }
 
 /**

@@ -12,11 +12,15 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "machine/builder.hh"
 #include "machine/machine.hh"
+#include "net/mesh.hh"
+#include "proto/compute_base.hh"
 #include "proto/message.hh"
 #include "report/experiment.hh"
 #include "sim/event_queue.hh"
@@ -25,6 +29,7 @@
 #include "sim/log.hh"
 #include "sim/random.hh"
 #include "sim/small_vec.hh"
+#include "sim/stats.hh"
 #include "workload/apps.hh"
 
 namespace pimdsm
@@ -209,17 +214,20 @@ TEST(EventPool, CallbackSchedulingPastASlabKeepsItsCaptures)
     // than one slab holds makes the pool grow while it runs; slabs
     // never move, so its captures must read back intact.
     EventQueue eq(EventQueue::KernelKind::Calendar);
-    std::array<std::uint64_t, 12> vals{};
+    // Three references plus ten words: the whole inline budget.
+    std::array<std::uint64_t, 10> vals{};
     for (std::size_t i = 0; i < vals.size(); ++i)
         vals[i] = 0x9e3779b97f4a7c15ull * (i + 1);
     std::uint64_t seen = 0;
     int children = 0;
-    eq.schedule(1, [&eq, &seen, &children, vals] {
+    auto parent = [&eq, &seen, &children, vals] {
         for (int i = 0; i < 300; ++i)
             eq.scheduleIn(1 + i % 7, [&children] { ++children; });
         for (const std::uint64_t v : vals)
             seen ^= v;
-    });
+    };
+    static_assert(sizeof(parent) == InlineCallback::kInlineBytes);
+    eq.schedule(1, parent);
     eq.run();
     std::uint64_t want = 0;
     for (const std::uint64_t v : vals)
@@ -249,64 +257,93 @@ TEST(EventPool, ThrowingCallbackStillReturnsItsNode)
     EXPECT_EQ(eq.poolFree(), eq.poolCapacity());
 }
 
-/** Counts copies and moves of a closure's capture. */
-struct CopyCounter
-{
-    int *copies;
-    int *moves;
-    CopyCounter(int *c, int *m) : copies(c), moves(m) {}
-    CopyCounter(const CopyCounter &o) : copies(o.copies), moves(o.moves)
-    {
-        ++*copies;
-    }
-    CopyCounter(CopyCounter &&o) noexcept
-        : copies(o.copies), moves(o.moves)
-    {
-        ++*moves;
-    }
-    CopyCounter &operator=(const CopyCounter &) = delete;
-    CopyCounter &operator=(CopyCounter &&) = delete;
+// ---------------------------------------------------------------------
+// InlineCallback and CompletionFn: trivially copyable, fixed budget.
+// ---------------------------------------------------------------------
+
+template <typename F>
+constexpr bool kSchedulable = requires(EventQueue &eq, F f) {
+    eq.schedule(Tick{0}, f);
 };
 
-TEST(EventPool, ScheduleCopiesLvalueAndMovesRvalueCallbacks)
+template <typename F>
+constexpr bool kSendable = requires(Mesh &mesh, F f) {
+    mesh.send(NodeId{0}, NodeId{1}, 0, f);
+};
+
+template <typename F>
+constexpr bool kAccessible = requires(ComputeBase &c, F f) {
+    c.access(Addr{0}, false, f);
+};
+
+TEST(InlineCallback, NonTriviallyCopyableClosuresDoNotCompile)
 {
-    EventQueue eq(EventQueue::KernelKind::Calendar);
-    int copies = 0;
-    int moves = 0;
+    // A capture whose copy runs code (a std::function, a shared_ptr)
+    // cannot be carried as plain bytes, so every entry point rejects
+    // it at compile time instead of moving it to the heap.
+    [[maybe_unused]] auto event = [f = std::function<void()>()] { f(); };
+    [[maybe_unused]] auto done = [p = std::make_shared<int>(0)](
+                                     Tick, ReadService) { ++*p; };
+    EXPECT_FALSE((std::is_constructible_v<InlineCallback,
+                                          decltype(event)>));
+    EXPECT_FALSE((std::is_constructible_v<ComputeBase::CompletionFn,
+                                          decltype(done)>));
+    EXPECT_FALSE(kSchedulable<decltype(event)>);
+    EXPECT_FALSE(kSendable<decltype(event)>);
+    EXPECT_FALSE(kAccessible<decltype(done)>);
+
+    // The same shapes over trivially copyable state are accepted.
     int hits = 0;
-    InlineCallback cb([c = CopyCounter(&copies, &moves), &hits] {
-        (void)c;
+    [[maybe_unused]] auto plain_event = [&hits] { ++hits; };
+    [[maybe_unused]] auto plain_done = [&hits](Tick, ReadService) {
         ++hits;
-    });
-    ASSERT_TRUE(cb.storedInline());
-    copies = moves = 0;
+    };
+    EXPECT_TRUE(kSchedulable<decltype(plain_event)>);
+    EXPECT_TRUE(kSendable<decltype(plain_event)>);
+    EXPECT_TRUE(kAccessible<decltype(plain_done)>);
+}
 
-    eq.schedule(1, cb); // lvalue: copied into the node
-    EXPECT_EQ(copies, 1);
-    EXPECT_EQ(moves, 0);
-    ASSERT_TRUE(cb);
-    cb(); // the original is untouched and still callable
-    eq.run();
-    EXPECT_EQ(hits, 2);
+TEST(InlineCallback, OversizedClosuresDoNotCompile)
+{
+    std::array<std::uint64_t, 13> event_budget{};
+    std::array<std::uint64_t, 14> event_over{};
+    std::array<std::uint64_t, 3> done_budget{};
+    std::array<std::uint64_t, 4> done_over{};
+    [[maybe_unused]] auto event_fits = [event_budget] {
+        (void)event_budget;
+    };
+    [[maybe_unused]] auto event_big = [event_over] { (void)event_over; };
+    [[maybe_unused]] auto done_fits = [done_budget](Tick, ReadService) {
+        (void)done_budget;
+    };
+    [[maybe_unused]] auto done_big = [done_over](Tick, ReadService) {
+        (void)done_over;
+    };
+    static_assert(sizeof(event_fits) == InlineCallback::kInlineBytes);
+    static_assert(sizeof(done_fits) ==
+                  ComputeBase::CompletionFn::kInlineBytes);
 
-    copies = moves = 0;
-    eq.schedule(2, std::move(cb)); // rvalue: relocated once
-    EXPECT_EQ(copies, 0);
-    EXPECT_EQ(moves, 1);
-    EXPECT_FALSE(cb); // NOLINT: moved-from state is specified
-    eq.run();
-    EXPECT_EQ(hits, 3);
-    EXPECT_EQ(moves, 1); // ran in place, never moved out of the node
+    EXPECT_TRUE((std::is_constructible_v<InlineCallback,
+                                         decltype(event_fits)>));
+    EXPECT_FALSE((std::is_constructible_v<InlineCallback,
+                                          decltype(event_big)>));
+    EXPECT_TRUE((std::is_constructible_v<ComputeBase::CompletionFn,
+                                         decltype(done_fits)>));
+    EXPECT_FALSE((std::is_constructible_v<ComputeBase::CompletionFn,
+                                          decltype(done_big)>));
+    EXPECT_FALSE(kSchedulable<decltype(event_big)>);
+    EXPECT_FALSE(kSendable<decltype(event_big)>);
+    EXPECT_FALSE(kAccessible<decltype(done_big)>);
 }
 
 TEST(InlineCallback, MessageDeliveryClosureStaysInline)
 {
     // Machine::send's delivery closure: a this-pointer plus a Message
-    // by value.
+    // by value, built in its event node and run there.
     struct Sink
     {
         int acks = 0;
-        InlineCallback
+        auto
         deliver(Message msg)
         {
             return [this, msg] { acks += msg.ackCount; };
@@ -315,66 +352,97 @@ TEST(InlineCallback, MessageDeliveryClosureStaysInline)
     Sink sink;
     Message msg;
     msg.ackCount = 3;
-    InlineCallback cb = sink.deliver(msg);
-    EXPECT_TRUE(cb.storedInline());
-    InlineCallback dup = cb; // the mesh's Duplicate path copies it
-    cb();
-    dup();
-    EXPECT_EQ(sink.acks, 6);
+    const auto closure = sink.deliver(msg);
+    static_assert(sizeof(closure) <= InlineCallback::kInlineBytes);
+    EventQueue eq(EventQueue::KernelKind::Calendar);
+    eq.schedule(1, closure);
+    eq.run();
+    EXPECT_EQ(sink.acks, 3);
 }
 
-// ---------------------------------------------------------------------
-// InlineCallback.
-// ---------------------------------------------------------------------
+TEST(InlineCallback, CopiedDeliveryRunsItsMessageInBothCopies)
+{
+    // Under fault injection the mesh duplicates a message by copying
+    // its delivery closure; each copy carries the whole Message.
+    EventQueue eq(EventQueue::KernelKind::Calendar);
+    NetParams net;
+    fitMesh(net, 4);
+    Mesh mesh(eq, net, 4);
+    StatSet stats;
+    FaultConfig faults;
+    faults.rates[static_cast<int>(MsgClass::Reply)].duplicate = 1.0;
+    FaultPlan plan;
+    plan.init(faults, &stats);
+    mesh.setFaultPlan(&plan);
+
+    Message msg;
+    msg.type = MsgType::ReadExReply;
+    msg.lineAddr = 0x1280;
+    msg.version = 7;
+    msg.ackCount = 2;
+    msg.txnSeq = 42;
+    std::vector<Message> got;
+    mesh.send(0, 3, 128, [&got, msg] { got.push_back(msg); },
+              MsgClass::Reply);
+    eq.run();
+    ASSERT_EQ(got.size(), 2u);
+    for (const Message &g : got) {
+        EXPECT_EQ(g.type, msg.type);
+        EXPECT_EQ(g.lineAddr, msg.lineAddr);
+        EXPECT_EQ(g.version, msg.version);
+        EXPECT_EQ(g.ackCount, msg.ackCount);
+        EXPECT_EQ(g.txnSeq, msg.txnSeq);
+    }
+    EXPECT_EQ(stats.get("fault.net.dup"), 1.0);
+
+    // A plain copy is independent of its source.
+    InlineCallback cb = [&got, msg] { got.push_back(msg); };
+    InlineCallback dup = cb;
+    cb = nullptr;
+    dup();
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got.back().txnSeq, 42u);
+}
 
 TEST(InlineCallback, SmallLambdasStayInline)
 {
     int x = 0;
     InlineCallback cb([&x] { ++x; });
-    EXPECT_TRUE(cb.storedInline());
+    static_assert(sizeof(InlineCallback) <=
+                  InlineCallback::kInlineBytes + sizeof(void *));
     cb();
     EXPECT_EQ(x, 1);
 }
 
-TEST(InlineCallback, OversizedLambdasFallBackToHeap)
+TEST(CompletionFn, CarriedThroughAnMshrFiresExactlyOnce)
 {
-    struct Big
-    {
-        char pad[256] = {};
-    };
-    Big big;
-    int hits = 0;
-    InlineCallback cb([big, &hits] { hits += sizeof(big) ? 1 : 0; });
-    EXPECT_FALSE(cb.storedInline());
-    InlineCallback copy = cb; // heap fallback stays copyable
-    cb();
-    copy();
-    EXPECT_EQ(hits, 2);
-}
-
-TEST(InlineCallback, CopyableCapturesSurviveDuplication)
-{
-    // The mesh duplicates delivery closures under fault injection;
-    // copying must deep-preserve the captured state.
-    auto shared = std::make_shared<int>(0);
-    InlineCallback cb([shared] { ++*shared; });
-    InlineCallback dup = cb;
-    cb();
-    dup();
-    EXPECT_EQ(*shared, 2);
-}
-
-TEST(InlineCallback, ConstCopyCapturesGoToHeapInitCapturesStayInline)
-{
-    // A by-copy capture of a const reference is a const member, which
-    // cannot be moved without a (possibly throwing) copy; the hot
-    // paths init-capture to stay inline.
-    const std::function<void()> fn = [] {};
-    const std::function<void()> &ref = fn;
-    InlineCallback copied([ref] { ref(); });
-    EXPECT_FALSE(copied.storedInline());
-    InlineCallback init([f = ref] { f(); });
-    EXPECT_TRUE(init.storedInline());
+    // Two reads coalesce on one MSHR and a write joining them is
+    // deferred and re-issued: each completion is copied into waiter
+    // lists and events along the way, and must fire exactly once.
+    MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
+    cfg.numPNodes = 2;
+    cfg.numThreads = 2;
+    cfg.numDNodes = 1;
+    fitMesh(cfg.net, cfg.totalNodes());
+    cfg.validate();
+    Machine m(cfg);
+    ComputeBase &c = *m.compute(0);
+    const Addr line = Addr{1} << 20;
+    std::array<int, 3> fired{};
+    ReadService first = ReadService::FLC;
+    c.access(line, false, [&fired, &first](Tick, ReadService svc) {
+        ++fired[0];
+        first = svc;
+    });
+    c.access(line + 8, false,
+             [&fired](Tick, ReadService) { ++fired[1]; });
+    c.access(line, true, [&fired](Tick, ReadService) { ++fired[2]; });
+    EXPECT_EQ(c.outstanding(), 1u);
+    m.eq().run();
+    EXPECT_EQ(fired, (std::array<int, 3>{1, 1, 1}));
+    EXPECT_NE(first, ReadService::FLC);
+    EXPECT_EQ(c.outstanding(), 0u);
+    EXPECT_TRUE(c.quiescent());
 }
 
 // ---------------------------------------------------------------------

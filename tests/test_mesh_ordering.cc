@@ -65,10 +65,11 @@ TEST_P(MeshOrdering, SamePairMessagesDeliverInOrder)
                 d = (d + 1) % nodes;
             const int payload =
                 rng.chance(0.5) ? 128 : 0; // data vs control
-            const auto key = std::make_pair(s, d);
-            const int seq = sent_seq[key]++;
-            mesh.send(s, d, payload, [&, key, seq] {
-                if (seq != next_seq[key]++)
+            const int seq = sent_seq[std::make_pair(s, d)]++;
+            // Delivery closures must be trivially copyable, which
+            // std::pair is not: capture the endpoints instead.
+            mesh.send(s, d, payload, [&, s, d, seq] {
+                if (seq != next_seq[std::make_pair(s, d)]++)
                     ++violations;
             });
         }

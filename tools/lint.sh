@@ -84,14 +84,20 @@ fi
 # The simulated access path allocates nothing on the heap (DESIGN.md
 # 3.1; tests/test_alloc_budget.cc pins the count). src/sim, src/net,
 # src/proto, src/machine and src/mem use InlineCallback / FunctionRef /
-# FlatMap / SmallVec and std::vector. New std::function members,
-# node-based maps and sets, and std::deque (which allocates its map and
-# a 512 B node on construction and on every move) bring per-event
-# allocations back; use sim/inline_callback.hh (owning),
-# sim/function_ref.hh (borrowing visitor parameters), sim/flat_map.hh,
-# sim/small_vec.hh or a vector instead. Allowlist, one reason each:
-#  - CompletionFn / std::function<void(Tick)> / flushAll / flushDone_:
-#    the user-facing completion-callback API (stored by value, moved).
+# FlatMap / SmallVec and std::vector. Every scheduled closure and every
+# access completion is trivially copyable and fits a fixed inline
+# budget (InlineFunction: InlineCallback, ComputeBase::CompletionFn);
+# the compiler rejects anything else, so this rule only has to keep
+# the other type-erasure and node-based containers out. New
+# std::function members, node-based maps and sets, and std::deque
+# (which allocates its map and a 512 B node on construction and on
+# every move) bring per-event allocations back; use
+# sim/inline_callback.hh (owning), sim/function_ref.hh (borrowing
+# visitor parameters), sim/flat_map.hh, sim/small_vec.hh or a vector
+# instead. Allowlist, one reason each:
+#  - std::function<void(Tick)> / flushAll / flushDone_: the CIM and
+#    flush completions, one per offloaded chunk or reconfiguration,
+#    not per access.
 #  - cimCallbacks_: one FIFO per node, allocated once; CIM requests
 #    are per chunk, not per access.
 #  - blocked_: one FIFO per node of accesses waiting for a free MSHR,
@@ -108,7 +114,6 @@ hits=$(find src/sim src/net src/proto src/machine src/mem \
        xargs grep -nE 'std::function<|std::map<|std::unordered_map<|std::deque<|std::unordered_set<' \
            2>/dev/null |
        grep -vE '^\s*[^:]+:[0-9]+:\s*(//|\*|/\*)' |
-       grep -v 'compute_base.hh:.*CompletionFn' |
        grep -v 'compute_base.hh:.*std::function<void(Tick)>' |
        grep -v 'compute_base.hh:.*cimCallbacks_' |
        grep -v 'compute_base.hh:.*std::deque<PendingAccess> blocked_' |
