@@ -24,37 +24,60 @@ using namespace pimdsm::bench;
 namespace
 {
 
-RunResult
-runCfg(const Workload &wl, int threads,
-       const std::function<void(MachineConfig &)> &tweak)
+/** One ablation point: @p app on AGG at 75% pressure with @p tweak
+ *  applied to the built configuration. */
+std::function<RunResult()>
+point(const std::string &app, int threads,
+      std::function<void(MachineConfig &)> tweak = {})
 {
-    BuildSpec spec;
-    spec.arch = ArchKind::Agg;
-    spec.threads = threads;
-    spec.pressure = 0.75;
-    MachineConfig cfg = buildConfig(wl, spec);
-    tweak(cfg);
-    return runWorkload(cfg, wl);
+    return [app, threads, tweak] {
+        auto wl = makeWorkload(app);
+        BuildSpec spec;
+        spec.arch = ArchKind::Agg;
+        spec.threads = threads;
+        spec.pressure = 0.75;
+        MachineConfig cfg = buildConfig(*wl, spec);
+        if (tweak)
+            tweak(cfg);
+        return runWorkload(cfg, *wl);
+    };
 }
+
+constexpr double kHandlerFactors[] = {0.7, 1.0, 1.5, 2.0};
 
 } // namespace
 
 int
 main()
 {
-    const int threads = std::getenv("PIMDSM_QUICK") ? 8 : 16;
+    const int threads = quick() ? 8 : 16;
 
     banner("Ablations of the AGG design choices",
            "each row isolates one mechanism the paper argues for");
 
+    // Every row is an independent run. The default-config barnes run
+    // is both section 1's "enabled" row and section 2's full bit map.
+    std::vector<std::function<RunResult()>> jobs = {
+        point("barnes", threads),
+        point("barnes", threads,
+              [](MachineConfig &c) { c.aggGrantsMastership = false; }),
+        point("barnes", threads,
+              [](MachineConfig &c) { c.directoryPointers = 3; }),
+        point("ocean", threads),
+        point("ocean", threads,
+              [](MachineConfig &c) { c.mem.lruLocalMemory = true; }),
+    };
+    for (double f : kHandlerFactors) {
+        jobs.push_back(point("radix", threads, [f](MachineConfig &c) {
+            c.handlers.softwareFactor = f;
+        }));
+    }
+    const std::vector<RunResult> results = runPoints(jobs);
+
     // ------------------------------------------------------ 1. master
     {
-        auto wl = makeWorkload("barnes");
-        const RunResult on =
-            runCfg(*wl, threads, [](MachineConfig &) {});
-        const RunResult off = runCfg(*wl, threads, [](MachineConfig &c) {
-            c.aggGrantsMastership = false;
-        });
+        const RunResult &on = results[0];
+        const RunResult &off = results[1];
         TablePrinter t({"shared-master state", "Mcycles", "page-ins",
                         "SharedList reuses", "3-hop reads"});
         auto row = [&](const char *label, const RunResult &r) {
@@ -79,13 +102,8 @@ main()
 
     // --------------------------------------------------- 2. directory
     {
-        auto wl = makeWorkload("barnes");
-        const RunResult full =
-            runCfg(*wl, threads, [](MachineConfig &) {});
-        const RunResult limited =
-            runCfg(*wl, threads, [](MachineConfig &c) {
-                c.directoryPointers = 3;
-            });
+        const RunResult &full = results[0];
+        const RunResult &limited = results[2];
         TablePrinter t({"directory scheme", "Mcycles",
                         "invals sent", "broadcasts"});
         auto invals = [](const RunResult &r) {
@@ -109,12 +127,8 @@ main()
 
     // ------------------------------------------------- 3. replacement
     {
-        auto wl = makeWorkload("ocean");
-        const RunResult rnd =
-            runCfg(*wl, threads, [](MachineConfig &) {});
-        const RunResult lru = runCfg(*wl, threads, [](MachineConfig &c) {
-            c.mem.lruLocalMemory = true;
-        });
+        const RunResult &rnd = results[3];
+        const RunResult &lru = results[4];
         TablePrinter t({"local-memory replacement", "Mcycles",
                         "local-mem reads", "remote reads"});
         auto classes = [](const RunResult &r) {
@@ -141,15 +155,12 @@ main()
 
     // ----------------------------------------------- 4. handler costs
     {
-        auto wl = makeWorkload("radix");
         TablePrinter t({"software handler cost", "Mcycles",
                         "vs Table 2"});
         double base = 0;
-        for (double f : {0.7, 1.0, 1.5, 2.0}) {
-            const RunResult r =
-                runCfg(*wl, threads, [f](MachineConfig &c) {
-                    c.handlers.softwareFactor = f;
-                });
+        for (std::size_t i = 0; i < std::size(kHandlerFactors); ++i) {
+            const double f = kHandlerFactors[i];
+            const RunResult &r = results[5 + i];
             if (f == 1.0)
                 base = static_cast<double>(r.totalTicks);
             t.addRow({TablePrinter::num(f, 1) + "x",

@@ -59,7 +59,7 @@ runScenario(const std::string &app, const std::string &kind,
     auto wl = makeWorkload(app, 1);
     BuildSpec spec;
     spec.arch = ArchKind::Agg;
-    spec.threads = std::getenv("PIMDSM_QUICK") ? 4 : 8;
+    spec.threads = quick() ? 4 : 8;
     spec.pressure = 0.25;
     spec.dRatio = 2; // >= 2 D-nodes, so one can die
     MachineConfig cfg = buildConfig(*wl, spec);
@@ -88,7 +88,6 @@ runScenario(const std::string &app, const std::string &kind,
     }
     cfg.validate();
 
-    warnResetForTest();
     try {
         s.result = runWorkload(cfg, *wl);
         s.completed = true;
@@ -103,7 +102,6 @@ runScenario(const std::string &app, const std::string &kind,
         std::string what = e.what();
         s.failure = what.substr(0, what.find('\n'));
     }
-    warnResetForTest();
     return s;
 }
 
@@ -148,31 +146,58 @@ main()
            "survivors; a dead link detours; a healed partition drains; "
            "total loss trips the structured watchdog");
 
+    const std::vector<std::string> apps = benchApps();
     const std::vector<double> drops = {0.0, 0.01, 0.05};
-    std::vector<Scenario> rows;
 
-    for (const std::string &app : benchApps()) {
-        Tick clean_ticks = 0;
+    // Batch 1: every app's clean and lossy runs.
+    std::vector<std::function<Scenario()>> jobs;
+    for (const std::string &app : apps) {
         for (double drop : drops) {
-            rows.push_back(runScenario(
-                app, drop == 0.0 ? "clean" : "drop", drop, 0));
-            if (drop == 0.0)
-                clean_ticks = rows.back().result.totalTicks;
+            jobs.push_back([app, drop] {
+                return runScenario(app, drop == 0.0 ? "clean" : "drop",
+                                   drop, 0);
+            });
         }
-        // Structural campaigns, anchored to the clean run's schedule:
-        // deaths halfway in, the partition cut over the middle third.
-        rows.push_back(
-            runScenario(app, "dnode_death", 0.0, clean_ticks / 2));
-        rows.push_back(
-            runScenario(app, "pnode_death", 0.0, clean_ticks / 2));
-        rows.push_back(
-            runScenario(app, "link_death", 0.0, clean_ticks / 2));
-        rows.push_back(
-            runScenario(app, "partition", 0.0, clean_ticks / 3));
     }
-    // Watchdog demonstration: nothing gets through, the machine must
-    // diagnose rather than hang.
-    rows.push_back(runScenario(benchApps().front(), "wedge", 1.0, 0));
+    const std::vector<Scenario> lossy = runPoints(jobs);
+
+    // Batch 2: structural campaigns, anchored to the clean run's
+    // schedule: deaths halfway in, the partition cut over the middle
+    // third. Last, the watchdog demonstration: nothing gets through,
+    // the machine must diagnose rather than hang.
+    struct Structural
+    {
+        const char *kind;
+        Tick divisor;
+    };
+    constexpr Structural kStructural[] = {{"dnode_death", 2},
+                                          {"pnode_death", 2},
+                                          {"link_death", 2},
+                                          {"partition", 3}};
+    jobs.clear();
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const Tick clean_ticks =
+            lossy[a * drops.size()].result.totalTicks;
+        for (const Structural &st : kStructural) {
+            jobs.push_back([app = apps[a], st, clean_ticks] {
+                return runScenario(app, st.kind, 0.0,
+                                   clean_ticks / st.divisor);
+            });
+        }
+    }
+    jobs.push_back(
+        [app = apps.front()] { return runScenario(app, "wedge", 1.0, 0); });
+    const std::vector<Scenario> structural = runPoints(jobs);
+
+    // Rows per app (lossy, then structural), then the wedge.
+    std::vector<Scenario> rows;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const auto l = lossy.begin() + a * drops.size();
+        rows.insert(rows.end(), l, l + drops.size());
+        const auto st = structural.begin() + a * std::size(kStructural);
+        rows.insert(rows.end(), st, st + std::size(kStructural));
+    }
+    rows.push_back(structural.back());
 
     TablePrinter t({"app", "scenario", "completed", "Mcycles",
                     "slowdown", "retries", "blocked", "failover"});

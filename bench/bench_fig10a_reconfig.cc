@@ -15,9 +15,9 @@ namespace
 {
 
 RunResult
-runConfig(const Workload &wl, int p, int d, int fat_d,
-          const RunOptions &opts)
+runConfig(int p, int d, int fat_d, const RunOptions &opts)
 {
+    const DbaseWorkload wl(1, false);
     BuildSpec spec;
     spec.arch = ArchKind::Agg;
     spec.threads = p;
@@ -45,32 +45,30 @@ main()
            "dynamic (16&16 hash -> 28&4 join) beats the best static "
            "configuration by ~14%");
 
-    const bool quick = std::getenv("PIMDSM_QUICK") != nullptr;
-    const int total = quick ? 16 : 32;
+    const int total = quick() ? 16 : 32;
     const int hash_p = total / 2;           // 16&16 (8&8 quick)
     const int join_p = total - total / 8;   // 28&4  (14&2 quick)
 
-    DbaseWorkload wl(1, false);
-
     const int fat_d = total - join_p;
-    const RunResult static_hash =
-        runConfig(wl, hash_p, total - hash_p, fat_d, {});
-    const RunResult static_join =
-        runConfig(wl, join_p, total - join_p, fat_d, {});
-
     RunOptions dyn_opts;
     // Dbase phases: 0 init, 1 hash, 2 join. Reconfigure before join.
-    dyn_opts.reconfig.push_back(
-        ReconfigStep{2, join_p, total - join_p});
-    const RunResult dynamic =
-        runConfig(wl, hash_p, total - hash_p, fat_d, dyn_opts);
-
+    dyn_opts.reconfig.push_back(ReconfigStep{2, join_p, fat_d});
     // Extension: the OS-initiated policy that resizes on observed
     // D-node utilization instead of an explicit plan (Section 2.3).
     RunOptions auto_opts;
     auto_opts.autoReconfig = true;
-    const RunResult autodyn =
-        runConfig(wl, hash_p, total - hash_p, fat_d, auto_opts);
+
+    const int hash_d = total - hash_p;
+    const std::vector<RunResult> runs = runPoints<RunResult>({
+        [=] { return runConfig(hash_p, hash_d, fat_d, {}); },
+        [=] { return runConfig(join_p, fat_d, fat_d, {}); },
+        [=] { return runConfig(hash_p, hash_d, fat_d, dyn_opts); },
+        [=] { return runConfig(hash_p, hash_d, fat_d, auto_opts); },
+    });
+    const RunResult &static_hash = runs[0];
+    const RunResult &static_join = runs[1];
+    const RunResult &dynamic = runs[2];
+    const RunResult &autodyn = runs[3];
 
     const double base = static_cast<double>(static_hash.totalTicks);
     auto bar = [&](const std::string &label, const RunResult &r,

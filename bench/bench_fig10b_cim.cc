@@ -17,32 +17,38 @@ main()
            "the select offload cuts Dbase execution time by ~70% "
            "across P&D configurations");
 
-    const bool quick = std::getenv("PIMDSM_QUICK") != nullptr;
     struct Combo
     {
         int p;
         int d;
     };
     const std::vector<Combo> combos =
-        quick ? std::vector<Combo>{{4, 4}, {8, 8}}
-              : std::vector<Combo>{{8, 8}, {16, 16}, {28, 4}};
+        quick() ? std::vector<Combo>{{4, 4}, {8, 8}}
+                : std::vector<Combo>{{8, 8}, {16, 16}, {28, 4}};
 
-    DbaseWorkload plain(1, false);
-    DbaseWorkload opt(1, true);
-
-    TablePrinter t({"config", "Plain Mcycles", "Opt Mcycles",
-                    "Opt / Plain", "reduction"});
-    std::vector<Bar> bars;
-
+    // Plain and Opt per combination, each run on its own workload.
+    std::vector<std::function<RunResult()>> jobs;
     for (const auto &combo : combos) {
         BuildSpec spec;
         spec.arch = ArchKind::Agg;
         spec.threads = combo.p;
         spec.dNodes = combo.d;
         spec.pressure = 0.75;
+        for (bool cim : {false, true}) {
+            jobs.push_back([spec, cim] {
+                return runWorkload(DbaseWorkload(1, cim), spec);
+            });
+        }
+    }
+    const std::vector<RunResult> results = runPoints(jobs);
 
-        const RunResult rp = runWorkload(plain, spec);
-        const RunResult ro = runWorkload(opt, spec);
+    TablePrinter t({"config", "Plain Mcycles", "Opt Mcycles",
+                    "Opt / Plain", "reduction"});
+    std::vector<Bar> bars;
+    std::size_t next = 0;
+    for (const auto &combo : combos) {
+        const RunResult &rp = results[next++];
+        const RunResult &ro = results[next++];
         const double ratio =
             ro.totalTicks / static_cast<double>(rp.totalTicks);
 

@@ -18,12 +18,11 @@ main()
            "optimum varies per app: Dbase high-P/high-D, Swim/Tomcatv "
            "high-P/low-D, Radix medium, others high-P/medium-D");
 
-    const bool quick = std::getenv("PIMDSM_QUICK") != nullptr;
     const std::vector<int> p_counts =
-        quick ? std::vector<int>{2, 4, 8} :
+        quick() ? std::vector<int>{2, 4, 8} :
                 std::vector<int>{2, 4, 8, 16};
     const std::vector<int> d_counts =
-        quick ? std::vector<int>{1, 2, 4} :
+        quick() ? std::vector<int>{1, 2, 4} :
                 std::vector<int>{1, 2, 4, 8, 16};
 
     // Per app: the reference configuration, then the P x D grid, all

@@ -24,7 +24,7 @@
  * host's core count, the compiler, the build type and whether the
  * library was built with link-time optimization. Emits
  * BENCH_selfperf.json for CI trend tracking (see
- * .github/workflows/perf.yml) and tools/benchsweep.
+ * .github/workflows/perf.yml).
  *
  * Usage: bench_selfperf [--quick] [--kernel=calendar|heap]
  *                       [--baseline PATH] [--drift F]
@@ -193,7 +193,7 @@ runFaultCampaign()
     auto wl = makeWorkload("fft", 1);
     BuildSpec spec;
     spec.arch = ArchKind::Agg;
-    spec.threads = std::getenv("PIMDSM_QUICK") ? 4 : 8;
+    spec.threads = quick() ? 4 : 8;
     spec.pressure = 0.25;
     spec.dRatio = 2;
     MachineConfig cfg = buildConfig(*wl, spec);
@@ -314,7 +314,7 @@ baselineQuick(const std::string &json, bool &out)
 int
 main(int argc, char **argv)
 {
-    bool quick = std::getenv("PIMDSM_QUICK") != nullptr;
+    bool quick = bench::quick();
     EventQueue::KernelKind kind = EventQueue::defaultKind();
     std::string baselinePath;
     double drift = 0.25;

@@ -30,12 +30,19 @@
 namespace pimdsm::bench
 {
 
+/** PIMDSM_QUICK trims every bench to a fast subset for smoke testing.
+ *  Read on every call: bench_selfperf --quick sets it after startup. */
+inline bool
+quick()
+{
+    return std::getenv("PIMDSM_QUICK") != nullptr;
+}
+
 /** Threads used by the paper's main experiments. */
 inline int
 paperThreads()
 {
-    // PIMDSM_QUICK trims run time for smoke testing.
-    return std::getenv("PIMDSM_QUICK") ? 8 : 32;
+    return quick() ? 8 : 32;
 }
 
 /** Apps that "put relatively more demands on the D-nodes" run the
@@ -51,7 +58,7 @@ reducedDRatio(const std::string &app)
 inline std::vector<std::string>
 benchApps()
 {
-    if (std::getenv("PIMDSM_QUICK"))
+    if (quick())
         return {"fft", "barnes"};
     return paperWorkloadNames();
 }

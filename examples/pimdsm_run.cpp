@@ -147,7 +147,7 @@ main(int argc, char **argv)
             return 0;
     }
     if (o.trace)
-        Trace::enable("proto");
+        Trace::enable();
 
     try {
         std::unique_ptr<Workload> wl;

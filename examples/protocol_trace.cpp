@@ -69,7 +69,7 @@ showHome(Machine &m, NodeId home, Addr a)
 int
 main()
 {
-    Trace::enable("proto"); // every message prints on stderr
+    Trace::enable(); // every message prints on stderr
 
     MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
     cfg.numPNodes = 2;

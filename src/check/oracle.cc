@@ -12,6 +12,9 @@ namespace pimdsm
 namespace
 {
 
+/** Per-line history/commit ring depth kept for violation traces. */
+constexpr std::size_t kHistoryDepth = 48;
+
 const char *
 dirStateName(DirEntry::State s)
 {
@@ -32,7 +35,6 @@ void
 CoherenceOracle::init(const CheckConfig &cfg, bool faults_on,
                       StatSet *stats)
 {
-    cfg_ = cfg;
     stats_ = stats;
     enabled_ = cfg.enabled;
     strict_ = !faults_on;
@@ -46,7 +48,7 @@ CoherenceOracle::record(LineInfo &li, Tick now, const std::string &text)
     std::ostringstream os;
     os << "@" << now << " " << text;
     li.history.push_back(os.str());
-    while (li.history.size() > static_cast<size_t>(cfg_.historyDepth))
+    while (li.history.size() > kHistoryDepth)
         li.history.pop_front();
 }
 
@@ -210,7 +212,7 @@ CoherenceOracle::noteWriteCommit(Tick now, Addr line, Version v)
     }
     li.latest = v;
     li.commits.emplace_back(now, v);
-    while (li.commits.size() > static_cast<size_t>(cfg_.historyDepth))
+    while (li.commits.size() > kHistoryDepth)
         li.commits.pop_front();
 }
 

@@ -132,7 +132,7 @@ class CoherenceOracle
         Version latest = 0;
         /** Recent commits as (tick, version), oldest first. */
         std::deque<std::pair<Tick, Version>> commits;
-        /** Recent events, oldest first, bounded by historyDepth. */
+        /** Recent events, oldest first (ring depth: oracle.cc). */
         std::deque<std::string> history;
     };
 
@@ -150,7 +150,6 @@ class CoherenceOracle
     static Version committedAtOrBefore(const LineInfo &li, Tick t);
 
     std::unordered_map<Addr, LineInfo> lines_;
-    CheckConfig cfg_;
     StatSet *stats_ = nullptr;
     bool enabled_ = false;
     /** Panic on violation (fault-free runs); else count + warn. */

@@ -208,8 +208,8 @@ Machine::deliverDirect(const Message &msg)
     }
     if (oracle_.enabled())
         oracle_.noteMessage(eq_.curTick(), msg);
-    if (Trace::enabled("proto"))
-        Trace::print(eq_.curTick(), "proto", msg.toString());
+    if (Trace::enabled())
+        Trace::print(eq_.curTick(), msg.toString());
     if (msgBoundForHome(msg.type)) {
         if (!homes_[msg.dst])
             panic("home-bound message to a pure compute node: " +

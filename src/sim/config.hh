@@ -179,8 +179,6 @@ struct CheckConfig
      * pay nothing; tests and the model checker turn it on.
      */
     bool enabled = false;
-    /** Per-line history/commit ring depth kept for violation traces. */
-    int historyDepth = 48;
     /** Test-only protocol mutation (oracle self-test; keep None). */
     ProtoMutation mutation = ProtoMutation::None;
 };

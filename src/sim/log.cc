@@ -38,18 +38,13 @@ warnMutex()
     return mu;
 }
 
-std::set<std::string, std::less<>> &
-traceSet()
+bool &
+traceFlag()
 {
-    // PIMDSM_TRACE=1 turns on "proto" before any simulation reads the
-    // set, so concurrent runs only ever read it.
-    static std::set<std::string, std::less<>> s = [] {
-        std::set<std::string, std::less<>> init;
-        if (std::getenv("PIMDSM_TRACE"))
-            init.insert("proto");
-        return init;
-    }();
-    return s;
+    // PIMDSM_TRACE=1 turns the trace on before any simulation reads
+    // the flag, so concurrent runs only ever read it.
+    static bool on = std::getenv("PIMDSM_TRACE") != nullptr;
+    return on;
 }
 
 } // namespace
@@ -74,28 +69,22 @@ warnResetForTest()
 }
 
 void
-Trace::enable(const std::string &component, bool on)
+Trace::enable(bool on)
 {
-    if (on)
-        traceSet().insert(component);
-    else
-        traceSet().erase(component);
+    traceFlag() = on;
 }
 
 bool
-Trace::enabled(std::string_view component)
+Trace::enabled()
 {
-    const auto &s = traceSet();
-    return !s.empty() && s.find(component) != s.end();
+    return traceFlag();
 }
 
 void
-Trace::print(std::uint64_t tick, const std::string &component,
-             const std::string &msg)
+Trace::print(std::uint64_t tick, const std::string &msg)
 {
-    std::fprintf(stderr, "%12llu: %s: %s\n",
-                 static_cast<unsigned long long>(tick), component.c_str(),
-                 msg.c_str());
+    std::fprintf(stderr, "%12llu: proto: %s\n",
+                 static_cast<unsigned long long>(tick), msg.c_str());
 }
 
 } // namespace pimdsm

@@ -16,7 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace pimdsm
 {
@@ -46,24 +45,21 @@ bool warn(const std::string &msg);
 void warnResetForTest();
 
 /**
- * Debug trace control. Tracing is off by default; PIMDSM_TRACE=1 turns
- * on "proto", and tests and the protocol_trace example turn components
- * on explicitly.
+ * Protocol message trace. Off by default; PIMDSM_TRACE=1 turns it on,
+ * and tests and the protocol_trace example turn it on explicitly.
  */
 class Trace
 {
   public:
-    /** Enable/disable tracing for a named component (e.g. "proto").
-     *  Not synchronized: call it before starting concurrent
-     *  simulations, which only read the setting. */
-    static void enable(const std::string &component, bool on = true);
+    /** Turn the trace on or off. Not synchronized: call it before
+     *  starting concurrent simulations, which only read the flag. */
+    static void enable(bool on = true);
 
-    /** True iff tracing is enabled for @p component. */
-    static bool enabled(std::string_view component);
+    /** True iff the trace is on. */
+    static bool enabled();
 
-    /** Emit one trace line "tick: component: msg" to stderr. */
-    static void print(std::uint64_t tick, const std::string &component,
-                      const std::string &msg);
+    /** Emit one trace line "tick: proto: msg" to stderr. */
+    static void print(std::uint64_t tick, const std::string &msg);
 };
 
 } // namespace pimdsm

@@ -266,6 +266,20 @@ TEST(AggProtocol, StaleSharerInvalIsAcked)
     m.checkInvariants();
 }
 
+TEST(AggProtocol, TracePrintsDeliveredMessagesOnlyWhenEnabled)
+{
+    auto coldRead = [](bool traced) {
+        Machine m(smallCfg(ArchKind::Agg, 2, 1));
+        Trace::enable(traced);
+        testing::internal::CaptureStderr();
+        doAccess(m, 0, kLine, false);
+        Trace::enable(false);
+        return testing::internal::GetCapturedStderr();
+    };
+    EXPECT_NE(coldRead(true).find(": proto: ReadReq"), std::string::npos);
+    EXPECT_EQ(coldRead(false), "");
+}
+
 // --------------------------------------------------------------- NUMA
 
 TEST(NumaProtocol, LocalCleanReadAvoidsNetwork)

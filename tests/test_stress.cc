@@ -93,7 +93,7 @@ class ProtocolStress : public ::testing::TestWithParam<StressParam>
 TEST_P(ProtocolStress, RandomTrafficPreservesCoherence)
 {
     if (std::getenv("PIMDSM_TRACE"))
-        Trace::enable("proto");
+        Trace::enable();
     const auto [arch, seed] = GetParam();
     const int nodes = 6;
     const int d = arch == ArchKind::Agg ? 3 : 0;
