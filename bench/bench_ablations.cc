@@ -81,13 +81,10 @@ main()
         TablePrinter t({"shared-master state", "Mcycles", "page-ins",
                         "SharedList reuses", "3-hop reads"});
         auto row = [&](const char *label, const RunResult &r) {
-            auto get = [&](const char *k) {
-                return r.counters.count(k) ? r.counters.at(k) : 0.0;
-            };
             t.addRow({label, TablePrinter::num(r.totalTicks / 1e6),
-                      TablePrinter::num(get("dnode.page_in"), 0),
+                      TablePrinter::num(r.counter("dnode.page_in"), 0),
                       TablePrinter::num(
-                          get("dnode.sharedlist_reuse"), 0),
+                          r.counter("dnode.sharedlist_reuse"), 0),
                       TablePrinter::num(
                           r.reads.count[static_cast<int>(
                               ReadService::Hop3)] / 1e3, 1) + "k"});
@@ -106,19 +103,16 @@ main()
         const RunResult &limited = results[2];
         TablePrinter t({"directory scheme", "Mcycles",
                         "invals sent", "broadcasts"});
-        auto invals = [](const RunResult &r) {
-            return r.counters.count("home.broadcast_invals")
-                       ? r.counters.at("home.broadcast_invals")
-                       : 0.0;
-        };
         t.addRow({"full bit map", TablePrinter::num(full.totalTicks / 1e6),
                   TablePrinter::num(full.messages / 1e3, 0) + "k msgs",
-                  TablePrinter::num(invals(full), 0)});
+                  TablePrinter::num(
+                      full.counter("home.broadcast_invals"), 0)});
         t.addRow({"3-pointer limited (paper)",
                   TablePrinter::num(limited.totalTicks / 1e6),
                   TablePrinter::num(limited.messages / 1e3, 0) +
                       "k msgs",
-                  TablePrinter::num(invals(limited), 0)});
+                  TablePrinter::num(
+                      limited.counter("home.broadcast_invals"), 0)});
         std::cout << "2. directory representation (barnes, widely "
                      "shared tree):\n";
         t.print(std::cout);

@@ -40,13 +40,6 @@ struct Scenario
     RunResult result;
 };
 
-double
-counter(const RunResult &r, const std::string &name)
-{
-    const auto it = r.counters.find(name);
-    return it == r.counters.end() ? 0.0 : it->second;
-}
-
 Scenario
 runScenario(const std::string &app, const std::string &kind,
             double drop, Tick fault_tick)
@@ -219,9 +212,9 @@ main()
                   s.completed && base > 0
                       ? TablePrinter::num(s.result.totalTicks / base)
                       : "-",
-                  TablePrinter::num(counter(s.result, "fault.retries")),
+                  TablePrinter::num(s.result.counter("fault.retries")),
                   TablePrinter::num(
-                      counter(s.result, "fault.net.partition_blocked")),
+                      s.result.counter("fault.net.partition_blocked")),
                   s.completed && fo_ticks > 0
                       ? TablePrinter::num(fo_ticks / 1e6) + " Mcyc"
                       : "-"});
@@ -241,13 +234,13 @@ main()
                << ", \"slowdown\": "
                << (base > 0 ? s.result.totalTicks / base : 1.0)
                << ", \"retries\": "
-               << counter(s.result, "fault.retries")
+               << s.result.counter("fault.retries")
                << ", \"net_drops\": "
-               << counter(s.result, "fault.net.drop")
+               << s.result.counter("fault.net.drop")
                << ", \"link_deaths\": "
-               << counter(s.result, "fault.net.link_deaths")
+               << s.result.counter("fault.net.link_deaths")
                << ", \"partition_blocked\": "
-               << counter(s.result, "fault.net.partition_blocked")
+               << s.result.counter("fault.net.partition_blocked")
                << ", \"failovers\": " << s.result.failovers
                << ", \"failover_ticks\": " << s.result.failoverTicks
                << ", \"pnode_failovers\": " << s.result.pnodeFailovers

@@ -53,10 +53,7 @@ main()
             const double used_slots =
                 r.census.dNodeUsedLines * scale;
             const double unused = 100.0 - used_slots;
-            const double reuses =
-                r.counters.count("dnode.sharedlist_reuse")
-                    ? r.counters.at("dnode.sharedlist_reuse")
-                    : 0.0;
+            const double reuses = r.counter("dnode.sharedlist_reuse");
 
             const std::string label =
                 "AGG" + std::to_string(static_cast<int>(

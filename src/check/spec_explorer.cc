@@ -343,7 +343,6 @@ class Model
 
     // Contract / search statistics, bumped by the handlers.
     std::uint64_t rowChecks = 0;
-    std::uint64_t absorbed = 0; ///< fault-echo deliveries (no row check)
 
     // ------------------------------------------------------------------
     // Spec-contract step machinery. A "step" brackets one handler
@@ -402,15 +401,6 @@ class Model
              ", " + msgTypeName(stepMsg_) + ") in " +
              spec::lineStateName(ls) +
              ", which is not in the row's next-state list");
-    }
-
-    /** Abort a step without checks (fault-echo path discovered after
-     *  the row was already resolved — never used today, kept for
-     *  symmetry). */
-    void
-    cancelStep()
-    {
-        stepActive_ = false;
     }
 
     /** Append a message to the line's in-flight set, enforcing the
@@ -797,12 +787,12 @@ class Proto : public Model
                 d.seq = m.seq;
                 emit(L, d);
             }
-            ++absorbed;
             return;
         }
         if (ms.replyArrived) {
-            ++absorbed; // duplicate of the live reply: completion's
-            return;     // own TxnDone covers the home
+            // Duplicate of the live reply: completion's own TxnDone
+            // covers the home.
+            return;
         }
         if (ms.supVer != 0 && m.ver <= ms.supVer) {
             // Dead grant: we served a superseding exclusive forward
@@ -813,7 +803,6 @@ class Proto : public Model
                 d.seq = m.seq;
                 emit(L, d);
             }
-            ++absorbed;
             return;
         }
         beginStep(false, c.st, static_cast<MsgType>(m.type));
@@ -838,7 +827,7 @@ class Proto : public Model
         Mshr &ms = c.mshr;
         const std::uint8_t bit = bitOf(m.src);
         if (!ms.valid || (ms.ackFrom & bit)) {
-            ++absorbed; // orphan or duplicate ack
+            // orphan or duplicate ack
             return;
         }
         beginStep(false, c.st, MsgType::InvalAck);
@@ -937,7 +926,7 @@ class Proto : public Model
         LineSt &L = w.line[li];
         NodeLine &c = L.n[n];
         if (!c.wbValid) {
-            ++absorbed; // duplicate ack after the buffer drained
+            // duplicate ack after the buffer drained
             return;
         }
         beginStep(false, c.st, MsgType::WriteBackAck);
@@ -965,10 +954,9 @@ class Proto : public Model
             if (c.nDefer >= kMaxDefer)
                 fail("deferred-forward capacity exceeded");
             c.defer[c.nDefer++] = m;
-            ++absorbed;
             return;
         } else {
-            ++absorbed; // no copy anywhere: dropped (fault echo)
+            // no copy anywhere: dropped (fault echo)
             return;
         }
         if (!ex && live && c.mshr.valid && m.ver > dataVer) {
@@ -980,7 +968,6 @@ class Proto : public Model
             if (c.nDefer >= kMaxDefer)
                 fail("deferred-forward capacity exceeded");
             c.defer[c.nDefer++] = m;
-            ++absorbed;
             return;
         }
         // An exclusive forward reaching a plain sharer means a lost
@@ -1117,7 +1104,6 @@ class Proto : public Model
         // cached reply verbatim instead of re-serializing.
         if (m.seq == sv.seq && sv.hasReply &&
             !(m.ver != 0 && sv.reply.ver <= m.ver)) {
-            ++absorbed;
             if (L.nMsgs >= kMaxMsgs)
                 fail("model in-flight message capacity exceeded");
             L.msgs[L.nMsgs++] = sv.reply; // verbatim replay, unchecked
@@ -1137,17 +1123,15 @@ class Proto : public Model
             // duplicate of a completed transaction must be ignored or
             // the home serializes a phantom grant (mirrors
             // dedupRequest's isRetry gate).
-            if (live || !(m.flags & fRetry)) {
-                ++absorbed;
+            if (live || !(m.flags & fRetry))
                 return;
-            }
             // A re-served write serializes the same store twice; the
             // terminal write-count reference accounts for it.
             if (static_cast<MsgType>(m.type) == MsgType::ReadExReq ||
                 static_cast<MsgType>(m.type) == MsgType::UpgradeReq)
                 ++L.regrants;
         } else if (m.seq < sv.seq) {
-            ++absorbed; // an older transaction's straggler
+            // an older transaction's straggler
             return;
         }
         sv.seq = m.seq;
@@ -1226,7 +1210,7 @@ class Proto : public Model
     {
         HomeLine &h = L.home;
         if (!h.busy) {
-            ++absorbed; // spurious TxnDone (dup after unblock)
+            // spurious TxnDone (dup after unblock)
             return;
         }
         // Mirrors finishTxn's identity check: a TxnDone whose sender
@@ -1234,10 +1218,8 @@ class Proto : public Model
         // earlier transaction's, or a straggler during a COMA
         // injection) must not unblock the line early. Internal
         // completion paths pass kNil and unblock unconditionally.
-        if (from != kNil && h.busyFor != from) {
-            ++absorbed;
+        if (from != kNil && h.busyFor != from)
             return;
-        }
         clearBusy(h);
         drainNeeded_ = true;
     }

@@ -42,8 +42,6 @@ Cache::fill(Addr addr, bool dirty, CohState state, Version version)
             result.evictedDirty = line->dirty;
             result.evictedState = line->state;
             result.evictedVersion = line->version;
-            if (line->dirty)
-                ++writebacks_;
         }
         line->reset();
         line->lineAddr = array_.align(addr);

@@ -93,7 +93,6 @@ class Cache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    std::uint64_t writebacks() const { return writebacks_; }
 
     CacheArray &array() { return array_; }
     const CacheArray &array() const { return array_; }
@@ -104,7 +103,6 @@ class Cache
     CacheArray array_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t writebacks_ = 0;
 };
 
 } // namespace pimdsm

@@ -36,12 +36,9 @@ Tick
 TaggedMemory::accessAndMigrate(CacheLine &line)
 {
     array_.touch(line);
-    if (line.onChip) {
-        ++onChipHits_;
+    if (line.onChip)
         return params_.onChipLatency;
-    }
 
-    ++offChipHits_;
     if (onChipWays_ < array_.assoc()) {
         // Swap residence with the LRU on-chip line of the same set.
         const int set = array_.setIndex(line.lineAddr);

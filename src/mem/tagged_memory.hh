@@ -74,8 +74,6 @@ class TaggedMemory
     /** The (single) memory port; callers serialize transfers on it. */
     Resource &port() { return port_; }
 
-    std::uint64_t onChipHits() const { return onChipHits_; }
-    std::uint64_t offChipHits() const { return offChipHits_; }
     std::uint64_t migrations() const { return migrations_; }
 
     /** Visit every valid line (coherence-oracle and census scans). */
@@ -98,8 +96,6 @@ class TaggedMemory
     CacheArray array_;
     Resource port_;
     int onChipWays_;
-    std::uint64_t onChipHits_ = 0;
-    std::uint64_t offChipHits_ = 0;
     std::uint64_t migrations_ = 0;
 };
 

@@ -262,7 +262,6 @@ Tick
 Mesh::park(const BlockedMsg &b)
 {
     blocked_.push_back(b);
-    ++partitionBlockedTotal_;
     if (stats_)
         stats_->add("fault.net.partition_blocked");
     return eq_.curTick();

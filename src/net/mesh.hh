@@ -133,12 +133,6 @@ class Mesh
     /** Messages currently queued against an unroutable partition. */
     std::size_t partitionBlocked() const { return blocked_.size(); }
 
-    /** Lifetime count of messages that hit an unroutable partition. */
-    std::uint64_t partitionBlockedTotal() const
-    {
-        return partitionBlockedTotal_;
-    }
-
     /** Messages dropped on the directed link leaving (x, y) toward
      *  @p dir (0=E,1=W,2=N,3=S). */
     std::uint64_t linkDrops(int x, int y, int dir) const;
@@ -254,7 +248,6 @@ class Mesh
     StatSet *stats_ = nullptr;
     std::uint64_t messagesSent_ = 0;
     std::uint64_t bytesSent_ = 0;
-    std::uint64_t partitionBlockedTotal_ = 0;
     Tick totalLatency_ = 0;
 };
 

@@ -266,7 +266,6 @@ AggDNodeHome::absorbData(Addr line, DirEntry &e, Version v)
             panic("D-node storage exhausted even after paging out");
     }
     if (reused) {
-        ++sharedListReuses_;
         ctx_.stats().add("dnode.sharedlist_reuse");
         DirEntry *victim = dir_.find(dropped);
         if (!victim)
@@ -338,7 +337,6 @@ AggDNodeHome::canAbsorbCheaply() const
 Tick
 AggDNodeHome::pageIn(Addr line, DirEntry &e)
 {
-    ++pageIns_;
     ctx_.stats().add("dnode.page_in");
     e.pagedOut = false;
     // Disk transfers whole pages; the per-line cost is the page
@@ -421,7 +419,6 @@ AggDNodeHome::pageOutEpisode()
         e->localPtr = kNilPtr;
         e->homeHasData = false;
         e->pagedOut = true;
-        ++linesPagedOut_;
         if (CoherenceOracle *o = ctx_.checker()) {
             o->noteSlotEvent(ctx_.eq().curTick(), self_, line, slot,
                              "page-out");
@@ -431,7 +428,6 @@ AggDNodeHome::pageOutEpisode()
     if (victims.empty())
         return 0;
 
-    ++pageOutEpisodes_;
     ctx_.stats().add("dnode.page_out_episode");
     ctx_.stats().add("dnode.pageout_used", store_.usedSlots());
     ctx_.stats().add("dnode.pageout_shared", store_.sharedLen());

@@ -123,11 +123,6 @@ class AggDNodeHome : public HomeBase
     DNodeStore &store() { return store_; }
     const DNodeStore &store() const { return store_; }
 
-    std::uint64_t sharedListReuses() const { return sharedListReuses_; }
-    std::uint64_t pageOutEpisodes() const { return pageOutEpisodes_; }
-    std::uint64_t linesPagedOut() const { return linesPagedOut_; }
-    std::uint64_t pageIns() const { return pageIns_; }
-
     /**
      * Bytes of DRAM consumed by Directory + Pointer array entries per
      * Data entry (paper Section 2.2.2: 8 B directory entries, 1.5x as
@@ -180,10 +175,6 @@ class AggDNodeHome : public HomeBase
     /** LeakSlot mutation fires at most once: a single leaked slot is
      *  enough for the conservation scan and keeps the run bounded. */
     bool leakedOnce_ = false;
-    std::uint64_t sharedListReuses_ = 0;
-    std::uint64_t pageOutEpisodes_ = 0;
-    std::uint64_t linesPagedOut_ = 0;
-    std::uint64_t pageIns_ = 0;
 };
 
 } // namespace pimdsm

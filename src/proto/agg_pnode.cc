@@ -52,13 +52,10 @@ CachedMemCompute::evictWay(CacheLine &way)
     l1_.invalidateBlock(victim, cfg().mem.lineBytes);
     l2_.invalidateLine(victim);
 
-    if (cohOwned(st)) {
+    // Shared non-master copies are dropped silently; the directory
+    // keeps a stale sharer bit, which only costs a spurious inval.
+    if (cohOwned(st))
         emitWriteBack(victim, st, v);
-    } else {
-        // Shared non-master copies are dropped silently; the directory
-        // keeps a stale sharer bit, which only costs a spurious inval.
-        ++sharedDrops_;
-    }
     const bool residence = way.onChip;
     way.reset();
     way.onChip = residence;
@@ -162,7 +159,6 @@ CachedMemCompute::handleInject(const Message &msg)
         mshrs_.find(line) != nullptr || wbPending_.count(line) != 0;
     if (conflict || (way->valid() && way->lineAddr != line &&
                      cohOwned(way->state))) {
-        ++injectsRefused_;
         resp.type = MsgType::InjectNack;
         ctx_.eq().schedule(now + msgEngineLatency_,
                            [this, resp] { ctx_.send(resp); });
@@ -174,7 +170,6 @@ CachedMemCompute::handleInject(const Message &msg)
         const Addr displaced = way->lineAddr;
         l1_.invalidateBlock(displaced, cfg().mem.lineBytes);
         l2_.invalidateLine(displaced);
-        ++sharedDrops_;
         const bool residence = way->onChip;
         way->reset();
         way->onChip = residence;
@@ -185,7 +180,6 @@ CachedMemCompute::handleInject(const Message &msg)
     way->state = msg.masterClean ? CohState::SharedMaster
                                  : CohState::Dirty;
     way->version = msg.version;
-    ++injectsAccepted_;
     noteState(line, "inject");
 
     resp.type = MsgType::InjectAck;

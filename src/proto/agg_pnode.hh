@@ -30,9 +30,6 @@ class CachedMemCompute : public ComputeBase
     TaggedMemory &localMem() { return mem_; }
     const TaggedMemory &localMem() const { return mem_; }
 
-    std::uint64_t injectionsAccepted() const { return injectsAccepted_; }
-    std::uint64_t injectionsRefused() const { return injectsRefused_; }
-
     /** Coherence state held for @p line (used by the co-located COMA
      *  home to check whether its own attraction memory can serve). */
     CohState peekState(Addr line) const { return nodeState(line); }
@@ -63,9 +60,6 @@ class CachedMemCompute : public ComputeBase
 
     TaggedMemory mem_;
     bool comaMode_;
-    std::uint64_t injectsAccepted_ = 0;
-    std::uint64_t injectsRefused_ = 0;
-    std::uint64_t sharedDrops_ = 0;
 };
 
 } // namespace pimdsm

@@ -77,7 +77,6 @@ ComaHome::serveColdRead(Addr line, DirEntry &e, const Message &req,
 void
 ComaHome::handleWriteBack(const Message &msg)
 {
-    ++writeBacks_;
     const Addr line = msg.lineAddr;
     DirEntry &e = entryFor(line);
 
@@ -122,7 +121,6 @@ ComaHome::handleWriteBack(const Message &msg)
     sendAt(when, ack);
 
     if (!from_owner && !from_master) {
-        ++staleWriteBacks_;
         e.dropSharer(msg.src);
         return;
     }
@@ -147,7 +145,7 @@ ComaHome::handleWriteBack(const Message &msg)
         pi.grantMode = true;
     }
 
-    ++injections_;
+    ctx_.stats().add("coma.injections");
     e.busy = true;
     auto [it, inserted] = pendingInjects_.emplace(line, std::move(pi));
     if (!inserted)
@@ -188,7 +186,6 @@ ComaHome::stepInjection(Addr line, PendingInject &pi)
 
     if (pi.providerTries >= maxProviderTries_) {
         // Nobody could take the line: overflow to disk.
-        ++diskOverflows_;
         ctx_.stats().add("coma.disk_overflow");
         DirEntry &e = entryFor(line);
         e.pagedOut = true;
@@ -202,7 +199,6 @@ ComaHome::stepInjection(Addr line, PendingInject &pi)
     const NodeId p = pickProvider(pi);
     ++pi.providerTries;
     pi.lastTried = p;
-    ++injectionHops_;
     ctx_.stats().add("coma.injection_hop");
 
     Message inj;
@@ -232,8 +228,6 @@ ComaHome::handleInjectResponse(const Message &msg)
             e.masterOut = true;
             e.owner = msg.src;
             e.addSharer(msg.src);
-            if (pi.grantMode)
-                ++masterTransfers_;
         } else {
             e.state = DirEntry::State::Dirty;
             e.owner = msg.src;

@@ -29,11 +29,6 @@ class ComaHome : public HomeBase
      *  when its own node caches the line. */
     void setLocalCompute(const CachedMemCompute *am) { am_ = am; }
 
-    std::uint64_t injectionsStarted() const { return injections_; }
-    std::uint64_t injectionHops() const { return injectionHops_; }
-    std::uint64_t diskOverflows() const { return diskOverflows_; }
-    std::uint64_t masterTransfers() const { return masterTransfers_; }
-
   protected:
     void initEntry(Addr line, DirEntry &e) override;
     bool hasData(Addr line, const DirEntry &e) const override;
@@ -72,11 +67,6 @@ class ComaHome : public HomeBase
     int maxProviderTries_;
     Rng rng_;
     FlatMap<Addr, PendingInject> pendingInjects_;
-
-    std::uint64_t injections_ = 0;
-    std::uint64_t injectionHops_ = 0;
-    std::uint64_t diskOverflows_ = 0;
-    std::uint64_t masterTransfers_ = 0;
 };
 
 } // namespace pimdsm

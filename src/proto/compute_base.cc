@@ -274,12 +274,8 @@ ComputeBase::startAccess(const PendingAccess &acc)
 
     // Data path: the node has sufficient rights.
     if (l1_.access(acc.addr, acc.isWrite)) {
-        if (acc.isWrite)
-            ++storesServed_;
-        else {
-            ++loadsServed_;
+        if (!acc.isWrite)
             readStats_.record(ReadService::FLC, l1_.latency());
-        }
         complete(issue + l1_.latency(), ReadService::FLC, acc.cb);
         return;
     }
@@ -289,12 +285,8 @@ ComputeBase::startAccess(const PendingAccess &acc)
             if (CacheLine *p = l2_.array().find(f.evictedLine))
                 p->dirty = true;
         }
-        if (acc.isWrite)
-            ++storesServed_;
-        else {
-            ++loadsServed_;
+        if (!acc.isWrite)
             readStats_.record(ReadService::SLC, l2_.latency());
-        }
         complete(issue + l2_.latency(), ReadService::SLC, acc.cb);
         return;
     }
@@ -310,12 +302,8 @@ ComputeBase::startAccess(const PendingAccess &acc)
                 p->dirty = true;
         }
     }
-    if (acc.isWrite)
-        ++storesServed_;
-    else {
-        ++loadsServed_;
+    if (!acc.isWrite)
         readStats_.record(ReadService::LocalMem, done - issue);
-    }
     complete(done, ReadService::LocalMem, acc.cb);
 }
 
@@ -350,7 +338,6 @@ ComputeBase::startMiss(const PendingAccess &acc, Addr line, CohState st)
                         st == CohState::SharedMaster)) {
         t = MsgType::UpgradeReq;
         m.upgrade = true;
-        ++upgradesSent_;
     } else {
         t = acc.isWrite ? MsgType::ReadExReq : MsgType::ReadReq;
     }
@@ -582,12 +569,8 @@ ComputeBase::finishAccess(Mshr &m)
             if (CacheLine *p = l2_.array().find(f.evictedLine))
                 p->dirty = true;
         }
-        if (m.isWrite) {
-            ++storesServed_;
-        } else {
-            ++loadsServed_;
+        if (!m.isWrite)
             readStats_.record(svc, done - m.issueTick);
-        }
         complete(done, svc, w.cb);
     }
 
@@ -619,7 +602,6 @@ ComputeBase::finishAccess(Mshr &m)
 void
 ComputeBase::handleInval(const Message &msg)
 {
-    ++invalsReceived_;
     if (cfg().check.mutation == ProtoMutation::SkipInval) {
         // Deliberate protocol mutation (oracle self-test): acknowledge
         // without giving up the copy. The stale survivor is caught by
@@ -767,7 +749,6 @@ ComputeBase::handleWriteBackAck(const Message &msg)
 void
 ComputeBase::emitWriteBack(Addr line, CohState st, Version v)
 {
-    ++writeBacksSent_;
     WbPending wb_state;
     wb_state.version = v;
     wb_state.masterClean = st == CohState::SharedMaster;

@@ -91,8 +91,6 @@ class ComputeBase
     Cache &l2() { return l2_; }
 
     std::uint64_t outstanding() const { return mshrs_.size(); }
-    std::uint64_t invalsReceived() const { return invalsReceived_; }
-    std::uint64_t writeBacksSent() const { return writeBacksSent_; }
 
     /** Watchdog diagnostic: append one entry per stuck MSHR /
      *  writeback, in line-address order. */
@@ -453,11 +451,6 @@ class ComputeBase
     Tick msgEngineLatency_ = 10;
 
     ReadLatencyStats readStats_;
-    std::uint64_t invalsReceived_ = 0;
-    std::uint64_t writeBacksSent_ = 0;
-    std::uint64_t upgradesSent_ = 0;
-    std::uint64_t loadsServed_ = 0;
-    std::uint64_t storesServed_ = 0;
 
     /** Outstanding CIM request callback (one at a time per node). */
     std::deque<std::function<void(Tick)>> cimCallbacks_;

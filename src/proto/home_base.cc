@@ -215,7 +215,6 @@ HomeBase::serveRequest(const Message &msg)
 void
 HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
 {
-    ++reads_;
     e.busy = true;
     e.busyFor = req.src;
     e.fwdTo = kInvalidNode;
@@ -257,7 +256,6 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
         // 3-hop: the owner supplies the data and keeps mastership as a
         // SharedMaster copy (no home slot is consumed now; the owner's
         // sharing writeback may restore one).
-        ++forwards_;
         Message f;
         f.type = MsgType::Fwd;
         f.fwdKind = FwdKind::Read;
@@ -345,7 +343,6 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
     if (e.masterOut && e.owner != req.src) {
         // Home dropped its copy; 3-hop via the master (the paper's
         // motivation for discouraging SharedList reuse).
-        ++forwards_;
         ctx_.stats().add("home.read_via_master");
         Message f;
         f.type = MsgType::Fwd;
@@ -401,7 +398,6 @@ HomeBase::serveColdRead(Addr line, DirEntry &e, const Message &req,
 void
 HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
 {
-    ++writes_;
     e.busy = true;
     e.busyFor = req.src;
     e.fwdTo = kInvalidNode;
@@ -452,7 +448,6 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
         const Tick start =
             engine_.acquire(now, scaled(costs().readExOccupancy));
         const Tick when = start + handlerLatency(req, costs().readExLatency);
-        ++forwards_;
         Message f;
         f.type = MsgType::Fwd;
         f.fwdKind = FwdKind::ReadEx;
@@ -501,7 +496,6 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
     // Walk the set bits in ascending node order.
     for (std::uint64_t rest = inv_set; rest; rest &= rest - 1) {
         const NodeId t = static_cast<NodeId>(std::countr_zero(rest));
-        ++invals_;
         Message i;
         i.type = MsgType::Inval;
         i.dst = t;
@@ -525,7 +519,6 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
         r.needsTxnDone = n_inv > 0;
         sendReplyTracked(when, r, req);
     } else if (fwd_to_master) {
-        ++forwards_;
         Message f;
         f.type = MsgType::Fwd;
         f.fwdKind = FwdKind::ReadEx;
@@ -579,7 +572,6 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
 void
 HomeBase::handleWriteBack(const Message &msg)
 {
-    ++writeBacks_;
     DirEntry &e = entryFor(msg.lineAddr);
 
     const Tick now = ctx_.eq().curTick();
@@ -644,7 +636,6 @@ HomeBase::handleWriteBack(const Message &msg)
     } else {
         // Late writeback: the transaction that took the line away has
         // already been serialized; the data here is superseded.
-        ++staleWriteBacks_;
         e.dropSharer(msg.src);
     }
     updateLinkage(msg.lineAddr, e);

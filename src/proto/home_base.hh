@@ -58,13 +58,6 @@ class HomeBase
     /** Count lines by coherence state for Figure 8. */
     void collectCensus(LineCensus &census) const;
 
-    std::uint64_t readsServed() const { return reads_; }
-    std::uint64_t writesServed() const { return writes_; }
-    std::uint64_t writeBacksServed() const { return writeBacks_; }
-    std::uint64_t forwardsSent() const { return forwards_; }
-    std::uint64_t invalsSent() const { return invals_; }
-    std::uint64_t staleWriteBacks() const { return staleWriteBacks_; }
-
     /** Debug invariant check over all entries; panics on violation. */
     void checkInvariants() const;
 
@@ -321,13 +314,6 @@ class HomeBase
     bool faultsOn_ = false;
     /** Fail-stop: node died; ignore everything. */
     bool dead_ = false;
-
-    std::uint64_t reads_ = 0;
-    std::uint64_t writes_ = 0;
-    std::uint64_t writeBacks_ = 0;
-    std::uint64_t forwards_ = 0;
-    std::uint64_t invals_ = 0;
-    std::uint64_t staleWriteBacks_ = 0;
 };
 
 } // namespace pimdsm

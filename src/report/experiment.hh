@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "machine/builder.hh"
@@ -88,6 +89,14 @@ struct RunResult
     {
         const double t = static_cast<double>(time.total());
         return t > 0 ? time.memoryStall / t : 0.0;
+    }
+
+    /** Counter @p name (0 if the run never recorded it). */
+    double
+    counter(std::string_view name) const
+    {
+        const auto it = counters.find(std::string(name));
+        return it == counters.end() ? 0.0 : it->second;
     }
 };
 

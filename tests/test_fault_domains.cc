@@ -204,6 +204,8 @@ TEST(MeshFaultDomains, PartitionQueuesMessagesAndDrainsOnHeal)
 {
     EventQueue eq;
     Mesh mesh(eq, testNet(), 16);
+    StatSet stats;
+    mesh.setStats(&stats);
     cutColumn(mesh, false);
     EXPECT_FALSE(mesh.routable(0, 3));
     EXPECT_TRUE(mesh.routable(0, 1)); // same side still fine
@@ -213,7 +215,7 @@ TEST(MeshFaultDomains, PartitionQueuesMessagesAndDrainsOnHeal)
     eq.run();
     EXPECT_EQ(delivered, 0);
     EXPECT_EQ(mesh.partitionBlocked(), 1u);
-    EXPECT_EQ(mesh.partitionBlockedTotal(), 1u);
+    EXPECT_EQ(stats.get("fault.net.partition_blocked"), 1.0);
 
     // Healing a single channel of the cut reconnects the halves and
     // re-injects the queued message.
@@ -259,13 +261,6 @@ checkedOpts()
     return opts;
 }
 
-double
-counterOf(const RunResult &r, const std::string &name)
-{
-    const auto it = r.counters.find(name);
-    return it == r.counters.end() ? 0.0 : it->second;
-}
-
 TEST(FaultDomainRuns, DupAcksAcrossPartitionHealStayCoherent)
 {
     auto wl = makeWorkload("fft", 1);
@@ -289,8 +284,8 @@ TEST(FaultDomainRuns, DupAcksAcrossPartitionHealStayCoherent)
     const RunResult r = runWorkload(cfg, *wl, checkedOpts());
     warnResetForTest();
 
-    EXPECT_GT(counterOf(r, "fault.net.dup"), 0.0);
-    EXPECT_EQ(counterOf(r, "check.violations"), 0.0);
+    EXPECT_GT(r.counter("fault.net.dup"), 0.0);
+    EXPECT_EQ(r.counter("check.violations"), 0.0);
     EXPECT_EQ(static_cast<int>(r.phases.size()), wl->numPhases());
 }
 
@@ -314,9 +309,9 @@ TEST(FaultDomainRuns, PartitionCampaignCompletesAfterHeal)
 
     // The cut actually blocked traffic, links died and healed, and
     // the run still finished clean.
-    EXPECT_GT(counterOf(r, "fault.net.link_deaths"), 0.0);
-    EXPECT_GT(counterOf(r, "fault.net.link_heals"), 0.0);
-    EXPECT_EQ(counterOf(r, "check.violations"), 0.0);
+    EXPECT_GT(r.counter("fault.net.link_deaths"), 0.0);
+    EXPECT_GT(r.counter("fault.net.link_heals"), 0.0);
+    EXPECT_EQ(r.counter("check.violations"), 0.0);
     EXPECT_EQ(static_cast<int>(r.phases.size()), wl->numPhases());
 }
 
@@ -338,8 +333,8 @@ TEST(FaultDomainRuns, PNodeDeathSalvagesAndCompletes)
     warnResetForTest();
 
     EXPECT_EQ(r.pnodeFailovers, 1);
-    EXPECT_EQ(counterOf(r, "fault.pnode_failovers"), 1.0);
-    EXPECT_EQ(counterOf(r, "check.violations"), 0.0);
+    EXPECT_EQ(r.counter("fault.pnode_failovers"), 1.0);
+    EXPECT_EQ(r.counter("check.violations"), 0.0);
     EXPECT_EQ(static_cast<int>(r.phases.size()), wl->numPhases());
 }
 

@@ -132,10 +132,7 @@ TEST_P(LimitedStress, WorkloadRunsCoherentlyWithThreePointers)
     const RunResult r = runWorkload(cfg, *wl, opts);
     EXPECT_GT(r.totalTicks, 0u);
     // Barnes' widely-shared tree overflows 3 pointers constantly.
-    EXPECT_GT(r.counters.count("home.broadcast_invals")
-                  ? r.counters.at("home.broadcast_invals")
-                  : 0.0,
-              0.0);
+    EXPECT_GT(r.counter("home.broadcast_invals"), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Archs, LimitedStress,

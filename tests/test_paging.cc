@@ -58,7 +58,9 @@ TEST(Paging, WritebackStormForcesPageOut)
         doAccess(m, 0, kBase + i * 128, true);
     m.eq().run();
 
-    EXPECT_GT(home->pageOutEpisodes() + home->sharedListReuses(), 0u);
+    EXPECT_GT(m.stats().get("dnode.page_out_episode") +
+                  m.stats().get("dnode.sharedlist_reuse"),
+              0.0);
     home->store().checkIntegrity();
     m.checkInvariants();
 
@@ -73,7 +75,6 @@ TEST(Paging, PagedOutLineRestoresLatestVersion)
     MachineConfig cfg = pagingCfg(8 * 1024);
     cfg.pNodeMemBytes = 8 * 1024;
     Machine m(cfg);
-    auto *home = static_cast<AggDNodeHome *>(m.home(2));
 
     // Version the target line a few times first.
     doAccess(m, 0, kBase, true);
@@ -85,7 +86,7 @@ TEST(Paging, PagedOutLineRestoresLatestVersion)
         doAccess(m, 0, kBase + i * 128, true);
     m.eq().run();
 
-    if (home->linesPagedOut() > 0) {
+    if (m.stats().get("dnode.pageout_candidates") > 0) {
         // Reading the (possibly paged) line must yield version v —
         // the protocol's freshness panic enforces it.
         doAccess(m, 0, kBase, false);
@@ -107,8 +108,8 @@ TEST(Paging, SharedListReusePreferredWhileReclaimable)
         doAccess(m, 0, kBase + i * 128, false);
     m.eq().run();
 
-    EXPECT_GT(home->sharedListReuses(), 0u);
-    EXPECT_EQ(home->linesPagedOut(), 0u);
+    EXPECT_GT(m.stats().get("dnode.sharedlist_reuse"), 0.0);
+    EXPECT_EQ(m.stats().get("dnode.pageout_candidates"), 0.0);
     home->store().checkIntegrity();
     m.checkInvariants();
 }
@@ -136,7 +137,6 @@ TEST(Paging, CensusCountsPagedLinesAsDNodeOnly)
     MachineConfig cfg = pagingCfg(8 * 1024);
     cfg.pNodeMemBytes = 8 * 1024;
     Machine m(cfg);
-    auto *home = static_cast<AggDNodeHome *>(m.home(2));
 
     for (int i = 0; i < 300; ++i)
         doAccess(m, 0, kBase + i * 128, true);
@@ -145,7 +145,8 @@ TEST(Paging, CensusCountsPagedLinesAsDNodeOnly)
     const LineCensus census = m.collectCensus();
     // Paged-out lines still belong to the machine's footprint census.
     EXPECT_GE(census.totalLines(), 250u);
-    if (home->linesPagedOut() > home->pageIns()) {
+    if (m.stats().get("dnode.pageout_candidates") >
+        m.stats().get("dnode.page_in")) {
         EXPECT_GT(census.dNodeOnly, census.dNodeUsedLines);
     }
 }

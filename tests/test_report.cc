@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "report/experiment.hh"
 #include "report/report.hh"
@@ -112,6 +114,44 @@ TEST(ExperimentRunner, DeterministicAcrossRuns)
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.reads.totalAllLatency(), b.reads.totalAllLatency());
+}
+
+/** Sorted counter names of a quick 8-thread AGG run of @p app. */
+std::vector<std::string>
+aggCounterNames(const char *app, double pressure, int d_ratio)
+{
+    auto wl = makeWorkload(app, 1);
+    BuildSpec spec;
+    spec.arch = ArchKind::Agg;
+    spec.threads = 8;
+    spec.pressure = pressure;
+    spec.dRatio = d_ratio;
+    std::vector<std::string> names;
+    for (const auto &[name, value] : runWorkload(*wl, spec).counters)
+        names.push_back(name);
+    return names;
+}
+
+TEST(ExperimentRunner, AggCounterNamesArePinned)
+{
+    // perfbench's run digest hashes RunResult::counters' key set, so a
+    // counter added to or dropped from an AGG run moves every digest.
+    // fft: 1/2 AGG at 75% pressure, so D-nodes reuse SharedList slots.
+    const std::vector<std::string> fft = {
+        "compute.fwd_from_wb_buffer", "dnode.sharedlist_reuse",
+        "home.blocked_requests",      "home.engine_wait_ticks",
+        "home.read_via_master",       "home.sharing_wb_dropped",
+        "net.link_wait_ticks",        "sim.events_executed",
+    };
+    // barnes: 1/1 AGG at 25% pressure.
+    const std::vector<std::string> barnes = {
+        "compute.fwd_from_wb_buffer", "compute.upgrade_after_displacement",
+        "home.blocked_requests",      "home.engine_wait_ticks",
+        "home.read_via_master",       "home.sharing_wb_dropped",
+        "net.link_wait_ticks",        "sim.events_executed",
+    };
+    EXPECT_EQ(aggCounterNames("fft", 0.75, 2), fft);
+    EXPECT_EQ(aggCounterNames("barnes", 0.25, 1), barnes);
 }
 
 } // namespace

@@ -166,13 +166,6 @@ applyEvents(FaultConfig &fc, const std::vector<ChaosEvent> &events)
     }
 }
 
-double
-counter(const RunResult &r, const std::string &name)
-{
-    const auto it = r.counters.find(name);
-    return it == r.counters.end() ? 0.0 : it->second;
-}
-
 std::string
 firstLine(const std::string &s)
 {
@@ -202,19 +195,19 @@ runSchedule(const Schedule &sc)
         const RunResult r = runWorkload(cfg, *wl, opts);
         warnResetForTest();
 
-        if (counter(r, "check.violations") > 0) {
+        if (r.counter("check.violations") > 0) {
             rep.outcome = Outcome::OracleViolation;
             std::ostringstream os;
-            os << counter(r, "check.violations")
+            os << r.counter("check.violations")
                << " oracle violation(s) counted in degraded mode";
             rep.detail = os.str();
             return rep;
         }
         const bool perturbed =
-            counter(r, "fault.retries") > 0 ||
-            counter(r, "fault.net.drop") > 0 ||
-            counter(r, "fault.net.link_deaths") > 0 ||
-            counter(r, "fault.net.partition_blocked") > 0 ||
+            r.counter("fault.retries") > 0 ||
+            r.counter("fault.net.drop") > 0 ||
+            r.counter("fault.net.link_deaths") > 0 ||
+            r.counter("fault.net.partition_blocked") > 0 ||
             r.failovers > 0 || r.pnodeFailovers > 0;
         rep.outcome =
             perturbed ? Outcome::Recovered : Outcome::Completed;

@@ -214,6 +214,28 @@ if [ -n "$hits" ]; then
     complain "OpGen generator with a reference or pointer parameter (coroutine frames outlive their arguments; take it by value):" "$hits"
 fi
 
+# --- 10. Stat names follow the layer.event schema ---------------------
+# Every event count lives in the machine's StatSet under a name that
+# starts with the layer that counts it, so a RunResult's counter keys
+# sort into one block per layer. Flags a string literal passed first
+# to add( or set( in src/ (bare, wrapped in std::string, or either arm
+# of a `flag ? "a" : "b"` choice) whose text is not <layer>.<event>
+# with a known layer and a lower-case event; a new layer joins the
+# list here.
+hits=$(find src -name '*.cc' -o -name '*.hh' | sort |
+       xargs perl -0777 -ne '
+           while (/\b(?:add|set)\(\s*(?:std::string\(\s*|[\w.]+\s*\?\s*)?"([^"]*)"(?:\s*:\s*"([^"]*)")?/g) {
+               my $at = $-[0];
+               my $line = 1 + (substr($_, 0, $at) =~ tr/\n//);
+               for my $name (grep { defined } $1, $2) {
+                   next if $name =~ /^(compute|home|dnode|coma|fault|check|reconfig)\.[a-z0-9_.]+$/;
+                   print "$ARGV:$line: \"$name\"\n";
+               }
+           }' 2>/dev/null)
+if [ -n "$hits" ]; then
+    complain "stat name outside the <layer>.<event> schema (layers: compute home dnode coma fault check reconfig):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2
     exit 1
