@@ -60,24 +60,29 @@ runScenario(const std::string &app, const std::string &kind,
     if (kind == "drop" || kind == "wedge") {
         cfg.faults.setUniformDropRate(drop);
     } else if (kind == "dnode_death") {
-        cfg.faults.deaths.push_back(
-            DNodeDeath{fault_tick, static_cast<NodeId>(cfg.numPNodes)});
+        cfg.faults.schedule.push_back(
+            {.domain = FaultDomain::DNodeDeath,
+             .tick = fault_tick,
+             .node = static_cast<NodeId>(cfg.numPNodes)});
     } else if (kind == "pnode_death") {
-        cfg.faults.pnodeDeaths.push_back(PNodeDeath{fault_tick, 1});
+        cfg.faults.schedule.push_back(
+            {.domain = FaultDomain::PNodeDeath, .tick = fault_tick, .node = 1});
     } else if (kind == "link_death") {
         // One permanent east-link death in the corner: the mesh stays
         // connected and every affected route detours.
-        cfg.faults.linkDeaths.push_back(LinkDeath{fault_tick, 0, 0, 0});
+        cfg.faults.schedule.push_back({.domain = FaultDomain::LinkDeath,
+                                       .tick = fault_tick,
+                                       .links = {LinkRef{0, 0, 0}}});
     } else if (kind == "partition") {
         // Full vertical cut between columns 0 and 1; heals after an
         // equal interval, so queued messages drain and the run
         // completes.
-        Partition part;
-        part.tick = fault_tick;
-        part.healTick = fault_tick * 2;
+        ScheduledFault part{.domain = FaultDomain::Partition,
+                            .tick = fault_tick,
+                            .healTick = fault_tick * 2};
         for (int y = 0; y < cfg.net.meshY; ++y)
-            part.cut.push_back(LinkRef{0, y, 0});
-        cfg.faults.partitions.push_back(part);
+            part.links.push_back(LinkRef{0, y, 0});
+        cfg.faults.schedule.push_back(part);
     }
     cfg.validate();
 

@@ -199,8 +199,10 @@ runFaultCampaign()
     MachineConfig cfg = buildConfig(*wl, spec);
     cfg.faults.setUniformDropRate(0.05);
     cfg.faults.seed = 0x5eedull;
-    cfg.faults.deaths.push_back(
-        DNodeDeath{4000, static_cast<NodeId>(cfg.numPNodes)});
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::DNodeDeath,
+         .tick = 4000,
+         .node = static_cast<NodeId>(cfg.numPNodes)});
 
     warnResetForTest();
     const auto t0 = Clock::now();

@@ -272,13 +272,6 @@ CoherenceOracle::noteFailover(Tick now, NodeId dead_home,
     }
 }
 
-Version
-CoherenceOracle::latestCommitted(Addr line) const
-{
-    auto it = lines_.find(line);
-    return it == lines_.end() ? 0 : it->second.latest;
-}
-
 CohState
 CoherenceOracle::holderState(NodeId node, Addr line,
                              Version *v_out) const

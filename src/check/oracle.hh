@@ -99,9 +99,6 @@ class CoherenceOracle
     // Queries (for check/scan.cc and tests).
     // ------------------------------------------------------------------
 
-    /** Latest committed version the oracle has seen for @p line. */
-    Version latestCommitted(Addr line) const;
-
     /**
      * Tracked state of @p node's copy of @p line (Invalid if none);
      * the copy's version is returned through @p v_out when non-null.

@@ -50,22 +50,6 @@
 namespace pimdsm
 {
 
-const char *
-specMutationName(SpecMutation m)
-{
-    switch (m) {
-      case SpecMutation::None:
-        return "none";
-      case SpecMutation::DropInvalSend:
-        return "drop-inval-send";
-      case SpecMutation::DoubleOwner:
-        return "double-owner";
-      case SpecMutation::SwapNextState:
-        return "swap-next-state";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -64,8 +64,6 @@ enum class SpecMutation : std::uint8_t
     SwapNextState,
 };
 
-const char *specMutationName(SpecMutation m);
-
 struct SpecExplorerConfig
 {
     ArchKind arch = ArchKind::Agg;

@@ -94,7 +94,6 @@ class Machine : public ProtoContext
     Mesh &mesh() { return mesh_; }
     const Mesh &mesh() const { return mesh_; }
     PageMap &pageMap() { return pageMap_; }
-    FaultPlan &faultPlan() { return faults_; }
 
     CoherenceOracle &oracle() { return oracle_; }
     const CoherenceOracle &oracle() const { return oracle_; }

@@ -33,8 +33,6 @@ class PageMap
     /** Move one page to a new home (reconfiguration). */
     void remap(Addr page, NodeId new_home);
 
-    std::uint64_t numPages() const { return pages_.size(); }
-
     /** Pages currently homed at @p node, in ascending page order
      *  (deterministic regardless of hash-table iteration order). */
     std::vector<Addr> pagesHomedAt(NodeId node) const;

@@ -27,7 +27,6 @@ Mesh::Mesh(EventQueue &eq, const NetParams &params, int num_nodes)
         fatal("more nodes than mesh routers");
     links_.resize(static_cast<std::size_t>(params_.meshX) *
                   params_.meshY * 4);
-    linkDrops_.assign(links_.size(), 0);
     linkAlive_.assign(links_.size(), 1);
 }
 
@@ -269,7 +268,7 @@ Mesh::park(const BlockedMsg &b)
 
 Tick
 Mesh::transit(NodeId src, NodeId dst, int payload_bytes,
-              const FaultDecision &fd)
+              Tick extra_delay)
 {
     const Tick now = eq_.curTick();
     const Tick ser = serTicks(payload_bytes);
@@ -278,42 +277,18 @@ Mesh::transit(NodeId src, NodeId dst, int payload_bytes,
     // Head-flit time advances hop by hop; each link is reserved for the
     // full serialization time starting when the head can enter it.
     Tick head = now + params_.niLatency;
-    std::size_t last_link = links_.size();
     walkPath(src, dst, [&](int x, int y, int dir) {
         const Tick start = link(x, y, dir).acquire(head, ser);
         head = start + per_hop;
-        last_link = linkIndex(x, y, dir);
     });
 
-    const Tick arrival = head + ser + params_.niLatency + fd.extraDelay;
+    const Tick arrival = head + ser + params_.niLatency + extra_delay;
 
     ++messagesSent_;
     bytesSent_ += static_cast<std::uint64_t>(payload_bytes) +
                   params_.headerBytes;
     totalLatency_ += arrival - now;
-
-    if (fd.action == FaultAction::Drop) {
-        // The message occupied its path but the tail is lost on the
-        // final link; the destination never sees it.
-        if (last_link < linkDrops_.size())
-            ++linkDrops_[last_link];
-    }
     return arrival;
-}
-
-std::uint64_t
-Mesh::linkDrops(int x, int y, int dir) const
-{
-    return linkDrops_[linkIndex(x, y, dir)];
-}
-
-std::uint64_t
-Mesh::totalDrops() const
-{
-    std::uint64_t t = 0;
-    for (const auto d : linkDrops_)
-        t += d;
-    return t;
 }
 
 Tick

@@ -38,8 +38,6 @@ class Mesh
 
     Mesh(EventQueue &eq, const NetParams &params, int num_nodes);
 
-    int numNodes() const { return numNodes_; }
-
     /** Manhattan hop count between two nodes. */
     int hops(NodeId src, NodeId dst) const;
 
@@ -90,7 +88,7 @@ class Mesh
                  MsgClass::Immune);
         }
 
-        const Tick arrival = transit(src, dst, payload_bytes, fd);
+        const Tick arrival = transit(src, dst, payload_bytes, fd.extraDelay);
         if (fd.action != FaultAction::Drop)
             eq_.schedule(arrival, std::forward<F>(deliver));
         return arrival;
@@ -133,13 +131,6 @@ class Mesh
     /** Messages currently queued against an unroutable partition. */
     std::size_t partitionBlocked() const { return blocked_.size(); }
 
-    /** Messages dropped on the directed link leaving (x, y) toward
-     *  @p dir (0=E,1=W,2=N,3=S). */
-    std::uint64_t linkDrops(int x, int y, int dir) const;
-
-    /** Total messages dropped in the network. */
-    std::uint64_t totalDrops() const;
-
     /** Contention-free end-to-end latency (for calibration/tests). */
     Tick unloadedLatency(NodeId src, NodeId dst, int payload_bytes) const;
 
@@ -169,7 +160,7 @@ class Mesh
     /** Directed link leaving router (x, y) toward @p dir (0=E,1=W,2=N,3=S). */
     Resource &link(int x, int y, int dir);
 
-    /** Flat index of that link in links_ / linkDrops_. */
+    /** Flat index of that link in links_ / linkAlive_. */
     std::size_t linkIndex(int x, int y, int dir) const
     {
         return (static_cast<std::size_t>(y) * params_.meshX + x) * 4 +
@@ -200,12 +191,12 @@ class Mesh
     void walkPath(NodeId src, NodeId dst, PerHop &&per_hop) const;
 
     /**
-     * Move a message over its path: reserve each link, account the
-     * send, and charge a Drop to the last link.
-     * @return the tail's arrival tick, including @p fd's extra delay.
+     * Move a message over its path: reserve each link and account the
+     * send.
+     * @return the tail's arrival tick, including @p extra_delay.
      */
     Tick transit(NodeId src, NodeId dst, int payload_bytes,
-                 const FaultDecision &fd);
+                 Tick extra_delay);
 
     [[noreturn]] void badEndpoints(NodeId src, NodeId dst,
                                    int payload_bytes, MsgClass cls) const;
@@ -235,8 +226,6 @@ class Mesh
     int numNodes_;
     std::vector<int> nodeToSlot_;
     std::vector<Resource> links_;
-    /** Per-directed-link fault accounting (parallel to links_). */
-    std::vector<std::uint64_t> linkDrops_;
     /** Live link-health map (parallel to links_; 1 = up). */
     std::vector<char> linkAlive_;
     /** Next-hop detour table, routeDir_[cur_slot * R + dst_slot] =

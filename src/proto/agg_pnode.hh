@@ -27,9 +27,6 @@ class CachedMemCompute : public ComputeBase
     CachedMemCompute(ProtoContext &ctx, NodeId self,
                      std::uint64_t mem_bytes, bool coma_mode);
 
-    TaggedMemory &localMem() { return mem_; }
-    const TaggedMemory &localMem() const { return mem_; }
-
     /** Coherence state held for @p line (used by the co-located COMA
      *  home to check whether its own attraction memory can serve). */
     CohState peekState(Addr line) const { return nodeState(line); }

@@ -729,14 +729,6 @@ ComputeBase::handleWriteBackAck(const Message &msg)
         return;
     }
 
-    if (flushOutstanding_ > 0) {
-        if (--flushOutstanding_ == 0 && flushDone_) {
-            auto done = std::move(flushDone_);
-            flushDone_ = nullptr;
-            done();
-        }
-    }
-
     auto it = wbBlocked_.find(msg.lineAddr);
     if (it != wbBlocked_.end()) {
         std::vector<PendingAccess> waiters = std::move(it->second);
@@ -822,38 +814,6 @@ ComputeBase::handleCimReply(const Message &msg)
     cb(ctx_.eq().curTick());
 }
 
-void
-ComputeBase::flushAll(std::function<void()> done)
-{
-    if (!mshrs_.empty())
-        panic("flushAll with outstanding misses");
-
-    std::vector<std::pair<Addr, Version>> owned;
-    forEachOwnedLine([&](Addr line, CohState st, Version v) {
-        if (cohOwned(st))
-            owned.emplace_back(line, v);
-    });
-
-    invalidateAllLocal();
-    l1_.invalidateAll();
-    l2_.invalidateAll();
-    noteWipe("flush");
-
-    // Also wait for writebacks that were already in flight when the
-    // flush started.
-    if (owned.empty() && wbPending_.empty()) {
-        done();
-        return;
-    }
-    flushOutstanding_ = owned.size() + wbPending_.size();
-    flushDone_ = std::move(done);
-    for (auto &[line, v] : owned) {
-        // State no longer matters for routing; report Dirty so the home
-        // absorbs the data.
-        emitWriteBack(line, CohState::Dirty, v);
-    }
-}
-
 std::vector<std::tuple<Addr, CohState, Version>>
 ComputeBase::wipeForDeath()
 {
@@ -876,8 +836,6 @@ ComputeBase::wipeForDeath()
     wbPending_.clear();
     wbBlocked_.clear();
     cimCallbacks_.clear();
-    flushDone_ = nullptr;
-    flushOutstanding_ = 0;
     noteWipe("pnode-death");
     dead_ = true;
     return lines;

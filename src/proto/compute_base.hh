@@ -77,13 +77,6 @@ class ComputeBase
                  std::uint64_t record_count, std::uint64_t match_count,
                  std::function<void(Tick)> cb);
 
-    /**
-     * Write back every owned line and invalidate all local state
-     * (P-node -> D-node reconfiguration); @p done fires when all
-     * writebacks have been acknowledged.
-     */
-    void flushAll(std::function<void()> done);
-
     ReadLatencyStats &readStats() { return readStats_; }
     const ReadLatencyStats &readStats() const { return readStats_; }
 
@@ -342,11 +335,11 @@ class ComputeBase
     /** COMA mastership transfer; others panic. */
     virtual void handleMasterGrant(const Message &msg);
 
-    /** Iterate owned lines for flushAll. */
+    /** Iterate owned lines (death salvage, reconfiguration drain). */
     virtual void forEachOwnedLine(
         FunctionRef<void(Addr, CohState, Version)> fn) = 0;
 
-    /** Clear all node storage (after flush). */
+    /** Clear all node storage (after the owned lines are taken). */
     virtual void invalidateAllLocal() = 0;
 
     // ------------------------------------------------------------------
@@ -428,7 +421,7 @@ class ComputeBase
      */
     void noteState(Addr line, const char *why);
 
-    /** Report that all local state was wiped (flush / reconfig). */
+    /** Report that all local state was wiped (death / reconfig). */
     void noteWipe(const char *why);
 
     ProtoContext &ctx_;
@@ -454,10 +447,6 @@ class ComputeBase
 
     /** Outstanding CIM request callback (one at a time per node). */
     std::deque<std::function<void(Tick)>> cimCallbacks_;
-
-    /** Pending flush completion. */
-    std::function<void()> flushDone_;
-    std::uint64_t flushOutstanding_ = 0;
 
     /** Cached cfg().faults.enabled() (config is fixed per machine). */
     bool faultsOn_ = false;

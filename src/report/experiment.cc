@@ -17,55 +17,35 @@ namespace pimdsm
 namespace
 {
 
-/** One entry of the unified fault timeline (every domain flattened). */
-struct FaultEvent
+/** One action of the fault schedule. A link death or partition acts
+ *  per link, and a partition adds a heal action per cut link. */
+struct FaultStep
 {
-    enum class Kind
-    {
-        DNodeDeath,
-        PNodeDeath,
-        LinkDown,
-        LinkUp,
-    };
-
     Tick tick = 0;
-    Kind kind = Kind::DNodeDeath;
-    NodeId node = kInvalidNode;
+    const ScheduledFault *fault = nullptr;
     LinkRef link{};
+    bool heal = false;
 };
 
-/** Flatten every fault domain into one tick-sorted schedule (timed
- *  partitions become a LinkDown per cut link plus the matching LinkUp
- *  at the heal tick). */
-std::vector<FaultEvent>
-buildFaultTimeline(const FaultConfig &fc)
+/** The schedule's actions, tick-sorted (ties keep schedule order). */
+std::vector<FaultStep>
+faultSteps(const std::vector<ScheduledFault> &schedule)
 {
-    std::vector<FaultEvent> ev;
-    for (const auto &d : fc.deaths) {
-        ev.push_back(
-            {d.tick, FaultEvent::Kind::DNodeDeath, d.node, {}});
-    }
-    for (const auto &d : fc.pnodeDeaths) {
-        ev.push_back(
-            {d.tick, FaultEvent::Kind::PNodeDeath, d.node, {}});
-    }
-    for (const auto &l : fc.linkDeaths) {
-        ev.push_back({l.tick, FaultEvent::Kind::LinkDown, kInvalidNode,
-                      {l.x, l.y, l.dir}});
-    }
-    for (const auto &p : fc.partitions) {
-        for (const auto &l : p.cut) {
-            ev.push_back(
-                {p.tick, FaultEvent::Kind::LinkDown, kInvalidNode, l});
-            ev.push_back({p.healTick, FaultEvent::Kind::LinkUp,
-                          kInvalidNode, l});
+    std::vector<FaultStep> steps;
+    for (const ScheduledFault &f : schedule) {
+        if (f.links.empty())
+            steps.push_back({f.tick, &f, {}, false});
+        for (const LinkRef &l : f.links) {
+            steps.push_back({f.tick, &f, l, false});
+            if (f.domain == FaultDomain::Partition)
+                steps.push_back({f.healTick, &f, l, true});
         }
     }
-    std::stable_sort(ev.begin(), ev.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
+    std::stable_sort(steps.begin(), steps.end(),
+                     [](const FaultStep &a, const FaultStep &b) {
                          return a.tick < b.tick;
                      });
-    return ev;
+    return steps;
 }
 
 } // namespace
@@ -83,21 +63,23 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
 
     // Scheduled faults, fired from the driver (not from pre-armed
     // events: the trailing per-phase drain must observe the same queue
-    // a fault-free run does). All domains share one sorted timeline.
-    const std::vector<FaultEvent> fevents =
-        buildFaultTimeline(cfg.faults);
-    std::size_t fev_idx = 0;
+    // a fault-free run does), in tick order.
+    const std::vector<FaultStep> fault_steps =
+        faultSteps(cfg.faults.schedule);
+    std::size_t step_idx = 0;
 
     // The phase loop parks its live processors here so a P-node death
     // can abort the thread running on the dead chip.
     std::vector<std::unique_ptr<Processor>> *cur_procs = nullptr;
     const std::vector<NodeId> *cur_ids = nullptr;
 
-    auto fire_event = [&](const FaultEvent &ev) {
-        switch (ev.kind) {
-          case FaultEvent::Kind::DNodeDeath:
+    auto fire_event = [&](const FaultStep &ev) {
+        switch (ev.fault->domain) {
+          case FaultDomain::Rates:
+            return; // never scheduled (MachineConfig::validate)
+          case FaultDomain::DNodeDeath:
             {
-                const NodeId n = ev.node;
+                const NodeId n = ev.fault->node;
                 if (n < 0 || n >= m.totalNodes() || m.isDead(n) ||
                     m.role(n) != NodeRole::Directory) {
                     warn("scheduled death skipped: node " +
@@ -110,9 +92,9 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 ++result.failovers;
                 return;
             }
-          case FaultEvent::Kind::PNodeDeath:
+          case FaultDomain::PNodeDeath:
             {
-                const NodeId n = ev.node;
+                const NodeId n = ev.fault->node;
                 if (n < 0 || n >= m.totalNodes() || m.isDead(n) ||
                     m.role(n) != NodeRole::Compute || !m.compute(n) ||
                     m.computeNodes().size() <= 1) {
@@ -137,20 +119,17 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 }
                 return;
             }
-          case FaultEvent::Kind::LinkDown:
+          case FaultDomain::LinkDeath:
+          case FaultDomain::Partition:
             m.mesh().setLinkAlive(ev.link.x, ev.link.y, ev.link.dir,
-                                  false);
-            return;
-          case FaultEvent::Kind::LinkUp:
-            m.mesh().setLinkAlive(ev.link.x, ev.link.y, ev.link.dir,
-                                  true);
+                                  ev.heal);
             return;
         }
     };
     auto fire_due_events = [&] {
-        while (fev_idx < fevents.size() &&
-               m.eq().curTick() >= fevents[fev_idx].tick) {
-            fire_event(fevents[fev_idx++]);
+        while (step_idx < fault_steps.size() &&
+               m.eq().curTick() >= fault_steps[step_idx].tick) {
+            fire_event(fault_steps[step_idx++]);
         }
     };
 
@@ -226,11 +205,11 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 // future work is a scheduled fault event (a failover
                 // or a partition heal may revive retries): advance the
                 // clock to it and fire.
-                if (fev_idx < fevents.size()) {
-                    const Tick ft = fevents[fev_idx].tick;
+                if (step_idx < fault_steps.size()) {
+                    const Tick ft = fault_steps[step_idx].tick;
                     if (ft > m.eq().curTick())
                         m.eq().runUntil(ft);
-                    fire_event(fevents[fev_idx++]);
+                    fire_event(fault_steps[step_idx++]);
                     continue;
                 }
                 throw_watchdog();
@@ -248,11 +227,11 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 continue;
             }
             if (m.mesh().partitionBlocked() > 0 &&
-                fev_idx < fevents.size()) {
-                const Tick ft = fevents[fev_idx].tick;
+                step_idx < fault_steps.size()) {
+                const Tick ft = fault_steps[step_idx].tick;
                 if (ft > m.eq().curTick())
                     m.eq().runUntil(ft);
-                fire_event(fevents[fev_idx++]);
+                fire_event(fault_steps[step_idx++]);
                 continue;
             }
             break;
@@ -296,11 +275,12 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
         }
     }
 
-    if (fev_idx < fevents.size()) {
+    if (step_idx < fault_steps.size()) {
         warn("scheduled fault events never fired (workload finished "
              "first)");
-        m.stats().add("fault.events_unfired",
-                      static_cast<double>(fevents.size() - fev_idx));
+        m.stats().add(
+            "fault.events_unfired",
+            static_cast<double>(fault_steps.size() - step_idx));
     }
 
     result.totalTicks = m.eq().curTick();

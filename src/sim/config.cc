@@ -1,11 +1,103 @@
 #include "sim/config.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "sim/log.hh"
 
 namespace pimdsm
 {
+
+namespace
+{
+
+/** Reject a scheduled link that is malformed or not on the mesh. */
+void
+checkLink(const LinkRef &l, const NetParams &net, bool cut)
+{
+    const std::string what = cut ? "partition link" : "link death";
+    if (l.dir < 0 || l.dir > 3)
+        fatal(what + " direction must be in [0, 3]");
+    if (l.x < 0 || l.y < 0)
+        fatal(what + " coordinates must be non-negative");
+    const std::string where =
+        std::string(cut ? "partition cut link" : "link death") +
+        " at (" + std::to_string(l.x) + "," + std::to_string(l.y) + ")";
+    if (l.x >= net.meshX || l.y >= net.meshY)
+        fatal(where + " is outside the " + std::to_string(net.meshX) +
+              "x" + std::to_string(net.meshY) + " mesh");
+    // A directed link must not point off the mesh edge.
+    const bool off_edge = (l.dir == 0 && l.x == net.meshX - 1) ||
+                          (l.dir == 1 && l.x == 0) ||
+                          (l.dir == 2 && l.y == net.meshY - 1) ||
+                          (l.dir == 3 && l.y == 0);
+    if (off_edge)
+        fatal(where + " points off the mesh edge");
+}
+
+/**
+ * Every check on the fault schedule, in one pass: each entry names a
+ * node or on-mesh link this machine has, a partition heals after it
+ * forms, and at least one P-node outlives the schedule (or no thread
+ * survives to finish the workload).
+ */
+void
+validateSchedule(const MachineConfig &cfg)
+{
+    const bool agg = cfg.arch == ArchKind::Agg;
+    std::vector<NodeId> dead_pnodes;
+    for (const ScheduledFault &f : cfg.faults.schedule) {
+        switch (f.domain) {
+          case FaultDomain::Rates:
+            fatal("fault rates are not a scheduled fault");
+          case FaultDomain::DNodeDeath:
+            if (f.node == kInvalidNode)
+                fatal("scheduled death names no node");
+            if (!agg)
+                fatal("scheduled node deaths require an AGG machine");
+            if (f.node < cfg.numPNodes || f.node >= cfg.totalNodes())
+                fatal("scheduled death must name a D-node");
+            break;
+          case FaultDomain::PNodeDeath:
+            if (f.node == kInvalidNode)
+                fatal("scheduled P-node death names no node");
+            if (!agg)
+                fatal("scheduled P-node deaths require an AGG machine");
+            if (f.node < 0 || f.node >= cfg.numPNodes)
+                fatal("scheduled P-node death must name a P-node");
+            if (std::find(dead_pnodes.begin(), dead_pnodes.end(),
+                          f.node) == dead_pnodes.end())
+                dead_pnodes.push_back(f.node);
+            break;
+          case FaultDomain::LinkDeath:
+            if (f.links.size() != 1)
+                fatal("link death must carry exactly one link");
+            checkLink(f.links.front(), cfg.net, false);
+            break;
+          case FaultDomain::Partition:
+            if (f.links.empty())
+                fatal("partition cuts no link");
+            if (f.healTick == 0) {
+                // Messages blocked on the cut queue until the heal;
+                // with a finite retryLimit every blocked transaction
+                // would be abandoned and the run would wedge by
+                // construction.
+                fatal("partition never heals: blocked transactions "
+                      "would exhaust the finite retry limit and wedge");
+            }
+            if (f.healTick <= f.tick)
+                fatal("partition must heal after it forms");
+            for (const LinkRef &l : f.links)
+                checkLink(l, cfg.net, true);
+            break;
+        }
+    }
+    if (static_cast<int>(dead_pnodes.size()) >= cfg.numPNodes)
+        fatal("P-node death schedule kills every compute node");
+}
+
+} // namespace
 
 const char *
 archName(ArchKind k)
@@ -60,19 +152,7 @@ MachineConfig::validate() const
     if (proc.maxOutstandingLoads > proc.maxOutstanding)
         fatal("load limit exceeds total outstanding limit");
     faults.validate();
-    faults.validateTopology(net.meshX, net.meshY, numPNodes);
-    for (const auto &d : faults.deaths) {
-        if (arch != ArchKind::Agg)
-            fatal("scheduled node deaths require an AGG machine");
-        if (d.node < numPNodes || d.node >= totalNodes())
-            fatal("scheduled death must name a D-node");
-    }
-    for (const auto &d : faults.pnodeDeaths) {
-        if (arch != ArchKind::Agg)
-            fatal("scheduled P-node deaths require an AGG machine");
-        if (d.node < 0 || d.node >= numPNodes)
-            fatal("scheduled P-node death must name a P-node");
-    }
+    validateSchedule(*this);
 }
 
 void

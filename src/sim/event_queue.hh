@@ -307,9 +307,6 @@ class Resource
         return start;
     }
 
-    /** First tick at which the resource is idle. */
-    Tick freeAt() const { return freeAt_; }
-
     /** Total ticks the resource has been reserved for. */
     Tick busyTicks() const { return busyTicks_; }
 

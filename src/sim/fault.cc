@@ -96,8 +96,7 @@ FaultConfig::enabled() const
             r.dropNth > 0)
             return true;
     }
-    return armRecovery || !deaths.empty() || !pnodeDeaths.empty() ||
-           !linkDeaths.empty() || !partitions.empty();
+    return armRecovery || !schedule.empty();
 }
 
 void
@@ -124,90 +123,6 @@ FaultConfig::validate() const
         fatal("fault sweep interval must be positive");
     if (timeoutTicks <= 0)
         fatal("fault timeout must be positive");
-    for (const auto &d : deaths) {
-        if (d.node == kInvalidNode)
-            fatal("scheduled death names no node");
-    }
-    for (const auto &d : pnodeDeaths) {
-        if (d.node == kInvalidNode)
-            fatal("scheduled P-node death names no node");
-    }
-    for (const auto &l : linkDeaths) {
-        if (l.dir < 0 || l.dir > 3)
-            fatal("link death direction must be in [0, 3]");
-        if (l.x < 0 || l.y < 0)
-            fatal("link death coordinates must be non-negative");
-    }
-    for (const auto &p : partitions) {
-        if (p.cut.empty())
-            fatal("partition cuts no link");
-        if (p.healTick == 0) {
-            // Messages blocked on the cut queue until the heal; with a
-            // finite retryLimit every blocked transaction would be
-            // abandoned and the run would wedge by construction.
-            fatal("partition never heals: blocked transactions would "
-                  "exhaust the finite retry limit and wedge");
-        }
-        if (p.healTick <= p.tick)
-            fatal("partition must heal after it forms");
-        for (const auto &l : p.cut) {
-            if (l.dir < 0 || l.dir > 3)
-                fatal("partition link direction must be in [0, 3]");
-            if (l.x < 0 || l.y < 0)
-                fatal("partition link coordinates must be "
-                      "non-negative");
-        }
-    }
-}
-
-namespace
-{
-
-void
-checkLinkOnMesh(int x, int y, int dir, int mesh_x, int mesh_y,
-                const char *what)
-{
-    const std::string where = std::string(what) + " at (" +
-                              std::to_string(x) + "," +
-                              std::to_string(y) + ")";
-    if (x >= mesh_x || y >= mesh_y)
-        fatal(where + " is outside the " + std::to_string(mesh_x) +
-              "x" + std::to_string(mesh_y) + " mesh");
-    // A directed link must not point off the mesh edge.
-    const bool off_edge = (dir == 0 && x == mesh_x - 1) ||
-                          (dir == 1 && x == 0) ||
-                          (dir == 2 && y == mesh_y - 1) ||
-                          (dir == 3 && y == 0);
-    if (off_edge)
-        fatal(where + " points off the mesh edge");
-}
-
-} // namespace
-
-void
-FaultConfig::validateTopology(int mesh_x, int mesh_y,
-                              int num_compute) const
-{
-    for (const auto &l : linkDeaths)
-        checkLinkOnMesh(l.x, l.y, l.dir, mesh_x, mesh_y, "link death");
-    for (const auto &p : partitions) {
-        for (const auto &l : p.cut)
-            checkLinkOnMesh(l.x, l.y, l.dir, mesh_x, mesh_y,
-                            "partition cut link");
-    }
-    // A P-node death schedule must leave at least one compute node
-    // alive, or no thread survives to finish the workload.
-    std::vector<NodeId> targets;
-    for (const auto &d : pnodeDeaths) {
-        bool seen = false;
-        for (NodeId t : targets)
-            seen = seen || t == d.node;
-        if (!seen)
-            targets.push_back(d.node);
-    }
-    if (num_compute > 0 &&
-        static_cast<int>(targets.size()) >= num_compute)
-        fatal("P-node death schedule kills every compute node");
 }
 
 void

@@ -63,20 +63,6 @@ struct ClassFaultRates
     std::uint64_t dropNth = 0;
 };
 
-/** A scheduled fail-stop D-node death. */
-struct DNodeDeath
-{
-    Tick tick = 0;
-    NodeId node = kInvalidNode;
-};
-
-/** A scheduled fail-stop P-node (compute) death. */
-struct PNodeDeath
-{
-    Tick tick = 0;
-    NodeId node = kInvalidNode;
-};
-
 /** A directed mesh link, named by its source router and direction
  *  (0=E, 1=W, 2=N, 3=S — matches Mesh::linkIndex). A fault on a link
  *  kills both directions of the physical channel. */
@@ -90,26 +76,6 @@ struct LinkRef
     {
         return x == o.x && y == o.y && dir == o.dir;
     }
-};
-
-/** A scheduled permanent link fail-stop. */
-struct LinkDeath
-{
-    Tick tick = 0;
-    int x = 0;
-    int y = 0;
-    int dir = 0;
-};
-
-/** A timed network partition: the cut set of links goes down at
- *  @c tick and heals at @c healTick. healTick == 0 means the
- *  partition never heals (rejected by validate() because the finite
- *  retryLimit would abandon every blocked transaction). */
-struct Partition
-{
-    Tick tick = 0;
-    Tick healTick = 0;
-    std::vector<LinkRef> cut;
 };
 
 /**
@@ -131,6 +97,26 @@ constexpr int kNumFaultDomains = 5;
 
 const char *faultDomainName(FaultDomain d);
 
+/**
+ * One timed structural fault. A D-node or P-node death names its
+ * @c node; a link death carries its one link in @c links; a partition
+ * carries its cut in @c links and heals at @c healTick (healTick == 0
+ * means it never heals, which MachineConfig::validate() rejects
+ * because the finite retryLimit would abandon every blocked
+ * transaction). FaultDomain::Rates is never scheduled: rates live in
+ * FaultConfig::rates.
+ */
+struct ScheduledFault
+{
+    FaultDomain domain = FaultDomain::DNodeDeath;
+    Tick tick = 0;
+    NodeId node = kInvalidNode;
+    /** The `{}` lets a designated initializer leave it out under
+     *  -Wmissing-field-initializers. */
+    std::vector<LinkRef> links{};
+    Tick healTick = 0;
+};
+
 /** Fault-injection knobs, carried inside MachineConfig. */
 struct FaultConfig
 {
@@ -149,14 +135,10 @@ struct FaultConfig
     int retryLimit = 8;
     /** Period of the compute-side timeout sweep. */
     Tick sweepInterval = 2000;
-    /** Scheduled D-node deaths (fired by the experiment runner). */
-    std::vector<DNodeDeath> deaths;
-    /** Scheduled P-node (compute) deaths. */
-    std::vector<PNodeDeath> pnodeDeaths;
-    /** Scheduled permanent link deaths. */
-    std::vector<LinkDeath> linkDeaths;
-    /** Scheduled timed partitions (cut + heal). */
-    std::vector<Partition> partitions;
+    /** Timed structural faults, fired by the experiment runner in
+     *  tick order (entries that share a tick fire in list order) and
+     *  checked against the machine by MachineConfig::validate(). */
+    std::vector<ScheduledFault> schedule;
 
     /**
      * Arm the recovery machinery (txn sequence numbers, home-side
@@ -175,17 +157,9 @@ struct FaultConfig
     /** Convenience: drop requests, replies and writebacks at @p p. */
     void setUniformDropRate(double p);
 
-    /** Throw FatalError on nonsensical settings. */
+    /** Throw FatalError on nonsensical rates or recovery knobs (the
+     *  schedule is checked by MachineConfig::validate()). */
     void validate() const;
-
-    /**
-     * Topology-aware validation, called from MachineConfig::validate()
-     * once the mesh dimensions and node counts are known: rejects
-     * link deaths / partition cuts naming off-mesh links and P-node
-     * death schedules that would kill the last live compute node.
-     */
-    void validateTopology(int mesh_x, int mesh_y,
-                          int num_compute) const;
 };
 
 /** What the mesh should do with one message. */

@@ -53,32 +53,10 @@ Rng::nextBounded(std::uint64_t bound)
     return bound ? next() % bound : 0;
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    if (hi <= lo)
-        return lo;
-    return lo + static_cast<std::int64_t>(
-        nextBounded(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
 double
 Rng::nextDouble()
 {
     return (next() >> 11) * (1.0 / 9007199254740992.0); // 2^-53
-}
-
-std::uint64_t
-Rng::nextGeometric(double p, std::uint64_t cap)
-{
-    if (p >= 1.0)
-        return 1;
-    if (p <= 0.0)
-        return cap;
-    std::uint64_t n = 1;
-    while (n < cap && !chance(p))
-        ++n;
-    return n;
 }
 
 } // namespace pimdsm

@@ -27,20 +27,11 @@ class Rng
     /** Uniform integer in [0, bound) (bound > 0). */
     std::uint64_t nextBounded(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 
     /** Bernoulli draw with probability @p p. */
     bool chance(double p) { return nextDouble() < p; }
-
-    /**
-     * Geometric-ish draw: number of trials until success with
-     * probability p, capped at @p cap. Used for compute-gap sampling.
-     */
-    std::uint64_t nextGeometric(double p, std::uint64_t cap);
 
   private:
     std::uint64_t s_[4];

@@ -19,13 +19,6 @@ StatSet::slot(std::string_view name)
     return it->second;
 }
 
-void
-StatSet::dump(std::ostream &os, const std::string &prefix) const
-{
-    for (const auto &[name, value] : scalars_)
-        os << prefix << name << " " << value << "\n";
-}
-
 const char *
 readServiceName(ReadService s)
 {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,9 +42,6 @@ class StatSet
     {
         return {scalars_.begin(), scalars_.end()};
     }
-
-    /** Pretty-print "name value" lines. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
 
     void clear() { scalars_.clear(); }
 

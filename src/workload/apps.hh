@@ -165,8 +165,6 @@ class DbaseWorkload : public Workload
     std::uint64_t l1Bytes() const override { return 64 * 1024; }
     std::uint64_t l2Bytes() const override { return 512 * 1024; }
 
-    bool cimEnabled() const { return cim_; }
-
   private:
     std::uint64_t customers_;
     std::uint64_t orders_;

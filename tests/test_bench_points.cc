@@ -44,12 +44,16 @@ runApp(const std::string &app, ArchKind arch, bool faults = false,
         cfg.faults.seed = 0xfeedbeefull;
         cfg.faults.timeoutTicks = 5000;
         cfg.faults.sweepInterval = 1000;
-        cfg.faults.deaths.push_back(
-            DNodeDeath{10'000, static_cast<NodeId>(cfg.numPNodes)});
+        cfg.faults.schedule.push_back(
+            {.domain = FaultDomain::DNodeDeath,
+             .tick = 10'000,
+             .node = static_cast<NodeId>(cfg.numPNodes)});
     }
     if (pnode_death != 0) {
         cfg.faults.seed = 0xfeedbeefull;
-        cfg.faults.pnodeDeaths.push_back(PNodeDeath{pnode_death, 1});
+        cfg.faults.schedule.push_back({.domain = FaultDomain::PNodeDeath,
+                                       .tick = pnode_death,
+                                       .node = 1});
     }
     return runWorkload(cfg, *wl);
 }

@@ -103,26 +103,26 @@ TEST(ComaInjection, RefusalChainFallsBackToDisk)
 
 TEST(ComaInjection, ProviderRefusesWhenSetFullOfOwnedLines)
 {
-    MachineConfig cfg = comaCfg(2, 4096);
+    MachineConfig cfg = comaCfg(2, 4096); // 8 sets x 4 ways
     Machine m(cfg);
-    // Node 1 accepts or refuses every Inject it is sent.
-    int offered = 0;
+    // Count the refusals node 1 sends back to the injecting home.
+    int refused = 0;
     m.setSendInterceptor([&](const Message &msg) {
-        offered += msg.type == MsgType::Inject && msg.dst == 1;
+        refused += msg.type == MsgType::InjectNack && msg.src == 1;
         return false;
     });
 
     const Addr stride = 8 * 128;
+    // Node 1 fills one set of its attraction memory with owned lines.
     for (int i = 0; i < 4; ++i)
         doAccess(m, 1, kBase + (100 + i) * stride, true);
 
-    // Count refusals after forcing node 0 evictions into that set.
+    // Node 0 displaces masters of other lines that map to the same
+    // set; node 1 is the only provider and has no way to give up.
     for (int i = 0; i < 8; ++i)
-        doAccess(m, 0, kBase + (100 + i) * stride + 64, true);
+        doAccess(m, 0, kBase + (200 + i) * stride, true);
     m.eq().run();
-    // Not deterministic which provider is asked first, but with only
-    // one other node, any refusal registers here.
-    EXPECT_GE(offered, 1);
+    EXPECT_GE(refused, 1);
     m.checkInvariants();
 }
 

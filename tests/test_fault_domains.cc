@@ -44,71 +44,163 @@ testNet()
 
 // ---------------------------------------------------------- validation
 
+/** A valid 4+4-node AGG machine on a 4x4 mesh to hang schedules on. */
+MachineConfig
+scheduleCfg()
+{
+    MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
+    cfg.numPNodes = 4;
+    cfg.numThreads = 4;
+    cfg.numDNodes = 4;
+    cfg.net.meshX = 4;
+    cfg.net.meshY = 4;
+    return cfg;
+}
+
+/** The message validate() rejects @p cfg with ("" if it passes). */
+std::string
+rejection(const MachineConfig &cfg)
+{
+    try {
+        cfg.validate();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+ScheduledFault
+partition(Tick tick, Tick heal, std::vector<LinkRef> cut)
+{
+    return {.domain = FaultDomain::Partition,
+            .tick = tick,
+            .links = std::move(cut),
+            .healTick = heal};
+}
+
+ScheduledFault
+linkDeath(Tick tick, LinkRef link)
+{
+    return {.domain = FaultDomain::LinkDeath,
+            .tick = tick,
+            .links = {link}};
+}
+
 TEST(FaultDomainConfig, NeverHealingPartitionIsRejected)
 {
-    FaultConfig fc;
-    fc.partitions.push_back(Partition{1000, 0, {LinkRef{0, 0, 0}}});
-    EXPECT_THROW(fc.validate(), FatalError);
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(partition(1000, 0, {LinkRef{0, 0, 0}}));
+    EXPECT_NE(rejection(cfg).find("partition never heals"),
+              std::string::npos);
 }
 
 TEST(FaultDomainConfig, HealBeforeCutIsRejected)
 {
-    FaultConfig fc;
-    fc.partitions.push_back(Partition{1000, 900, {LinkRef{0, 0, 0}}});
-    EXPECT_THROW(fc.validate(), FatalError);
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        partition(1000, 900, {LinkRef{0, 0, 0}}));
+    EXPECT_NE(rejection(cfg).find("partition must heal after it forms"),
+              std::string::npos);
 }
 
 TEST(FaultDomainConfig, EmptyCutIsRejected)
 {
-    FaultConfig fc;
-    fc.partitions.push_back(Partition{1000, 2000, {}});
-    EXPECT_THROW(fc.validate(), FatalError);
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(partition(1000, 2000, {}));
+    EXPECT_NE(rejection(cfg).find("partition cuts no link"),
+              std::string::npos);
 }
 
 TEST(FaultDomainConfig, HealedPartitionPasses)
 {
-    FaultConfig fc;
-    fc.partitions.push_back(
-        Partition{1000, 2000, {LinkRef{0, 0, 0}}});
-    EXPECT_NO_THROW(fc.validate());
-    EXPECT_TRUE(fc.enabled());
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        partition(1000, 2000, {LinkRef{0, 0, 0}}));
+    EXPECT_EQ(rejection(cfg), "");
+    EXPECT_TRUE(cfg.faults.enabled());
 }
 
 TEST(FaultDomainConfig, BadLinkDirectionIsRejected)
 {
-    FaultConfig fc;
-    fc.linkDeaths.push_back(LinkDeath{1000, 0, 0, 4});
-    EXPECT_THROW(fc.validate(), FatalError);
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(linkDeath(1000, LinkRef{0, 0, 4}));
+    EXPECT_NE(
+        rejection(cfg).find("link death direction must be in [0, 3]"),
+        std::string::npos);
+    cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        partition(1000, 2000, {LinkRef{0, -1, 0}}));
+    EXPECT_NE(rejection(cfg).find(
+                  "partition link coordinates must be non-negative"),
+              std::string::npos);
 }
 
 TEST(FaultDomainConfig, OffMeshLinkDeathIsRejectedByTopology)
 {
-    FaultConfig fc;
+    MachineConfig cfg = scheduleCfg();
     // East off the right edge of a 4-wide mesh.
-    fc.linkDeaths.push_back(LinkDeath{1000, 3, 0, 0});
-    EXPECT_NO_THROW(fc.validate());
-    EXPECT_THROW(fc.validateTopology(4, 4, 4), FatalError);
+    cfg.faults.schedule.push_back(linkDeath(1000, LinkRef{3, 0, 0}));
+    EXPECT_NE(rejection(cfg).find(
+                  "link death at (3,0) points off the mesh edge"),
+              std::string::npos);
     // Same link is fine on a wider mesh.
-    EXPECT_NO_THROW(fc.validateTopology(5, 4, 4));
+    cfg.net.meshX = 5;
+    EXPECT_EQ(rejection(cfg), "");
 }
 
 TEST(FaultDomainConfig, OffMeshPartitionCutIsRejectedByTopology)
 {
-    FaultConfig fc;
-    fc.partitions.push_back(
-        Partition{1000, 2000, {LinkRef{0, 0, 1}}}); // West off x=0
-    EXPECT_THROW(fc.validateTopology(4, 4, 4), FatalError);
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        partition(1000, 2000, {LinkRef{0, 0, 1}})); // West off x=0
+    EXPECT_NE(rejection(cfg).find("partition cut link at (0,0) points "
+                                  "off the mesh edge"),
+              std::string::npos);
+    cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        partition(1000, 2000, {LinkRef{4, 0, 1}}));
+    EXPECT_NE(rejection(cfg).find("is outside the 4x4 mesh"),
+              std::string::npos);
 }
 
 TEST(FaultDomainConfig, KillingEveryComputeNodeIsRejected)
 {
-    FaultConfig fc;
-    for (NodeId n = 0; n < 4; ++n)
-        fc.pnodeDeaths.push_back(PNodeDeath{1000, n});
-    EXPECT_THROW(fc.validateTopology(4, 4, 4), FatalError);
+    MachineConfig cfg = scheduleCfg();
+    for (NodeId n = 0; n < 4; ++n) {
+        cfg.faults.schedule.push_back(
+            {.domain = FaultDomain::PNodeDeath, .tick = 1000, .node = n});
+    }
+    EXPECT_NE(rejection(cfg).find("kills every compute node"),
+              std::string::npos);
     // Killing all but one is allowed.
-    fc.pnodeDeaths.pop_back();
-    EXPECT_NO_THROW(fc.validateTopology(4, 4, 4));
+    cfg.faults.schedule.pop_back();
+    EXPECT_EQ(rejection(cfg), "");
+}
+
+TEST(FaultDomainConfig, DeathsMustNameANodeOfTheirKind)
+{
+    MachineConfig cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::DNodeDeath, .tick = 1000, .node = 1});
+    EXPECT_NE(rejection(cfg).find("scheduled death must name a D-node"),
+              std::string::npos);
+    cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::PNodeDeath, .tick = 1000, .node = 5});
+    EXPECT_NE(rejection(cfg).find(
+                  "scheduled P-node death must name a P-node"),
+              std::string::npos);
+    cfg = scheduleCfg();
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::DNodeDeath, .tick = 1000});
+    EXPECT_NE(rejection(cfg).find("scheduled death names no node"),
+              std::string::npos);
+    cfg = makeBaseConfig(ArchKind::Numa);
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::PNodeDeath, .tick = 1000, .node = 1});
+    EXPECT_NE(rejection(cfg).find(
+                  "scheduled P-node deaths require an AGG machine"),
+              std::string::npos);
 }
 
 TEST(FaultDomainConfig, DomainAndActionNamesAreDistinct)
@@ -276,8 +368,8 @@ TEST(FaultDomainRuns, DupAcksAcrossPartitionHealStayCoherent)
     // sides of the heal. 6 nodes fit a 3x2 mesh; cut column 1.
     ASSERT_EQ(cfg.net.meshX, 3);
     cfg.faults.rates[static_cast<int>(MsgClass::Ack)].duplicate = 1.0;
-    cfg.faults.partitions.push_back(Partition{
-        50'000, 150'000, {LinkRef{1, 0, 0}, LinkRef{1, 1, 0}}});
+    cfg.faults.schedule.push_back(
+        partition(50'000, 150'000, {LinkRef{1, 0, 0}, LinkRef{1, 1, 0}}));
     cfg.validate();
 
     warnResetForTest();
@@ -299,8 +391,8 @@ TEST(FaultDomainRuns, PartitionCampaignCompletesAfterHeal)
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
     cfg.check.enabled = true;
-    cfg.faults.partitions.push_back(Partition{
-        40'000, 240'000, {LinkRef{1, 0, 0}, LinkRef{1, 1, 0}}});
+    cfg.faults.schedule.push_back(
+        partition(40'000, 240'000, {LinkRef{1, 0, 0}, LinkRef{1, 1, 0}}));
     cfg.validate();
 
     warnResetForTest();
@@ -325,7 +417,8 @@ TEST(FaultDomainRuns, PNodeDeathSalvagesAndCompletes)
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
     cfg.check.enabled = true;
-    cfg.faults.pnodeDeaths.push_back(PNodeDeath{150'000, 1});
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::PNodeDeath, .tick = 150'000, .node = 1});
     cfg.validate();
 
     warnResetForTest();
@@ -347,7 +440,8 @@ TEST(FaultDomainRuns, PNodeDeathRunsAreDeterministic)
     spec.dNodes = 2;
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
-    cfg.faults.pnodeDeaths.push_back(PNodeDeath{150'000, 2});
+    cfg.faults.schedule.push_back(
+        {.domain = FaultDomain::PNodeDeath, .tick = 150'000, .node = 2});
 
     warnResetForTest();
     const RunResult a = runWorkload(cfg, *wl);

@@ -24,6 +24,7 @@
  * outcome, byte-identical repro.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -48,28 +49,13 @@ namespace
 
 // --------------------------------------------------------------- model
 
-/** One schedule entry; exactly one FaultDomain's fields are live. */
+/** One schedule entry: a per-class rates setting when fault.domain is
+ *  Rates (the last entry per class wins), else a timed fault. */
 struct ChaosEvent
 {
-    FaultDomain domain = FaultDomain::Rates;
-
-    // Rates: per-class probabilities (last event per class wins).
+    ScheduledFault fault;
     int cls = 0;
-    double drop = 0.0;
-    double delay = 0.0;
-    double dup = 0.0;
-    std::uint64_t dropNth = 0;
-
-    // Deaths and timed faults.
-    Tick tick = 0;
-    NodeId node = kInvalidNode;
-
-    // Link death / partition cut geometry.
-    int x = 0;
-    int y = 0;
-    int dir = 0;
-    Tick healTick = 0;
-    std::vector<LinkRef> cut;
+    ClassFaultRates rates;
 };
 
 struct Schedule
@@ -141,28 +127,10 @@ void
 applyEvents(FaultConfig &fc, const std::vector<ChaosEvent> &events)
 {
     for (const ChaosEvent &ev : events) {
-        switch (ev.domain) {
-          case FaultDomain::Rates:
-            fc.rates[ev.cls].drop = ev.drop;
-            fc.rates[ev.cls].delay = ev.delay;
-            fc.rates[ev.cls].duplicate = ev.dup;
-            fc.rates[ev.cls].dropNth = ev.dropNth;
-            break;
-          case FaultDomain::DNodeDeath:
-            fc.deaths.push_back(DNodeDeath{ev.tick, ev.node});
-            break;
-          case FaultDomain::PNodeDeath:
-            fc.pnodeDeaths.push_back(PNodeDeath{ev.tick, ev.node});
-            break;
-          case FaultDomain::LinkDeath:
-            fc.linkDeaths.push_back(
-                LinkDeath{ev.tick, ev.x, ev.y, ev.dir});
-            break;
-          case FaultDomain::Partition:
-            fc.partitions.push_back(
-                Partition{ev.tick, ev.healTick, ev.cut});
-            break;
-        }
+        if (ev.fault.domain == FaultDomain::Rates)
+            fc.rates[ev.cls] = ev.rates;
+        else
+            fc.schedule.push_back(ev.fault);
     }
 }
 
@@ -348,53 +316,53 @@ generate(std::uint64_t seed, ArchKind arch, ProtoMutation mutation)
     const int n = 1 + static_cast<int>(rng.nextBounded(4));
     for (int i = 0; i < n; ++i) {
         ChaosEvent ev;
-        const auto domain =
+        ScheduledFault &f = ev.fault;
+        f.domain =
             static_cast<FaultDomain>(rng.nextBounded(kNumFaultDomains));
-        ev.domain = domain;
-        ev.tick = 20000 + rng.nextBounded(400000);
-        switch (domain) {
+        f.tick = 20000 + rng.nextBounded(400000);
+        switch (f.domain) {
           case FaultDomain::Rates:
             ev.cls = static_cast<int>(rng.nextBounded(kNumFaultClasses));
-            ev.drop = rng.chance(0.7) ? 0.01 + 0.04 * rng.nextDouble()
-                                      : 0.0;
-            ev.delay = rng.chance(0.3) ? 0.05 * rng.nextDouble() : 0.0;
-            ev.dup = rng.chance(0.3) ? 0.05 * rng.nextDouble() : 0.0;
-            ev.dropNth = rng.chance(0.2) ? 1 + rng.nextBounded(200) : 0;
+            ev.rates.drop = rng.chance(0.7)
+                                ? 0.01 + 0.04 * rng.nextDouble()
+                                : 0.0;
+            ev.rates.delay =
+                rng.chance(0.3) ? 0.05 * rng.nextDouble() : 0.0;
+            ev.rates.duplicate =
+                rng.chance(0.3) ? 0.05 * rng.nextDouble() : 0.0;
+            ev.rates.dropNth =
+                rng.chance(0.2) ? 1 + rng.nextBounded(200) : 0;
             break;
           case FaultDomain::DNodeDeath:
             if (sc.arch != ArchKind::Agg)
                 continue; // structural deaths are AGG-only
-            ev.node = static_cast<NodeId>(
+            f.node = static_cast<NodeId>(
                 g.pnodes + rng.nextBounded(g.total - g.pnodes));
             break;
           case FaultDomain::PNodeDeath:
             if (sc.arch != ArchKind::Agg)
                 continue;
-            ev.node = static_cast<NodeId>(rng.nextBounded(g.pnodes));
+            f.node = static_cast<NodeId>(rng.nextBounded(g.pnodes));
             break;
           case FaultDomain::LinkDeath:
             {
-                const LinkRef l = randomLink(rng, g);
-                ev.x = l.x;
-                ev.y = l.y;
-                ev.dir = l.dir;
+                f.links = {randomLink(rng, g)};
                 // Accumulating permanent link deaths must never
                 // disconnect the mesh: an isolated node is an
                 // *expected* wedge, which would drown real failures.
-                std::vector<LinkRef> dead{l};
+                std::vector<LinkRef> dead = f.links;
                 for (const ChaosEvent &prev : sc.events) {
-                    if (prev.domain == FaultDomain::LinkDeath)
-                        dead.push_back(
-                            LinkRef{prev.x, prev.y, prev.dir});
+                    if (prev.fault.domain == FaultDomain::LinkDeath)
+                        dead.push_back(prev.fault.links.front());
                 }
                 if (!meshStaysConnected(g, dead))
                     continue;
                 break;
             }
           case FaultDomain::Partition:
-            ev.cut = columnCut(
+            f.links = columnCut(
                 static_cast<int>(rng.nextBounded(g.meshX - 1)), g);
-            ev.healTick = ev.tick + 50000 + rng.nextBounded(200000);
+            f.healTick = f.tick + 50000 + rng.nextBounded(200000);
             break;
         }
         sc.events.push_back(std::move(ev));
@@ -406,9 +374,10 @@ generate(std::uint64_t seed, ArchKind arch, ProtoMutation mutation)
     int dnode_deaths = 0, pnode_deaths = 0;
     std::vector<ChaosEvent> kept;
     for (ChaosEvent &ev : sc.events) {
-        if (ev.domain == FaultDomain::DNodeDeath && ++dnode_deaths > 1)
+        const FaultDomain d = ev.fault.domain;
+        if (d == FaultDomain::DNodeDeath && ++dnode_deaths > 1)
             continue;
-        if (ev.domain == FaultDomain::PNodeDeath && ++pnode_deaths > 1)
+        if (d == FaultDomain::PNodeDeath && ++pnode_deaths > 1)
             continue;
         kept.push_back(std::move(ev));
     }
@@ -490,14 +459,6 @@ shrink(const Schedule &sc, const RunReport &target, int *runs_out)
 
 // ------------------------------------------------------- repro file IO
 
-std::string
-linkRefStr(const LinkRef &l)
-{
-    std::ostringstream os;
-    os << l.x << "," << l.y << "," << l.dir;
-    return os.str();
-}
-
 void
 writeRepro(std::ostream &os, const Schedule &sc, Outcome expect)
 {
@@ -514,32 +475,30 @@ writeRepro(std::ostream &os, const Schedule &sc, Outcome expect)
     os << "seed " << sc.seed << "\n";
     os << "mutation " << mutationName(sc.mutation) << "\n";
     for (const ChaosEvent &ev : sc.events) {
-        os << "event " << faultDomainName(ev.domain);
-        switch (ev.domain) {
-          case FaultDomain::Rates:
-            os << " cls=" << ev.cls << " drop=" << ev.drop
-               << " delay=" << ev.delay << " dup=" << ev.dup
-               << " dropnth=" << ev.dropNth;
-            break;
-          case FaultDomain::DNodeDeath:
-          case FaultDomain::PNodeDeath:
-            os << " tick=" << ev.tick << " node=" << ev.node;
-            break;
-          case FaultDomain::LinkDeath:
-            os << " tick=" << ev.tick << " x=" << ev.x << " y=" << ev.y
-               << " dir=" << ev.dir;
-            break;
-          case FaultDomain::Partition:
-            {
-                os << " tick=" << ev.tick << " heal=" << ev.healTick
-                   << " cut=";
-                for (std::size_t i = 0; i < ev.cut.size(); ++i) {
-                    if (i)
-                        os << ";";
-                    os << linkRefStr(ev.cut[i]);
-                }
-                break;
-            }
+        const ScheduledFault &f = ev.fault;
+        os << "event " << faultDomainName(f.domain);
+        if (f.domain == FaultDomain::Rates) {
+            os << " cls=" << ev.cls << " drop=" << ev.rates.drop
+               << " delay=" << ev.rates.delay
+               << " dup=" << ev.rates.duplicate
+               << " dropnth=" << ev.rates.dropNth << "\n";
+            continue;
+        }
+        // Every field a timed fault sets, in one fixed order; a
+        // partition spells its links as a cut, a link death as x/y/dir.
+        os << " tick=" << f.tick;
+        if (f.healTick != 0)
+            os << " heal=" << f.healTick;
+        if (f.node != kInvalidNode)
+            os << " node=" << f.node;
+        if (f.domain == FaultDomain::Partition) {
+            os << " cut=";
+            for (std::size_t i = 0; i < f.links.size(); ++i)
+                os << (i ? ";" : "") << f.links[i].x << ","
+                   << f.links[i].y << "," << f.links[i].dir;
+        } else if (!f.links.empty()) {
+            os << " x=" << f.links.front().x << " y=" << f.links.front().y
+               << " dir=" << f.links.front().dir;
         }
         os << "\n";
     }
@@ -629,33 +588,54 @@ parseRepro(std::istream &in, Outcome *expect)
             std::string dom;
             is >> dom;
             ChaosEvent ev;
+            ScheduledFault &f = ev.fault;
             bool found = false;
             for (int i = 0; i < kNumFaultDomains; ++i) {
                 const auto d = static_cast<FaultDomain>(i);
                 if (dom == faultDomainName(d)) {
-                    ev.domain = d;
+                    f.domain = d;
                     found = true;
                 }
             }
             if (!found)
                 parseFail("unknown fault domain '" + dom + "'");
             auto kv = parseKv(is);
-            auto num = [&](const char *k) -> double {
-                return kv.count(k) ? std::stod(kv[k]) : 0.0;
+            auto num = [&](const char *k, double dflt) -> double {
+                const auto it = kv.find(k);
+                if (it == kv.end())
+                    return dflt;
+                std::size_t used = 0;
+                double v = std::nan("");
+                try {
+                    v = std::stod(it->second, &used);
+                } catch (const std::exception &) {
+                    // Not a number: v stays NaN and is rejected below.
+                }
+                if (used != it->second.size() || !std::isfinite(v))
+                    parseFail(std::string("bad number '") + it->second +
+                              "' for " + k);
+                return v;
             };
-            ev.cls = static_cast<int>(num("cls"));
-            ev.drop = num("drop");
-            ev.delay = num("delay");
-            ev.dup = num("dup");
-            ev.dropNth = static_cast<std::uint64_t>(num("dropnth"));
-            ev.tick = static_cast<Tick>(num("tick"));
-            ev.node = static_cast<NodeId>(
-                kv.count("node") ? std::stoll(kv["node"])
-                                 : kInvalidNode);
-            ev.x = static_cast<int>(num("x"));
-            ev.y = static_cast<int>(num("y"));
-            ev.dir = static_cast<int>(num("dir"));
-            ev.healTick = static_cast<Tick>(num("heal"));
+            const double cls = num("cls", 0.0);
+            if (!(cls >= 0.0 && cls < kNumFaultClasses))
+                parseFail("message class " + kv["cls"] +
+                          " is outside [0, " +
+                          std::to_string(kNumFaultClasses) + ")");
+            ev.cls = static_cast<int>(cls);
+            ev.rates.drop = num("drop", 0.0);
+            ev.rates.delay = num("delay", 0.0);
+            ev.rates.duplicate = num("dup", 0.0);
+            ev.rates.dropNth =
+                static_cast<std::uint64_t>(num("dropnth", 0.0));
+            f.tick = static_cast<Tick>(num("tick", 0.0));
+            f.node = static_cast<NodeId>(num("node", kInvalidNode));
+            f.healTick = static_cast<Tick>(num("heal", 0.0));
+            if (kv.count("x") || kv.count("y") || kv.count("dir")) {
+                f.links.push_back(
+                    LinkRef{static_cast<int>(num("x", 0.0)),
+                            static_cast<int>(num("y", 0.0)),
+                            static_cast<int>(num("dir", 0.0))});
+            }
             if (kv.count("cut")) {
                 std::istringstream cs(kv["cut"]);
                 std::string part;
@@ -664,7 +644,7 @@ parseRepro(std::istream &in, Outcome *expect)
                     if (std::sscanf(part.c_str(), "%d,%d,%d", &l.x,
                                     &l.y, &l.dir) != 3)
                         parseFail("bad cut element '" + part + "'");
-                    ev.cut.push_back(l);
+                    f.links.push_back(l);
                 }
             }
             sc.events.push_back(std::move(ev));
