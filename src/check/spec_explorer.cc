@@ -7,11 +7,12 @@
  * home_base.cc / coma_node.cc at the granularity the ProtocolSpec
  * describes: per-line MESI-ish node states, the home directory entry,
  * MSHR/writeback-buffer/deferred-forward transaction state, and the
- * in-flight message multiset. No caches, no timing, no mesh — a
- * message is deliverable whenever it is the oldest in flight for its
- * (src, dst) pair on its line (point-to-point FIFO, which the real
- * mesh's deterministic routing provides and several protocol races
- * rely on).
+ * in-flight messages. No caches, no timing, no mesh — a message is
+ * deliverable whenever it is the oldest in flight on its line between
+ * its (source node, destination node) pair (point-to-point FIFO, which
+ * the real mesh's deterministic routing provides and several protocol
+ * races rely on). A COMA/NUMA home is co-located with a compute node
+ * and shares that node's FIFOs, as it shares its NI in the machine.
  *
  * Every message delivery is checked against the declarative spec as a
  * contract: the (role, state, message) row must exist and not be
@@ -46,6 +47,7 @@
 #include "proto/spec.hh"
 #include "sim/flat_map.hh"
 #include "sim/log.hh"
+#include "sim/random.hh"
 
 namespace pimdsm
 {
@@ -67,6 +69,8 @@ constexpr int kMaxPend = 10;   ///< home pending-queue slots
 constexpr int kMaxDefer = 3;   ///< deferred forwards per node
 constexpr std::uint8_t kHomeEp = 0x7f; ///< the home endpoint "node id"
 constexpr std::uint8_t kNil = 0xff;
+/** Reservoir sampling's fixed seed: samples are reproducible. */
+constexpr std::uint64_t kSampleSeed = 1;
 
 // Compute line states.
 constexpr std::uint8_t kI = 0, kS = 1, kSM = 2, kD = 3;
@@ -78,7 +82,7 @@ constexpr std::uint8_t fGrantsMaster = 1;
 constexpr std::uint8_t fNeedsTxnDone = 2;
 constexpr std::uint8_t fMasterClean = 4;
 constexpr std::uint8_t fFwdEx = 8;
-constexpr std::uint8_t fRetry = 16; ///< timeout resend (Message::isRetry)
+constexpr std::uint8_t fRetry = 16; ///< timeout resend (Message::retryAttempt)
 
 inline bool
 cohValid(std::uint8_t st)
@@ -140,7 +144,6 @@ struct NodeLine
     std::uint8_t reads = 0;   ///< remaining spontaneous-read budget
     std::uint8_t writes = 0;
     std::uint8_t evicts = 0;
-    std::uint8_t retries = 0;
     std::uint8_t nextSeq = 0;
 };
 
@@ -150,6 +153,11 @@ struct Served
     std::uint8_t seq = 0;
     std::uint8_t hasReply = 0;
     AMsg reply{};
+    /** The home has seen the requester's newest retry attempt
+     *  (ServedTxn::retrySeen, kept as the relation, not the count: a
+     *  forced retry fires only with every older copy gone, so it is
+     *  newer than anything seen and clears this). */
+    std::uint8_t retrySeen = 0;
     /** Highest WriteBack seq processed (ServedTxn::wbSeq). */
     std::uint8_t wbSeq = 0;
 };
@@ -280,34 +288,24 @@ class Model
           case ArchKind::Agg:
             computeRole_ = spec::Role::AggCompute;
             homeRole_ = spec::Role::AggHome;
-            gmor_ = true;
-            masters_ = true;
-            sharingWb_ = true;
-            backsLines_ = true;
-            homeInitHasData_ = false;
-            coma_ = false;
             break;
           case ArchKind::Coma:
             computeRole_ = spec::Role::ComaCompute;
             homeRole_ = spec::Role::ComaHome;
-            gmor_ = true;
-            masters_ = true;
-            sharingWb_ = false;
-            backsLines_ = false;
-            homeInitHasData_ = false;
-            coma_ = true;
             break;
           case ArchKind::Numa:
             computeRole_ = spec::Role::NumaCompute;
             homeRole_ = spec::Role::NumaHome;
-            gmor_ = false;
-            masters_ = false;
-            sharingWb_ = true;
-            backsLines_ = true;
-            homeInitHasData_ = true;
-            coma_ = false;
             break;
         }
+        // AGG and COMA hand out mastership; AGG and NUMA homes back
+        // their lines (refreshed by sharing writebacks); a NUMA home
+        // starts out holding the data.
+        coma_ = cfg_.arch == ArchKind::Coma;
+        colocated_ = cfg_.arch != ArchKind::Agg;
+        gmor_ = masters_ = cfg_.arch != ArchKind::Numa;
+        sharingWb_ = backsLines_ = !coma_;
+        homeInitHasData_ = cfg_.arch == ArchKind::Numa;
         if (cfg_.mutation == SpecMutation::SwapNextState) {
             // Corrupt the spec copy itself: a write-miss grant is
             // declared to install Shared. The model still installs
@@ -342,19 +340,13 @@ class Model
     {
         if (stepActive_)
             panic("speccheck: nested contract steps");
-        const spec::Role role = home ? homeRole_ : computeRole_;
-        const spec::LineState ls = home ? homeLs(pre) : computeLs(pre);
-        const spec::Transition *row = spec_.find(role, ls, t);
-        if (row == nullptr) {
-            fail(std::string("no spec row for (") +
-                 spec::roleName(role) + ", " + spec::lineStateName(ls) +
-                 ", " + msgTypeName(t) + ")");
-        }
-        if (row->outcome == spec::Outcome::Impossible) {
-            fail(std::string("reached an Impossible spec row (") +
-                 spec::roleName(role) + ", " + spec::lineStateName(ls) +
-                 ", " + msgTypeName(t) + "): " + row->note);
-        }
+        const spec::Transition *row = spec_.find(
+            home ? homeRole_ : computeRole_, lineState(home, pre), t);
+        if (row == nullptr)
+            fail("no spec row for " + rowName(home, pre, t));
+        if (row->outcome == spec::Outcome::Impossible)
+            fail("reached an Impossible spec row " +
+                 rowName(home, pre, t) + ": " + row->note);
         stepActive_ = true;
         stepHome_ = home;
         stepPre_ = pre;
@@ -371,19 +363,13 @@ class Model
         stepActive_ = false;
         if (post == stepPre_)
             return; // transaction still in flight: state unchanged
-        const spec::LineState ls =
-            stepHome_ ? homeLs(post) : computeLs(post);
+        const spec::LineState ls = lineState(stepHome_, post);
         for (spec::LineState s : stepRow_->next) {
             if (s == ls)
                 return;
         }
-        fail(std::string("handler left (") +
-             spec::roleName(stepHome_ ? homeRole_ : computeRole_) +
-             ", " +
-             spec::lineStateName(stepHome_ ? homeLs(stepPre_)
-                                           : computeLs(stepPre_)) +
-             ", " + msgTypeName(stepMsg_) + ") in " +
-             spec::lineStateName(ls) +
+        fail("handler left " + rowName(stepHome_, stepPre_, stepMsg_) +
+             " in " + spec::lineStateName(ls) +
              ", which is not in the row's next-state list");
     }
 
@@ -395,26 +381,15 @@ class Model
         if (stepActive_) {
             bool listed = false;
             for (const spec::SendSpec &s : stepRow_->sends) {
-                if (s.type != static_cast<MsgType>(m.type))
-                    continue;
-                const bool toCompute = spec::roleIsCompute(s.to);
-                if (toCompute == (m.dst != kHomeEp)) {
-                    listed = true;
-                    break;
-                }
+                listed = listed ||
+                         (s.type == static_cast<MsgType>(m.type) &&
+                          spec::roleIsCompute(s.to) == (m.dst != kHomeEp));
             }
-            if (!listed) {
-                fail(std::string("handler for (") +
-                     spec::roleName(stepHome_ ? homeRole_
-                                              : computeRole_) +
-                     ", " +
-                     spec::lineStateName(
-                         stepHome_ ? homeLs(stepPre_)
-                                   : computeLs(stepPre_)) +
-                     ", " + msgTypeName(stepMsg_) + ") sent " +
+            if (!listed)
+                fail("handler for " +
+                     rowName(stepHome_, stepPre_, stepMsg_) + " sent " +
                      renderMsg(m) +
                      ", which is not in the row's send list");
-            }
         }
         if (L.nMsgs >= kMaxMsgs)
             fail("model in-flight message capacity exceeded");
@@ -428,38 +403,33 @@ class Model
         throw ViolationEx{text};
     }
 
+    /** The spec's name for a model state of a home or compute line. */
     static spec::LineState
-    computeLs(std::uint8_t s)
+    lineState(bool home, std::uint8_t s)
     {
-        switch (s) {
-          case kI:
-            return spec::LineState::Invalid;
-          case kS:
-            return spec::LineState::Shared;
-          case kSM:
-            return spec::LineState::SharedMaster;
-          default:
-            return spec::LineState::Dirty;
-        }
+        using LS = spec::LineState;
+        static constexpr LS kCompute[] = {LS::Invalid, LS::Shared,
+                                          LS::SharedMaster, LS::Dirty};
+        static constexpr LS kHome[] = {LS::HomeUncached, LS::HomeShared,
+                                       LS::HomeDirty};
+        return home ? kHome[s] : kCompute[s];
     }
 
-    static spec::LineState
-    homeLs(std::uint8_t s)
+    /** "(role, state, message)", naming a spec row in reports. */
+    std::string
+    rowName(bool home, std::uint8_t st, MsgType t) const
     {
-        switch (s) {
-          case kHU:
-            return spec::LineState::HomeUncached;
-          case kHS:
-            return spec::LineState::HomeShared;
-          default:
-            return spec::LineState::HomeDirty;
-        }
+        return std::string("(") +
+               spec::roleName(home ? homeRole_ : computeRole_) + ", " +
+               spec::lineStateName(lineState(home, st)) + ", " +
+               msgTypeName(t) + ")";
     }
 
-    /** COMA: the home for line l is co-located with compute node
-     *  l % nodes; the "home copy" is that node's own AM copy. */
+    /** COMA/NUMA: the home for line l is co-located with compute
+     *  node l % nodes (for COMA, the "home copy" is that node's own AM
+     *  copy). */
     int
-    comaHomeNode(int li) const
+    homeNode(int li) const
     {
         return li % cfg_.nodes;
     }
@@ -469,7 +439,7 @@ class Model
     {
         if (!coma_)
             return L.home.hasData != 0;
-        const int hn = comaHomeNode(li);
+        const int hn = homeNode(li);
         return ((L.home.sharers >> hn) & 1) != 0 &&
                cohValid(L.n[hn].st);
     }
@@ -485,12 +455,15 @@ class Model
     bool backsLines_ = true;
     bool homeInitHasData_ = false;
     bool coma_ = false;
+    /** COMA/NUMA: each home shares a compute node's message FIFOs. */
+    bool colocated_ = false;
 
     // Compute-node permutations the fingerprint minimizes over. Full
-    // S_N for AGG and NUMA (the home is a separate endpoint and no
-    // handler depends on a compute node's numeric id); identity only
-    // for COMA, whose co-located home copy and deterministic provider
-    // order are not permutation-equivariant.
+    // S_N for AGG (the home is a separate endpoint and no handler
+    // depends on a compute node's numeric id); identity only for
+    // COMA/NUMA, whose homes sit on a particular compute node (and,
+    // for COMA, whose home copy and deterministic provider order are
+    // not permutation-equivariant).
     struct Perm
     {
         std::array<std::uint8_t, kMaxN> fwd{};
@@ -506,7 +479,7 @@ class Model
         for (int i = 0; i < n; ++i)
             p[i] = static_cast<std::uint8_t>(i);
         do {
-            if (coma_) {
+            if (colocated_) {
                 bool identity = true;
                 for (int i = 0; i < n; ++i)
                     identity = identity && p[i] == i;
@@ -565,7 +538,6 @@ class Proto : public Model
                 c.reads = static_cast<std::uint8_t>(cfg_.reads);
                 c.writes = static_cast<std::uint8_t>(cfg_.writes);
                 c.evicts = static_cast<std::uint8_t>(cfg_.evicts);
-                c.retries = static_cast<std::uint8_t>(cfg_.retries);
             }
             L.home.owner = kNil;
             L.home.busyFor = kNil;
@@ -660,15 +632,15 @@ class Proto : public Model
     {
         LineSt &L = w.line[li];
         NodeLine &c = L.n[n];
-        --c.retries;
         if (c.mshr.valid && !c.mshr.replyArrived) {
             // Same transaction sequence: the home dedups and replays
             // its cached reply if the original was served already.
+            L.home.served[n].retrySeen = 0;
             AMsg m = mk(static_cast<MsgType>(c.mshr.reqType),
                         static_cast<std::uint8_t>(n), kHomeEp);
             m.req = static_cast<std::uint8_t>(n);
             m.seq = c.mshr.seq;
-            m.flags |= fRetry; // Message::isRetry
+            m.flags |= fRetry; // Message::retryAttempt
             m.ver = c.mshr.supVer; // dead-grant floor
             emit(L, m);
         }
@@ -764,7 +736,11 @@ class Proto : public Model
         // reply that carries needsTxnDone still owes the home its
         // unblock (mirrors ackStaleBlockingReply): the home may be
         // blocked serving the abandoned transaction it belongs to.
-        if (!ms.valid || m.seq != ms.seq) {
+        // A dead grant is one we served a superseding exclusive
+        // forward after it was issued (mirrors
+        // superseded_reply_dropped).
+        const bool dead = ms.supVer != 0 && m.ver <= ms.supVer;
+        if (!ms.valid || m.seq != ms.seq || (!ms.replyArrived && dead)) {
             if (m.flags & fNeedsTxnDone) {
                 AMsg d = mk(MsgType::TxnDone,
                             static_cast<std::uint8_t>(n), kHomeEp);
@@ -776,17 +752,6 @@ class Proto : public Model
         if (ms.replyArrived) {
             // Duplicate of the live reply: completion's own TxnDone
             // covers the home.
-            return;
-        }
-        if (ms.supVer != 0 && m.ver <= ms.supVer) {
-            // Dead grant: we served a superseding exclusive forward
-            // after it was issued (mirrors superseded_reply_dropped).
-            if (m.flags & fNeedsTxnDone) {
-                AMsg d = mk(MsgType::TxnDone,
-                            static_cast<std::uint8_t>(n), kHomeEp);
-                d.seq = m.seq;
-                emit(L, d);
-            }
             return;
         }
         beginStep(false, c.st, static_cast<MsgType>(m.type));
@@ -1091,6 +1056,8 @@ class Proto : public Model
             if (L.nMsgs >= kMaxMsgs)
                 fail("model in-flight message capacity exceeded");
             L.msgs[L.nMsgs++] = sv.reply; // verbatim replay, unchecked
+            if (m.flags & fRetry)
+                sv.retrySeen = 1;
             return;
         }
         if (m.seq == sv.seq) {
@@ -1103,11 +1070,14 @@ class Proto : public Model
             bool live = L.home.busy && L.home.busyFor == m.src;
             for (int i = 0; i < L.home.nPending && !live; ++i)
                 live = L.home.pending[i].src == m.src;
-            // Only a requester-marked retry is re-served; a mesh
-            // duplicate of a completed transaction must be ignored or
-            // the home serializes a phantom grant (mirrors
-            // dedupRequest's isRetry gate).
-            if (live || !(m.flags & fRetry))
+            // Only a retry newer than every copy seen is re-served; a
+            // mesh duplicate of the original or of a seen retry must
+            // be ignored or the home serializes a phantom grant
+            // (mirrors dedupRequest's retryAttempt gate).
+            const bool newer = (m.flags & fRetry) && !sv.retrySeen;
+            if (m.flags & fRetry)
+                sv.retrySeen = 1;
+            if (live || !newer)
                 return;
             // A re-served write serializes the same store twice; the
             // terminal write-count reference accounts for it.
@@ -1117,6 +1087,8 @@ class Proto : public Model
         } else if (m.seq < sv.seq) {
             // an older transaction's straggler
             return;
+        } else {
+            sv.retrySeen = (m.flags & fRetry) ? 1 : 0;
         }
         sv.seq = m.seq;
         sv.hasReply = 0;
@@ -1671,23 +1643,6 @@ class Proto : public Model
     bool drainNeeded_ = false;
 };
 
-/** Seeded xorshift64 for reservoir sampling (never wall-clock). */
-struct XorShift
-{
-    std::uint64_t s;
-    explicit XorShift(std::uint64_t seed)
-        : s(seed ? seed : 0x9e3779b97f4a7c15ull)
-    {}
-    std::uint64_t
-    next()
-    {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        return s;
-    }
-};
-
 /**
  * Transition enumeration, safety invariants, symmetry-reduced
  * fingerprinting, and the DFS/BFS drivers on top of the handlers.
@@ -1724,13 +1679,17 @@ class Search : public Proto
                 (c.st == kS || !c.mshr.valid))
                 out.push_back({kActEvict, l8, n8});
             // Forced retry, only when this node is genuinely stalled:
-            // something pending and the line's network drained.
-            if (c.retries > 0 && L.nMsgs == 0 &&
-                ((c.mshr.valid && !c.mshr.replyArrived) || c.wbValid))
+            // something pending, the line's network drained, and none
+            // of its own messages queued at the home (a retry could
+            // only be ignored or re-acked there). No budget: a retry
+            // that changes nothing leads back to a visited state.
+            if (L.nMsgs == 0 &&
+                ((c.mshr.valid && !c.mshr.replyArrived) || c.wbValid) &&
+                !queuedAtHome(L.home, n8))
                 out.push_back({kActRetry, l8, n8});
         }
         for (int i = 0; i < L.nMsgs; ++i) {
-            if (!deliverable(L, i))
+            if (!deliverable(L, li, i))
                 continue;
             out.push_back(
                 {kActDeliver, l8, static_cast<std::uint8_t>(i)});
@@ -1747,15 +1706,52 @@ class Search : public Proto
         }
     }
 
-    /** Point-to-point FIFO: deliverable iff oldest in flight for its
-     *  (src, dst) pair. Several protocol races (Fwd vs WriteBackAck,
-     *  Inval vs later grants) rely on exactly this ordering. */
     static bool
-    deliverable(const LineSt &L, int i)
+    retryInFlight(const LineSt &L, std::uint8_t n)
     {
+        for (int i = 0; i < L.nMsgs; ++i) {
+            if (L.msgs[i].src == n && (L.msgs[i].flags & fRetry))
+                return true;
+        }
+        for (int i = 0; i < L.home.nPending; ++i) {
+            if (L.home.pending[i].src == n &&
+                (L.home.pending[i].flags & fRetry))
+                return true;
+        }
+        return false;
+    }
+
+    static bool
+    queuedAtHome(const HomeLine &h, std::uint8_t n)
+    {
+        for (int i = 0; i < h.nPending; ++i) {
+            if (h.pending[i].src == n)
+                return true;
+        }
+        return false;
+    }
+
+    /** The node a message endpoint sits on: a co-located home is its
+     *  compute node; an AGG home stays its own endpoint. */
+    std::uint8_t
+    nodeOf(std::uint8_t ep, int li) const
+    {
+        return ep == kHomeEp && colocated_
+                   ? static_cast<std::uint8_t>(homeNode(li))
+                   : ep;
+    }
+
+    /** Point-to-point FIFO: deliverable iff oldest in flight for its
+     *  (source node, destination node) pair. Several protocol races
+     *  (Fwd vs WriteBackAck, Inval vs later grants) rely on exactly
+     *  this ordering. */
+    bool
+    deliverable(const LineSt &L, int li, int i) const
+    {
+        const AMsg &m = L.msgs[i];
         for (int j = 0; j < i; ++j) {
-            if (L.msgs[j].src == L.msgs[i].src &&
-                L.msgs[j].dst == L.msgs[i].dst)
+            if (nodeOf(L.msgs[j].src, li) == nodeOf(m.src, li) &&
+                nodeOf(L.msgs[j].dst, li) == nodeOf(m.dst, li))
                 return false;
         }
         return true;
@@ -2079,7 +2075,6 @@ class Search : public Proto
         put(c.reads);
         put(c.writes);
         put(c.evicts);
-        put(c.retries);
         put(c.nextSeq);
     }
 
@@ -2115,9 +2110,14 @@ class Search : public Proto
             for (int i = 0; i < h.nPending; ++i)
                 putMsg(h.pending[i], p);
             for (int j = 0; j < cfg_.nodes; ++j) {
-                const Served &sv = h.served[p.inv[j]];
+                const std::uint8_t n = p.inv[j];
+                const Served &sv = h.served[n];
                 put(sv.seq);
                 put(sv.hasReply);
+                // Only a retry copy still to arrive reads retrySeen (a
+                // new retry clears it first), so without one it is
+                // noise the hash must not split states on.
+                put(sv.retrySeen && retryInFlight(L, n));
                 put(sv.wbSeq);
                 putMsg(sv.reply, p);
             }
@@ -2129,17 +2129,17 @@ class Search : public Proto
             put(mapId(h.injLastTried, p));
             put(h.injTries);
             put(mapBits(h.injCandidates, p));
-            // Messages stable-sorted by permuted (src, dst) so the
-            // per-pair FIFO order is preserved while pair identity is
-            // canonical.
+            // Messages stable-sorted by permuted (source node,
+            // destination node) so the per-pair FIFO order is
+            // preserved while pair identity is canonical.
             int order[kMaxMsgs];
             int keys[kMaxMsgs];
             for (int i = 0; i < L.nMsgs; ++i) {
                 order[i] = i;
                 keys[i] = (static_cast<int>(
-                               mapId(L.msgs[i].src, p))
+                               mapId(nodeOf(L.msgs[i].src, li), p))
                            << 8) |
-                          mapId(L.msgs[i].dst, p);
+                          mapId(nodeOf(L.msgs[i].dst, li), p);
             }
             for (int i = 1; i < L.nMsgs; ++i) {
                 const int oi = order[i], ki = keys[oi];
@@ -2182,45 +2182,26 @@ class Search : public Proto
     SpecTraceStep
     annotate(const World &w, const Act &a) const
     {
+        using K = SpecTraceStep::Kind;
+        // Indexed by act kind (kActRead .. kActDup).
+        static constexpr K kKinds[] = {K::Read,  K::Write,   K::Evict,
+                                       K::Retry, K::Deliver, K::Drop,
+                                       K::Dup};
+        static constexpr const char *kVerbs[] = {
+            " read", " write", " evict", " forced retry",
+            "deliver ", "drop ", "dup "};
         SpecTraceStep s;
         s.line = a.line;
+        s.kind = kKinds[a.kind];
         const std::string ln =
             " (line " + std::to_string(static_cast<int>(a.line)) + ")";
-        switch (a.kind) {
-          case kActRead:
-            s.kind = SpecTraceStep::Kind::Read;
+        if (a.kind < kActDeliver) {
             s.node = a.a;
-            s.text = nodeName(a.a) + " read" + ln;
-            break;
-          case kActWrite:
-            s.kind = SpecTraceStep::Kind::Write;
-            s.node = a.a;
-            s.text = nodeName(a.a) + " write" + ln;
-            break;
-          case kActEvict:
-            s.kind = SpecTraceStep::Kind::Evict;
-            s.node = a.a;
-            s.text = nodeName(a.a) + " evict" + ln;
-            break;
-          case kActRetry:
-            s.kind = SpecTraceStep::Kind::Retry;
-            s.node = a.a;
-            s.text = nodeName(a.a) + " forced retry" + ln;
-            break;
-          default: {
+            s.text = nodeName(a.a) + kVerbs[a.kind] + ln;
+        } else {
             const AMsg &m = w.line[a.line].msgs[a.a];
             s.msg = static_cast<MsgType>(m.type);
-            const char *verb = a.kind == kActDeliver ? "deliver "
-                               : a.kind == kActDrop ? "drop "
-                                                    : "dup ";
-            s.kind = a.kind == kActDeliver
-                         ? SpecTraceStep::Kind::Deliver
-                         : (a.kind == kActDrop
-                                ? SpecTraceStep::Kind::Drop
-                                : SpecTraceStep::Kind::Dup);
-            s.text = verb + renderMsg(m) + ln;
-            break;
-          }
+            s.text = kVerbs[a.kind] + renderMsg(m) + ln;
         }
         return s;
     }
@@ -2231,7 +2212,7 @@ class Search : public Proto
         SpecExplorerResult res;
         FlatMap<std::uint64_t, char> visited;
         visited.reserve(1u << 16);
-        XorShift rng(cfg_.sampleSeed);
+        Rng rng(kSampleSeed);
         std::uint64_t termSeen = 0;
 
         struct Frame
@@ -2267,12 +2248,7 @@ class Search : public Proto
             try {
                 apply(w2, a);
             } catch (const ViolationEx &v) {
-                res.violation = true;
-                res.violationText = v.text;
-                res.counterexample = path;
-                res.counterexample.push_back(std::move(step));
-                finish(res);
-                return res;
+                return violated(res, v, path, &step);
             }
             ++res.transitions;
             if (a.kind == kActDrop || a.kind == kActDup)
@@ -2291,7 +2267,7 @@ class Search : public Proto
                 if (res.sampled.size() < want) {
                     res.sampled.push_back(std::move(cand));
                 } else {
-                    const std::uint64_t r = rng.next() % termSeen;
+                    const std::uint64_t r = rng.nextBounded(termSeen);
                     if (r < static_cast<std::uint64_t>(
                                 cfg_.sampleTraces))
                         res.sampled[r] = std::move(cand);
@@ -2318,11 +2294,7 @@ class Search : public Proto
                 try {
                     checkTerminal(w2);
                 } catch (const ViolationEx &v) {
-                    res.violation = true;
-                    res.violationText = v.text;
-                    res.counterexample = path;
-                    finish(res);
-                    return res;
+                    return violated(res, v, path);
                 }
                 ++res.terminals;
                 path.pop_back();
@@ -2361,11 +2333,7 @@ class Search : public Proto
                 try {
                     checkTerminal(cur.w);
                 } catch (const ViolationEx &v) {
-                    res.violation = true;
-                    res.violationText = v.text;
-                    res.counterexample = std::move(cur.path);
-                    finish(res);
-                    return res;
+                    return violated(res, v, cur.path);
                 }
                 ++res.terminals;
                 continue;
@@ -2376,12 +2344,7 @@ class Search : public Proto
                 try {
                     apply(w2, a);
                 } catch (const ViolationEx &v) {
-                    res.violation = true;
-                    res.violationText = v.text;
-                    res.counterexample = cur.path;
-                    res.counterexample.push_back(std::move(step));
-                    finish(res);
-                    return res;
+                    return violated(res, v, cur.path, &step);
                 }
                 ++res.transitions;
                 if (a.kind == kActDrop || a.kind == kActDup)
@@ -2416,6 +2379,21 @@ class Search : public Proto
         res.rowChecks = rowChecks;
     }
 
+    /** Finish @p res with violation @p v, whose counterexample is
+     *  @p path plus the failing @p last step when it is not on it. */
+    SpecExplorerResult &
+    violated(SpecExplorerResult &res, const ViolationEx &v,
+             const SpecTrace &path, const SpecTraceStep *last = nullptr)
+    {
+        res.violation = true;
+        res.violationText = v.text;
+        res.counterexample = path;
+        if (last)
+            res.counterexample.push_back(*last);
+        finish(res);
+        return res;
+    }
+
     std::vector<Act> scratch_;
     std::uint8_t buf_[2600]{};
     std::size_t len_ = 0;
@@ -2436,13 +2414,10 @@ SpecExplorer::SpecExplorer(SpecExplorerConfig cfg) : cfg_(std::move(cfg))
         fatal("speccheck: lines must be in [1, " +
               std::to_string(kMaxLines) + "]");
     if (cfg_.reads < 0 || cfg_.writes < 0 || cfg_.evicts < 0 ||
-        cfg_.retries < 0 || cfg_.faults < 0)
+        cfg_.faults < 0)
         fatal("speccheck: negative budget");
     if (cfg_.reads + cfg_.writes == 0)
         fatal("speccheck: nothing to explore (reads+writes == 0)");
-    if (cfg_.faults > 0 && cfg_.retries < 1)
-        fatal("speccheck: fault injection needs a retry budget to "
-              "recover lost messages");
     if (cfg_.sampleTraces < 0)
         fatal("speccheck: negative sample count");
 }
@@ -2490,6 +2465,14 @@ replayTrace(const SpecExplorerConfig &cfg, const SpecTrace &tr,
                       cfg.faults > 0);
     Machine &m = run.machine();
     const std::vector<NodeId> computes = m.computeNodes();
+    // Place each co-located home where the model has it, on node
+    // line % nodes, instead of at the line's first toucher.
+    if (cfg.arch != ArchKind::Agg) {
+        for (int li = 0; li < cfg.lines; ++li)
+            m.pageMap().assign(
+                modelCheckLine(li),
+                computes.at(static_cast<std::size_t>(li % cfg.nodes)));
+    }
     run.traced([&] {
         for (const SpecTraceStep &s : tr) {
             switch (s.kind) {

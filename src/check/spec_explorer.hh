@@ -3,8 +3,9 @@
  * Spec-level exhaustive model checker.
  *
  * Explores an *abstract* operational model of the coherence protocols
- * — per-line node states, in-flight message multisets, and
- * directory/owner metadata, with no caches, timing, or mesh — and
+ * — per-line node states, in-flight messages in per-node-pair FIFO
+ * order, and directory/owner metadata, with no caches, timing, or
+ * mesh — and
  * checks every reachable state against the declarative ProtocolSpec
  * (src/proto/spec.cc): a handler step whose row is Impossible (or
  * missing), whose emitted messages are not in the row's send list, or
@@ -18,9 +19,10 @@
  * FlatMap-backed visited set. Partial-order reduction exploits the
  * model's per-line independence: only the lowest-numbered line with
  * enabled transitions is expanded at each state (an ample set; see
- * docs/model-checking.md for the commutation argument). Single-fault
- * injection (drop/dup, per the PR 1 fault taxonomy classes) is folded
- * into the transition relation under a per-line budget.
+ * docs/model-checking.md for the commutation argument). Fault
+ * injection (drop/dup, per the fault taxonomy's message classes) is
+ * folded into the transition relation under a per-line budget, and a
+ * stalled node may force a retry whenever its line has drained.
  *
  * A conformance-sampling mode replays a random sample of explored
  * terminal traces through the real Machine on the model-check harness
@@ -76,10 +78,6 @@ struct SpecExplorerConfig
     int reads = 1;
     int writes = 1;
     int evicts = 1;
-    /** Forced-retry budget per node per line (only enabled when the
-     *  line is stalled: a transaction pending with nothing in
-     *  flight). */
-    int retries = 2;
     /** Drop/dup fault events per line (0 = fault-free). */
     int faults = 1;
     SpecMutation mutation = SpecMutation::None;
@@ -90,7 +88,6 @@ struct SpecExplorerConfig
     std::uint64_t maxStates = 1ull << 25;
     /** Reservoir-sample this many terminal traces (conformance). */
     int sampleTraces = 0;
-    std::uint64_t sampleSeed = 1;
 };
 
 /** One event of a sampled or counterexample trace. */
@@ -162,7 +159,8 @@ struct SpecConformanceResult
 };
 
 /**
- * Replay @p traces through a real Machine of @p cfg's organization:
+ * Replay @p traces through a real Machine of @p cfg's organization
+ * (each COMA/NUMA line homed on node line % nodes, as in the model):
  * scripted accesses are issued in trace order and message deliveries
  * (plus injected drops/dups) are scheduled to follow the trace's
  * interleaving where the real machine offers a matching choice. Every

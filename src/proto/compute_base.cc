@@ -916,7 +916,7 @@ ComputeBase::resendRequest(Mshr &m)
     req.requester = self_;
     req.legs = req.dst == self_ ? 0 : 1;
     req.txnSeq = m.seq;
-    req.isRetry = true;
+    req.retryAttempt = m.retries;
     // Version floor: cached grants at or below it are dead (we served
     // a superseding exclusive forward) and must not be replayed.
     req.version = m.supersededVer;

@@ -1,5 +1,6 @@
 #include "proto/home_base.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -957,6 +958,7 @@ HomeBase::dedupRequest(const Message &msg)
         st.seq = msg.txnSeq;
         st.hasReply = false;
         st.reply = Message{};
+        st.retrySeen = msg.retryAttempt;
         return false;
     }
     if (msg.txnSeq == it->second.seq && it->second.hasReply) {
@@ -983,6 +985,8 @@ HomeBase::dedupRequest(const Message &msg)
                 engine_.acquire(now, scaled(costs().ackOccupancy));
             Message r = it->second.reply;
             r.legs = msg.legs + 1;
+            it->second.retrySeen =
+                std::max(it->second.retrySeen, msg.retryAttempt);
             ctx_.stats().add("home.reply_replayed");
             sendAt(start + scaled(costs().ackLatency), r);
             return true;
@@ -1005,11 +1009,15 @@ HomeBase::dedupRequest(const Message &msg)
             for (const Message &p : dir_.queue(msg.lineAddr))
                 live = live || p.src == msg.src;
         }
-        // Only a requester-marked retry is re-served: a mesh duplicate
-        // of a request whose transaction already completed looks
-        // identical here, and re-serving it would serialize a phantom
-        // grant nobody is waiting for.
-        if (!live && msg.isRetry) {
+        // Only a retry newer than every copy of this transaction seen
+        // so far is re-served: a mesh duplicate of the original
+        // request, or of a retry already served, replayed or ignored,
+        // looks identical here, and re-serving it would serialize a
+        // phantom grant nobody is waiting for.
+        const bool newer = msg.retryAttempt > it->second.retrySeen;
+        it->second.retrySeen =
+            std::max(it->second.retrySeen, msg.retryAttempt);
+        if (!live && newer) {
             ctx_.stats().add("home.scrubbed_retry_reserved");
             // A re-served write serializes the same store a second
             // time: the first grant's version was voided when the

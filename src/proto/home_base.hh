@@ -299,6 +299,9 @@ class HomeBase
         std::uint64_t seq = 0;
         bool hasReply = false;
         Message reply;
+        /** Highest retry attempt of this transaction the home has seen
+         *  (Message::retryAttempt; see dedupRequest). */
+        int retrySeen = 0;
         /**
          * Highest WriteBack sequence processed from this node for this
          * line. Writebacks get their own dedup lane: a duplicate can

@@ -103,13 +103,15 @@ struct Message
     std::uint64_t txnSeq = 0;
 
     /**
-     * This request is a timeout-driven resend of one still stalled at
-     * the requester. Only a marked retry may be re-served when its
-     * dedup record was scrubbed: a mesh *duplicate* of a request whose
-     * transaction already completed must be ignored instead, or the
-     * home would serialize a phantom grant nobody is waiting for.
+     * Which timeout-driven resend of a request still stalled at the
+     * requester this is (1 for the first retry; 0 for the original
+     * request). Only a retry newer than every copy of the request the
+     * home has seen may be re-served when its dedup record was
+     * scrubbed: a mesh *duplicate* — of the original or of a seen
+     * retry — must be ignored instead, or the home would serialize a
+     * phantom grant nobody is waiting for.
      */
-    bool isRetry = false;
+    int retryAttempt = 0;
 
     /** Payload bytes (data-bearing messages carry one memory line). */
     int payloadBytes(int mem_line_bytes) const;

@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <string>
 
@@ -112,6 +113,15 @@ archName(ArchKind k)
       default:
         return "?";
     }
+}
+
+std::string
+archKey(ArchKind k)
+{
+    std::string s = archName(k);
+    for (char &c : s)
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return s;
 }
 
 void

@@ -27,6 +27,9 @@ enum class ArchKind
 };
 
 const char *archName(ArchKind k);
+/** archName in lower case ("agg"), as command lines and repro files
+ *  spell it. */
+std::string archKey(ArchKind k);
 
 /** Parameters of one cache level. */
 struct CacheParams

@@ -129,6 +129,115 @@ TEST(ModelCheck, NumaDropDupStaysCoherent)
     EXPECT_GT(res.faultSchedules, 0u);
 }
 
+// ---------------------------------- a duplicated retry after a scrub
+//
+// Hand-scripted NUMA schedules on three nodes, found by
+// pimdsm-speccheck --arch numa --nodes 3 --lines 1 --faults 2. Line 0's
+// home is node 0, so a step naming node 0 as an endpoint may mean the
+// home. Each delivery, drop or dup acts on the head of the exact
+// (src, dst) queue and must find the expected message type there.
+
+enum ScriptKind { Read, Write, Retry, Deliver, Drop, Dup };
+
+struct ScriptStep
+{
+    ScriptKind kind;
+    NodeId src; ///< the accessing/retrying node for Read/Write/Retry
+    NodeId dst;
+    MsgType type;
+};
+
+constexpr MsgType R = MsgType::ReadReq, RR = MsgType::ReadReply,
+                  U = MsgType::UpgradeReq, UR = MsgType::UpgradeReply,
+                  F = MsgType::Fwd, FR = MsgType::FwdReply,
+                  TD = MsgType::TxnDone, I = MsgType::Inval,
+                  IA = MsgType::InvalAck, OH = MsgType::OwnerToHome;
+
+/** Play @p script on a three-node NUMA model-check run whose line 0
+ *  is homed on node 0, then drain it with the default tail and the
+ *  full terminal check. */
+void
+playNumaScript(const std::vector<ScriptStep> &script)
+{
+    ModelCheckRun run(modelCheckMachine(ArchKind::Numa, 3, 1), true);
+    run.machine().pageMap().assign(kLine, 0);
+    const auto play = [&] {
+        for (const ScriptStep &s : script) {
+            if (s.kind == Read || s.kind == Write) {
+                run.issue({s.src, kLine, s.kind == Write});
+                run.settle();
+                continue;
+            }
+            if (s.kind == Retry) {
+                run.machine().compute(s.src)->retryStalledTransactions(
+                    true);
+                run.settle();
+                continue;
+            }
+            const auto q = run.queues().find({s.src, s.dst});
+            if (q == run.queues().end() || q->second.empty() ||
+                q->second.front().type != s.type)
+                panic(std::string("script expects a ") +
+                      msgTypeName(s.type) + " at the head of " +
+                      std::to_string(s.src) + "->" +
+                      std::to_string(s.dst));
+            if (s.kind == Deliver)
+                run.deliver(q->first);
+            else if (s.kind == Drop)
+                run.drop(q->first);
+            else
+                run.dup(q->first);
+        }
+        run.finish();
+    };
+    EXPECT_NO_THROW(run.traced(play));
+}
+
+TEST(ModelCheck, NumaDuplicatedReplayedRetryGrantsNothing)
+{
+    // n1's UpgradeReply is dropped; n1's forced retry is duplicated,
+    // and the first copy gets the cached reply replayed. n2's upgrade
+    // then invalidates n1, scrubbing that cached reply. When the
+    // duplicate arrives no transaction of n1's is live, so the home
+    // used to re-serve it as a scrubbed retry: a phantom exclusive
+    // grant whose FwdReply n1 (no MSHR) dropped as an orphan, losing
+    // the line's only copy.
+    playNumaScript({
+        {Read, 0, 0, R},     {Read, 1, 0, R},     {Read, 2, 0, R},
+        {Deliver, 1, 0, R},  {Deliver, 0, 1, RR}, {Write, 1, 0, R},
+        {Deliver, 1, 0, U},  {Deliver, 2, 0, R},  {Deliver, 0, 0, R},
+        {Drop, 0, 1, UR},    {Deliver, 0, 1, F},  {Retry, 1, 0, R},
+        {Dup, 1, 0, U},      {Deliver, 0, 1, UR}, {Deliver, 1, 2, FR},
+        {Write, 2, 0, R},    {Deliver, 2, 0, TD}, {Deliver, 2, 0, U},
+        {Deliver, 0, 0, RR}, {Write, 0, 0, R},    {Deliver, 0, 0, I},
+        {Deliver, 0, 1, I},  {Deliver, 0, 2, UR}, {Deliver, 0, 0, U},
+        {Deliver, 1, 0, U},  {Deliver, 1, 0, OH}, {Deliver, 0, 2, IA},
+        {Deliver, 1, 2, IA}, {Deliver, 2, 0, TD}, {Deliver, 0, 2, F},
+        {Deliver, 2, 0, FR}, {Deliver, 0, 0, TD},
+    });
+}
+
+TEST(ModelCheck, NumaDuplicatedFreshRetryGrantsNothing)
+{
+    // The same phantom grant when the duplicated retry is the first
+    // copy of n1's upgrade to reach the home (the original request was
+    // dropped): the first copy is served fresh, not replayed, and the
+    // duplicate must still count as already seen.
+    playNumaScript({
+        {Read, 1, 0, R},     {Deliver, 1, 0, R},  {Deliver, 0, 1, RR},
+        {Write, 1, 0, R},    {Drop, 1, 0, U},     {Retry, 1, 0, R},
+        {Read, 0, 0, R},     {Read, 2, 0, R},     {Dup, 1, 0, U},
+        {Deliver, 2, 0, R},  {Deliver, 0, 0, R},  {Deliver, 0, 1, UR},
+        {Deliver, 0, 1, F},  {Deliver, 1, 2, FR}, {Write, 2, 0, R},
+        {Deliver, 2, 0, TD}, {Deliver, 2, 0, U},  {Deliver, 0, 0, RR},
+        {Write, 0, 0, R},    {Deliver, 0, 0, I},  {Deliver, 0, 1, I},
+        {Deliver, 0, 2, UR}, {Deliver, 0, 0, U},  {Deliver, 1, 0, U},
+        {Deliver, 1, 0, OH}, {Deliver, 0, 2, IA}, {Deliver, 1, 2, IA},
+        {Deliver, 2, 0, TD}, {Deliver, 0, 2, F},  {Deliver, 2, 0, FR},
+        {Deliver, 0, 0, TD},
+    });
+}
+
 // --------------------------------------------- one D-node fail-stop
 
 TEST(ModelCheck, AggDNodeDeathAtEveryPointRecovers)

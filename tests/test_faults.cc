@@ -313,7 +313,7 @@ TEST(MshrFile, RetryResendsMissesInAscendingLineOrder)
     ASSERT_EQ(sent.size(), 8u);
     for (int i = 0; i < 8; ++i) {
         EXPECT_EQ(sent[i].type, MsgType::ReadReq);
-        EXPECT_TRUE(sent[i].isRetry);
+        EXPECT_EQ(sent[i].retryAttempt, 1);
         EXPECT_EQ(sent[i].lineAddr, kLine + i * lb);
     }
 }

@@ -24,11 +24,15 @@
  * outcome, byte-identical repro.
  */
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -79,40 +83,39 @@ enum class Outcome
     Invalid, ///< config rejected: a generator bug, never acceptable
 };
 
+/** Names by enumerator value, as repros and the CLI spell them. */
+constexpr const char *kOutcomeNames[] = {
+    "completed", "recovered", "oracle_violation", "wedge", "panic",
+    "invalid"};
+constexpr const char *kMutationNames[] = {"none", "skip_inval",
+                                          "double_owner", "leak_slot"};
+constexpr int kNumOutcomes = static_cast<int>(std::size(kOutcomeNames));
+constexpr int kNumMutations = static_cast<int>(std::size(kMutationNames));
+constexpr int kNumArchs = 3;
+
 const char *
 outcomeName(Outcome o)
 {
-    switch (o) {
-      case Outcome::Completed:
-        return "completed";
-      case Outcome::Recovered:
-        return "recovered";
-      case Outcome::OracleViolation:
-        return "oracle_violation";
-      case Outcome::Wedge:
-        return "wedge";
-      case Outcome::Panic:
-        return "panic";
-      case Outcome::Invalid:
-        return "invalid";
-    }
-    return "?";
+    return kOutcomeNames[static_cast<int>(o)];
 }
 
 const char *
 mutationName(ProtoMutation m)
 {
-    switch (m) {
-      case ProtoMutation::None:
-        return "none";
-      case ProtoMutation::SkipInval:
-        return "skip_inval";
-      case ProtoMutation::DoubleOwner:
-        return "double_owner";
-      case ProtoMutation::LeakSlot:
-        return "leak_slot";
+    return kMutationNames[static_cast<int>(m)];
+}
+
+/** The index of the first of @p count enumerators whose @p name is
+ *  @p v, or -1. */
+template <typename E, typename NameFn>
+int
+byName(const std::string &v, int count, NameFn name)
+{
+    for (int i = 0; i < count; ++i) {
+        if (v == name(static_cast<E>(i)))
+            return i;
     }
-    return "?";
+    return -1;
 }
 
 struct RunReport
@@ -464,11 +467,7 @@ writeRepro(std::ostream &os, const Schedule &sc, Outcome expect)
 {
     os << "pimdsm-chaos-repro v1\n";
     os << "expect " << outcomeName(expect) << "\n";
-    os << "arch "
-       << (sc.arch == ArchKind::Agg
-               ? "agg"
-               : sc.arch == ArchKind::Coma ? "coma" : "numa")
-       << "\n";
+    os << "arch " << archKey(sc.arch) << "\n";
     os << "app " << sc.app << "\n";
     os << "threads " << sc.threads << "\n";
     os << "scale " << sc.scale << "\n";
@@ -525,6 +524,38 @@ parseKv(std::istringstream &is)
     return kv;
 }
 
+/** The next token of @p is, the name of one of @p count enumerators
+ *  (@p what names the kind in the error). */
+template <typename E, typename NameFn>
+E
+parseName(std::istringstream &is, const std::string &what, int count,
+          NameFn name)
+{
+    std::string v;
+    is >> v;
+    const int i = byName<E>(v, count, name);
+    if (i < 0)
+        parseFail("unknown " + what + " '" + v + "'");
+    return static_cast<E>(i);
+}
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+/** The header value after @p key: a whole number in [lo, hi]. */
+std::uint64_t
+headerValue(std::istringstream &is, const std::string &key,
+            std::uint64_t lo, std::uint64_t hi)
+{
+    std::string v;
+    is >> v;
+    std::uint64_t n = 0;
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, n);
+    if (v.empty() || ec != std::errc{} || ptr != end || n < lo || n > hi)
+        parseFail("bad " + key + " '" + v + "'");
+    return n;
+}
+
 /** Parse a repro stream into (schedule, expected outcome). */
 Schedule
 parseRepro(std::istream &in, Outcome *expect)
@@ -540,67 +571,32 @@ parseRepro(std::istream &in, Outcome *expect)
         std::string key;
         is >> key;
         if (key == "expect") {
-            std::string v;
-            is >> v;
-            bool found = false;
-            for (int i = 0; i <= static_cast<int>(Outcome::Invalid);
-                 ++i) {
-                if (v == outcomeName(static_cast<Outcome>(i))) {
-                    *expect = static_cast<Outcome>(i);
-                    found = true;
-                }
-            }
-            if (!found)
-                parseFail("unknown outcome '" + v + "'");
+            *expect = parseName<Outcome>(is, "outcome", kNumOutcomes,
+                                         outcomeName);
         } else if (key == "arch") {
-            std::string v;
-            is >> v;
-            if (v == "agg")
-                sc.arch = ArchKind::Agg;
-            else if (v == "coma")
-                sc.arch = ArchKind::Coma;
-            else if (v == "numa")
-                sc.arch = ArchKind::Numa;
-            else
-                parseFail("unknown arch '" + v + "'");
+            sc.arch = parseName<ArchKind>(is, "arch", kNumArchs, archKey);
         } else if (key == "app") {
             is >> sc.app;
         } else if (key == "threads") {
-            is >> sc.threads;
+            sc.threads = static_cast<int>(headerValue(is, key, 1, kIntMax));
         } else if (key == "scale") {
-            is >> sc.scale;
+            sc.scale = static_cast<int>(headerValue(is, key, 1, kIntMax));
         } else if (key == "seed") {
-            is >> sc.seed;
+            sc.seed = headerValue(is, key, 0, ~std::uint64_t{0});
         } else if (key == "mutation") {
-            std::string v;
-            is >> v;
-            bool found = false;
-            for (int i = 0; i < 4; ++i) {
-                const auto m = static_cast<ProtoMutation>(i);
-                if (v == mutationName(m)) {
-                    sc.mutation = m;
-                    found = true;
-                }
-            }
-            if (!found)
-                parseFail("unknown mutation '" + v + "'");
+            sc.mutation = parseName<ProtoMutation>(
+                is, "mutation", kNumMutations, mutationName);
         } else if (key == "event") {
-            std::string dom;
-            is >> dom;
             ChaosEvent ev;
             ScheduledFault &f = ev.fault;
-            bool found = false;
-            for (int i = 0; i < kNumFaultDomains; ++i) {
-                const auto d = static_cast<FaultDomain>(i);
-                if (dom == faultDomainName(d)) {
-                    f.domain = d;
-                    found = true;
-                }
-            }
-            if (!found)
-                parseFail("unknown fault domain '" + dom + "'");
+            f.domain = parseName<FaultDomain>(is, "fault domain",
+                                              kNumFaultDomains,
+                                              faultDomainName);
             auto kv = parseKv(is);
-            auto num = [&](const char *k, double dflt) -> double {
+            // Every value is a number in [0, max]; a class, tick or id
+            // must also be whole, as it is cast to an integer type.
+            auto num = [&](const char *k, double dflt, double max,
+                           bool whole) -> double {
                 const auto it = kv.find(k);
                 if (it == kv.end())
                     return dflt;
@@ -611,30 +607,31 @@ parseRepro(std::istream &in, Outcome *expect)
                 } catch (const std::exception &) {
                     // Not a number: v stays NaN and is rejected below.
                 }
-                if (used != it->second.size() || !std::isfinite(v))
+                if (used != it->second.size() || !(v >= 0.0 && v <= max) ||
+                    (whole && v != std::floor(v)))
                     parseFail(std::string("bad number '") + it->second +
                               "' for " + k);
                 return v;
             };
-            const double cls = num("cls", 0.0);
-            if (!(cls >= 0.0 && cls < kNumFaultClasses))
-                parseFail("message class " + kv["cls"] +
-                          " is outside [0, " +
-                          std::to_string(kNumFaultClasses) + ")");
-            ev.cls = static_cast<int>(cls);
-            ev.rates.drop = num("drop", 0.0);
-            ev.rates.delay = num("delay", 0.0);
-            ev.rates.duplicate = num("dup", 0.0);
-            ev.rates.dropNth =
-                static_cast<std::uint64_t>(num("dropnth", 0.0));
-            f.tick = static_cast<Tick>(num("tick", 0.0));
-            f.node = static_cast<NodeId>(num("node", kInvalidNode));
-            f.healTick = static_cast<Tick>(num("heal", 0.0));
+            constexpr double kRate = std::numeric_limits<double>::max();
+            // 2^53: the largest whole number a double holds exactly.
+            constexpr double kTick = 9007199254740992.0;
+            ev.cls = static_cast<int>(
+                num("cls", 0.0, kNumFaultClasses - 1, true));
+            ev.rates.drop = num("drop", 0.0, kRate, false);
+            ev.rates.delay = num("delay", 0.0, kRate, false);
+            ev.rates.duplicate = num("dup", 0.0, kRate, false);
+            ev.rates.dropNth = static_cast<std::uint64_t>(
+                num("dropnth", 0.0, kTick, true));
+            f.tick = static_cast<Tick>(num("tick", 0.0, kTick, true));
+            f.node = static_cast<NodeId>(
+                num("node", kInvalidNode, kIntMax, true));
+            f.healTick = static_cast<Tick>(num("heal", 0.0, kTick, true));
             if (kv.count("x") || kv.count("y") || kv.count("dir")) {
-                f.links.push_back(
-                    LinkRef{static_cast<int>(num("x", 0.0)),
-                            static_cast<int>(num("y", 0.0)),
-                            static_cast<int>(num("dir", 0.0))});
+                auto id = [&](const char *k) {
+                    return static_cast<int>(num(k, 0.0, kIntMax, true));
+                };
+                f.links.push_back(LinkRef{id("x"), id("y"), id("dir")});
             }
             if (kv.count("cut")) {
                 std::istringstream cs(kv["cut"]);
@@ -657,11 +654,14 @@ parseRepro(std::istream &in, Outcome *expect)
 
 // ---------------------------------------------------------------- CLI
 
+/** Fuzz @p count schedules; @p arch_pin is an ArchKind, or -1 to cycle
+ *  through all three. */
 int
 cmdFuzz(int count, std::uint64_t seed0, ProtoMutation mutation,
-        const std::string &outdir, Outcome expect,
-        const std::string &arch_filter)
+        const std::string &outdir, Outcome expect, int arch_pin)
 {
+    constexpr ArchKind kCycle[] = {ArchKind::Agg, ArchKind::Coma,
+                                   ArchKind::Numa};
     int bad = 0, invalid = 0;
     std::map<std::string, int> tally;
     for (int i = 0; i < count; ++i) {
@@ -669,16 +669,9 @@ cmdFuzz(int count, std::uint64_t seed0, ProtoMutation mutation,
         // Cycle the architectures so the corpus covers all three,
         // unless --arch pins one (e.g. mutation corpora restricted to
         // the archs where the seeded bug manifests).
-        const ArchKind arch =
-            arch_filter == "agg"
-                ? ArchKind::Agg
-                : arch_filter == "coma"
-                      ? ArchKind::Coma
-                      : arch_filter == "numa"
-                            ? ArchKind::Numa
-                            : i % 3 == 0 ? ArchKind::Agg
-                                         : i % 3 == 1 ? ArchKind::Coma
-                                                      : ArchKind::Numa;
+        const ArchKind arch = arch_pin >= 0
+                                  ? static_cast<ArchKind>(arch_pin)
+                                  : kCycle[i % 3];
         const Schedule sc = generate(seed, arch, mutation);
         const RunReport rep = runSchedule(sc);
         ++tally[outcomeName(rep.outcome)];
@@ -802,27 +795,21 @@ main(int argc, char **argv)
         const int count = std::stoi(flag("--count", "20"));
         const std::uint64_t seed =
             std::stoull(flag("--seed", "1000"));
-        const std::string mut = flag("--mutation", "none");
-        ProtoMutation mutation = ProtoMutation::None;
-        for (int i = 0; i < 4; ++i) {
-            if (mut == mutationName(static_cast<ProtoMutation>(i)))
-                mutation = static_cast<ProtoMutation>(i);
-        }
+        const auto mutation = static_cast<ProtoMutation>(std::max(
+            0, byName<ProtoMutation>(flag("--mutation", "none"),
+                                     kNumMutations, mutationName)));
         const std::string exp = flag(
             "--expect",
             mutation == ProtoMutation::None ? "completed"
                                             : "oracle_violation");
-        Outcome expect = Outcome::Completed;
-        for (int i = 0; i <= static_cast<int>(Outcome::Invalid); ++i) {
-            if (exp == outcomeName(static_cast<Outcome>(i)))
-                expect = static_cast<Outcome>(i);
-        }
+        const auto expect = static_cast<Outcome>(
+            std::max(0, byName<Outcome>(exp, kNumOutcomes, outcomeName)));
         const std::string arch = flag("--arch", "all");
-        if (arch != "all" && arch != "agg" && arch != "coma" &&
-            arch != "numa")
+        const int pin = byName<ArchKind>(arch, kNumArchs, archKey);
+        if (arch != "all" && pin < 0)
             return usage();
         return cmdFuzz(count, seed, mutation, flag("--out", "."),
-                       expect, arch);
+                       expect, pin);
     }
     if (cmd == "replay" && !args.empty())
         return cmdReplay(args[0]);

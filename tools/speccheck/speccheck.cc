@@ -5,14 +5,14 @@
  *
  * Explores the abstract operational model of each organization's
  * coherence protocol to fixpoint — symmetry-reduced state hashing,
- * per-line partial-order reduction, optional single-fault injection —
+ * per-line partial-order reduction, optional drop/dup fault injection —
  * and checks every reachable state against the declarative
  * ProtocolSpec plus the SWMR/version/owner/deadlock safety properties:
  *
  *   pimdsm-speccheck [--arch agg|coma|numa|all] [--nodes N] [--lines N]
  *                    [--reads N] [--writes N] [--evicts N] [--faults N]
- *                    [--retries N] [--max-states N] [--json PATH]
- *                    [--baseline PATH] [--drift F] [--conformance N]
+ *                    [--max-states N] [--json PATH] [--baseline PATH]
+ *                    [--drift F] [--conformance N]
  *
  * --json writes the state/transition/POR counts as a machine-readable
  * artifact; --baseline compares the explored state counts against a
@@ -41,20 +41,6 @@ namespace
 {
 
 using namespace pimdsm;
-
-const char *
-archKey(ArchKind a)
-{
-    switch (a) {
-      case ArchKind::Agg:
-        return "agg";
-      case ArchKind::Coma:
-        return "coma";
-      case ArchKind::Numa:
-        return "numa";
-    }
-    return "?";
-}
 
 bool
 writeFile(const std::string &path, const std::string &content)
@@ -110,8 +96,9 @@ printTrace(const SpecTrace &tr)
 int
 main(int argc, char **argv)
 {
-    std::vector<ArchKind> archs = {ArchKind::Agg, ArchKind::Coma,
-                                   ArchKind::Numa};
+    const std::vector<ArchKind> all = {ArchKind::Agg, ArchKind::Coma,
+                                       ArchKind::Numa};
+    std::vector<ArchKind> archs = all;
     SpecExplorerConfig base;
     std::string jsonPath, baselinePath;
     double drift = 0.25;
@@ -129,15 +116,12 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--arch" && i + 1 < argc) {
             const std::string a = argv[++i];
-            if (a == "agg")
-                archs = {ArchKind::Agg};
-            else if (a == "coma")
-                archs = {ArchKind::Coma};
-            else if (a == "numa")
-                archs = {ArchKind::Numa};
-            else if (a == "all")
-                ;
-            else {
+            archs.clear();
+            for (ArchKind k : all) {
+                if (a == "all" || a == archKey(k))
+                    archs.push_back(k);
+            }
+            if (archs.empty()) {
                 std::cerr << "speccheck: unknown arch '" << a << "'\n";
                 return 2;
             }
@@ -151,8 +135,6 @@ main(int argc, char **argv)
             base.writes = intArg(i);
         } else if (arg == "--evicts") {
             base.evicts = intArg(i);
-        } else if (arg == "--retries") {
-            base.retries = intArg(i);
         } else if (arg == "--faults") {
             base.faults = intArg(i);
         } else if (arg == "--max-states") {
@@ -170,9 +152,9 @@ main(int argc, char **argv)
             std::cout
                 << "usage: pimdsm-speccheck [--arch agg|coma|numa|all]\n"
                    "  [--nodes N] [--lines N] [--reads N] [--writes N]\n"
-                   "  [--evicts N] [--retries N] [--faults N]\n"
-                   "  [--max-states N] [--json PATH] [--baseline PATH]\n"
-                   "  [--drift F] [--conformance N]\n";
+                   "  [--evicts N] [--faults N] [--max-states N]\n"
+                   "  [--json PATH] [--baseline PATH] [--drift F]\n"
+                   "  [--conformance N]\n";
             return 0;
         } else {
             std::cerr << "speccheck: unknown argument '" << arg
