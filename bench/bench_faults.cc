@@ -14,9 +14,10 @@
 
 #include "bench_util.hh"
 
-#include <fstream>
+#include <sstream>
 
 #include "proto/stuck.hh"
+#include "report/json.hh"
 #include "sim/log.hh"
 
 using namespace pimdsm;
@@ -101,37 +102,6 @@ runScenario(const std::string &app, const std::string &kind,
         s.failure = what.substr(0, what.find('\n'));
     }
     return s;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-void
-writeStuckJson(std::ostream &os, const std::vector<StuckTxn> &stuck)
-{
-    os << ", \"stuck\": [";
-    for (std::size_t i = 0; i < stuck.size(); ++i) {
-        const StuckTxn &t = stuck[i];
-        os << (i ? ", " : "") << "{\"kind\": \"" << t.kind
-           << "\", \"node\": " << t.node << ", \"line\": " << t.line
-           << ", \"state\": \"" << t.state
-           << "\", \"retries\": " << t.retries
-           << ", \"acks_expected\": " << t.acksExpected
-           << ", \"acks_received\": " << t.acksReceived
-           << ", \"issue_tick\": " << t.issueTick
-           << ", \"last_progress_tick\": " << t.lastProgressTick
-           << "}";
-    }
-    os << "]";
 }
 
 } // namespace
@@ -226,39 +196,58 @@ main()
     }
     t.print(std::cout);
 
-    std::ofstream js("BENCH_faults.json");
-    js << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Scenario &s = rows[i];
+    std::ostringstream js;
+    JsonWriter w(js);
+    w.beginArray();
+    for (const Scenario &s : rows) {
         const double base = clean.count(s.app) ? clean[s.app] : 0.0;
-        js << "  {\"app\": \"" << s.app << "\", \"scenario\": \""
-           << s.kind << "\", \"drop_rate\": " << s.drop
-           << ", \"completed\": " << (s.completed ? "true" : "false");
+        w.beginObject(JsonLayout::Inline)
+            .field("app", s.app)
+            .field("scenario", s.kind)
+            .field("drop_rate", s.drop)
+            .field("completed", s.completed);
         if (s.completed) {
-            js << ", \"total_ticks\": " << s.result.totalTicks
-               << ", \"slowdown\": "
-               << (base > 0 ? s.result.totalTicks / base : 1.0)
-               << ", \"retries\": "
-               << s.result.counter("fault.retries")
-               << ", \"net_drops\": "
-               << s.result.counter("fault.net.drop")
-               << ", \"link_deaths\": "
-               << s.result.counter("fault.net.link_deaths")
-               << ", \"partition_blocked\": "
-               << s.result.counter("fault.net.partition_blocked")
-               << ", \"failovers\": " << s.result.failovers
-               << ", \"failover_ticks\": " << s.result.failoverTicks
-               << ", \"pnode_failovers\": " << s.result.pnodeFailovers
-               << ", \"pnode_failover_ticks\": "
-               << s.result.pnodeFailoverTicks;
+            w.field("total_ticks", s.result.totalTicks)
+                .field("slowdown",
+                       base > 0 ? s.result.totalTicks / base : 1.0)
+                .field("retries", s.result.counter("fault.retries"))
+                .field("net_drops", s.result.counter("fault.net.drop"))
+                .field("link_deaths",
+                       s.result.counter("fault.net.link_deaths"))
+                .field("partition_blocked",
+                       s.result.counter("fault.net.partition_blocked"))
+                .field("failovers", s.result.failovers)
+                .field("failover_ticks", s.result.failoverTicks)
+                .field("pnode_failovers", s.result.pnodeFailovers)
+                .field("pnode_failover_ticks",
+                       s.result.pnodeFailoverTicks);
         } else {
-            js << ", \"failure\": \"" << jsonEscape(s.failure)
-               << "\", \"partition_blocked\": " << s.partitionBlocked;
-            writeStuckJson(js, s.stuck);
+            w.field("failure", s.failure)
+                .field("partition_blocked", s.partitionBlocked)
+                .key("stuck")
+                .beginArray(JsonLayout::Inline);
+            for (const StuckTxn &t : s.stuck) {
+                w.beginObject(JsonLayout::Inline)
+                    .field("kind", t.kind)
+                    .field("node", t.node)
+                    .field("line", t.line)
+                    .field("state", t.state)
+                    .field("retries", t.retries)
+                    .field("acks_expected", t.acksExpected)
+                    .field("acks_received", t.acksReceived)
+                    .field("issue_tick", t.issueTick)
+                    .field("last_progress_tick", t.lastProgressTick)
+                    .end();
+            }
+            w.end();
         }
-        js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        w.end();
     }
-    js << "]\n";
+    w.end();
+    if (!writeFile("BENCH_faults.json", js.str())) {
+        std::cerr << "bench_faults: cannot write BENCH_faults.json\n";
+        return 1;
+    }
     std::cout << "\nwrote BENCH_faults.json (" << rows.size()
               << " scenarios)\n";
     return 0;

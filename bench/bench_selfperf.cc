@@ -33,9 +33,11 @@
  * --baseline compares median events/sec per workload against a
  * committed BENCH_selfperf.json and exits 1 on any slowdown beyond
  * --drift (default 0.25). PIMDSM_PERF_WAIVE=1 downgrades the failure
- * to a warning for known-noisy hosts. The baseline must come from a
- * run of the same mode: a quick run against a full-mode baseline, or
- * the reverse, exits 2 without comparing. BENCH_selfperf_quick.json
+ * to a warning for known-noisy hosts. The baseline is read and checked
+ * before any trial runs, so it may be the BENCH_selfperf.json this run
+ * overwrites. It must come from a run of the same mode: a quick run
+ * against a full-mode baseline, or the reverse, exits 2 at once, as
+ * does an unreadable or malformed baseline. BENCH_selfperf_quick.json
  * is the committed quick-mode baseline.)
  */
 
@@ -47,6 +49,8 @@
 #include <cstring>
 #include <functional>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -54,6 +58,7 @@
 
 #include <sys/resource.h>
 
+#include "report/json.hh"
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
@@ -272,43 +277,44 @@ measure(const std::string &name, const std::function<Sample()> &workload)
     return row;
 }
 
-/** Pull the median events_per_sec for @p workload out of a committed
- *  BENCH_selfperf.json (same hand-rolled lookup as speccheck: we own
- *  both ends of the format). */
-bool
-baselineEventsPerSec(const std::string &json,
-                     const std::string &workload, double &out)
+/** Median events/sec per workload of a committed BENCH_selfperf.json,
+ *  read and checked before any trial runs; exits 2 when the file is
+ *  unreadable, malformed or of the other mode. */
+std::map<std::string, double>
+loadBaseline(const std::string &path, bool quick)
 {
-    const std::string tag = "\"workload\": \"" + workload + "\"";
-    std::size_t p = json.find(tag);
-    if (p == std::string::npos)
-        return false;
-    const std::string key = "\"events_per_sec\":";
-    p = json.find(key, p);
-    if (p == std::string::npos)
-        return false;
-    out = std::strtod(json.c_str() + p + key.size(), nullptr);
-    return out > 0;
-}
-
-/** Read the top-level "quick" flag of a committed BENCH_selfperf.json. */
-bool
-baselineQuick(const std::string &json, bool &out)
-{
-    const std::string key = "\"quick\":";
-    std::size_t p = json.find(key);
-    if (p == std::string::npos)
-        return false;
-    p = json.find_first_not_of(' ', p + key.size());
-    if (p == std::string::npos)
-        return false;
-    if (json.compare(p, 4, "true") == 0)
-        out = true;
-    else if (json.compare(p, 5, "false") == 0)
-        out = false;
-    else
-        return false;
-    return true;
+    auto fail = [&](const std::string &why) {
+        std::cerr << "bench_selfperf: " << path << why << "\n";
+        std::exit(2);
+    };
+    const std::optional<std::string> text = readFile(path);
+    if (!text)
+        fail(": cannot read");
+    const JsonDoc doc = parseJson(*text);
+    if (!doc.ok())
+        fail(": " + doc.error);
+    const std::optional<bool> baseQuick = doc.boolean("quick");
+    if (!baseQuick)
+        fail(" has no \"quick\" flag");
+    if (*baseQuick != quick)
+        fail(std::string(" is a ") + (*baseQuick ? "quick" : "full") +
+             "-mode baseline but this run is " +
+             (quick ? "quick" : "full") +
+             "; compare only runs of the same mode");
+    std::map<std::string, double> eps;
+    for (int i = 0;; ++i) {
+        const std::string row = "rows." + std::to_string(i) + ".";
+        const auto name = doc.string(row + "workload");
+        if (!name)
+            break;
+        const auto v = doc.number<double>(row + "events_per_sec");
+        if (!v || *v <= 0)
+            fail(" row '" + *name + "' has no positive events_per_sec");
+        eps[*name] = *v;
+    }
+    if (eps.empty())
+        fail(" has no rows");
+    return eps;
 }
 
 } // namespace
@@ -331,7 +337,13 @@ main(int argc, char **argv)
         } else if (arg == "--baseline" && i + 1 < argc) {
             baselinePath = argv[++i];
         } else if (arg == "--drift" && i + 1 < argc) {
-            drift = std::stod(argv[++i]);
+            const auto v = parseNumber<double>(argv[++i]);
+            if (!v) {
+                std::cerr << "bench_selfperf: bad --drift '" << argv[i]
+                          << "'\n";
+                return 2;
+            }
+            drift = *v;
         } else {
             std::cerr << "usage: bench_selfperf [--quick] "
                          "[--kernel=calendar|heap] [--baseline PATH] "
@@ -342,6 +354,9 @@ main(int argc, char **argv)
     if (quick)
         setenv("PIMDSM_QUICK", "1", 1);
     EventQueue::setDefaultKind(kind);
+    std::map<std::string, double> baseline;
+    if (!baselinePath.empty())
+        baseline = loadBaseline(baselinePath, quick);
 
     banner("Simulator self-performance",
            "simulator implementation metric (no paper analogue)");
@@ -372,68 +387,54 @@ main(int argc, char **argv)
                     static_cast<double>(r.peakRssKb) / 1024.0);
     }
 
-    std::ofstream js("BENCH_selfperf.json");
-    js << "{\n  \"bench\": \"selfperf\",\n  \"kernel\": \""
-       << (kind == EventQueue::KernelKind::Calendar ? "calendar"
-                                                    : "heap")
-       << "\",\n  \"quick\": " << (quick ? "true" : "false")
-       << ",\n  \"host_cores\": " << std::thread::hardware_concurrency()
-       << ",\n  \"compiler\": \"" << PIMDSM_COMPILER
-       << "\",\n  \"build_type\": \"" << PIMDSM_BUILD_TYPE
-       << "\",\n  \"ipo\": " << (PIMDSM_IPO ? "true" : "false")
-       << ",\n  \"warmup_runs\": 1,\n  \"trials\": " << kTrials
-       << ",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &r = rows[i];
-        js << "    {\"workload\": \"" << r.name
-           << "\", \"events\": " << r.events
-           << ", \"events_per_sec\": " << r.eventsPerSec
-           << ", \"wall_median_s\": " << r.wallMedian
-           << ", \"wall_min_s\": " << r.wallMin
-           << ", \"wall_q1_s\": " << r.wallQ1
-           << ", \"wall_q3_s\": " << r.wallQ3
-           << ", \"peak_rss_kb\": " << r.peakRssKb;
-        js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    std::ostringstream js;
+    JsonWriter w(js);
+    w.beginObject()
+        .field("bench", "selfperf")
+        .field("kernel", kind == EventQueue::KernelKind::Calendar
+                             ? "calendar"
+                             : "heap")
+        .field("quick", quick)
+        .field("host_cores", std::thread::hardware_concurrency())
+        .field("compiler", PIMDSM_COMPILER)
+        .field("build_type", PIMDSM_BUILD_TYPE)
+        .field("ipo", static_cast<bool>(PIMDSM_IPO))
+        .field("warmup_runs", 1)
+        .field("trials", kTrials)
+        .key("rows")
+        .beginArray();
+    for (const auto &r : rows) {
+        w.beginObject(JsonLayout::Inline)
+            .field("workload", r.name)
+            .field("events", r.events)
+            .field("events_per_sec", r.eventsPerSec)
+            .field("wall_median_s", r.wallMedian)
+            .field("wall_min_s", r.wallMin)
+            .field("wall_q1_s", r.wallQ1)
+            .field("wall_q3_s", r.wallQ3)
+            .field("peak_rss_kb", r.peakRssKb)
+            .end();
     }
-    js << "  ]\n}\n";
-    js.close(); // flush before the gate below possibly re-reads it
+    w.end().end();
+    if (!writeFile("BENCH_selfperf.json", js.str())) {
+        std::cerr << "bench_selfperf: cannot write BENCH_selfperf.json\n";
+        return 1;
+    }
     std::cout << "\nwrote BENCH_selfperf.json (" << rows.size()
               << " workloads)\n";
 
-    if (!baselinePath.empty()) {
-        std::ifstream f(baselinePath, std::ios::binary);
-        if (!f) {
-            std::cerr << "bench_selfperf: cannot read " << baselinePath
-                      << "\n";
-            return 2;
-        }
-        std::ostringstream os;
-        os << f.rdbuf();
-        const std::string baseline = os.str();
-        bool baseQuick = false;
-        if (!baselineQuick(baseline, baseQuick)) {
-            std::cerr << "bench_selfperf: " << baselinePath
-                      << " has no \"quick\" flag\n";
-            return 2;
-        }
-        if (baseQuick != quick) {
-            std::cerr << "bench_selfperf: " << baselinePath << " is a "
-                      << (baseQuick ? "quick" : "full")
-                      << "-mode baseline but this run is "
-                      << (quick ? "quick" : "full")
-                      << "; compare only runs of the same mode\n";
-            return 2;
-        }
+    if (!baseline.empty()) {
         const bool waived =
             std::getenv("PIMDSM_PERF_WAIVE") != nullptr;
         bool regressed = false;
         for (const auto &r : rows) {
-            double want = 0;
-            if (!baselineEventsPerSec(baseline, r.name, want)) {
+            const auto it = baseline.find(r.name);
+            if (it == baseline.end()) {
                 std::cout << "baseline: no row for '" << r.name
                           << "', skipping\n";
                 continue;
             }
+            const double want = it->second;
             const double floor = want * (1.0 - drift);
             if (r.eventsPerSec < floor) {
                 std::cerr << "bench_selfperf: '" << r.name

@@ -25,7 +25,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -34,6 +33,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +41,7 @@
 #include "machine/builder.hh"
 #include "proto/stuck.hh"
 #include "report/experiment.hh"
+#include "report/json.hh"
 #include "sim/fault.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
@@ -548,12 +549,10 @@ headerValue(std::istringstream &is, const std::string &key,
 {
     std::string v;
     is >> v;
-    std::uint64_t n = 0;
-    const char *end = v.data() + v.size();
-    const auto [ptr, ec] = std::from_chars(v.data(), end, n);
-    if (v.empty() || ec != std::errc{} || ptr != end || n < lo || n > hi)
+    const auto n = parseNumber<std::uint64_t>(v);
+    if (!n || *n < lo || *n > hi)
         parseFail("bad " + key + " '" + v + "'");
-    return n;
+    return *n;
 }
 
 /** Parse a repro stream into (schedule, expected outcome). */
@@ -600,18 +599,12 @@ parseRepro(std::istream &in, Outcome *expect)
                 const auto it = kv.find(k);
                 if (it == kv.end())
                     return dflt;
-                std::size_t used = 0;
-                double v = std::nan("");
-                try {
-                    v = std::stod(it->second, &used);
-                } catch (const std::exception &) {
-                    // Not a number: v stays NaN and is rejected below.
-                }
-                if (used != it->second.size() || !(v >= 0.0 && v <= max) ||
-                    (whole && v != std::floor(v)))
+                const auto v = parseNumber<double>(it->second);
+                if (!v || !(*v >= 0.0 && *v <= max) ||
+                    (whole && *v != std::floor(*v)))
                     parseFail(std::string("bad number '") + it->second +
                               "' for " + k);
-                return v;
+                return *v;
             };
             constexpr double kRate = std::numeric_limits<double>::max();
             // 2^53: the largest whole number a double holds exactly.
@@ -758,6 +751,58 @@ cmdShrink(const std::string &path, const std::string &out)
     return 0;
 }
 
+[[noreturn]] void
+usageFail(const std::string &why)
+{
+    std::cerr << "pimdsm-chaos: " << why << "\n";
+    std::exit(2);
+}
+
+/** The value after flag @p name in @p args, or nothing when the flag
+ *  is absent; exits 2 when the flag has no value. */
+std::optional<std::string>
+flagValue(const std::vector<std::string> &args, const std::string &name)
+{
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        if (args[i] != name)
+            continue;
+        if (i + 1 == args.size())
+            usageFail(name + " needs a value");
+        return args[i + 1];
+    }
+    return std::nullopt;
+}
+
+/** Flag @p name as a T (@p dflt when absent); exits 2 on a value that
+ *  is not one whole number of type T. */
+template <typename T>
+T
+numFlag(const std::vector<std::string> &args, const std::string &name,
+        T dflt)
+{
+    const std::optional<std::string> v = flagValue(args, name);
+    if (!v)
+        return dflt;
+    const std::optional<T> n = parseNumber<T>(*v);
+    if (!n)
+        usageFail("bad value '" + *v + "' for " + name);
+    return *n;
+}
+
+/** Flag @p name as one of @p count enumerators named by @p nameOf
+ *  (@p dflt when absent); exits 2 on an unknown name. */
+template <typename E, typename NameFn>
+E
+nameFlag(const std::vector<std::string> &args, const std::string &name,
+         const std::string &dflt, int count, NameFn nameOf)
+{
+    const std::string v = flagValue(args, name).value_or(dflt);
+    const int i = byName<E>(v, count, nameOf);
+    if (i < 0)
+        usageFail("unknown value '" + v + "' for " + name);
+    return static_cast<E>(i);
+}
+
 int
 usage()
 {
@@ -782,38 +827,28 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
 
-    auto flag = [&](const std::string &name,
-                    const std::string &dflt) -> std::string {
-        for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-            if (args[i] == name)
-                return args[i + 1];
-        }
-        return dflt;
-    };
-
     if (cmd == "fuzz") {
-        const int count = std::stoi(flag("--count", "20"));
-        const std::uint64_t seed =
-            std::stoull(flag("--seed", "1000"));
-        const auto mutation = static_cast<ProtoMutation>(std::max(
-            0, byName<ProtoMutation>(flag("--mutation", "none"),
-                                     kNumMutations, mutationName)));
-        const std::string exp = flag(
-            "--expect",
+        const int count = numFlag<int>(args, "--count", 20);
+        const auto seed = numFlag<std::uint64_t>(args, "--seed", 1000);
+        const auto mutation = nameFlag<ProtoMutation>(
+            args, "--mutation", "none", kNumMutations, mutationName);
+        const auto expect = nameFlag<Outcome>(
+            args, "--expect",
             mutation == ProtoMutation::None ? "completed"
-                                            : "oracle_violation");
-        const auto expect = static_cast<Outcome>(
-            std::max(0, byName<Outcome>(exp, kNumOutcomes, outcomeName)));
-        const std::string arch = flag("--arch", "all");
+                                            : "oracle_violation",
+            kNumOutcomes, outcomeName);
+        const std::string arch = flagValue(args, "--arch").value_or("all");
         const int pin = byName<ArchKind>(arch, kNumArchs, archKey);
         if (arch != "all" && pin < 0)
             return usage();
-        return cmdFuzz(count, seed, mutation, flag("--out", "."),
-                       expect, pin);
+        return cmdFuzz(count, seed, mutation,
+                       flagValue(args, "--out").value_or("."), expect,
+                       pin);
     }
     if (cmd == "replay" && !args.empty())
         return cmdReplay(args[0]);
     if (cmd == "shrink" && !args.empty())
-        return cmdShrink(args[0], flag("--out", args[0] + ".min"));
+        return cmdShrink(args[0],
+                         flagValue(args, "--out").value_or(args[0] + ".min"));
     return usage();
 }

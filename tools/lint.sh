@@ -232,6 +232,17 @@ if [ -n "$hits" ]; then
     complain "stat name outside the <layer>.<event> schema (layers: compute home dnode coma fault check reconfig):" "$hits"
 fi
 
+# --- 11. No hand-built JSON in bench/ or tools/ -----------------------
+# Benches and tools write JSON through src/report/json.hh (one writer,
+# one escape) and read it back through parseJson. A string literal
+# holding an escaped-quote key and a colon (\"name\":) is JSON
+# assembled by hand, with its own commas and escaping.
+hits=$(find bench tools -name '*.cc' -o -name '*.hh' | sort |
+       xargs grep -nE '\\"[A-Za-z_][A-Za-z0-9_]*\\":' 2>/dev/null)
+if [ -n "$hits" ]; then
+    complain "hand-built JSON in bench/ or tools/ (use JsonWriter / parseJson from src/report/json.hh):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2
     exit 1

@@ -17,8 +17,7 @@
  * as a CI artifact) whether or not the checks pass.
  */
 
-#include <cstdio>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -26,46 +25,11 @@
 
 #include "proto/spec.hh"
 #include "proto/spec_check.hh"
+#include "report/json.hh"
 #include "sim/config.hh"
 
 namespace
 {
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        std::cerr << "protocheck: cannot write " << path << "\n";
-        return false;
-    }
-    f << content;
-    return f.good();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 struct ArchReport
 {
@@ -76,34 +40,35 @@ struct ArchReport
 
 /** Deterministic JSON rendering of the full check run. */
 std::string
-renderJson(const std::vector<ArchReport> &archs, int totalTransitions,
-           bool ok)
+renderReport(const std::vector<ArchReport> &archs, int totalTransitions,
+             bool ok)
 {
-    using pimdsm::spec::violationKindName;
     std::ostringstream os;
-    os << "{\n  \"ok\": " << (ok ? "true" : "false")
-       << ",\n  \"totalTransitions\": " << totalTransitions
-       << ",\n  \"roles\": " << pimdsm::spec::kNumRoles
-       << ",\n  \"msgTypes\": " << pimdsm::kNumMsgTypes
-       << ",\n  \"archs\": {\n";
-    for (std::size_t i = 0; i < archs.size(); ++i) {
-        const ArchReport &a = archs[i];
-        os << "    \"" << a.name << "\": {\n      \"ok\": "
-           << (a.report.ok() ? "true" : "false")
-           << ",\n      \"transitions\": " << a.transitions
-           << ",\n      \"violations\": [";
-        for (std::size_t v = 0; v < a.report.violations.size(); ++v) {
-            const auto &viol = a.report.violations[v];
-            os << (v ? "," : "") << "\n        {\"kind\": \""
-               << violationKindName(viol.kind) << "\", \"where\": \""
-               << jsonEscape(viol.where) << "\", \"detail\": \""
-               << jsonEscape(viol.detail) << "\"}";
+    pimdsm::JsonWriter w(os);
+    w.beginObject()
+        .field("ok", ok)
+        .field("totalTransitions", totalTransitions)
+        .field("roles", pimdsm::spec::kNumRoles)
+        .field("msgTypes", pimdsm::kNumMsgTypes)
+        .key("archs")
+        .beginObject();
+    for (const ArchReport &a : archs) {
+        w.key(a.name)
+            .beginObject()
+            .field("ok", a.report.ok())
+            .field("transitions", a.transitions)
+            .key("violations")
+            .beginArray();
+        for (const auto &viol : a.report.violations) {
+            w.beginObject(pimdsm::JsonLayout::Inline)
+                .field("kind", pimdsm::spec::violationKindName(viol.kind))
+                .field("where", viol.where)
+                .field("detail", viol.detail)
+                .end();
         }
-        if (!a.report.violations.empty())
-            os << "\n      ";
-        os << "]\n    }" << (i + 1 < archs.size() ? "," : "") << "\n";
+        w.end().end();
     }
-    os << "  }\n}\n";
+    w.end().end();
     return os.str();
 }
 
@@ -169,27 +134,29 @@ main(int argc, char **argv)
               << spec::kNumRoles << " roles, " << kNumMsgTypes
               << " message types\n";
 
-    if (!jsonPath.empty()) {
-        if (!writeFile(jsonPath,
-                       renderJson(archReports, transitions, ok)))
+    const std::vector<spec::Role> allRoles = {
+        spec::Role::AggCompute, spec::Role::ComaCompute,
+        spec::Role::NumaCompute, spec::Role::AggHome,
+        spec::Role::ComaHome,   spec::Role::NumaHome};
+    const std::pair<const std::string &, std::function<std::string()>>
+        outputs[] = {
+            {jsonPath,
+             [&] { return renderReport(archReports, transitions, ok); }},
+            {mdPath,
+             [&] {
+                 return spec::renderMarkdown(
+                     p, makeBaseConfig(ArchKind::Agg));
+             }},
+            {dotPath, [&] { return spec::renderDot(p, allRoles); }},
+        };
+    for (const auto &[path, render] : outputs) {
+        if (path.empty())
+            continue;
+        if (!writeFile(path, render())) {
+            std::cerr << "protocheck: cannot write " << path << "\n";
             return 2;
-        std::cout << "wrote " << jsonPath << "\n";
-    }
-
-    if (!mdPath.empty()) {
-        const MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
-        if (!writeFile(mdPath, spec::renderMarkdown(p, cfg)))
-            return 2;
-        std::cout << "wrote " << mdPath << "\n";
-    }
-    if (!dotPath.empty()) {
-        static const std::vector<spec::Role> all = {
-            spec::Role::AggCompute, spec::Role::ComaCompute,
-            spec::Role::NumaCompute, spec::Role::AggHome,
-            spec::Role::ComaHome,   spec::Role::NumaHome};
-        if (!writeFile(dotPath, spec::renderDot(p, all)))
-            return 2;
-        std::cout << "wrote " << dotPath << "\n";
+        }
+        std::cout << "wrote " << path << "\n";
     }
 
     return ok ? 0 : 1;

@@ -27,13 +27,15 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/spec_explorer.hh"
+#include "report/json.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
 
@@ -42,45 +44,47 @@ namespace
 
 using namespace pimdsm;
 
-bool
-writeFile(const std::string &path, const std::string &content)
+[[noreturn]] void
+usageError(const std::string &why)
 {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        std::cerr << "speccheck: cannot write " << path << "\n";
-        return false;
-    }
-    f << content;
-    return f.good();
+    std::cerr << "speccheck: " << why << "\n";
+    std::exit(2);
 }
 
-/** Pull "key": <number> out of the object following "<arch>" in a
- *  committed baseline artifact (we own both ends of this format; a
- *  full JSON parser would be a dependency for no benefit). */
-bool
-baselineStates(const std::string &json, const std::string &arch,
-               std::uint64_t &out)
+/** The value of flag argv[i] (advancing i past it) as a T. */
+template <typename T>
+T
+numArg(int argc, char **argv, int &i)
 {
-    const std::string archTag = "\"" + arch + "\"";
-    std::size_t p = json.find(archTag);
-    if (p == std::string::npos)
-        return false;
-    const std::string tag = "\"states\":";
-    p = json.find(tag, p);
-    if (p == std::string::npos)
-        return false;
-    p += tag.size();
-    while (p < json.size() && json[p] == ' ')
-        ++p;
-    std::uint64_t v = 0;
-    bool any = false;
-    while (p < json.size() && json[p] >= '0' && json[p] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(json[p] - '0');
-        ++p;
-        any = true;
+    const std::string flag = argv[i];
+    if (i + 1 >= argc)
+        usageError(flag + " needs a value");
+    const std::optional<T> v = parseNumber<T>(argv[++i]);
+    if (!v)
+        usageError("bad value '" + std::string(argv[i]) + "' for " + flag);
+    return *v;
+}
+
+/** The committed state count per explored arch of baseline @p path;
+ *  exits 2 when it is unreadable, malformed or lacks an arch. */
+std::map<ArchKind, std::uint64_t>
+loadBaseline(const std::string &path, const std::vector<ArchKind> &archs)
+{
+    const std::optional<std::string> text = readFile(path);
+    if (!text)
+        usageError("cannot read " + path);
+    const JsonDoc doc = parseJson(*text);
+    if (!doc.ok())
+        usageError(path + ": " + doc.error);
+    std::map<ArchKind, std::uint64_t> states;
+    for (ArchKind arch : archs) {
+        const auto v = doc.number<std::uint64_t>(
+            std::string("archs.") + archKey(arch) + ".states");
+        if (!v)
+            usageError(path + " has no states count for " + archKey(arch));
+        states[arch] = *v;
     }
-    out = v;
-    return any;
+    return states;
 }
 
 void
@@ -104,14 +108,7 @@ main(int argc, char **argv)
     double drift = 0.25;
     int conformance = 0;
 
-    auto intArg = [&](int &i) {
-        if (i + 1 >= argc) {
-            std::cerr << "speccheck: " << argv[i]
-                      << " needs a value\n";
-            std::exit(2);
-        }
-        return std::stoi(argv[++i]);
-    };
+    auto intArg = [&](int &i) { return numArg<int>(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--arch" && i + 1 < argc) {
@@ -138,16 +135,15 @@ main(int argc, char **argv)
         } else if (arg == "--faults") {
             base.faults = intArg(i);
         } else if (arg == "--max-states") {
-            base.maxStates = static_cast<std::uint64_t>(
-                std::stoll(argv[++i]));
+            base.maxStates = numArg<std::uint64_t>(argc, argv, i);
         } else if (arg == "--conformance") {
             conformance = intArg(i);
         } else if (arg == "--json" && i + 1 < argc) {
             jsonPath = argv[++i];
         } else if (arg == "--baseline" && i + 1 < argc) {
             baselinePath = argv[++i];
-        } else if (arg == "--drift" && i + 1 < argc) {
-            drift = std::stod(argv[++i]);
+        } else if (arg == "--drift") {
+            drift = numArg<double>(argc, argv, i);
         } else if (arg == "-h" || arg == "--help") {
             std::cout
                 << "usage: pimdsm-speccheck [--arch agg|coma|numa|all]\n"
@@ -163,28 +159,22 @@ main(int argc, char **argv)
         }
     }
 
-    std::string baseline;
-    if (!baselinePath.empty()) {
-        std::ifstream f(baselinePath, std::ios::binary);
-        if (!f) {
-            std::cerr << "speccheck: cannot read " << baselinePath
-                      << "\n";
-            return 2;
-        }
-        std::ostringstream os;
-        os << f.rdbuf();
-        baseline = os.str();
-    }
+    std::map<ArchKind, std::uint64_t> baseline;
+    if (!baselinePath.empty())
+        baseline = loadBaseline(baselinePath, archs);
 
     bool ok = true;
     std::ostringstream js;
-    js << "{\n  \"nodes\": " << base.nodes
-       << ",\n  \"lines\": " << base.lines
-       << ",\n  \"reads\": " << base.reads
-       << ",\n  \"writes\": " << base.writes
-       << ",\n  \"evicts\": " << base.evicts
-       << ",\n  \"faults\": " << base.faults << ",\n  \"archs\": {";
-    bool first = true;
+    JsonWriter w(js);
+    w.beginObject()
+        .field("nodes", base.nodes)
+        .field("lines", base.lines)
+        .field("reads", base.reads)
+        .field("writes", base.writes)
+        .field("evicts", base.evicts)
+        .field("faults", base.faults)
+        .key("archs")
+        .beginObject();
 
     for (ArchKind arch : archs) {
         SpecExplorerConfig cfg = base;
@@ -215,13 +205,7 @@ main(int argc, char **argv)
         }
 
         if (!baseline.empty() && !res.violation) {
-            std::uint64_t want = 0;
-            if (!baselineStates(baseline, archKey(arch), want)) {
-                std::cerr << "speccheck: baseline has no states count "
-                             "for "
-                          << archKey(arch) << "\n";
-                return 2;
-            }
+            const std::uint64_t want = baseline.at(arch);
             const double lo = static_cast<double>(want) * (1.0 - drift);
             const double hi = static_cast<double>(want) * (1.0 + drift);
             const double got = static_cast<double>(res.states);
@@ -233,18 +217,18 @@ main(int argc, char **argv)
             }
         }
 
-        js << (first ? "" : ",") << "\n    \"" << archKey(arch)
-           << "\": {\"states\": " << res.states
-           << ", \"transitions\": " << res.transitions
-           << ", \"revisits\": " << res.revisits
-           << ", \"porPruned\": " << res.porPruned
-           << ", \"faultTransitions\": " << res.faultTransitions
-           << ", \"terminals\": " << res.terminals
-           << ", \"rowChecks\": " << res.rowChecks
-           << ", \"maxDepth\": " << res.maxDepth
-           << ", \"truncated\": "
-           << (res.truncated ? "true" : "false") << "}";
-        first = false;
+        w.key(archKey(arch))
+            .beginObject(JsonLayout::Inline)
+            .field("states", res.states)
+            .field("transitions", res.transitions)
+            .field("revisits", res.revisits)
+            .field("porPruned", res.porPruned)
+            .field("faultTransitions", res.faultTransitions)
+            .field("terminals", res.terminals)
+            .field("rowChecks", res.rowChecks)
+            .field("maxDepth", res.maxDepth)
+            .field("truncated", res.truncated)
+            .end();
 
         if (conformance > 0 && !res.violation) {
             // Sample from an evictionless exploration: the real
@@ -276,11 +260,11 @@ main(int argc, char **argv)
             }
         }
     }
-    js << "\n  }\n}\n";
+    w.end().end();
 
     if (!jsonPath.empty()) {
         if (!writeFile(jsonPath, js.str()))
-            return 2;
+            usageError("cannot write " + jsonPath);
         std::cout << "wrote " << jsonPath << "\n";
     }
     std::cout << (ok ? "speccheck: OK" : "speccheck: FAILED") << "\n";
