@@ -328,15 +328,19 @@ main(int argc, char **argv)
     double drift = 0.25;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if ((arg == "--baseline" || arg == "--drift") && i + 1 >= argc) {
+            std::cerr << "bench_selfperf: " << arg << " needs a value\n";
+            return 2;
+        }
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--kernel=heap") {
             kind = EventQueue::KernelKind::ReferenceHeap;
         } else if (arg == "--kernel=calendar") {
             kind = EventQueue::KernelKind::Calendar;
-        } else if (arg == "--baseline" && i + 1 < argc) {
+        } else if (arg == "--baseline") {
             baselinePath = argv[++i];
-        } else if (arg == "--drift" && i + 1 < argc) {
+        } else if (arg == "--drift") {
             const auto v = parseNumber<double>(argv[++i]);
             if (!v) {
                 std::cerr << "bench_selfperf: bad --drift '" << argv[i]

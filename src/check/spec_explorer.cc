@@ -40,9 +40,10 @@
 #include <array>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <utility>
 
-#include "check/explorer.hh"
+#include "check/model_check_run.hh"
 #include "proto/compute_base.hh"
 #include "proto/spec.hh"
 #include "sim/flat_map.hh"
@@ -68,6 +69,17 @@ constexpr int kMaxMsgs = 28;   ///< in-flight messages per line
 constexpr int kMaxPend = 10;   ///< home pending-queue slots
 constexpr int kMaxDefer = 3;   ///< deferred forwards per node
 constexpr std::uint8_t kHomeEp = 0x7f; ///< the home endpoint "node id"
+/** The failed-over AGG home: what it sent before dying stays in
+ *  flight on its own FIFOs, apart from the new home's. */
+constexpr std::uint8_t kDeadHomeEp = 0x7e;
+
+// LineSt::failover phases. The adopting home's engine is held by the
+// failover itself (failOverDNode: at least baseCost / survivors
+// ticks), far longer than any message's flight, so it serves nothing
+// until the line's other traffic has landed.
+constexpr std::uint8_t kNoFailover = 0;
+constexpr std::uint8_t kFailoverDraining = 1;
+constexpr std::uint8_t kFailoverDone = 2;
 constexpr std::uint8_t kNil = 0xff;
 /** Reservoir sampling's fixed seed: samples are reproducible. */
 constexpr std::uint64_t kSampleSeed = 1;
@@ -100,7 +112,7 @@ cohOwned(std::uint8_t st)
 struct AMsg
 {
     std::uint8_t type = 0;  ///< MsgType
-    std::uint8_t src = 0;   ///< node id or kHomeEp
+    std::uint8_t src = 0;   ///< node id, kHomeEp or kDeadHomeEp
     std::uint8_t dst = 0;
     std::uint8_t req = 0;   ///< original requester (kNil if none)
     std::uint8_t ver = 0;
@@ -199,7 +211,13 @@ struct LineSt
     std::uint8_t gver = 0; ///< write grants serialized by the home
     std::uint8_t wIssued = 0; ///< write-miss transactions started
     std::uint8_t regrants = 0; ///< scrubbed write retries re-serialized
+    /** Writes awaiting their grant when the home failed over: each may
+     *  be serialized once more, uncounted, at the adopting home. */
+    std::uint8_t voidable = 0;
     std::uint8_t faultsLeft = 0;
+    /** AGG home failover: kNoFailover, kFailoverDraining or
+     *  kFailoverDone (at most once per line). */
+    std::uint8_t failover = 0;
 };
 
 /** The whole explored state (lines are mutually independent). */
@@ -227,6 +245,7 @@ enum : std::uint8_t
     kActDeliver,
     kActDrop,
     kActDup,
+    kActFailover,
 };
 
 struct Act
@@ -241,6 +260,8 @@ nodeName(std::uint8_t id)
 {
     if (id == kHomeEp)
         return "home";
+    if (id == kDeadHomeEp)
+        return "deadhome";
     if (id == kNil)
         return "-";
     // Appended for the same GCC 12 -Wrestrict reason as renderMsg.
@@ -655,6 +676,53 @@ class Proto : public Model
         }
     }
 
+    /** AGG home failover, mirroring failOverDNode: the D-node homing
+     *  the line dies and a spare adopts its directory entry. */
+    void
+    failOver(World &w, int li)
+    {
+        LineSt &L = w.line[li];
+        --L.faultsLeft;
+        L.failover = kFailoverDraining;
+        for (int n = 0; n < cfg_.nodes; ++n) {
+            const Mshr &ms = L.n[n].mshr;
+            if (ms.valid && ms.isWrite && !ms.replyArrived)
+                ++L.voidable;
+        }
+        // Traffic to the dead home is lost; what it already sent stays
+        // deliverable, on FIFOs apart from the new home's.
+        int kept = 0;
+        for (int i = 0; i < L.nMsgs; ++i) {
+            AMsg m = L.msgs[i];
+            if (m.dst == kHomeEp)
+                continue;
+            if (m.src == kHomeEp)
+                m.src = kDeadHomeEp;
+            L.msgs[kept++] = m;
+        }
+        for (int i = kept; i < L.nMsgs; ++i)
+            L.msgs[i] = AMsg{};
+        L.nMsgs = static_cast<std::uint8_t>(kept);
+        // In-flight transactions and the dedup records die with the
+        // home (resetForReconfig clears served_); the adopted entry
+        // keeps its state, owner, sharers and version (adoptEntry). A
+        // write whose grant was lost can thus be serialized again with
+        // no record left to count it: the voidable bound above.
+        HomeLine &h = L.home;
+        clearBusy(h);
+        for (AMsg &p : h.pending)
+            p = AMsg{};
+        h.nPending = 0;
+        for (Served &sv : h.served)
+            sv = Served{};
+        if (h.hasData) {
+            h.hasData = 0;
+            // The only up-to-date copy died: recover it from disk.
+            if (!h.masterOut)
+                h.pagedOut = 1;
+        }
+    }
+
     // ------------------------------------------------------------------
     // Delivery plumbing.
     // ------------------------------------------------------------------
@@ -908,6 +976,12 @@ class Proto : public Model
             // no copy anywhere: dropped (fault echo)
             return;
         }
+        if (cfg_.faults > 0 && m.ver < dataVer) {
+            // A forward older than our copy belongs to a transaction
+            // the directory has since superseded (one a failed-over
+            // home started): drop it (mirrors fwd_superseded_dropped).
+            return;
+        }
         if (!ex && live && c.mshr.valid && m.ver > dataVer) {
             // The directory stamped a version ahead of our copy while
             // our own transaction is in flight: our granting reply
@@ -934,8 +1008,15 @@ class Proto : public Model
                 c.ver = 0;
                 // Our own in-flight transaction (if any) lost the
                 // race; grants at or below this version are dead.
-                if (c.mshr.valid && m.ver > c.mshr.supVer)
+                if (c.mshr.valid && m.ver > c.mshr.supVer) {
                     c.mshr.supVer = m.ver;
+                    // Acks gathered for a grant we never received are
+                    // void with it.
+                    if (!c.mshr.replyArrived) {
+                        c.mshr.acksReceived = 0;
+                        c.mshr.ackFrom = 0;
+                    }
+                }
             }
             AMsg r = mk(MsgType::FwdReply,
                         static_cast<std::uint8_t>(n), m.req);
@@ -1704,6 +1785,11 @@ class Search : public Proto
                         {kActDup, l8, static_cast<std::uint8_t>(i)});
             }
         }
+        // AGG home failover: one more fault under the line's budget, at
+        // most once per line, at any point before the line retires.
+        if (cfg_.arch == ArchKind::Agg && L.faultsLeft > 0 &&
+            L.failover == kNoFailover && !lineRetired(w, li))
+            out.push_back({kActFailover, l8, 0});
     }
 
     static bool
@@ -1749,6 +1835,8 @@ class Search : public Proto
     deliverable(const LineSt &L, int li, int i) const
     {
         const AMsg &m = L.msgs[i];
+        if (m.dst == kHomeEp && L.failover == kFailoverDraining)
+            return false;
         for (int j = 0; j < i; ++j) {
             if (nodeOf(L.msgs[j].src, li) == nodeOf(m.src, li) &&
                 nodeOf(L.msgs[j].dst, li) == nodeOf(m.dst, li))
@@ -1808,7 +1896,11 @@ class Search : public Proto
             --w.line[a.line].faultsLeft;
             deliver(w, a.line, a.a, true);
             break;
+          case kActFailover:
+            failOver(w, a.line);
+            break;
         }
+        endDraining(w.line[a.line]);
         checkLineInvariants(w, a.line);
         // A line that just retired (quiescent, all budgets spent) is
         // validated against the terminal invariants immediately and
@@ -1818,6 +1910,20 @@ class Search : public Proto
         // number of per-line outcomes (lines share no state).
         if (lineRetired(w, a.line))
             checkLineTerminal(w, a.line);
+    }
+
+    /** The adopting home starts serving once only home-bound
+     *  messages are left in flight on the line. */
+    static void
+    endDraining(LineSt &L)
+    {
+        if (L.failover != kFailoverDraining)
+            return;
+        for (int i = 0; i < L.nMsgs; ++i) {
+            if (L.msgs[i].dst != kHomeEp)
+                return;
+        }
+        L.failover = kFailoverDone;
     }
 
     void
@@ -1934,14 +2040,18 @@ class Search : public Proto
         {
             // Each store serializes exactly once, except that a
             // scrubbed write retry is legitimately re-served (the
-            // voided first grant still consumed a version number).
-            if (L.gver != L.wIssued + L.regrants)
+            // voided first grant still consumed a version number), and
+            // after a failover so may be a write whose grant was lost.
+            const int counted = L.wIssued + L.regrants;
+            if (L.gver < counted || L.gver > counted + L.voidable)
                 fail("write serialization mismatch on line " +
                      std::to_string(li) + ": " +
                      std::to_string(static_cast<int>(L.wIssued)) +
                      " write transactions issued (+" +
                      std::to_string(static_cast<int>(L.regrants)) +
-                     " re-serialized) but gver is " +
+                     " re-serialized, up to " +
+                     std::to_string(static_cast<int>(L.voidable)) +
+                     " more after failover) but gver is " +
                      std::to_string(static_cast<int>(L.gver)));
             for (int n = 0; n < cfg_.nodes; ++n) {
                 const NodeLine &c = L.n[n];
@@ -2156,7 +2266,9 @@ class Search : public Proto
             put(L.gver);
             put(L.wIssued);
             put(L.regrants);
+            put(L.voidable);
             put(L.faultsLeft);
+            put(L.failover);
         }
         std::uint64_t h = 0x84222325cbf29ce4ull ^
                           (len_ * 0x9e3779b97f4a7c15ull);
@@ -2183,13 +2295,13 @@ class Search : public Proto
     annotate(const World &w, const Act &a) const
     {
         using K = SpecTraceStep::Kind;
-        // Indexed by act kind (kActRead .. kActDup).
+        // Indexed by act kind (kActRead .. kActFailover).
         static constexpr K kKinds[] = {K::Read,  K::Write,   K::Evict,
                                        K::Retry, K::Deliver, K::Drop,
-                                       K::Dup};
+                                       K::Dup,   K::Failover};
         static constexpr const char *kVerbs[] = {
             " read", " write", " evict", " forced retry",
-            "deliver ", "drop ", "dup "};
+            "deliver ", "drop ", "dup ", "home failover"};
         SpecTraceStep s;
         s.line = a.line;
         s.kind = kKinds[a.kind];
@@ -2198,12 +2310,27 @@ class Search : public Proto
         if (a.kind < kActDeliver) {
             s.node = a.a;
             s.text = nodeName(a.a) + kVerbs[a.kind] + ln;
+        } else if (a.kind == kActFailover) {
+            s.text = kVerbs[a.kind] + ln;
         } else {
             const AMsg &m = w.line[a.line].msgs[a.a];
             s.msg = static_cast<MsgType>(m.type);
+            s.src = endpoint(m.src);
+            s.dst = endpoint(m.dst);
             s.text = kVerbs[a.kind] + renderMsg(m) + ln;
         }
         return s;
+    }
+
+    /** A message endpoint as a trace step names it. */
+    static int
+    endpoint(std::uint8_t id)
+    {
+        if (id == kHomeEp)
+            return SpecTraceStep::kHome;
+        if (id == kDeadHomeEp)
+            return SpecTraceStep::kFailedHome;
+        return id;
     }
 
     SpecExplorerResult
@@ -2251,8 +2378,7 @@ class Search : public Proto
                 return violated(res, v, path, &step);
             }
             ++res.transitions;
-            if (a.kind == kActDrop || a.kind == kActDup)
-                ++res.faultTransitions;
+            countFault(res, a);
             // Sample completed traces BEFORE dedup: retired-line
             // collapse merges every clean terminal into one visited
             // state, so sampling only at first visit would yield a
@@ -2347,8 +2473,7 @@ class Search : public Proto
                     return violated(res, v, cur.path, &step);
                 }
                 ++res.transitions;
-                if (a.kind == kActDrop || a.kind == kActDup)
-                    ++res.faultTransitions;
+                countFault(res, a);
                 const std::uint64_t fp = fingerprint(w2);
                 if (visited.count(fp) != 0) {
                     ++res.revisits;
@@ -2373,6 +2498,15 @@ class Search : public Proto
     }
 
   private:
+    static void
+    countFault(SpecExplorerResult &res, const Act &a)
+    {
+        if (a.kind >= kActDrop)
+            ++res.faultTransitions;
+        if (a.kind == kActFailover)
+            ++res.failovers;
+    }
+
     void
     finish(SpecExplorerResult &res) const
     {
@@ -2431,48 +2565,77 @@ SpecExplorer::run()
 
 // ----------------------------------------------------------------------
 // Conformance sampling: replay sampled spec traces through the real
-// Machine on the model-check harness (check/explorer.hh).
+// Machine on the model-check harness (check/model_check_run.hh).
 // ----------------------------------------------------------------------
 
 namespace
 {
 
-/** The live queue head a trace delivery/fault event names, matched by
- *  (message type, line). The real machine's traffic is a superset of
- *  the abstract model's (it also has e.g. timing-only flows), and fault
- *  recovery can diverge in detail, so a step may have no match. */
-const ModelCheckRun::QueueKey *
-matchHead(const ModelCheckRun &run, const SpecTraceStep &s)
+/** The home the model gives each line: line i's co-located COMA/NUMA
+ *  home on node i % nodes; its AGG home on D-node i + 1 (D-node 0 is
+ *  the failover spare). */
+std::vector<NodeId>
+modelHomes(const SpecExplorerConfig &cfg, const Machine &m)
 {
-    const Addr line = modelCheckLine(s.line);
-    for (const auto &[key, q] : run.queues()) {
-        if (!q.empty() && q.front().type == s.msg &&
-            q.front().lineAddr == line)
-            return &key;
+    const std::vector<NodeId> nodes = cfg.arch == ArchKind::Agg
+                                          ? m.directoryNodes()
+                                          : m.computeNodes();
+    std::vector<NodeId> homes;
+    for (int li = 0; li < cfg.lines; ++li) {
+        homes.push_back(cfg.arch == ArchKind::Agg
+                            ? nodes.at(static_cast<std::size_t>(li + 1))
+                            : nodes.at(static_cast<std::size_t>(
+                                  li % cfg.nodes)));
     }
-    return nullptr;
+    return homes;
 }
 
-/** Replay one trace against one fresh machine: accesses and retries
- *  run as scripted, delivery/fault events take their matching queue
+/** The queue a trace delivery/fault event names, if its head is the
+ *  step's message: (type, line) at the head of the exact (src, dst)
+ *  pair. The real machine's traffic is a superset of the abstract
+ *  model's (it also has e.g. timing-only flows), and fault recovery
+ *  can diverge in detail, so a step may have no match. */
+std::optional<ModelCheckRun::QueueKey>
+matchHead(const ModelCheckRun &run, const std::vector<NodeId> &computes,
+          NodeId home, NodeId failedHome, const SpecTraceStep &s)
+{
+    const Addr line = modelCheckLine(s.line);
+    const auto node = [&](int ep) {
+        if (ep == SpecTraceStep::kHome)
+            return home;
+        if (ep == SpecTraceStep::kFailedHome)
+            return failedHome;
+        return computes.at(static_cast<std::size_t>(ep));
+    };
+    const ModelCheckRun::QueueKey key{node(s.src), node(s.dst)};
+    const auto q = run.queues().find(key);
+    if (q == run.queues().end() || q->second.empty() ||
+        q->second.front().type != s.msg ||
+        q->second.front().lineAddr != line)
+        return std::nullopt;
+    return key;
+}
+
+/** Replay one trace against one fresh machine: accesses, retries and
+ *  failovers run as scripted, delivery/fault events take their queue's
  *  head (an unmatched one is skipped and counted — the terminal checks
- *  are the bar), and the DFS's default tail drains the rest. */
+ *  are the bar), and the default tail drains the rest. */
 void
 replayTrace(const SpecExplorerConfig &cfg, const SpecTrace &tr,
             SpecConformanceResult &sum)
 {
-    ModelCheckRun run(modelCheckMachine(cfg.arch, cfg.nodes, 1),
-                      cfg.faults > 0);
+    const bool agg = cfg.arch == ArchKind::Agg;
+    ModelCheckRun run(
+        modelCheckMachine(cfg.arch, cfg.nodes, agg ? cfg.lines + 1 : 0),
+        cfg.faults > 0);
     Machine &m = run.machine();
     const std::vector<NodeId> computes = m.computeNodes();
-    // Place each co-located home where the model has it, on node
-    // line % nodes, instead of at the line's first toucher.
-    if (cfg.arch != ArchKind::Agg) {
-        for (int li = 0; li < cfg.lines; ++li)
-            m.pageMap().assign(
-                modelCheckLine(li),
-                computes.at(static_cast<std::size_t>(li % cfg.nodes)));
-    }
+    // Place each home where the model has it, instead of at the line's
+    // first toucher (COMA/NUMA) or the next D-node in turn (AGG).
+    const std::vector<NodeId> homes = modelHomes(cfg, m);
+    for (int li = 0; li < cfg.lines; ++li)
+        m.pageMap().assign(modelCheckLine(li),
+                           homes[static_cast<std::size_t>(li)]);
     run.traced([&] {
         for (const SpecTraceStep &s : tr) {
             switch (s.kind) {
@@ -2491,10 +2654,19 @@ replayTrace(const SpecExplorerConfig &cfg, const SpecTrace &tr,
               case SpecTraceStep::Kind::Evict:
                 panic("conformance replay got an Evict step; sample "
                       "traces from an evicts == 0 exploration");
+              case SpecTraceStep::Kind::Failover: {
+                // The line's own D-node dies; the page remaps onto the
+                // spare, the lowest surviving D-node.
+                run.failOver(homes.at(static_cast<std::size_t>(s.line)));
+                break;
+              }
               case SpecTraceStep::Kind::Deliver:
               case SpecTraceStep::Kind::Drop:
               case SpecTraceStep::Kind::Dup: {
-                const ModelCheckRun::QueueKey *q = matchHead(run, s);
+                const auto q = matchHead(
+                    run, computes,
+                    m.pageMap().homeOf(modelCheckLine(s.line)),
+                    homes.at(static_cast<std::size_t>(s.line)), s);
                 if (!q) {
                     ++sum.missedSteps;
                     break;

@@ -20,13 +20,14 @@
  * model's per-line independence: only the lowest-numbered line with
  * enabled transitions is expanded at each state (an ample set; see
  * docs/model-checking.md for the commutation argument). Fault
- * injection (drop/dup, per the fault taxonomy's message classes) is
- * folded into the transition relation under a per-line budget, and a
- * stalled node may force a retry whenever its line has drained.
+ * injection (drop/dup, per the fault taxonomy's message classes, and
+ * for AGG one failover of the line's home D-node) is folded into the
+ * transition relation under a per-line budget, and a stalled node may
+ * force a retry whenever its line has drained.
  *
  * A conformance-sampling mode replays a random sample of explored
  * terminal traces through the real Machine on the model-check harness
- * (ModelCheckRun, check/explorer.hh: send interception + direct
+ * (ModelCheckRun, check/model_check_run.hh: send interception + direct
  * delivery + the full terminal check), tying the abstract model back
  * to the implementation.
  */
@@ -78,7 +79,9 @@ struct SpecExplorerConfig
     int reads = 1;
     int writes = 1;
     int evicts = 1;
-    /** Drop/dup fault events per line (0 = fault-free). */
+    /** Fault events per line (0 = fault-free): drops and dups of
+     *  in-flight messages and, for AGG, at most one failover of the
+     *  line's home D-node (failOverDNode). */
     int faults = 1;
     SpecMutation mutation = SpecMutation::None;
     /** Breadth-first search: shortest counterexamples (mutation
@@ -102,13 +105,21 @@ struct SpecTraceStep
         Drop,
         Dup,
         Retry,
+        Failover, ///< the line's AGG home D-node fails over
     };
+    /** Message endpoints that are not compute nodes. */
+    static constexpr int kHome = -1;       ///< the line's home
+    static constexpr int kFailedHome = -2; ///< its home before failover
+
     Kind kind = Kind::Read;
     int line = 0;
-    /** Issuing/evicting/retrying compute node (-1 for deliveries). */
+    /** Issuing/evicting/retrying compute node (-1 for the others). */
     int node = -1;
-    /** Deliver/Drop/Dup: the message type acted on. */
+    /** Deliver/Drop/Dup: the message type acted on and its endpoints
+     *  (compute node ids, kHome or kFailedHome). */
     MsgType msg = MsgType::ReadReq;
+    int src = kHome;
+    int dst = kHome;
     /** Human-readable rendering ("deliver ReadReply home->n1 ..."). */
     std::string text;
 };
@@ -121,7 +132,8 @@ struct SpecExplorerResult
     std::uint64_t transitions = 0; ///< edges executed
     std::uint64_t revisits = 0;    ///< edges into already-seen states
     std::uint64_t porPruned = 0;   ///< enabled transitions deferred by POR
-    std::uint64_t faultTransitions = 0; ///< drop/dup edges
+    std::uint64_t faultTransitions = 0; ///< drop/dup/failover edges
+    std::uint64_t failovers = 0;   ///< home failover edges (AGG)
     std::uint64_t terminals = 0;   ///< quiescent budget-exhausted states
     std::uint64_t rowChecks = 0;   ///< spec-row contract checks performed
     std::uint64_t maxDepth = 0;    ///< deepest path explored
@@ -159,18 +171,19 @@ struct SpecConformanceResult
 };
 
 /**
- * Replay @p traces through a real Machine of @p cfg's organization
- * (each COMA/NUMA line homed on node line % nodes, as in the model):
- * scripted accesses are issued in trace order and message deliveries
- * (plus injected drops/dups) are scheduled to follow the trace's
- * interleaving where the real machine offers a matching choice. Every
- * run is drained with the DFS explorer's default tail and must pass
- * ModelCheckRun's terminal checks (machine invariants, quiescent
- * coherence scan, sequential version reference, zero oracle
- * violations); any failure panics. Traces with
- * evictions are rejected (the real machine's evictions are
- * capacity-driven and cannot be scripted) — sample from an
- * evicts == 0 exploration.
+ * Replay @p traces through a real Machine of @p cfg's organization:
+ * each COMA/NUMA line is homed on node line % nodes, as in the model;
+ * an AGG machine gets lines + 1 D-nodes, line i homed on D-node i + 1,
+ * so the lowest D-node is the spare every failover remaps onto.
+ * Scripted accesses and failovers are issued in trace order, and each
+ * delivery, drop or dup takes the head of the exact (src, dst) queue
+ * the step names when that head matches its type and line. Every run
+ * is drained with ModelCheckRun's default tail and must pass its
+ * terminal checks (machine invariants, quiescent coherence scan,
+ * sequential version reference, zero oracle violations); any failure
+ * panics. Traces with evictions are rejected (the real machine's
+ * evictions are capacity-driven and cannot be scripted) — sample from
+ * an evicts == 0 exploration.
  */
 SpecConformanceResult
 replaySpecTraces(const SpecExplorerConfig &cfg,

@@ -98,7 +98,7 @@ class Machine : public ProtoContext
     CoherenceOracle &oracle() { return oracle_; }
     const CoherenceOracle &oracle() const { return oracle_; }
 
-    // --- model-check harness hooks (ModelCheckRun, check/explorer.hh) ---
+    // --- model-check harness hooks (check/model_check_run.hh) ---
     /**
      * Intercept every outgoing message after the dead-source filter
      * but before mesh scheduling. Return true to take custody (the

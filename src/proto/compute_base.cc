@@ -657,6 +657,15 @@ ComputeBase::handleFwd(const Message &msg)
         ctx_.stats().add("compute.fwd_from_wb_buffer");
     }
 
+    if (faultsOn_ && msg.version < data_version) {
+        // A forward older than our copy belongs to a transaction the
+        // directory has since superseded (one a failed-over home
+        // started, parked here until our own grant landed): serving
+        // it would give the line away from under the newer grant.
+        ctx_.stats().add("fault.fwd_superseded_dropped");
+        return;
+    }
+
     if (live && msg.fwdKind == FwdKind::Read && msg.version > data_version) {
         if (Mshr *m = mshrs_.find(line)) {
             // The directory stamped a version ahead of our copy while
@@ -711,6 +720,12 @@ ComputeBase::handleFwd(const Message &msg)
             if (m && msg.version > m->supersededVer) {
                 m->supersededVer = msg.version;
                 ctx_.stats().add("fault.grant_superseded");
+                // Acks gathered for a grant we never received are void
+                // with it: a re-served grant names its own invals.
+                if (!m->replyArrived) {
+                    m->acksReceived = 0;
+                    m->ackFrom = 0;
+                }
             }
         }
         reply.version = msg.version; // the new write generation

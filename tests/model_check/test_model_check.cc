@@ -1,14 +1,14 @@
 /**
  * @file
- * Protocol model checking: exhaustively explore message-delivery
- * orderings (plus single injected faults) of tiny scripted workloads,
- * asserting coherence, quiescence, and the sequential version
- * reference on every schedule (see src/check/explorer.hh).
+ * Scripted real-machine regressions: hand-written schedules, found by
+ * the spec explorer, played on the model-check harness with its full
+ * terminal check (coherence, quiescence and the sequential version
+ * reference; see src/check/model_check_run.hh).
  */
 
 #include <gtest/gtest.h>
 
-#include "check/explorer.hh"
+#include "check/model_check_run.hh"
 #include "sim/log.hh"
 
 namespace pimdsm
@@ -17,150 +17,36 @@ namespace
 {
 
 const Addr kLine = modelCheckLine(0);
-const Addr kOtherLine = modelCheckLine(1); // different page
 
-ExplorerConfig
-twoWriterConflict(ArchKind arch, int p, int d)
-{
-    ExplorerConfig ec;
-    ec.machine = modelCheckMachine(arch, p, d);
-    ec.accesses = {
-        {0, kLine, true},
-        {1, kLine, true},
-        {0, kLine, false},
-        {1, kLine, false},
-    };
-    return ec;
-}
+// Hand-scripted schedules, each found by pimdsm-speccheck --nodes 3
+// --lines 1 --faults 2 and played on the real machine. Each delivery,
+// drop or dup acts on the head of the exact (src, dst) queue and must
+// find the expected message type there.
 
-// ------------------------------------------- pure delivery reordering
-
-TEST(ModelCheck, AggTwoWritersEveryOrderingIsCoherent)
-{
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Agg, 2, 1);
-    ec.maxSchedules = 20000;
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 2u);
-    EXPECT_GT(res.decisions, res.schedules);
-    EXPECT_EQ(res.faultSchedules, 0u);
-    // Stateless-DFS accounting: every decision is either a first visit
-    // or a prefix re-execution, and with > 1 schedule the backtrack
-    // replay cost must show up.
-    EXPECT_EQ(res.decisions, res.visited + res.reExecuted);
-    EXPECT_GT(res.visited, 0u);
-    EXPECT_GT(res.reExecuted, 0u);
-}
-
-TEST(ModelCheck, NumaTwoWritersEveryOrderingIsCoherent)
-{
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Numa, 2, 0);
-    ec.maxSchedules = 20000;
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 2u);
-}
-
-TEST(ModelCheck, ComaTwoWritersEveryOrderingIsCoherent)
-{
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Coma, 2, 0);
-    ec.maxSchedules = 20000;
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 2u);
-}
-
-TEST(ModelCheck, FalseSharingTwoLinesStaysCoherent)
-{
-    ExplorerConfig ec;
-    ec.machine = modelCheckMachine(ArchKind::Agg, 2, 1);
-    ec.accesses = {
-        {0, kLine, true},
-        {1, kOtherLine, true},
-        {0, kOtherLine, false},
-        {1, kLine, false},
-    };
-    // A bounded sample, not a proof: two lines' traffic interleaves
-    // into a tree far past the schedule cap. The exhaustive two-line
-    // coverage is the spec checker's 3-node x 2-line sweep, whose
-    // partial-order reduction collapses independent-line interleavings
-    // (docs/model-checking.md).
-    ec.maxSchedules = 20000;
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_TRUE(res.truncated);
-    EXPECT_EQ(res.schedules, 20000u);
-}
-
-// ----------------------------------------- one drop or one duplicate
-
-TEST(ModelCheck, AggDropDupExploresOverAThousandSchedules)
-{
-    // The acceptance bar from the issue: >= 1000 distinct schedules on
-    // a two-requester single-line conflict, zero violations. Budget 2
-    // explores fault *pairs* (e.g. a dropped reply plus a dropped
-    // retry), which is where the schedule count comes from: home-side
-    // serialization keeps pure delivery reorderings of one line small.
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Agg, 2, 1);
-    ec.faultMode = ExplorerFaultMode::DropDup;
-    ec.faultBudget = 2;
-    ec.maxSchedules = 100000;
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 1000u);
-    EXPECT_GT(res.faultSchedules, 0u);
-    // Fault-free baselines are part of the same tree.
-    EXPECT_LT(res.faultSchedules, res.schedules);
-    EXPECT_EQ(res.decisions, res.visited + res.reExecuted);
-    // On a deep tree the replay overhead dominates fresh visits —
-    // exactly the cost the spec-level checker's visited-set dedup
-    // avoids (docs/model-checking.md).
-    EXPECT_GT(res.reExecuted, res.visited);
-}
-
-TEST(ModelCheck, NumaDropDupStaysCoherent)
-{
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Numa, 2, 0);
-    ec.faultMode = ExplorerFaultMode::DropDup;
-    ec.maxSchedules = 10000;
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 50u);
-    EXPECT_GT(res.faultSchedules, 0u);
-}
-
-// ---------------------------------- a duplicated retry after a scrub
-//
-// Hand-scripted NUMA schedules on three nodes, found by
-// pimdsm-speccheck --arch numa --nodes 3 --lines 1 --faults 2. Line 0's
-// home is node 0, so a step naming node 0 as an endpoint may mean the
-// home. Each delivery, drop or dup acts on the head of the exact
-// (src, dst) queue and must find the expected message type there.
-
-enum ScriptKind { Read, Write, Retry, Deliver, Drop, Dup };
+enum ScriptKind { Read, Write, Retry, Deliver, Drop, Dup, Failover };
 
 struct ScriptStep
 {
     ScriptKind kind;
-    NodeId src; ///< the accessing/retrying node for Read/Write/Retry
+    /** The accessing/retrying node for Read/Write/Retry; the D-node
+     *  that dies for Failover. */
+    NodeId src;
     NodeId dst;
     MsgType type;
 };
 
 constexpr MsgType R = MsgType::ReadReq, RR = MsgType::ReadReply,
+                  X = MsgType::ReadExReq, XR = MsgType::ReadExReply,
                   U = MsgType::UpgradeReq, UR = MsgType::UpgradeReply,
                   F = MsgType::Fwd, FR = MsgType::FwdReply,
                   TD = MsgType::TxnDone, I = MsgType::Inval,
                   IA = MsgType::InvalAck, OH = MsgType::OwnerToHome;
 
-/** Play @p script on a three-node NUMA model-check run whose line 0
- *  is homed on node 0, then drain it with the default tail and the
- *  full terminal check. */
+/** Play @p script on @p run, then drain it with the default tail and
+ *  the full terminal check. */
 void
-playNumaScript(const std::vector<ScriptStep> &script)
+playScript(ModelCheckRun &run, const std::vector<ScriptStep> &script)
 {
-    ModelCheckRun run(modelCheckMachine(ArchKind::Numa, 3, 1), true);
-    run.machine().pageMap().assign(kLine, 0);
     const auto play = [&] {
         for (const ScriptStep &s : script) {
             if (s.kind == Read || s.kind == Write) {
@@ -172,6 +58,10 @@ playNumaScript(const std::vector<ScriptStep> &script)
                 run.machine().compute(s.src)->retryStalledTransactions(
                     true);
                 run.settle();
+                continue;
+            }
+            if (s.kind == Failover) {
+                run.failOver(s.src);
                 continue;
             }
             const auto q = run.queues().find({s.src, s.dst});
@@ -191,6 +81,19 @@ playNumaScript(const std::vector<ScriptStep> &script)
         run.finish();
     };
     EXPECT_NO_THROW(run.traced(play));
+}
+
+// ---------------------------------- a duplicated retry after a scrub
+//
+// NUMA on three nodes; line 0's home is node 0, so a step naming node
+// 0 as an endpoint may mean the home.
+
+void
+playNumaScript(const std::vector<ScriptStep> &script)
+{
+    ModelCheckRun run(modelCheckMachine(ArchKind::Numa, 3, 1), true);
+    run.machine().pageMap().assign(kLine, 0);
+    playScript(run, script);
 }
 
 TEST(ModelCheck, NumaDuplicatedReplayedRetryGrantsNothing)
@@ -238,42 +141,37 @@ TEST(ModelCheck, NumaDuplicatedFreshRetryGrantsNothing)
     });
 }
 
-// --------------------------------------------- one D-node fail-stop
+// ------------------------------- a D-node failover after a lost grant
+//
+// AGG with P-nodes 0-2 and D-nodes 3 and 4; line 0 is homed on D-node
+// 4, so its failover re-homes the line on the spare, D-node 3.
 
-TEST(ModelCheck, AggDNodeDeathAtEveryPointRecovers)
+void
+playAggScript(const std::vector<ScriptStep> &script)
 {
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Agg, 2, 2);
-    ec.faultMode = ExplorerFaultMode::Death;
-    ec.maxSchedules = 4000;
-    // Failover drops home data; the quiescent scan still passes because
-    // paged-out entries are exempt from the home-copy check.
-    Explorer ex(std::move(ec));
-    const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 10u);
-    EXPECT_GT(res.faultSchedules, 0u);
+    ModelCheckRun run(modelCheckMachine(ArchKind::Agg, 3, 2), true);
+    ASSERT_EQ(run.machine().directoryNodes(),
+              (std::vector<NodeId>{3, 4}));
+    run.machine().pageMap().assign(kLine, 4);
+    playScript(run, script);
 }
 
-// ------------------------------------------------- config validation
-
-TEST(ModelCheck, RejectsEmptyScript)
+TEST(ModelCheck, AggFailoverDropsASupersededForward)
 {
-    ExplorerConfig ec;
-    ec.machine = modelCheckMachine(ArchKind::Agg, 2, 1);
-    EXPECT_THROW(Explorer{std::move(ec)}, FatalError);
-}
-
-TEST(ModelCheck, RejectsDeathModeWithoutFailoverSurvivor)
-{
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Agg, 2, 1);
-    ec.faultMode = ExplorerFaultMode::Death;
-    EXPECT_THROW(Explorer{std::move(ec)}, FatalError);
-}
-
-TEST(ModelCheck, RejectsAccessOutsideTheMachine)
-{
-    ExplorerConfig ec = twoWriterConflict(ArchKind::Agg, 2, 1);
-    ec.accesses.push_back({17, kLine, false});
-    EXPECT_THROW(Explorer{std::move(ec)}, FatalError);
+    // n1's write grant is lost and n0's read is forwarded to n1, which
+    // parks it until its own grant lands. The home fails over; n1's
+    // retry is re-served at the spare as version 2, and n1 used to
+    // replay the parked version-1 forward on completion, handing n0 a
+    // Shared copy the new directory never recorded (then n2's write
+    // left n0 holding it beside a Dirty copy). A forward older than
+    // the node's copy is now dropped; n0's retry re-reads.
+    playAggScript({
+        {Read, 0, 0, R},     {Write, 1, 0, X},    {Deliver, 1, 4, X},
+        {Deliver, 0, 4, R},  {Drop, 4, 1, XR},    {Deliver, 4, 1, F},
+        {Failover, 4, 0, F}, {Retry, 1, 0, X},    {Write, 2, 0, X},
+        {Deliver, 1, 3, X},  {Deliver, 2, 3, X},  {Deliver, 3, 0, I},
+        {Deliver, 3, 1, XR}, {Deliver, 0, 1, IA}, {Deliver, 1, 3, TD},
+    });
 }
 
 } // namespace

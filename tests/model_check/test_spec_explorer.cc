@@ -59,13 +59,19 @@ TEST_P(SpecExplorerPerArch, SingleFaultSweepFindsNoViolation)
     EXPECT_FALSE(res.violation) << res.violationText;
     EXPECT_FALSE(res.truncated);
     EXPECT_GT(res.faultTransitions, 0u);
+    // An AGG line's one fault may be its home D-node's failover.
+    if (GetParam() == ArchKind::Agg)
+        EXPECT_GT(res.failovers, 0u);
+    else
+        EXPECT_EQ(res.failovers, 0u);
 }
 
 TEST_P(SpecExplorerPerArch, FaultPairSweepIsClean)
 {
-    // Two drops/dups per line, with forced retries unbounded: the
-    // model orders a co-located home's traffic with its node's, as
-    // the machine does, so every reachable state must be clean.
+    // Two faults per line (drops, dups and, for AGG, one home
+    // failover), with forced retries unbounded: the model orders a
+    // co-located home's traffic with its node's, as the machine does,
+    // so every reachable state must be clean.
     SpecExplorerConfig cfg = smallCfg(GetParam());
     cfg.evicts = 0;
     cfg.faults = 2;
@@ -73,7 +79,11 @@ TEST_P(SpecExplorerPerArch, FaultPairSweepIsClean)
     const SpecExplorerResult res = ex.run();
     EXPECT_FALSE(res.violation) << res.violationText;
     EXPECT_FALSE(res.truncated);
-    EXPECT_GT(res.faultTransitions, 0u);
+    EXPECT_GT(res.faultTransitions, res.failovers);
+    if (GetParam() == ArchKind::Agg)
+        EXPECT_GT(res.failovers, 0u);
+    else
+        EXPECT_EQ(res.failovers, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchs, SpecExplorerPerArch,
@@ -182,7 +192,8 @@ TEST_P(SpecConformancePerArch, SampledTracesReplayOnTheRealMachine)
     // Sample from an eviction-free, fault-pair exploration (real
     // evictions are capacity-driven and cannot be scripted) and drive
     // each trace through a real Machine with the oracle armed; any
-    // divergence panics inside replaySpecTraces.
+    // divergence panics inside replaySpecTraces. AGG samples include
+    // home failovers, replayed as failOverDNode on the line's D-node.
     SpecExplorerConfig cfg;
     cfg.arch = GetParam();
     cfg.nodes = 2;
@@ -195,7 +206,22 @@ TEST_P(SpecConformancePerArch, SampledTracesReplayOnTheRealMachine)
     ASSERT_FALSE(res.violation) << res.violationText;
     ASSERT_GE(res.sampled.size(), 100u);
 
-    const SpecConformanceResult cr = replaySpecTraces(cfg, res.sampled);
+    int withFailover = 0;
+    for (const SpecTrace &tr : res.sampled) {
+        for (const SpecTraceStep &s : tr) {
+            if (s.kind == SpecTraceStep::Kind::Failover) {
+                ++withFailover;
+                break;
+            }
+        }
+    }
+    if (GetParam() == ArchKind::Agg)
+        EXPECT_GT(withFailover, 0);
+    else
+        EXPECT_EQ(withFailover, 0);
+
+    SpecConformanceResult cr;
+    EXPECT_NO_THROW(cr = replaySpecTraces(cfg, res.sampled));
     EXPECT_EQ(cr.replayed, static_cast<int>(res.sampled.size()));
     EXPECT_GT(cr.guidedSteps, 0u);
     EXPECT_GT(cr.deliveries, 0u);

@@ -168,7 +168,7 @@ TEST(JsonReader, ReadsTheCommittedArtifacts)
         parseCommitted("tests/model_check/speccheck_baseline.json");
     EXPECT_EQ(spec.number<int>("nodes"), 3);
     EXPECT_EQ(spec.number<std::uint64_t>("archs.numa.states"), 560087u);
-    EXPECT_EQ(spec.number<std::uint64_t>("archs.agg.states"), 496721u);
+    EXPECT_EQ(spec.number<std::uint64_t>("archs.agg.states"), 1089335u);
     EXPECT_EQ(spec.boolean("archs.coma.truncated"), false);
 
     const JsonDoc quick = parseCommitted("BENCH_selfperf_quick.json");

@@ -36,6 +36,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "machine/builder.hh"
@@ -630,11 +631,19 @@ parseRepro(std::istream &in, Outcome *expect)
                 std::istringstream cs(kv["cut"]);
                 std::string part;
                 while (std::getline(cs, part, ';')) {
-                    LinkRef l;
-                    if (std::sscanf(part.c_str(), "%d,%d,%d", &l.x,
-                                    &l.y, &l.dir) != 3)
+                    // "x,y,dir": three whole numbers, nothing else.
+                    const std::string_view e = part;
+                    const auto c1 = e.find(',');
+                    const auto c2 = c1 == e.npos ? c1 : e.find(',', c1 + 1);
+                    std::optional<int> x, y, dir;
+                    if (c2 != e.npos) {
+                        x = parseNumber<int>(e.substr(0, c1));
+                        y = parseNumber<int>(e.substr(c1 + 1, c2 - c1 - 1));
+                        dir = parseNumber<int>(e.substr(c2 + 1));
+                    }
+                    if (!x || !y || !dir)
                         parseFail("bad cut element '" + part + "'");
-                    f.links.push_back(l);
+                    f.links.push_back(LinkRef{*x, *y, *dir});
                 }
             }
             sc.events.push_back(std::move(ev));

@@ -84,11 +84,16 @@ main(int argc, char **argv)
     std::string jsonPath;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--md" && i + 1 < argc) {
+        if ((arg == "--md" || arg == "--dot" || arg == "--json") &&
+            i + 1 >= argc) {
+            std::cerr << "protocheck: " << arg << " needs a value\n";
+            return 2;
+        }
+        if (arg == "--md") {
             mdPath = argv[++i];
-        } else if (arg == "--dot" && i + 1 < argc) {
+        } else if (arg == "--dot") {
             dotPath = argv[++i];
-        } else if (arg == "--json" && i + 1 < argc) {
+        } else if (arg == "--json") {
             jsonPath = argv[++i];
         } else if (arg == "-h" || arg == "--help") {
             std::cout << "usage: pimdsm-protocheck [--md PATH] "

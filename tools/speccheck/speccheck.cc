@@ -5,8 +5,9 @@
  *
  * Explores the abstract operational model of each organization's
  * coherence protocol to fixpoint — symmetry-reduced state hashing,
- * per-line partial-order reduction, optional drop/dup fault injection —
- * and checks every reachable state against the declarative
+ * per-line partial-order reduction, optional fault injection (--faults
+ * per line: drops and dups and, for AGG, one failover of the line's
+ * home D-node) — and checks every reachable state against the declarative
  * ProtocolSpec plus the SWMR/version/owner/deadlock safety properties:
  *
  *   pimdsm-speccheck [--arch agg|coma|numa|all] [--nodes N] [--lines N]
@@ -51,17 +52,25 @@ usageError(const std::string &why)
     std::exit(2);
 }
 
+/** The value of flag argv[i], advancing i past it. */
+std::string
+strArg(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        usageError(std::string(argv[i]) + " needs a value");
+    return argv[++i];
+}
+
 /** The value of flag argv[i] (advancing i past it) as a T. */
 template <typename T>
 T
 numArg(int argc, char **argv, int &i)
 {
     const std::string flag = argv[i];
-    if (i + 1 >= argc)
-        usageError(flag + " needs a value");
-    const std::optional<T> v = parseNumber<T>(argv[++i]);
+    const std::string text = strArg(argc, argv, i);
+    const std::optional<T> v = parseNumber<T>(text);
     if (!v)
-        usageError("bad value '" + std::string(argv[i]) + "' for " + flag);
+        usageError("bad value '" + text + "' for " + flag);
     return *v;
 }
 
@@ -111,8 +120,8 @@ main(int argc, char **argv)
     auto intArg = [&](int &i) { return numArg<int>(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--arch" && i + 1 < argc) {
-            const std::string a = argv[++i];
+        if (arg == "--arch") {
+            const std::string a = strArg(argc, argv, i);
             archs.clear();
             for (ArchKind k : all) {
                 if (a == "all" || a == archKey(k))
@@ -138,10 +147,10 @@ main(int argc, char **argv)
             base.maxStates = numArg<std::uint64_t>(argc, argv, i);
         } else if (arg == "--conformance") {
             conformance = intArg(i);
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baselinePath = argv[++i];
+        } else if (arg == "--json") {
+            jsonPath = strArg(argc, argv, i);
+        } else if (arg == "--baseline") {
+            baselinePath = strArg(argc, argv, i);
         } else if (arg == "--drift") {
             drift = numArg<double>(argc, argv, i);
         } else if (arg == "-h" || arg == "--help") {
@@ -150,7 +159,10 @@ main(int argc, char **argv)
                    "  [--nodes N] [--lines N] [--reads N] [--writes N]\n"
                    "  [--evicts N] [--faults N] [--max-states N]\n"
                    "  [--json PATH] [--baseline PATH] [--drift F]\n"
-                   "  [--conformance N]\n";
+                   "  [--conformance N]\n"
+                   "--faults N: faults per line: drops and dups of\n"
+                   "  messages and, for AGG, one failover of the\n"
+                   "  line's home D-node\n";
             return 0;
         } else {
             std::cerr << "speccheck: unknown argument '" << arg
@@ -186,7 +198,10 @@ main(int argc, char **argv)
                   << res.transitions << " transitions, "
                   << res.revisits << " revisits, " << res.porPruned
                   << " POR-pruned, " << res.faultTransitions
-                  << " fault edges, " << res.terminals
+                  << " fault edges";
+        if (res.failovers > 0)
+            std::cout << " (" << res.failovers << " failovers)";
+        std::cout << ", " << res.terminals
                   << " terminals, " << res.rowChecks
                   << " spec-row checks, depth " << res.maxDepth
                   << (res.truncated ? " [TRUNCATED]" : "") << "\n";
