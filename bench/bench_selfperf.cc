@@ -15,9 +15,11 @@
  *
  * Each row runs its workload once to warm up, then kTrials times, and
  * reports the events executed, the median, min and quartiles of the
- * trials' wall-clock seconds, events/second at the median, and the
- * highest per-trial peak RSS (the kernel's peak-RSS watermark is reset
- * before every trial via /proc/self/clear_refs, so rows are
+ * trials' wall-clock seconds, events/second at the median, the median
+ * time of a fixed reference loop timed around each trial
+ * (ref_kernel_s: standard-library work only, no simulator code), and
+ * the highest per-trial peak RSS (the kernel's peak-RSS watermark is
+ * reset before every trial via /proc/self/clear_refs, so rows are
  * independent, though a trial's peak includes heap the allocator kept
  * from earlier runs; on kernels without clear_refs the value degrades
  * to the monotone process-wide peak). The JSON's top level records the
@@ -30,10 +32,13 @@
  *                       [--baseline PATH] [--drift F]
  * (--quick is implied by PIMDSM_QUICK; --kernel selects the scheduler
  * for the stress workload and the default for machine runs.
- * --baseline compares median events/sec per workload against a
- * committed BENCH_selfperf.json and exits 1 on any slowdown beyond
- * --drift (default 0.25). PIMDSM_PERF_WAIVE=1 downgrades the failure
- * to a warning for known-noisy hosts. The baseline is read and checked
+ * --baseline compares events_per_sec x ref_kernel_s per workload, the
+ * events run in the time of one reference loop, against a committed
+ * BENCH_selfperf.json and exits 1 on any slowdown beyond --drift
+ * (default 0.25). The product cancels the host's speed, so a baseline
+ * recorded on a faster host still gates a slower one.
+ * PIMDSM_PERF_WAIVE=1 downgrades the failure to a warning for
+ * known-noisy hosts. The baseline is read and checked
  * before any trial runs, so it may be the BENCH_selfperf.json this run
  * overwrites. It must come from a run of the same mode: a quick run
  * against a full-mode baseline, or the reverse, exits 2 at once, as
@@ -51,11 +56,15 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include "report/json.hh"
@@ -90,8 +99,17 @@ struct SelfPerfRow
     double wallQ3 = 0.0;
     /** At the median wall time. */
     double eventsPerSec = 0.0;
+    /** Median over trials of the reference-loop time around each. */
+    double refKernelSeconds = 0.0;
     long peakRssKb = 0;
 };
+
+/** What the gate compares: events run in one reference-loop time. */
+double
+eventsPerRefKernel(double events_per_sec, double ref_kernel_s)
+{
+    return events_per_sec * ref_kernel_s;
+}
 
 /**
  * Reset the kernel's peak-RSS watermark so the next peakRssKb() read
@@ -132,6 +150,46 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * A fixed host-speed reference, timed beside every trial: a 4,096-entry
+ * binary heap and a hash table driven by an LCG for 200,000 steps. It
+ * uses no simulator code, so a change to the simulator cannot move it;
+ * perfbench times its own copy.
+ */
+double
+refKernelSeconds()
+{
+    using Event = std::pair<std::uint64_t, std::uint32_t>;
+    std::uint64_t state = 7;
+    auto next = [&state] {
+        state = state * 6364136223846793005ull + 1;
+        return state;
+    };
+    const auto t0 = Clock::now();
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+    std::unordered_map<std::uint32_t, std::uint64_t> table;
+    for (int i = 0; i < 4096; ++i) {
+        const std::uint64_t r = next();
+        queue.push({r >> 40, static_cast<std::uint32_t>(r >> 20)});
+    }
+    for (int i = 0; i < 200000; ++i) {
+        const auto [when, key] = queue.top();
+        queue.pop();
+        table[key & 0xfffffu] += when;
+        const std::uint64_t r = next();
+        queue.push(
+            {when + (r >> 50) + 1, static_cast<std::uint32_t>(r >> 20)});
+    }
+    const volatile std::size_t sink = table.size() + queue.size();
+    (void)sink;
+    const double secs = secondsSince(t0);
+    // The table's ~8 MB would otherwise stay in the allocator and count
+    // toward the next trial's peak RSS.
+    table = {};
+    malloc_trim(0);
+    return secs;
 }
 
 /**
@@ -248,23 +306,33 @@ quantile(const std::vector<double> &v, double p)
     return v[lo] + frac * (v[lo + 1] - v[lo]);
 }
 
-/** Warm up once, then time kTrials runs of @p workload. Every run must
- *  execute the same number of events (the simulations are seeded). */
+/** Warm up once, then time kTrials runs of @p workload between
+ *  reference loops; a trial's reference time is the mean of the loops
+ *  just before and just after it. Every run must execute the same
+ *  number of events (the simulations are seeded). */
 SelfPerfRow
 measure(const std::string &name, const std::function<Sample()> &workload)
 {
     const Sample warm = workload();
+    refKernelSeconds();
+    double refBefore = refKernelSeconds();
     SelfPerfRow row;
     row.name = name;
     row.events = warm.events;
     std::vector<double> walls;
+    std::vector<double> refs;
     for (int t = 0; t < kTrials; ++t) {
         const Sample s = workload();
         if (s.events != warm.events)
             panic("selfperf row '" + name + "' is not deterministic");
         walls.push_back(s.wallSeconds);
+        const double refAfter = refKernelSeconds();
+        refs.push_back(0.5 * (refBefore + refAfter));
+        refBefore = refAfter;
         row.peakRssKb = std::max(row.peakRssKb, s.peakRssKb);
     }
+    std::sort(refs.begin(), refs.end());
+    row.refKernelSeconds = quantile(refs, 0.5);
     std::sort(walls.begin(), walls.end());
     row.wallMin = walls.front();
     row.wallQ1 = quantile(walls, 0.25);
@@ -277,9 +345,9 @@ measure(const std::string &name, const std::function<Sample()> &workload)
     return row;
 }
 
-/** Median events/sec per workload of a committed BENCH_selfperf.json,
- *  read and checked before any trial runs; exits 2 when the file is
- *  unreadable, malformed or of the other mode. */
+/** Events per reference-loop time per workload of a committed
+ *  BENCH_selfperf.json, read and checked before any trial runs; exits 2
+ *  when the file is unreadable, malformed or of the other mode. */
 std::map<std::string, double>
 loadBaseline(const std::string &path, bool quick)
 {
@@ -310,7 +378,10 @@ loadBaseline(const std::string &path, bool quick)
         const auto v = doc.number<double>(row + "events_per_sec");
         if (!v || *v <= 0)
             fail(" row '" + *name + "' has no positive events_per_sec");
-        eps[*name] = *v;
+        const auto ref = doc.number<double>(row + "ref_kernel_s");
+        if (!ref || *ref <= 0)
+            fail(" row '" + *name + "' has no positive ref_kernel_s");
+        eps[*name] = eventsPerRefKernel(*v, *ref);
     }
     if (eps.empty())
         fail(" has no rows");
@@ -380,14 +451,14 @@ main(int argc, char **argv)
     std::cout << kTrials << " trials per row after one warm-up; wall "
                  "time median [q1, q3], min\n\n"
               << "workload       events   median(s)       [q1, q3](s)"
-                 "     min(s)  events/sec  peakRSS(MB)\n";
+                 "     min(s)  events/sec  ref_kernel(s)  peakRSS(MB)\n";
     for (const auto &r : rows) {
         std::printf("%-10s %10llu %11.4f  [%.4f, %.4f] %10.4f %11.0f "
-                    "%12.1f\n",
+                    "%14.4f %12.1f\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.events),
                     r.wallMedian, r.wallQ1, r.wallQ3, r.wallMin,
-                    r.eventsPerSec,
+                    r.eventsPerSec, r.refKernelSeconds,
                     static_cast<double>(r.peakRssKb) / 1024.0);
     }
 
@@ -416,6 +487,7 @@ main(int argc, char **argv)
             .field("wall_min_s", r.wallMin)
             .field("wall_q1_s", r.wallQ1)
             .field("wall_q3_s", r.wallQ3)
+            .field("ref_kernel_s", r.refKernelSeconds)
             .field("peak_rss_kb", r.peakRssKb)
             .end();
     }
@@ -439,16 +511,20 @@ main(int argc, char **argv)
                 continue;
             }
             const double want = it->second;
+            const double got =
+                eventsPerRefKernel(r.eventsPerSec, r.refKernelSeconds);
             const double floor = want * (1.0 - drift);
-            if (r.eventsPerSec < floor) {
+            if (got < floor) {
                 std::cerr << "bench_selfperf: '" << r.name
-                          << "' regressed: median " << r.eventsPerSec
-                          << " events/sec vs baseline " << want
-                          << " (allowed -" << drift * 100 << "%)\n";
+                          << "' regressed: " << got
+                          << " events per reference loop vs baseline "
+                          << want << " (allowed -" << drift * 100
+                          << "%)\n";
                 regressed = true;
             } else {
-                std::cout << "baseline: '" << r.name << "' ok ("
-                          << r.eventsPerSec << " vs " << want << ")\n";
+                std::cout << "baseline: '" << r.name << "' ok (" << got
+                          << " vs " << want
+                          << " events per reference loop)\n";
             }
         }
         if (regressed) {

@@ -38,19 +38,19 @@ Cache::fill(Addr addr, bool dirty, CohState state, Version version)
     if (!line) {
         line = array_.victim(addr);
         if (line->valid()) {
-            result.evictedLine = line->lineAddr;
+            result.evictedLine = line->lineAddr();
             result.evictedDirty = line->dirty;
             result.evictedState = line->state;
-            result.evictedVersion = line->version;
+            result.evictedVersion = line->version();
         }
         line->reset();
-        line->lineAddr = array_.align(addr);
+        line->setLineAddr(array_.align(addr));
         line->state = state;
-        line->version = version;
+        line->setVersion(version);
     } else {
         // Upgrades may strengthen the state of a resident line.
         line->state = state;
-        line->version = version;
+        line->setVersion(version);
     }
     if (dirty)
         line->dirty = true;

@@ -1,5 +1,7 @@
 #include "mem/cache_array.hh"
 
+#include <sstream>
+
 #include "sim/log.hh"
 
 namespace pimdsm
@@ -22,11 +24,33 @@ cohStateName(CohState s)
     }
 }
 
+void
+CacheLine::tagOverflow(Addr line_addr)
+{
+    std::ostringstream os;
+    os << "line address 0x" << std::hex << line_addr
+       << " does not fit a 32-bit cache tag: tags hold "
+       << std::dec << (1 << kTagShift)
+       << " B-aligned addresses below 0x" << std::hex << kTagLimit
+       << " (64 GiB)";
+    panic(os.str());
+}
+
+void
+CacheLine::versionOverflow(Version v)
+{
+    panic("line version " + std::to_string(v) +
+          " does not fit the 32-bit cache-line version (limit " +
+          std::to_string(kVersionLimit) + ")");
+}
+
 CacheArray::CacheArray(std::uint64_t size_bytes, int assoc, int line_bytes)
     : assoc_(assoc), lineBytes_(line_bytes)
 {
     if (!isPow2(static_cast<std::uint64_t>(line_bytes)))
         fatal("cache line size must be a power of two");
+    if (line_bytes < (1 << CacheLine::kTagShift))
+        fatal("cache line size must be at least the 16 B tag unit");
     if (assoc <= 0)
         fatal("associativity must be positive");
     std::uint64_t lines = size_bytes / line_bytes;
@@ -49,11 +73,13 @@ CacheArray::setIndex(Addr addr) const
 CacheLine *
 CacheArray::find(Addr addr)
 {
-    const Addr line_addr = align(addr);
+    // Compared at 64 bits: an address past the tag range matches no
+    // line instead of aliasing a truncated tag.
+    const Addr tag = align(addr) >> CacheLine::kTagShift;
     const int set = setIndex(addr);
     CacheLine *base = &lines_[static_cast<std::size_t>(set) * assoc_];
     for (int w = 0; w < assoc_; ++w) {
-        if (base[w].valid() && base[w].lineAddr == line_addr)
+        if (base[w].tag_ == tag && base[w].valid())
             return &base[w];
     }
     return nullptr;
@@ -115,12 +141,22 @@ CacheArray::victim(Addr addr, VictimPolicy policy)
     for (int w = 1; w < assoc_; ++w) {
         const int rank = replacementRank(base[w], policy);
         if (rank < best_rank ||
-            (rank == best_rank && base[w].lastUse < best->lastUse)) {
+            (rank == best_rank && base[w].lastUse_ < best->lastUse_)) {
             best = &base[w];
             best_rank = rank;
         }
     }
     return best;
+}
+
+void
+CacheArray::renumberStamps()
+{
+    std::vector<std::uint32_t *> stamps;
+    stamps.reserve(lines_.size());
+    for (auto &line : lines_)
+        stamps.push_back(&line.lastUse_);
+    lruClock_.restart(stamps);
 }
 
 void

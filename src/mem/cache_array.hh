@@ -11,8 +11,9 @@
 #include <functional>
 #include <vector>
 
-#include "sim/types.hh"
 #include "sim/function_ref.hh"
+#include "sim/stamp_clock.hh"
+#include "sim/types.hh"
 
 namespace pimdsm
 {
@@ -45,28 +46,83 @@ cohOwned(CohState s)
     return s == CohState::Dirty || s == CohState::SharedMaster;
 }
 
-/** One tag-array entry. */
+/**
+ * One tag-array entry, packed to 16 B so that four share a 64 B host
+ * cache line: a 32-bit tag, LRU stamp and version, and three bytes of
+ * state. A value that does not fit a narrowed field panics.
+ */
 struct CacheLine
 {
-    Addr lineAddr = kInvalidAddr; ///< aligned line address (tag)
+    /** A tag counts 16 B units, so it holds lines below 64 GiB. */
+    static constexpr int kTagShift = 4;
+    /** First line address a tag cannot hold. */
+    static constexpr Addr kTagLimit = Addr{0xffffffffu} << kTagShift;
+    /** Largest version a line holds. */
+    static constexpr Version kVersionLimit = 0xffffffffu;
+
     CohState state = CohState::Invalid;
     bool dirty = false;           ///< L1/L2 write-back bit
     bool onChip = true;           ///< tagged-memory on-/off-chip residence
-    std::uint64_t lastUse = 0;    ///< LRU clock
-    Version version = 0;          ///< functional data version (node level)
 
     bool valid() const { return state != CohState::Invalid; }
+
+    /** Aligned line address (kInvalidAddr after reset()). */
+    Addr
+    lineAddr() const
+    {
+        return tag_ == kNoTag ? kInvalidAddr : Addr{tag_} << kTagShift;
+    }
+
+    /** Panics unless @p line_addr is 16 B aligned and below kTagLimit. */
+    void
+    setLineAddr(Addr line_addr)
+    {
+        if (line_addr >= kTagLimit ||
+            (line_addr & ((Addr{1} << kTagShift) - 1)) != 0)
+            tagOverflow(line_addr);
+        tag_ = static_cast<std::uint32_t>(line_addr >> kTagShift);
+    }
+
+    /** Functional data version (node level). */
+    Version version() const { return version_; }
+
+    /** Panics if @p v passes kVersionLimit. */
+    void
+    setVersion(Version v)
+    {
+        if (v > kVersionLimit)
+            versionOverflow(v);
+        version_ = static_cast<std::uint32_t>(v);
+    }
+
+    /** LRU stamp: higher is more recent. */
+    std::uint32_t lastUse() const { return lastUse_; }
 
     void
     reset()
     {
-        lineAddr = kInvalidAddr;
+        tag_ = kNoTag;
         state = CohState::Invalid;
         dirty = false;
-        lastUse = 0;
-        version = 0;
+        lastUse_ = 0;
+        version_ = 0;
     }
+
+  private:
+    friend class CacheArray;
+
+    static constexpr std::uint32_t kNoTag = 0xffffffffu;
+
+    [[noreturn]] static void tagOverflow(Addr line_addr);
+    [[noreturn]] static void versionOverflow(Version v);
+
+    std::uint32_t tag_ = kNoTag;
+    std::uint32_t lastUse_ = 0;
+    std::uint32_t version_ = 0;
 };
+
+static_assert(sizeof(CacheLine) == 16,
+              "CacheLine grew past 16 B; four must share a host line");
 
 /** Victim-selection disciplines. */
 enum class VictimPolicy
@@ -124,7 +180,18 @@ class CacheArray
     CacheLine *victim(Addr addr, VictimPolicy policy = VictimPolicy::Lru);
 
     /** Mark @p line most recently used. */
-    void touch(CacheLine &line) { line.lastUse = ++lruClock_; }
+    void
+    touch(CacheLine &line)
+    {
+        line.lastUse_ = lruClock_.next([this] { renumberStamps(); });
+    }
+
+    /** Move the LRU clock forward (tests: force a stamp wrap soon). */
+    void
+    advanceLruClockForTest(std::uint32_t to)
+    {
+        lruClock_.advanceForTest(to);
+    }
 
     /** Invalidate all lines (does not report dirty victims). */
     void invalidateAll();
@@ -142,6 +209,9 @@ class CacheArray
   private:
     int replacementRank(const CacheLine &line, VictimPolicy policy) const;
 
+    /** The LRU clock is at its limit: renumber every line's stamp. */
+    void renumberStamps();
+
     /** Deterministic pseudo-random way pick. */
     int randomWay();
 
@@ -151,7 +221,7 @@ class CacheArray
     int assoc_;
     int lineBytes_;
     int setShift_;
-    std::uint64_t lruClock_ = 0;
+    StampClock lruClock_;
     std::vector<CacheLine> lines_;
 };
 

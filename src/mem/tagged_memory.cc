@@ -41,12 +41,12 @@ TaggedMemory::accessAndMigrate(CacheLine &line)
 
     if (onChipWays_ < array_.assoc()) {
         // Swap residence with the LRU on-chip line of the same set.
-        const int set = array_.setIndex(line.lineAddr);
+        const int set = array_.setIndex(line.lineAddr());
         CacheLine *lru_on_chip = nullptr;
         array_.forEachInSet(set, [&](CacheLine &cand) {
             if (&cand == &line || !cand.onChip)
                 return;
-            if (!lru_on_chip || cand.lastUse < lru_on_chip->lastUse)
+            if (!lru_on_chip || cand.lastUse() < lru_on_chip->lastUse())
                 lru_on_chip = &cand;
         });
         if (lru_on_chip) {
@@ -64,7 +64,7 @@ TaggedMemory::install(CacheLine &way, Addr line_addr, CohState state)
     const bool residence = way.onChip;
     way.reset();
     way.onChip = residence;
-    way.lineAddr = array_.align(line_addr);
+    way.setLineAddr(array_.align(line_addr));
     way.state = state;
     array_.touch(way);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "check/oracle.hh"
 #include "sim/log.hh"
@@ -79,7 +78,7 @@ DNodeStore::allocate(Addr line, bool &reused_shared, Addr &dropped)
     }
     entries_[slot].line = line;
     entries_[slot].link = Link::None;
-    entries_[slot].lastTouch = ++touchClock_;
+    entries_[slot].lastTouch = nextStamp();
     return slot;
 }
 
@@ -139,13 +138,25 @@ DNodeStore::slotLine(std::uint32_t slot) const
     return entries_[slot].line;
 }
 
+std::uint32_t
+DNodeStore::nextStamp()
+{
+    return touchClock_.next([this] {
+        std::vector<std::uint32_t *> stamps;
+        stamps.reserve(entries_.size());
+        for (Entry &e : entries_)
+            stamps.push_back(&e.lastTouch);
+        touchClock_.restart(stamps);
+    });
+}
+
 void
 DNodeStore::touch(std::uint32_t slot)
 {
-    entries_[slot].lastTouch = ++touchClock_;
+    entries_[slot].lastTouch = nextStamp();
 }
 
-std::uint64_t
+std::uint32_t
 DNodeStore::lastTouch(std::uint32_t slot) const
 {
     return entries_[slot].lastTouch;
@@ -387,33 +398,49 @@ AggDNodeHome::pageOutEpisode()
     // what actually frees space (Section 2.2.2). Pages are ranked by
     // the recency of their hottest line, coldest first; busy lines
     // are skipped.
-    std::vector<std::pair<std::uint32_t, Addr>> candidates;
+    struct Candidate
+    {
+        /** The line's touch stamp, then its page's hottest. */
+        std::uint32_t pageHeat;
+        Addr line;
+        std::uint32_t slot;
+    };
+    std::vector<Candidate> candidates;
     store_.forEachHomeMaster([&](std::uint32_t slot, Addr line) {
         const DirEntry *e = dir_.find(line);
         if (e && !e->busy && e->homeHasData && !e->masterOut &&
             e->state != DirEntry::State::Dirty)
-            candidates.emplace_back(slot, line);
+            candidates.push_back({store_.lastTouch(slot), line, slot});
     });
-    const std::uint64_t page_mask =
-        ~(ctx_.config().pageBytes - 1);
-    std::unordered_map<Addr, std::uint64_t> page_heat;
-    for (auto &[slot, line] : candidates) {
-        auto &heat = page_heat[line & page_mask];
-        heat = std::max(heat, store_.lastTouch(slot));
-    }
+    // Sorted by line, a page's candidates are adjacent: one pass per
+    // page raises each to the page's hottest touch.
+    const Addr page_mask = ~(ctx_.config().pageBytes - 1);
     std::sort(candidates.begin(), candidates.end(),
-              [&](const auto &a, const auto &b) {
-                  const auto ha = page_heat[a.second & page_mask];
-                  const auto hb = page_heat[b.second & page_mask];
-                  if (ha != hb)
-                      return ha < hb;
-                  return a.second < b.second;
+              [](const Candidate &a, const Candidate &b) {
+                  return a.line < b.line;
               });
+    for (std::size_t i = 0; i < candidates.size();) {
+        const Addr page = candidates[i].line & page_mask;
+        std::size_t end = i;
+        std::uint32_t heat = 0;
+        for (; end < candidates.size() &&
+               (candidates[end].line & page_mask) == page;
+             ++end)
+            heat = std::max(heat, candidates[end].pageHeat);
+        for (; i < end; ++i)
+            candidates[i].pageHeat = heat;
+    }
+    // Lines of one page are already in line order, so a stable sort
+    // by heat gives the (heat, line) order.
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate &a, const Candidate &b) {
+                         return a.pageHeat < b.pageHeat;
+                     });
     if (candidates.size() > target)
         candidates.resize(target);
-    std::vector<std::pair<std::uint32_t, Addr>> &victims = candidates;
+    const std::vector<Candidate> &victims = candidates;
 
-    for (auto &[slot, line] : victims) {
+    for (const auto &[heat, line, slot] : victims) {
         DirEntry *e = dir_.find(line);
         store_.free(slot);
         e->localPtr = kNilPtr;

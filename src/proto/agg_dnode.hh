@@ -26,6 +26,7 @@
 
 #include "proto/home_base.hh"
 #include "sim/function_ref.hh"
+#include "sim/stamp_clock.hh"
 
 namespace pimdsm
 {
@@ -73,8 +74,15 @@ class DNodeStore
     /** Mark @p slot recently used (page-out victims are LRU). */
     void touch(std::uint32_t slot);
 
-    /** LRU clock value of @p slot. */
-    std::uint64_t lastTouch(std::uint32_t slot) const;
+    /** LRU stamp of @p slot: higher is more recent. */
+    std::uint32_t lastTouch(std::uint32_t slot) const;
+
+    /** Move the touch clock forward (tests: force a stamp wrap soon). */
+    void
+    advanceTouchClockForTest(std::uint32_t to)
+    {
+        touchClock_.advanceForTest(to);
+    }
 
     /**
      * Visit occupied slots that are on neither list: home-master lines
@@ -89,16 +97,22 @@ class DNodeStore
   private:
     enum class Link : std::uint8_t { Free, Shared, None };
 
+    /** 24 B: the line, both list links, a 32-bit LRU stamp. */
     struct Entry
     {
+        Addr line = kInvalidAddr;
         std::uint32_t prev = kNilPtr;
         std::uint32_t next = kNilPtr;
-        Addr line = kInvalidAddr;
+        std::uint32_t lastTouch = 0;
         Link link = Link::Free;
-        std::uint64_t lastTouch = 0;
     };
+    static_assert(sizeof(Entry) == 24,
+                  "DNodeStore::Entry is not 24 B; reorder its fields");
 
-    std::uint64_t touchClock_ = 0;
+    /** Next touch stamp; renumbers every slot's stamp at the limit. */
+    std::uint32_t nextStamp();
+
+    StampClock touchClock_;
 
     void pushTail(std::uint32_t &head, std::uint32_t &tail,
                   std::uint32_t slot);

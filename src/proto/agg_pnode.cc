@@ -28,7 +28,7 @@ CachedMemCompute::nodeVersion(Addr line) const
     const CacheLine *l = mem_.find(line);
     if (!l || !l->valid())
         panic("nodeVersion on absent line");
-    return l->version;
+    return l->version();
 }
 
 Tick
@@ -44,9 +44,9 @@ CachedMemCompute::localDataAccess(Addr line, Tick issue)
 void
 CachedMemCompute::evictWay(CacheLine &way)
 {
-    const Addr victim = way.lineAddr;
+    const Addr victim = way.lineAddr();
     const CohState st = way.state;
-    const Version v = way.version;
+    const Version v = way.version();
 
     // Inclusion: caches may not outlive the node-level line.
     l1_.invalidateBlock(victim, cfg().mem.lineBytes);
@@ -79,7 +79,7 @@ CachedMemCompute::installLine(Addr line, CohState st, Version v)
         way->state = st;
         mem_.array().touch(*way);
     }
-    way->version = v;
+    way->setVersion(v);
     mem_.port().acquire(ctx_.eq().curTick(), mem_.transferOccupancy());
     fillL2(line, st, v, false);
 }
@@ -91,11 +91,11 @@ CachedMemCompute::setNodeState(Addr line, CohState st, Version v)
     if (!way)
         panic("setNodeState on absent line");
     way->state = st;
-    way->version = v;
+    way->setVersion(v);
     mem_.array().touch(*way);
     if (CacheLine *l2line = l2_.array().find(line)) {
         l2line->state = st;
-        l2line->version = v;
+        l2line->setVersion(v);
         if (st != CohState::Dirty)
             l2line->dirty = false;
     }
@@ -157,7 +157,7 @@ CachedMemCompute::handleInject(const Message &msg)
         way = mem_.victim(line, VictimPolicy::ComaPriority);
     const bool conflict =
         mshrs_.find(line) != nullptr || wbPending_.count(line) != 0;
-    if (conflict || (way->valid() && way->lineAddr != line &&
+    if (conflict || (way->valid() && way->lineAddr() != line &&
                      cohOwned(way->state))) {
         resp.type = MsgType::InjectNack;
         ctx_.eq().schedule(now + msgEngineLatency_,
@@ -165,9 +165,9 @@ CachedMemCompute::handleInject(const Message &msg)
         return;
     }
 
-    if (way->valid() && way->lineAddr != line) {
+    if (way->valid() && way->lineAddr() != line) {
         // Displace a non-master shared copy silently.
-        const Addr displaced = way->lineAddr;
+        const Addr displaced = way->lineAddr();
         l1_.invalidateBlock(displaced, cfg().mem.lineBytes);
         l2_.invalidateLine(displaced);
         const bool residence = way->onChip;
@@ -179,7 +179,7 @@ CachedMemCompute::handleInject(const Message &msg)
         mem_.install(*way, line, CohState::SharedMaster);
     way->state = msg.masterClean ? CohState::SharedMaster
                                  : CohState::Dirty;
-    way->version = msg.version;
+    way->setVersion(msg.version);
     noteState(line, "inject");
 
     resp.type = MsgType::InjectAck;
@@ -220,7 +220,7 @@ CachedMemCompute::forEachOwnedLine(
 {
     mem_.array().forEach([&](CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr, l.state, l.version);
+            fn(l.lineAddr(), l.state, l.version());
     });
 }
 
@@ -230,7 +230,7 @@ CachedMemCompute::forEachValidLine(
 {
     mem_.array().forEach([&](const CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr, l.state, l.version);
+            fn(l.lineAddr(), l.state, l.version());
     });
 }
 

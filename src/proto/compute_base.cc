@@ -1073,14 +1073,14 @@ ComputeBase::checkInclusion() const
     l1_.array().forEach([&](const CacheLine &line) {
         if (!line.valid())
             return;
-        const Addr parent = memLine(line.lineAddr);
+        const Addr parent = memLine(line.lineAddr());
         if (!l2_.array().find(parent))
             panic("L1 line not covered by L2");
     });
     l2_.array().forEach([&](const CacheLine &line) {
         if (!line.valid())
             return;
-        if (!cohValid(nodeState(line.lineAddr)))
+        if (!cohValid(nodeState(line.lineAddr())))
             panic("L2 line without node-level rights");
     });
 }

@@ -8,6 +8,7 @@
 #define PIMDSM_PROTO_DIRECTORY_HH
 
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -23,6 +24,35 @@ namespace pimdsm
 /** Nil value for a D-node Directory entry's Local Pointer. */
 constexpr std::uint32_t kNilPtr = 0xffffffffu;
 
+/**
+ * A NodeId held in 16 bits. Machines have at most 64 nodes (the sharer
+ * mask), so every id fits; assigning one outside int16 range panics.
+ * Reads convert back to NodeId, so comparisons and calls read as for
+ * a plain NodeId.
+ */
+class NodeId16
+{
+  public:
+    NodeId16() = default;
+
+    NodeId16 &
+    operator=(NodeId n)
+    {
+        if (n < std::numeric_limits<std::int16_t>::min() ||
+            n > std::numeric_limits<std::int16_t>::max())
+            overflow(n);
+        v_ = static_cast<std::int16_t>(n);
+        return *this;
+    }
+
+    operator NodeId() const { return v_; }
+
+  private:
+    [[noreturn]] static void overflow(NodeId n);
+
+    std::int16_t v_ = static_cast<std::int16_t>(kInvalidNode);
+};
+
 struct DirEntry
 {
     /** Stable directory states. */
@@ -33,27 +63,27 @@ struct DirEntry
         Dirty,    ///< exactly one modified copy, at owner
     };
 
-    // Fields are ordered widest first, so the entry has no interior
-    // padding and fits 40 B.
+    // Fields are ordered widest first, so the entry has no padding and
+    // is 32 B: two entries share a 64 B host cache line.
 
     /** Bit per node holding (possibly stale) a shared copy. */
     std::uint64_t sharers = 0;
     /** Version of the home copy (when homeHasData/pagedOut). */
     Version version = 0;
+    /** AGG: index into the D-node Data array (kNilPtr if none). */
+    std::uint32_t localPtr = kNilPtr;
     /** Dirty owner, or the shared-master holder when masterOut. */
-    NodeId owner = kInvalidNode;
+    NodeId16 owner;
     /** Requester of the in-flight transaction (meaningful only while
      *  busy): its TxnDone unblocks the line, so if it fail-stops the
      *  home must administratively finish the transaction. */
-    NodeId busyFor = kInvalidNode;
+    NodeId16 busyFor;
     /** Node a Fwd of the in-flight transaction targets (meaningful
      *  only while busy). The serve may have already rewritten owner
      *  to the new requester, so this is the only record that the
      *  transaction's progress depends on the old owner — if it
      *  fail-stops, the forward is lost and the home must abort. */
-    NodeId fwdTo = kInvalidNode;
-    /** AGG: index into the D-node Data array (kNilPtr if none). */
-    std::uint32_t localPtr = kNilPtr;
+    NodeId16 fwdTo;
     State state = State::Uncached;
     /** A compute node holds mastership of this Shared line. */
     bool masterOut = false;
@@ -96,8 +126,8 @@ struct DirEntry
     int sharerCount() const { return __builtin_popcountll(sharers); }
 };
 
-static_assert(sizeof(DirEntry) <= 40,
-              "DirEntry grew past 40 B; reorder or shrink its fields");
+static_assert(sizeof(DirEntry) == 32,
+              "DirEntry is not 32 B; reorder or shrink its fields");
 static_assert(std::is_trivially_copyable_v<DirEntry>,
               "DirEntry must stay plain data (queues live in the table)");
 
@@ -111,7 +141,7 @@ static_assert(std::is_trivially_copyable_v<DirEntry>,
  * valid until clear().
  *
  * Requests that arrive while a line is busy wait in a per-line FIFO
- * held here, not in the entry, so entries stay plain 40 B records.
+ * held here, not in the entry, so entries stay plain 32 B records.
  */
 class DirectoryTable
 {

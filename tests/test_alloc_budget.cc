@@ -152,12 +152,13 @@ TEST(AllocBudget, QuickAggBarnesRunStaysUnderCeiling)
  * load) and 2,244,232 B once they moved into dense per-page blocks
  * with 40 B entries. It fell to 1,973,344 B when each P-node's 64-slot
  * MSHR hash table became a fixed 16-slot file and the event ring
- * shrank from 16,384 to 8,192 buckets. The ceiling sits about 100 KB
- * above that.
+ * shrank from 16,384 to 8,192 buckets, and to 1,527,592 B once cache
+ * tags took 16 B, directory entries 32 B and D-node store entries
+ * 24 B. The ceiling sits about 100 KB above that.
  */
 TEST(AllocBudget, QuickAggFftPeakHeapStaysUnderCeiling)
 {
-    EXPECT_LE(secondRunPeakBytes("fft", quickAgg(0.75, 2)), 2'075'000u)
+    EXPECT_LE(secondRunPeakBytes("fft", quickAgg(0.75, 2)), 1'630'000u)
         << "a per-run buffer grew past its bound";
 }
 
@@ -172,13 +173,14 @@ TEST(AllocBudget, QuickAggFftPeakHeapStaysUnderCeiling)
  * with 256-op batch buffers; 3,489,088 with coroutine op streams;
  * 2,689,808 with directory entries and line versions in per-page
  * blocks; 2,413,472 with a fixed 16-slot MSHR file per P-node and an
- * 8,192-bucket event ring. The peak is deterministic, so the ceiling
- * sits about 100 KB above it.
+ * 8,192-bucket event ring; 1,794,544 with 16 B cache tags, 32 B
+ * directory entries and 24 B D-node store entries. The peak is
+ * deterministic, so the ceiling sits about 100 KB above it.
  */
 TEST(AllocBudget, QuickAggBarnesPeakHeapStaysUnderCeiling)
 {
     EXPECT_LE(secondRunPeakBytes("barnes", quickAgg(0.25, 1)),
-              2'515'000u)
+              1'895'000u)
         << "a per-run buffer grew past its bound";
 }
 

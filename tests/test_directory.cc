@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "machine/machine.hh"
 #include "proto/directory.hh"
+#include "sim/log.hh"
 
 namespace pimdsm
 {
@@ -26,6 +29,26 @@ defaultTable()
 {
     const MachineConfig cfg;
     return DirectoryTable(cfg.mem.lineBytes, cfg.pageBytes);
+}
+
+TEST(Directory, NodeFieldsHold16BitIdsAndPanicPastThem)
+{
+    static_assert(sizeof(DirEntry) == 32);
+    DirEntry e;
+    EXPECT_EQ(e.owner, kInvalidNode);
+    e.owner = 63;
+    e.busyFor = std::numeric_limits<std::int16_t>::max();
+    EXPECT_EQ(e.owner, 63);
+    EXPECT_EQ(e.busyFor, 32767);
+    try {
+        e.fwdTo = 40000;
+        ADD_FAILURE() << "a node id past int16 was stored";
+    } catch (const PanicError &p) {
+        EXPECT_NE(std::string(p.what()).find("(limit 32767)"),
+                  std::string::npos)
+            << p.what();
+    }
+    EXPECT_EQ(e.fwdTo, kInvalidNode);
 }
 
 TEST(Directory, FindIsNullForLinesNeverCreated)

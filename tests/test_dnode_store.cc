@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "proto/agg_dnode.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
+#include "sim/stamp_clock.hh"
 
 namespace pimdsm
 {
@@ -175,6 +178,61 @@ TEST(DNodeStore, RandomizedIntegrityProperty)
             s.checkIntegrity();
     }
     s.checkIntegrity();
+}
+
+/** Home-master slots coldest first, as page-out ranks them. */
+std::vector<std::uint32_t>
+coldestFirst(const DNodeStore &s)
+{
+    std::vector<std::uint32_t> slots;
+    s.forEachHomeMaster([&](std::uint32_t slot, Addr) {
+        slots.push_back(slot);
+    });
+    std::sort(slots.begin(), slots.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return s.lastTouch(a) < s.lastTouch(b);
+              });
+    return slots;
+}
+
+TEST(DNodeStore, TouchStampWrapKeepsRecencyOrder)
+{
+    // Two stores take the same operations; one starts its touch clock
+    // 500 below the limit, so it wraps and renumbers mid-sequence.
+    DNodeStore plain(64);
+    DNodeStore wrapped(64);
+    wrapped.advanceTouchClockForTest(StampClock::kLimit - 500);
+    Rng rng(7);
+    std::vector<std::uint32_t> owned;
+    Addr next_line = 0x10000;
+    for (int i = 0; i < 5000; ++i) {
+        const auto r = rng.nextBounded(8);
+        if (r < 2 || owned.empty()) {
+            bool reused;
+            Addr dropped;
+            const auto a = plain.allocate(next_line, reused, dropped);
+            ASSERT_EQ(wrapped.allocate(next_line, reused, dropped), a);
+            next_line += 0x80;
+            if (a != kNilPtr)
+                owned.push_back(a);
+        } else {
+            const std::size_t k = rng.nextBounded(owned.size());
+            const std::uint32_t slot = owned[k];
+            if (r < 7) {
+                plain.touch(slot);
+                wrapped.touch(slot);
+            } else {
+                plain.free(slot);
+                wrapped.free(slot);
+                owned.erase(owned.begin() + static_cast<long>(k));
+            }
+        }
+        ASSERT_EQ(coldestFirst(wrapped), coldestFirst(plain)) << i;
+    }
+    std::uint32_t max_stamp = 0;
+    for (std::uint32_t slot = 0; slot < 64; ++slot)
+        max_stamp = std::max(max_stamp, wrapped.lastTouch(slot));
+    EXPECT_LT(max_stamp, 10'000u) << "the touch clock never wrapped";
 }
 
 TEST(DNodeStore, MetadataOverheadMatchesPaper)

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "machine/machine.hh"
+#include "sim/stamp_clock.hh"
 
 namespace pimdsm
 {
@@ -149,6 +152,48 @@ TEST(Paging, CensusCountsPagedLinesAsDNodeOnly)
         m.stats().get("dnode.page_in")) {
         EXPECT_GT(census.dNodeOnly, census.dNodeUsedLines);
     }
+}
+
+/** What a page-out-heavy run decided: each access's completion tick and
+ *  the D-node store's slot contents after it. */
+struct PagingTrace
+{
+    std::vector<Tick> done;
+    std::vector<Addr> slotLines;
+    double pageOuts = 0;
+};
+
+PagingTrace
+runPagingTrace(std::uint32_t touch_clock_start)
+{
+    MachineConfig cfg = pagingCfg(8 * 1024);
+    cfg.pNodeMemBytes = 8 * 1024;
+    Machine m(cfg);
+    auto *home = static_cast<AggDNodeHome *>(m.home(2));
+    home->store().advanceTouchClockForTest(touch_clock_start);
+    PagingTrace t;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 200; ++i) {
+            doAccess(m, round % 2, kBase + ((i * 7) % 200) * 128,
+                     (i + round) % 3 != 0);
+            t.done.push_back(m.eq().curTick());
+            for (std::uint32_t s = 0; s < home->store().dataEntries(); ++s)
+                t.slotLines.push_back(home->store().slotLine(s));
+        }
+    }
+    t.pageOuts = m.stats().get("dnode.pageout_candidates");
+    m.checkInvariants();
+    return t;
+}
+
+TEST(Paging, TouchStampWrapKeepsPageOutOrder)
+{
+    const PagingTrace plain = runPagingTrace(0);
+    const PagingTrace wrapped = runPagingTrace(StampClock::kLimit - 100);
+    EXPECT_GT(plain.pageOuts, 0.0);
+    EXPECT_EQ(wrapped.pageOuts, plain.pageOuts);
+    EXPECT_EQ(wrapped.done, plain.done);
+    EXPECT_EQ(wrapped.slotLines, plain.slotLines);
 }
 
 } // namespace

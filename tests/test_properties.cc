@@ -45,11 +45,11 @@ TEST_P(CacheGeometry, FindAfterInsertAndVictimStability)
         if (!l) {
             CacheLine *v = arr.victim(a);
             if (v->valid())
-                resident.erase(v->lineAddr);
+                resident.erase(v->lineAddr());
             v->reset();
-            v->lineAddr = arr.align(a);
+            v->setLineAddr(arr.align(a));
             v->state = CohState::Shared;
-            resident.insert(v->lineAddr);
+            resident.insert(v->lineAddr());
             l = v;
         }
         arr.touch(*l);

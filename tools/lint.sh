@@ -101,7 +101,6 @@ fi
 #    are per chunk, not per access.
 #  - blocked_: one FIFO per node of accesses waiting for a free MSHR,
 #    allocated once per node.
-#  - page_heat: reconfiguration-time scratch map.
 #  - stats.hh std::map<std::string, double...>: the sorted stats
 #    report; lookups by string_view build no key.
 #  - spec_check.cc dfs: the spec static analyzer, run once.
@@ -117,7 +116,6 @@ hits=$(find src/sim src/net src/proto src/machine src/mem \
        grep -v 'compute_base.hh:.*cimCallbacks_' |
        grep -v 'compute_base.hh:.*std::deque<PendingAccess> blocked_' |
        grep -v 'compute_base.cc:.*std::function<void(Tick)> cb' |
-       grep -v 'agg_dnode.cc:.*page_heat' |
        grep -v 'stats.hh:.*std::map<std::string, double' |
        grep -v 'spec_check.cc:.*std::function<bool(int)> dfs' |
        grep -v 'machine.hh:.*using SendInterceptor = std::function<')
