@@ -260,6 +260,7 @@ runFaultCampaign()
     spec.pressure = 0.25;
     spec.dRatio = 2;
     MachineConfig cfg = buildConfig(*wl, spec);
+    cfg.check.enabled = false; // timed row; the baseline is oracle-off
     cfg.faults.setUniformDropRate(0.05);
     cfg.faults.seed = 0x5eedull;
     cfg.faults.schedule.push_back(
@@ -286,8 +287,14 @@ runFig6Point()
     resetPeakRss();
     const auto t0 = Clock::now();
     auto wl = makeWorkload("fft", 1);
-    const RunResult r = run(*wl, ArchKind::Agg, paperThreads(), 0.25,
-                            reducedDRatio("fft"));
+    BuildSpec spec;
+    spec.arch = ArchKind::Agg;
+    spec.threads = paperThreads();
+    spec.pressure = 0.25;
+    spec.dRatio = reducedDRatio("fft");
+    MachineConfig cfg = buildConfig(*wl, spec);
+    cfg.check.enabled = false; // timed row; the baseline is oracle-off
+    const RunResult r = runWorkload(cfg, *wl);
     const double secs = secondsSince(t0);
     return Sample{static_cast<std::uint64_t>(
                       r.counters.at("sim.events_executed")),

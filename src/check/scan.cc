@@ -1,6 +1,6 @@
 #include "check/scan.hh"
 
-#include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
@@ -10,6 +10,7 @@
 #include "check/oracle.hh"
 #include "machine/machine.hh"
 #include "proto/agg_dnode.hh"
+#include "sim/flat_map.hh"
 #include "sim/log.hh"
 
 namespace pimdsm
@@ -25,7 +26,9 @@ checkDNodeSlots(NodeId hn, const AggDNodeHome &home)
     const DNodeStore &store = home.store();
     store.checkIntegrity();
 
-    std::unordered_map<std::uint32_t, Addr> referenced;
+    // Line referencing each slot (kInvalidAddr: none yet).
+    std::vector<Addr> referenced(store.dataEntries(), kInvalidAddr);
+    std::uint64_t nreferenced = 0;
     home.directory().forEach([&](Addr line, const DirEntry &e) {
         if (e.localPtr == kNilPtr)
             return;
@@ -50,29 +53,40 @@ checkDNodeSlots(NodeId hn, const AggDNodeHome &home)
                << " but is referenced by the entry for line 0x" << line;
             panic(os.str());
         }
-        auto [it, fresh] = referenced.emplace(e.localPtr, line);
-        if (!fresh) {
+        Addr &ref = referenced[e.localPtr];
+        if (ref != kInvalidAddr) {
             std::ostringstream os;
             os << "D-node " << hn << " slot " << e.localPtr
                << " referenced by two directory entries (lines 0x"
-               << std::hex << it->second << " and 0x" << line << ")";
+               << std::hex << ref << " and 0x" << line << ")";
             panic(os.str());
         }
+        ref = line;
+        ++nreferenced;
     });
 
-    if (referenced.size() != store.usedSlots()) {
+    if (nreferenced != store.usedSlots()) {
         std::ostringstream os;
         os << "D-node " << hn << " slot conservation broken: "
            << store.usedSlots() << " slots in use ("
            << store.dataEntries() << " total, " << store.freeLen()
            << " free, " << store.sharedLen() << " on SharedList) but "
-           << referenced.size()
-           << " referenced by directory entries — "
-           << (referenced.size() < store.usedSlots() ? "leaked"
-                                                     : "double-booked")
+           << nreferenced << " referenced by directory entries — "
+           << (nreferenced < store.usedSlots() ? "leaked"
+                                               : "double-booked")
            << " Data slot(s)";
         panic(os.str());
     }
+}
+
+/** Digest of one (node, line, state, version) copy; summed over a set
+ *  of copies, it does not depend on their order. */
+std::uint64_t
+copyDigest(NodeId n, Addr line, CohState st, Version v)
+{
+    const std::uint64_t who = static_cast<std::uint64_t>(n) << 56 |
+                              static_cast<std::uint64_t>(st) << 48;
+    return flatMix64(line ^ flatMix64(v ^ who));
 }
 
 /** Oracle holder table vs. real node storage, both directions. */
@@ -83,12 +97,29 @@ checkOracleAgreement(const Machine &m)
     if (!oracle.enabled())
         return;
 
-    // Storage -> oracle: every valid copy must be tracked identically.
-    std::map<std::pair<NodeId, Addr>, char> seen;
+    // Equal sets of copies give equal digest sums; search for the
+    // difference only when the sums differ.
+    std::uint64_t stored = 0;
     for (NodeId n : m.computeNodes()) {
         m.compute(n)->forEachValidLine(
             [&](Addr line, CohState st, Version v) {
-                seen[{n, line}] = 1;
+                stored += copyDigest(n, line, st, v);
+            });
+    }
+    std::uint64_t tracked = 0;
+    oracle.forEachTrackedHolder(
+        [&](Addr line, NodeId n, CohState st, Version v) {
+            tracked += copyDigest(n, line, st, v);
+        });
+    if (stored == tracked)
+        return;
+
+    // Storage -> oracle: every valid copy must be tracked identically.
+    std::set<std::pair<NodeId, Addr>> seen;
+    for (NodeId n : m.computeNodes()) {
+        m.compute(n)->forEachValidLine(
+            [&](Addr line, CohState st, Version v) {
+                seen.insert({n, line});
                 Version ov = 0;
                 const CohState ost = oracle.holderState(n, line, &ov);
                 if (ost != st || (cohValid(ost) && ov != v)) {

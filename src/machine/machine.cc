@@ -13,7 +13,8 @@ namespace pimdsm
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), mesh_(eq_, cfg.net, cfg.totalNodes()),
       pageMap_(cfg.pageBytes),
-      versions_(cfg.mem.lineBytes, cfg.pageBytes)
+      versions_(cfg.mem.lineBytes, cfg.pageBytes),
+      oracle_(cfg, versions_, stats_)
 {
     cfg_.validate();
     roles_.resize(cfg_.totalNodes());
@@ -25,7 +26,6 @@ Machine::Machine(const MachineConfig &cfg)
     if (faults_.active())
         mesh_.setFaultPlan(&faults_);
     mesh_.setStats(&stats_);
-    oracle_.init(cfg_.check, cfg_.faults.enabled(), &stats_);
 
     if (cfg_.arch == ArchKind::Agg)
         buildAgg();

@@ -1,8 +1,8 @@
 /**
  * @file
  * The simulated multiprocessor: nodes (compute and/or home controllers),
- * the mesh, the page map, and the functional version oracle. Implements
- * ProtoContext for the protocol controllers.
+ * the mesh, the page map, committed line versions and the coherence
+ * oracle. Implements ProtoContext for the protocol controllers.
  */
 
 #ifndef PIMDSM_MACHINE_MACHINE_HH
@@ -51,7 +51,6 @@ class Machine : public ProtoContext
     NodeId homeOf(Addr line_addr, NodeId toucher) override;
     void send(Message msg) override;
     Version bumpVersion(Addr line) override;
-    Version latestVersion(Addr line) const override;
     StatSet &stats() override { return stats_; }
     std::uint64_t computeNodeMask() const override;
     CoherenceOracle *
@@ -97,6 +96,9 @@ class Machine : public ProtoContext
 
     CoherenceOracle &oracle() { return oracle_; }
     const CoherenceOracle &oracle() const { return oracle_; }
+
+    /** Latest committed version of @p line (0 if never written). */
+    Version latestVersion(Addr line) const;
 
     // --- model-check harness hooks (check/model_check_run.hh) ---
     /**
@@ -170,8 +172,8 @@ class Machine : public ProtoContext
     std::vector<NodeRole> roles_;
     std::vector<std::unique_ptr<ComputeBase>> computes_;
     std::vector<std::unique_ptr<HomeBase>> homes_;
-    /** Latest committed version per line (the functional oracle); a
-     *  line never written reads 0. */
+    /** Latest committed version per line, the reference the coherence
+     *  oracle checks against; a line never written reads 0. */
     PageBlocks<Version> versions_;
     StatSet stats_;
     std::uint64_t nextDNode_ = 0;

@@ -518,41 +518,17 @@ ComputeBase::finishAccess(Mshr &m)
         noteState(line, "upgrade");
     }
 
-    // Functional coherence check. For blocked transactions the home
-    // serializes against writes until our TxnDone, so the observed
-    // version must still be the latest. (Unblocked simple reads may
-    // legally race with a newer write whose invalidation is already
-    // on its way; the home asserts their freshness at serve time.)
-    if (!m.isWrite && m.needsTxnDone &&
-        m.version != ctx_.latestVersion(line)) {
-        if (faultsOn_) {
-            // Failover and forced-ack recovery legitimately weaken the
-            // single-writer serialization transiently; count it as
-            // degradation instead of dying (see DESIGN.md).
-            ctx_.stats().add("fault.stale_read_completions");
-            warn("stale read completion under fault injection (node " +
-                 std::to_string(self_) + ")");
-        } else {
-            panic("read completed with stale data version: node " +
-                  std::to_string(self_) + " line " +
-                  std::to_string(line) + " got v" +
-                  std::to_string(m.version) + " latest v" +
-                  std::to_string(ctx_.latestVersion(line)) + " legs " +
-                  std::to_string(m.legs) + " upgrade " +
-                  std::to_string(m.upgrade) + " issued@" +
-                  std::to_string(m.issueTick) + " now@" +
-                  std::to_string(ctx_.eq().curTick()));
-        }
-    }
-
-    // Data-value coherence: check the observed version against the
-    // shadow memory's commit history (local cache hits may legally be
+    // Data-value coherence: the oracle checks the observed version
+    // against the commit history. Local cache hits may legally be
     // stale while an invalidation is in flight, so only the miss path
-    // reports).
+    // reports. A blocked read (the home serializes writes until our
+    // TxnDone) must observe the latest version; an unblocked simple
+    // read may race with a newer write whose invalidation is already
+    // on its way, and its home checked it at serve time.
     if (!m.isWrite) {
         if (CoherenceOracle *o = ctx_.checker())
-            o->noteReadObserved(now, self_, line, m.version,
-                                m.issueTick);
+            o->noteReadObserved(now, self_, line, m.version, m.issueTick,
+                                m.needsTxnDone);
     }
 
     ReadService svc;

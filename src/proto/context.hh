@@ -1,8 +1,10 @@
 /**
  * @file
  * Services the Machine provides to protocol controllers: event queue,
- * message transport, home lookup (first-touch page placement), the
- * functional version oracle used for coherence checking, and stats.
+ * message transport, home lookup (first-touch page placement), write
+ * serialization (version bumps), the coherence oracle's event sink, and
+ * stats. Protocol code never reads a committed version: freshness is
+ * the oracle's to check (check/oracle.hh).
  */
 
 #ifndef PIMDSM_PROTO_CONTEXT_HH
@@ -44,9 +46,6 @@ class ProtoContext
     /** Commit a new write generation for @p line; returns new version. */
     virtual Version bumpVersion(Addr line) = 0;
 
-    /** Latest committed version of @p line. */
-    virtual Version latestVersion(Addr line) const = 0;
-
     /** Machine-wide named counters. */
     virtual StatSet &stats() = 0;
 
@@ -56,7 +55,7 @@ class ProtoContext
 
     /**
      * The coherence oracle's event sink, or nullptr when checking is
-     * off (the default, so hooks cost one branch). See check/oracle.hh.
+     * off (so hooks cost one branch). See check/oracle.hh.
      */
     virtual CoherenceOracle *checker() { return nullptr; }
 

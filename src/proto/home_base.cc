@@ -297,21 +297,11 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
         when += pageIn(line, e);
 
     if (hasData(line, e)) {
-        // Functional freshness assertion at the serialization point.
-        if (e.version != ctx_.latestVersion(line)) {
-            if (faultsOn_) {
-                // P-node failover legitimately weakens freshness
-                // transiently: between a compute death and its
-                // writeback salvage the home copy trails the dead
-                // master's last commits. Count it as degradation,
-                // mirroring the requester-side check.
-                ctx_.stats().add("fault.stale_home_serves");
-                warn("home serving a stale copy under fault injection "
-                     "(home " + std::to_string(self_) + ")");
-            } else {
-                panic("home serving a stale copy");
-            }
-        }
+        // The serialization point: the oracle checks that the home
+        // copy is the latest committed write.
+        if (CoherenceOracle *o = ctx_.checker())
+            o->noteHomeServe(ctx_.eq().curTick(), self_, req.src, line,
+                             e.version);
         when += dataAccessLatency(e);
         Message r;
         r.type = MsgType::ReadReply;

@@ -177,11 +177,15 @@ enum class ProtoMutation : std::uint8_t
 struct CheckConfig
 {
     /**
-     * Maintain the machine-wide shadow model and check coherence
-     * invariants on every protocol event. Off by default so benches
-     * pay nothing; tests and the model checker turn it on.
+     * Run the coherence oracle (check/oracle.hh), the simulator's one
+     * run-time coherence checker: a machine-wide shadow model checked
+     * on every protocol event. On by default, so every bench number
+     * comes from a checked run (about 1.3x the wall time of an
+     * unchecked one). Only timed runs turn it off: perfbench's timed
+     * runs (it verifies the same deterministic run oracle-on first),
+     * bench_selfperf's rows and the allocation-budget tests.
      */
-    bool enabled = false;
+    bool enabled = true;
     /** Test-only protocol mutation (oracle self-test; keep None). */
     ProtoMutation mutation = ProtoMutation::None;
 };
@@ -243,7 +247,7 @@ struct MachineConfig
     /** Fault-injection plan (inert by default; see sim/fault.hh). */
     FaultConfig faults;
 
-    /** Coherence-oracle knobs (inert by default; see src/check/). */
+    /** Coherence-oracle knobs (on by default; see src/check/). */
     CheckConfig check;
 
     /** Nodes in the machine (P + D). */

@@ -174,5 +174,31 @@ TEST(ModelCheck, AggFailoverDropsASupersededForward)
     });
 }
 
+TEST(ModelCheck, AggSupersededGrantDiscardsItsAcks)
+{
+    // n0's upgrade grant, naming one ack, is lost; n1's InvalAck still
+    // reaches n0. The home fails over; n1's retried upgrade makes the
+    // spare forward an exclusive request to n0, which voids n0's
+    // grant. n0's retry is re-served as a ReadExReply naming two acks.
+    // The void grant's ack used to count toward it, so n0 installed
+    // Dirty on n2's ack alone while n1 still held its SharedMaster
+    // copy, which the oracle's SWMR check flags. Acks gathered for a
+    // voided grant are now discarded.
+    playAggScript({
+        {Read, 0, 0, R},     {Read, 1, 0, R},     {Read, 2, 0, R},
+        {Deliver, 0, 4, R},  {Deliver, 1, 4, R},  {Deliver, 4, 0, RR},
+        {Write, 0, 0, U},    {Deliver, 4, 1, RR}, {Write, 1, 0, U},
+        {Deliver, 0, 4, U},  {Deliver, 2, 4, R},  {Deliver, 1, 4, U},
+        {Deliver, 4, 1, I},  {Drop, 4, 0, UR},    {Deliver, 1, 0, IA},
+        {Retry, 0, 0, U},    {Failover, 4, 0, F}, {Retry, 1, 0, U},
+        {Deliver, 1, 3, U},  {Deliver, 3, 0, F},  {Deliver, 0, 1, FR},
+        {Deliver, 1, 3, TD}, {Retry, 2, 0, R},    {Deliver, 2, 3, R},
+        {Deliver, 3, 1, F},  {Deliver, 1, 2, FR}, {Deliver, 1, 3, OH},
+        {Deliver, 2, 3, TD}, {Retry, 0, 0, U},    {Write, 2, 0, U},
+        {Deliver, 0, 3, U},  {Deliver, 2, 3, U},  {Deliver, 3, 2, I},
+        {Deliver, 3, 0, XR}, {Deliver, 2, 0, IA},
+    });
+}
+
 } // namespace
 } // namespace pimdsm

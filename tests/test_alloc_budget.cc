@@ -91,16 +91,26 @@ quickAgg(double pressure, int d_ratio)
     return spec;
 }
 
+/** One run of @p wl as @p spec with the coherence oracle off: these
+ *  budgets guard the timed (oracle-off) configuration. */
+RunResult
+run(const Workload &wl, const BuildSpec &spec)
+{
+    MachineConfig cfg = buildConfig(wl, spec);
+    cfg.check.enabled = false;
+    return runWorkload(cfg, wl);
+}
+
 /** Peak live heap bytes of the second of two runs of @p app, above
  *  the level before it. */
 std::size_t
 secondRunPeakBytes(const char *app, const BuildSpec &spec)
 {
     auto wl = makeWorkload(app);
-    const RunResult warm = runWorkload(*wl, spec);
+    const RunResult warm = run(*wl, spec);
     peakLiveBytes = liveBytes;
     const std::size_t base = liveBytes;
-    const RunResult r = runWorkload(*wl, spec);
+    const RunResult r = run(*wl, spec);
     EXPECT_EQ(r.totalTicks, warm.totalTicks);
     return peakLiveBytes - base;
 }
@@ -112,9 +122,9 @@ TEST(AllocBudget, QuickAggFftRunStaysUnderCeiling)
 
     // The first run also builds process-wide tables (protocol spec,
     // dispatch tables); count the second.
-    const RunResult warm = runWorkload(*wl, spec);
+    const RunResult warm = run(*wl, spec);
     const std::uint64_t before = allocCount;
-    const RunResult r = runWorkload(*wl, spec);
+    const RunResult r = run(*wl, spec);
     const std::uint64_t allocs = allocCount - before;
 
     ASSERT_EQ(r.totalTicks, warm.totalTicks);
@@ -136,9 +146,9 @@ TEST(AllocBudget, QuickAggBarnesRunStaysUnderCeiling)
 {
     auto wl = makeWorkload("barnes");
     const BuildSpec spec = quickAgg(0.25, 1);
-    const RunResult warm = runWorkload(*wl, spec);
+    const RunResult warm = run(*wl, spec);
     const std::uint64_t before = allocCount;
-    const RunResult r = runWorkload(*wl, spec);
+    const RunResult r = run(*wl, spec);
     const std::uint64_t allocs = allocCount - before;
     ASSERT_EQ(r.totalTicks, warm.totalTicks);
     EXPECT_LE(allocs, 5'300u)

@@ -4,10 +4,14 @@
  * (sim/config.hh ProtoMutation) breaks one invariant in a targeted
  * way, and the oracle or the quiescent scan must catch it. The same
  * scenarios must run clean with the mutation disabled — the detectors
- * fire on the bug, not on the workload.
+ * fire on the bug, not on the workload. Then the freshness checks the
+ * oracle makes at the home's serve and at a blocked read's completion,
+ * its SWMR rule on plain Shared copies, and the text of its reports.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "machine/machine.hh"
 #include "sim/log.hh"
@@ -116,6 +120,198 @@ TEST(OracleMutation, LeakSlotScenarioCleanWhenDisabled)
     runLeakSlotScenario(m);
     m.checkInvariants();
     m.checkCoherenceQuiescent();
+}
+
+/** Run @p m's queue; the text of the panic it raises ("" if none). */
+std::string
+panicText(Machine &m)
+{
+    try {
+        m.eq().run();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// A write commits behind the home's back after a read issued and
+// before the home serves it from its own copy: the home serves a
+// version that is no longer the latest. The read is a simple (not
+// blocked) one and the commit postdates its issue, so only the
+// oracle's serve-time check can see it.
+TEST(OracleFreshness, HomeServingAStaleCopyIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    doAccess(m, 1, kLine, false); // cold read: the home keeps a copy
+    m.compute(0)->access(kLine, false, [](Tick, ReadService) {});
+    m.eq().scheduleIn(1, [&m] { m.bumpVersion(kLine); });
+    const std::string text = panicText(m);
+    EXPECT_NE(text.find("home 2 served a stale copy: v0 to node 0 but "
+                        "the latest committed write is v1"),
+              std::string::npos)
+        << text;
+}
+
+// A read of a Dirty line is forwarded to the owner and blocks the home
+// until its TxnDone, so it must observe the latest version. A commit
+// after the read issued (behind the home's back) leaves the forwarded
+// copy one version behind; it is not older than what had committed at
+// issue, so only the blocked-read rule catches it.
+TEST(OracleFreshness, BlockedReadCompletingStaleIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    doAccess(m, 0, kLine, true); // node 0 holds the line Dirty at v1
+    m.compute(1)->access(kLine, false, [](Tick, ReadService) {});
+    m.eq().scheduleIn(1, [&m] { m.bumpVersion(kLine); });
+    const std::string text = panicText(m);
+    EXPECT_NE(text.find("stale read: node 1 observed v1 but the home "
+                        "held the line for it until its TxnDone and v2 "
+                        "is committed"),
+              std::string::npos)
+        << text;
+}
+
+TEST(OracleFreshness, ScenariosRunCleanWithoutTheStrayCommit)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    doAccess(m, 1, kLine, false);
+    doAccess(m, 0, kLine, false);
+    doAccess(m, 1, kLine + 4096, true);
+    doAccess(m, 0, kLine + 4096, false);
+    EXPECT_EQ(m.oracle().violations(), 0u);
+    m.checkCoherenceQuiescent();
+}
+
+// SWMR covers plain Shared copies too: a Dirty copy must be the only
+// valid copy of its line, whichever side installs second.
+TEST(OracleSwmr, DirtyInstallBesideASharedCopyIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    CoherenceOracle &o = m.oracle();
+    m.bumpVersion(kLine);
+    o.noteNodeState(10, 0, kLine, CohState::Shared, 1, "test");
+    EXPECT_THROW(o.noteNodeState(20, 1, kLine, CohState::Dirty, 1, "test"),
+                 PanicError);
+}
+
+TEST(OracleSwmr, SharedInstallBesideADirtyCopyIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    CoherenceOracle &o = m.oracle();
+    m.bumpVersion(kLine);
+    o.noteNodeState(10, 0, kLine, CohState::Dirty, 1, "test");
+    EXPECT_THROW(o.noteNodeState(20, 1, kLine, CohState::Shared, 1, "test"),
+                 PanicError);
+}
+
+TEST(OracleSwmr, SharersBesideOneMasterAreLegal)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    CoherenceOracle &o = m.oracle();
+    m.bumpVersion(kLine);
+    o.noteNodeState(10, 0, kLine, CohState::SharedMaster, 1, "test");
+    o.noteNodeState(20, 1, kLine, CohState::Shared, 1, "test");
+    o.noteNodeState(30, 0, kLine, CohState::Invalid, 0, "test");
+    o.noteNodeState(40, 1, kLine, CohState::Dirty, 1, "test");
+    EXPECT_EQ(o.violations(), 0u);
+    Version v = 0;
+    EXPECT_EQ(o.holderState(1, kLine, &v), CohState::Dirty);
+    EXPECT_EQ(v, 1u);
+    EXPECT_EQ(o.holderState(0, kLine), CohState::Invalid);
+    int holders = 0;
+    o.forEachTrackedHolder([&](Addr, NodeId, CohState, Version) {
+        ++holders;
+    });
+    EXPECT_EQ(holders, 1);
+}
+
+// The invariant scan cross-checks the oracle's copies against node
+// storage both ways: a copy the oracle lost track of, and one it
+// tracks that storage does not hold.
+TEST(OracleScan, CopyMissingFromTheOracleIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    doAccess(m, 0, kLine, false);
+    m.checkInvariants();
+    m.oracle().noteNodeState(m.eq().curTick(), 0, kLine, CohState::Invalid,
+                             0, "test");
+    EXPECT_THROW(m.checkInvariants(), PanicError);
+}
+
+TEST(OracleScan, CopyMissingFromStorageIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    doAccess(m, 0, kLine, false);
+    m.oracle().noteNodeState(m.eq().curTick(), 1, kLine, CohState::Shared,
+                             0, "test");
+    EXPECT_THROW(m.checkInvariants(), PanicError);
+}
+
+// The report's text is pinned: message records name the transaction
+// as the watchdog's stuck report does (requester and seq=).
+TEST(OracleReport, LineHistoryTextIsPinned)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    CoherenceOracle &o = m.oracle();
+
+    Message req;
+    req.type = MsgType::ReadExReq;
+    req.lineAddr = kLine;
+    req.src = 0;
+    req.dst = 2;
+    req.requester = 0;
+    req.txnSeq = 7;
+    o.noteMessage(100, req);
+
+    m.eq().runUntil(150);
+    m.bumpVersion(kLine);
+
+    Message reply;
+    reply.type = MsgType::ReadExReply;
+    reply.lineAddr = kLine;
+    reply.src = 2;
+    reply.dst = 0;
+    reply.ackCount = 1;
+    reply.version = 1;
+    reply.needsTxnDone = true;
+    reply.txnSeq = 7;
+    o.noteMessage(250, reply);
+
+    Message ack;
+    ack.type = MsgType::InvalAck;
+    ack.lineAddr = kLine;
+    ack.src = 1;
+    ack.dst = 0;
+    o.noteMessage(260, ack);
+    o.noteNodeState(270, 0, kLine, CohState::Dirty, 1, "reply-install");
+
+    EXPECT_EQ(o.lineHistory(kLine),
+              "\n  line 0x100000 recent history:"
+              "\n    @100 deliver ReadExReq 0->2 req=0 seq=7 acks=0 v0"
+              "\n    @150 write committed v1"
+              "\n    @250 deliver ReadExReply 2->0 req=-1 seq=7 acks=1 v1"
+              " +txndone"
+              "\n    @260 deliver InvalAck 1->0 req=-1 seq=0 acks=0 v0"
+              "\n    @270 node 0 -> D v1 (reply-install)");
+    EXPECT_EQ(o.lineHistory(kLine + 4096),
+              "\n  line 0x101000 recent history: (none)");
+}
+
+// The ring keeps the newest kHistoryDepth events, oldest first.
+TEST(OracleReport, HistoryKeepsTheNewestEvents)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    CoherenceOracle &o = m.oracle();
+    Message msg;
+    msg.type = MsgType::ReadReq;
+    msg.lineAddr = kLine;
+    const Tick n = CoherenceOracle::kHistoryDepth + 5;
+    for (Tick t = 1; t <= n; ++t)
+        o.noteMessage(t, msg);
+    const std::string h = o.lineHistory(kLine);
+    EXPECT_EQ(h.find("\n    @5 "), std::string::npos);
+    EXPECT_NE(h.find("\n    @6 "), std::string::npos);
+    EXPECT_EQ(h.rfind("\n    @"), h.find("\n    @" + std::to_string(n)));
 }
 
 } // namespace
