@@ -25,7 +25,6 @@ constexpr int kMaxRetryRounds = 16;
 MachineConfig
 armed(MachineConfig mc, bool recovery)
 {
-    mc.check.enabled = true;
     if (recovery) {
         mc.faults.armRecovery = true;
         mc.faults.timeoutTicks = kFarFuture;

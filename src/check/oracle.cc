@@ -71,8 +71,10 @@ CoherenceOracle::info(Addr line, std::uint32_t *slot_out)
 {
     const std::uint32_t slot = lines_.insert(line);
     const std::size_t per_page = lines_.linesPerPage() * nodes_;
-    while (holderVer_.size() < lines_.slotCount() / lines_.linesPerPage())
+    while (holderVer_.size() < lines_.slotCount() / lines_.linesPerPage()) {
         holderVer_.push_back(std::make_unique<Version[]>(per_page));
+        commitTicks_.emplace_back();
+    }
     if (slot_out)
         *slot_out = slot;
     return lines_[slot];
@@ -105,11 +107,14 @@ CoherenceOracle::committedAtOrBefore(Addr line, Tick t) const
     // newest kCommitDepth. If every kept commit postdates t, the true
     // floor is older than the record: fall back to the weakest sound
     // bound (0).
-    const LineInfo *li = lines_.find(line);
+    const std::uint32_t slot = lines_.slotOf(line);
+    const Tick *ticks = slot == PageBlocks<LineInfo>::kNoSlot
+                            ? nullptr
+                            : commitTicks(slot);
     const Version newest = latest(line);
-    for (Version v = newest; li && v > 0 && newest - v < kCommitDepth;
+    for (Version v = newest; ticks && v > 0 && newest - v < kCommitDepth;
          --v) {
-        if (li->commitTick[v % kCommitDepth] <= t)
+        if (ticks[v % kCommitDepth] <= t)
             return v;
     }
     return 0;
@@ -344,7 +349,14 @@ CoherenceOracle::noteWriteCommit(Tick now, Addr line, Version v)
         return;
     Event &ev = record(line, now, Kind::Commit);
     ev.version = v;
-    info(line).commitTick[v % kCommitDepth] = now;
+    std::uint32_t slot = 0;
+    info(line, &slot);
+    std::unique_ptr<Tick[]> &page =
+        commitTicks_[slot / lines_.linesPerPage()];
+    if (!page)
+        page = std::make_unique<Tick[]>(lines_.linesPerPage() *
+                                        kCommitDepth);
+    commitTicks(slot)[v % kCommitDepth] = now;
 }
 
 void

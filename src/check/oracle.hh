@@ -63,7 +63,7 @@ class CoherenceOracle
     /** Events the machine-wide ring keeps. */
     static constexpr std::uint32_t kRingSize = 1u << 14;
     /** Commit ticks kept per line for the read-freshness floor. */
-    static constexpr std::uint32_t kCommitDepth = 4;
+    static constexpr std::uint32_t kCommitDepth = 48;
 
     /**
      * Arm the oracle for a machine of @p cfg (inert unless
@@ -207,18 +207,16 @@ class CoherenceOracle
                                   kMasterOut = 4, kHomeData = 8,
                                   kPagedOut = 16;
 
-    /** A line's shadow state: one host cache line. */
-    struct alignas(64) LineInfo
+    /** A line's holders; aligned so no record straddles a host cache
+     *  line. */
+    struct alignas(32) LineInfo
     {
         /** Nodes holding a valid copy, an owned copy (Dirty or
          *  SharedMaster) and a Dirty copy. */
         std::uint64_t valid = 0;
         std::uint64_t owned = 0;
         std::uint64_t dirty = 0;
-        /** Commit tick of version v at [v % kCommitDepth]. */
-        Tick commitTick[kCommitDepth] = {};
     };
-    static_assert(sizeof(LineInfo) == 64);
 
     static NodeId lowestNode(std::uint64_t mask);
     static CohState stateOf(const LineInfo &li, NodeId n);
@@ -229,6 +227,16 @@ class CoherenceOracle
     {
         const std::uint32_t lpp = lines_.linesPerPage();
         return holderVer_[slot / lpp].get() + (slot % lpp) * nodes_;
+    }
+
+    /** The commit ticks of the line in @p slot (see commitTicks_), or
+     *  null if its page has seen no commit. */
+    Tick *
+    commitTicks(std::uint32_t slot) const
+    {
+        const std::uint32_t lpp = lines_.linesPerPage();
+        Tick *page = commitTicks_[slot / lpp].get();
+        return page ? page + (slot % lpp) * kCommitDepth : nullptr;
     }
 
     /** @p line's record and its slot, creating both. */
@@ -253,6 +261,11 @@ class CoherenceOracle
     PageBlocks<LineInfo> lines_;
     /** Per page block, the version of each (line, node) copy. */
     std::vector<std::unique_ptr<Version[]>> holderVer_;
+    /** Per page block, the tick its i-th line committed version v at,
+     *  at [i * kCommitDepth + v % kCommitDepth]; allocated at the
+     *  page's first commit. Only commits and read completions touch
+     *  it, so it stays out of LineInfo. */
+    std::vector<std::unique_ptr<Tick[]>> commitTicks_;
     /** The newest kRingSize events of every line, the newest at
      *  (recorded_ - 1) % kRingSize; allocated at the first record. */
     std::vector<Event> ring_;

@@ -1,6 +1,5 @@
 #include "check/scan.hh"
 
-#include <set>
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 #include "check/oracle.hh"
 #include "machine/machine.hh"
 #include "proto/agg_dnode.hh"
-#include "sim/flat_map.hh"
 #include "sim/log.hh"
 
 namespace pimdsm
@@ -79,16 +77,6 @@ checkDNodeSlots(NodeId hn, const AggDNodeHome &home)
     }
 }
 
-/** Digest of one (node, line, state, version) copy; summed over a set
- *  of copies, it does not depend on their order. */
-std::uint64_t
-copyDigest(NodeId n, Addr line, CohState st, Version v)
-{
-    const std::uint64_t who = static_cast<std::uint64_t>(n) << 56 |
-                              static_cast<std::uint64_t>(st) << 48;
-    return flatMix64(line ^ flatMix64(v ^ who));
-}
-
 /** Oracle holder table vs. real node storage, both directions. */
 void
 checkOracleAgreement(const Machine &m)
@@ -97,29 +85,10 @@ checkOracleAgreement(const Machine &m)
     if (!oracle.enabled())
         return;
 
-    // Equal sets of copies give equal digest sums; search for the
-    // difference only when the sums differ.
-    std::uint64_t stored = 0;
-    for (NodeId n : m.computeNodes()) {
-        m.compute(n)->forEachValidLine(
-            [&](Addr line, CohState st, Version v) {
-                stored += copyDigest(n, line, st, v);
-            });
-    }
-    std::uint64_t tracked = 0;
-    oracle.forEachTrackedHolder(
-        [&](Addr line, NodeId n, CohState st, Version v) {
-            tracked += copyDigest(n, line, st, v);
-        });
-    if (stored == tracked)
-        return;
-
     // Storage -> oracle: every valid copy must be tracked identically.
-    std::set<std::pair<NodeId, Addr>> seen;
     for (NodeId n : m.computeNodes()) {
         m.compute(n)->forEachValidLine(
             [&](Addr line, CohState st, Version v) {
-                seen.insert({n, line});
                 Version ov = 0;
                 const CohState ost = oracle.holderState(n, line, &ov);
                 if (ost != st || (cohValid(ost) && ov != v)) {
@@ -140,7 +109,8 @@ checkOracleAgreement(const Machine &m)
     // Oracle -> storage: no tracked copy may have vanished silently.
     oracle.forEachTrackedHolder(
         [&](Addr line, NodeId n, CohState st, Version v) {
-            if (seen.count({n, line}))
+            const ComputeBase *c = m.compute(n);
+            if (c && cohValid(c->peekState(line)))
                 return;
             std::ostringstream os;
             os << "oracle tracks node " << n << " holding line 0x"

@@ -27,10 +27,6 @@ class CachedMemCompute : public ComputeBase
     CachedMemCompute(ProtoContext &ctx, NodeId self,
                      std::uint64_t mem_bytes, bool coma_mode);
 
-    /** Coherence state held for @p line (used by the co-located COMA
-     *  home to check whether its own attraction memory can serve). */
-    CohState peekState(Addr line) const { return nodeState(line); }
-
     void forEachValidLine(
         FunctionRef<void(Addr, CohState, Version)> fn) const override;
 

@@ -115,6 +115,11 @@ class ComputeBase
     virtual void forEachValidLine(
         FunctionRef<void(Addr, CohState, Version)> fn) const = 0;
 
+    /** Coherence state held for @p line (coherence scans, and the
+     *  co-located COMA home checking whether its own attraction memory
+     *  can serve). */
+    CohState peekState(Addr line) const { return nodeState(line); }
+
     /** No transaction, writeback, or blocked access in flight. */
     bool
     quiescent() const

@@ -362,7 +362,6 @@ TEST(FaultDomainRuns, DupAcksAcrossPartitionHealStayCoherent)
     spec.dNodes = 2;
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
-    cfg.check.enabled = true;
     // Every Ack delivered twice, across a timed partition: dedup and
     // the spurious-TxnDone tolerance must absorb replays on both
     // sides of the heal. 6 nodes fit a 3x2 mesh; cut column 1.
@@ -390,7 +389,6 @@ TEST(FaultDomainRuns, PartitionCampaignCompletesAfterHeal)
     spec.dNodes = 2;
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
-    cfg.check.enabled = true;
     cfg.faults.schedule.push_back(
         partition(40'000, 240'000, {LinkRef{1, 0, 0}, LinkRef{1, 1, 0}}));
     cfg.validate();
@@ -416,7 +414,6 @@ TEST(FaultDomainRuns, PNodeDeathSalvagesAndCompletes)
     spec.dNodes = 2;
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
-    cfg.check.enabled = true;
     cfg.faults.schedule.push_back(
         {.domain = FaultDomain::PNodeDeath, .tick = 150'000, .node = 1});
     cfg.validate();
@@ -505,7 +502,6 @@ TEST(PNodeFailover, SalvageKeepsTheMachineCoherent)
     spec.dNodes = 2;
     spec.pressure = 0.25;
     MachineConfig cfg = buildConfig(*wl, spec);
-    cfg.check.enabled = true;
     cfg.faults.armRecovery = true; // arm fault paths, no mesh faults
     Machine m(cfg);
 

@@ -33,10 +33,10 @@ smallCfg(ArchKind arch, int p, int d)
     cfg.dNodeMemBytes = 64 * 1024;
     cfg.l1 = CacheParams{1024, 1, 64, 3};
     cfg.l2 = CacheParams{4096, 1, 64, 6};
-    // Oracle in relaxed mode (most of these runs inject faults):
-    // recovery-path serialization slack is counted and warned, but
-    // storage/oracle disagreement still panics via checkInvariants.
-    cfg.check.enabled = true;
+    // The oracle (on by default) runs in relaxed mode here (most of
+    // these runs inject faults): recovery-path serialization slack is
+    // counted and warned, but storage/oracle disagreement still panics
+    // via checkInvariants.
     fitMesh(cfg.net, cfg.totalNodes());
     cfg.validate();
     return cfg;

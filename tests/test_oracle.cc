@@ -34,7 +34,6 @@ checkedCfg(ProtoMutation mutation)
     cfg.dNodeMemBytes = 64 * 1024;
     cfg.l1 = CacheParams{1024, 1, 64, 3};
     cfg.l2 = CacheParams{4096, 1, 64, 6};
-    cfg.check.enabled = true;
     cfg.check.mutation = mutation;
     fitMesh(cfg.net, cfg.totalNodes());
     cfg.validate();
@@ -167,6 +166,30 @@ TEST(OracleFreshness, BlockedReadCompletingStaleIsCaught)
     EXPECT_NE(text.find("stale read: node 1 observed v1 but the home "
                         "held the line for it until its TxnDone and v2 "
                         "is committed"),
+              std::string::npos)
+        << text;
+}
+
+// The read-freshness floor reaches back past a burst of commits: on a
+// hot line (a lock, a barrier) a miss can stay in flight across dozens
+// of them (up to 26 in the paper benches).
+TEST(OracleFreshness, StaleReadSpanningManyCommitsIsCaught)
+{
+    Machine m(checkedCfg(ProtoMutation::None));
+    m.bumpVersion(kLine);
+    m.eq().runUntil(10);
+    m.bumpVersion(kLine); // v2 commits before the read issues @20
+    m.eq().runUntil(30);
+    for (int i = 0; i < 30; ++i)
+        m.bumpVersion(kLine);
+    std::string text;
+    try {
+        m.oracle().noteReadObserved(40, 0, kLine, 1, 20, false);
+    } catch (const PanicError &e) {
+        text = e.what();
+    }
+    EXPECT_NE(text.find("stale read: node 0 observed v1 but v2 had "
+                        "already committed when the read issued @20"),
               std::string::npos)
         << text;
 }

@@ -32,9 +32,9 @@ stressCfg(ArchKind arch, int p, int d, std::uint64_t p_mem)
     cfg.dNodeMemBytes = p_mem;
     cfg.l1 = CacheParams{512, 1, 64, 3};
     cfg.l2 = CacheParams{2048, 1, 64, 6};
-    // Fault-free runs get the strict coherence oracle: any SWMR or
-    // version violation panics mid-run with the line's history.
-    cfg.check.enabled = true;
+    // Fault-free runs get the strict coherence oracle (on by default):
+    // any SWMR or version violation panics mid-run with the line's
+    // history.
     fitMesh(cfg.net, cfg.totalNodes());
     cfg.validate();
     return cfg;

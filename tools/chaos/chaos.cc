@@ -158,7 +158,6 @@ runSchedule(const Schedule &sc)
         spec.dRatio = 2; // >= 2 D-nodes so one can die
         MachineConfig cfg = buildConfig(*wl, spec);
         cfg.seed = sc.seed;
-        cfg.check.enabled = true;
         cfg.check.mutation = sc.mutation;
         applyEvents(cfg.faults, sc.events);
 
