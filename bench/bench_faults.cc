@@ -216,9 +216,10 @@ main()
                        s.result.counter("fault.net.link_deaths"))
                 .field("partition_blocked",
                        s.result.counter("fault.net.partition_blocked"))
-                .field("failovers", s.result.failovers)
+                .field("failovers", s.result.counter("fault.failovers"))
                 .field("failover_ticks", s.result.failoverTicks)
-                .field("pnode_failovers", s.result.pnodeFailovers)
+                .field("pnode_failovers",
+                       s.result.counter("fault.pnode_failovers"))
                 .field("pnode_failover_ticks",
                        s.result.pnodeFailoverTicks);
         } else {

@@ -2,10 +2,60 @@
 
 #include <vector>
 
+#include "sim/function_ref.hh"
 #include "sim/log.hh"
 
 namespace pimdsm
 {
+
+namespace
+{
+
+/**
+ * Re-home every page of @p from round-robin on @p targets, starting at
+ * turn @p turn, and hand each of @p from's directory entries, after
+ * @p prepare has adjusted it, to its line's new home; then wipe
+ * @p from's directory. Returns the pages moved.
+ */
+std::uint64_t
+rehomePages(Machine &m, NodeId from, const std::vector<NodeId> &targets,
+            std::uint64_t turn, FunctionRef<void(Addr, DirEntry &)> prepare)
+{
+    const auto pages = m.pageMap().pagesHomedAt(from);
+    for (Addr page : pages)
+        m.pageMap().remap(page, targets[turn++ % targets.size()]);
+
+    const DirectoryTable &dir = m.home(from)->directory();
+    std::vector<std::pair<Addr, DirEntry>> entries;
+    dir.forEach([&](Addr line, const DirEntry &e) {
+        entries.emplace_back(line, e);
+    });
+    for (auto &[line, e] : entries) {
+        prepare(line, e);
+        const NodeId target = m.pageMap().homeOf(line);
+        if (target == kInvalidNode || target == from)
+            panic("re-homing pages left a line behind");
+        m.home(target)->adoptEntry(line, e, dir.queued(line));
+    }
+    m.home(from)->resetForReconfig();
+    return pages.size();
+}
+
+/** Spread @p cost over the live D-node engines, starting now (they
+ *  rebuild the state and absorb the salvage traffic). */
+void
+chargeSurvivors(Machine &m, Tick cost)
+{
+    const auto survivors = m.directoryNodes();
+    if (survivors.empty())
+        return;
+    const Tick now = m.eq().curTick();
+    const Tick share = cost / static_cast<Tick>(survivors.size()) + 1;
+    for (NodeId s : survivors)
+        m.home(s)->engine().acquire(now, share);
+}
+
+} // namespace
 
 ReconfigResult
 applyReconfig(Machine &m, int new_p, int new_d)
@@ -48,41 +98,22 @@ applyReconfig(Machine &m, int new_p, int new_d)
     }
 
     // 2. Migrate pages off nodes that switch from D to P.
-    std::uint64_t rr = 0;
     for (NodeId n = 0; n < m.totalNodes(); ++n) {
         const bool was_d = m.role(n) == NodeRole::Directory;
         const bool now_p = n < new_p;
         if (!(was_d && now_p))
             continue;
         ++res.nodesChanged;
-
-        const auto pages = m.pageMap().pagesHomedAt(n);
-        for (Addr page : pages) {
-            m.pageMap().remap(page,
-                              surviving_d[rr++ % surviving_d.size()]);
-        }
-        res.pagesMoved += pages.size();
-
         // Move every directory entry (and home copy) to the page's
-        // new home.
-        const DirectoryTable &dir = m.home(n)->directory();
-        std::vector<std::pair<Addr, DirEntry>> entries;
-        dir.forEach([&](Addr line, const DirEntry &e) {
-            entries.emplace_back(line, e);
-        });
-        for (auto &[line, e] : entries) {
-            const NodeId target = m.pageMap().homeOf(line);
-            if (target == kInvalidNode || target == n)
-                panic("page migration left a line behind");
-            m.home(target)->adoptEntry(line, e, dir.queued(line));
-            // Only entries with a home copy move a memory line; the
-            // rest are 8-byte Directory entries.
-            if (e.homeHasData)
-                ++res.linesMigrated;
-            else
-                ++res.dirEntriesMoved;
-        }
-        m.home(n)->resetForReconfig();
+        // new home. Only entries with a home copy move a memory line;
+        // the rest are 8-byte Directory entries.
+        res.pagesMoved += rehomePages(
+            m, n, surviving_d, res.pagesMoved, [&](Addr, DirEntry &e) {
+                if (e.homeHasData)
+                    ++res.linesMigrated;
+                else
+                    ++res.dirEntriesMoved;
+            });
     }
 
     // 3. Flip the roles.
@@ -132,22 +163,13 @@ failOverDNode(Machine &m, NodeId dead)
 
     FailoverResult res;
 
-    // Re-home the dead node's pages round-robin on the survivors.
-    std::uint64_t rr = 0;
-    const auto pages = m.pageMap().pagesHomedAt(dead);
-    for (Addr page : pages)
-        m.pageMap().remap(page, survivors[rr++ % survivors.size()]);
-    res.pagesMoved = pages.size();
-
-    // Adopt the directory entries. In-flight transactions die with the
+    // Re-home the dead node's pages round-robin on the survivors and
+    // adopt its directory entries. In-flight transactions die with the
     // home (requesters retry into the new home); home-only data is
     // lost and recovered from the disk backing store on next touch.
     DirectoryTable &dir = m.home(dead)->directory();
-    std::vector<std::pair<Addr, DirEntry>> entries;
-    dir.forEach([&](Addr line, const DirEntry &e) {
-        entries.emplace_back(line, e);
-    });
-    for (auto &[line, e] : entries) {
+    res.pagesMoved = rehomePages(m, dead, survivors, 0, [&](Addr line,
+                                                           DirEntry &e) {
         if (e.busy)
             ++res.pendingDropped;
         if (dir.queued(line) != 0) {
@@ -165,13 +187,8 @@ failOverDNode(Machine &m, NodeId dead)
                 ++res.linesLost;
             }
         }
-        const NodeId target = m.pageMap().homeOf(line);
-        if (target == kInvalidNode || target == dead)
-            panic("failover left a line behind");
-        m.home(target)->adoptEntry(line, e, dir.queued(line));
         ++res.entriesMoved;
-    }
-    m.home(dead)->resetForReconfig();
+    });
 
     // Overhead: the OS rebuilds the mapping and directory state from
     // its replicated page tables — same per-entry/per-page model as a
@@ -180,11 +197,7 @@ failOverDNode(Machine &m, NodeId dead)
     const ReconfigCosts &rc = cfg.reconfig;
     res.cost = rc.baseCost + rc.perDirEntryCost * res.entriesMoved +
                rc.perTenPagesCost * ((res.pagesMoved + 9) / 10);
-    const Tick now = m.eq().curTick();
-    const Tick share =
-        res.cost / static_cast<Tick>(survivors.size()) + 1;
-    for (NodeId s : survivors)
-        m.home(s)->engine().acquire(now, share);
+    chargeSurvivors(m, res.cost);
 
     m.stats().add("fault.failovers");
     m.stats().add("fault.failover_pages",
@@ -264,14 +277,7 @@ failOverPNode(Machine &m, NodeId dead)
     // absorb the salvage traffic).
     const ReconfigCosts &rc = cfg.reconfig;
     res.cost = rc.baseCost + rc.perLineCost * res.linesSalvaged;
-    const auto survivors = m.directoryNodes();
-    if (!survivors.empty()) {
-        const Tick now = m.eq().curTick();
-        const Tick share =
-            res.cost / static_cast<Tick>(survivors.size()) + 1;
-        for (NodeId s : survivors)
-            m.home(s)->engine().acquire(now, share);
-    }
+    chargeSurvivors(m, res.cost);
 
     m.stats().add("fault.pnode_failovers");
     m.stats().add("fault.pnode_lines_salvaged",

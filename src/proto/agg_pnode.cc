@@ -147,7 +147,6 @@ CachedMemCompute::handleInject(const Message &msg)
 
     Message resp;
     resp.lineAddr = line;
-    resp.src = self_;
     resp.dst = msg.src; // the home running the injection
 
     // A set full of owned lines (or an MSHR in flight for this line)
@@ -160,8 +159,7 @@ CachedMemCompute::handleInject(const Message &msg)
     if (conflict || (way->valid() && way->lineAddr() != line &&
                      cohOwned(way->state))) {
         resp.type = MsgType::InjectNack;
-        ctx_.eq().schedule(now + msgEngineLatency_,
-                           [this, resp] { ctx_.send(resp); });
+        sendAt(now + msgEngineLatency_, resp);
         return;
     }
 
@@ -183,8 +181,7 @@ CachedMemCompute::handleInject(const Message &msg)
     noteState(line, "inject");
 
     resp.type = MsgType::InjectAck;
-    const Tick when = now + msgEngineLatency_ + cfg().mem.onChipLatency;
-    ctx_.eq().schedule(when, [this, resp] { ctx_.send(resp); });
+    sendAt(now + msgEngineLatency_ + cfg().mem.onChipLatency, resp);
 }
 
 void
@@ -198,7 +195,6 @@ CachedMemCompute::handleMasterGrant(const Message &msg)
 
     Message resp;
     resp.lineAddr = msg.lineAddr;
-    resp.src = self_;
     resp.dst = msg.src;
 
     if (way && way->state == CohState::Shared) {
@@ -210,8 +206,7 @@ CachedMemCompute::handleMasterGrant(const Message &msg)
         // Our copy was silently dropped; home must pick someone else.
         resp.type = MsgType::InjectNack;
     }
-    ctx_.eq().schedule(now + msgEngineLatency_,
-                       [this, resp] { ctx_.send(resp); });
+    sendAt(now + msgEngineLatency_, resp);
 }
 
 void

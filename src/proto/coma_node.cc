@@ -58,99 +58,50 @@ ComaHome::serveColdRead(Addr line, DirEntry &e, const Message &req,
         e.pagedOut = false;
         ctx_.stats().add("coma.disk_restore");
     }
-    Message r;
-    r.type = MsgType::ReadReply;
-    r.dst = req.src;
-    r.lineAddr = line;
-    r.version = e.version;
-    r.legs = req.legs + 1;
-    r.grantsMaster = true;
-    e.masterOut = true;
-    e.owner = req.src;
-    e.state = DirEntry::State::Shared;
-    e.addSharer(req.src);
-    e.busy = false; // no third party involved
-    noteDir(line, e);
-    sendReplyTracked(when, r, req);
+    // The requester is recorded outside the directory pointer limit.
+    grantRead(line, e, req, when, true, 0);
 }
 
 void
 ComaHome::handleWriteBack(const Message &msg)
 {
-    const Addr line = msg.lineAddr;
-    DirEntry &e = entryFor(line);
-
-    const Tick now = ctx_.eq().curTick();
-    const Tick start =
-        engine_.acquire(now, scaled(costs().writeBackOccupancy));
-    const Tick when =
-        start + handlerLatency(msg, costs().writeBackLatency);
-
-    // Same dedup and attribution rules as HomeBase::handleWriteBack
-    // (see the comments there about the eviction/upgrade race and
-    // about stale duplicated writebacks from a re-injected evictor).
-    if (ctx_.config().faults.enabled() && msg.txnSeq != 0) {
-        ServedTxn &sv = served_[{line, msg.src}];
-        if (msg.txnSeq <= sv.wbSeq) {
-            ctx_.stats().add("home.dup_writeback_ignored");
-            Message dup_ack;
-            dup_ack.type = MsgType::WriteBackAck;
-            dup_ack.dst = msg.src;
-            dup_ack.lineAddr = line;
-            sendAt(when, dup_ack);
-            return;
-        }
-        sv.wbSeq = msg.txnSeq;
-    }
-
-    const bool stale_version =
-        ctx_.config().faults.enabled() && msg.version < e.version;
-    const bool from_owner = !stale_version &&
-                            e.state == DirEntry::State::Dirty &&
-                            e.owner == msg.src && !msg.masterClean;
-    const bool from_master = !stale_version &&
-                             e.state == DirEntry::State::Shared &&
-                             e.masterOut && e.owner == msg.src;
-
-    // The evictor may proceed regardless; the home now safeguards the
-    // last copy.
-    Message ack;
-    ack.type = MsgType::WriteBackAck;
-    ack.dst = msg.src;
-    ack.lineAddr = line;
-    sendAt(when, ack);
-
-    if (!from_owner && !from_master) {
+    // Acked before the home takes the line over, with no absorb
+    // latency: the evictor may proceed at once, and the home now
+    // safeguards the last copy.
+    serveWriteBack(msg, true, [&](DirEntry &e, bool from_owner,
+                                  bool from_master) -> Tick {
+        const Addr line = msg.lineAddr;
         e.dropSharer(msg.src);
-        return;
-    }
+        if (!from_owner && !from_master)
+            return 0;
+        e.owner = kInvalidNode;
+        e.masterOut = false;
+        e.state = e.sharers != 0 ? DirEntry::State::Shared
+                                 : DirEntry::State::Uncached;
+        noteDir(line, e);
 
-    e.dropSharer(msg.src);
-    e.owner = kInvalidNode;
-    e.masterOut = false;
-    e.state = e.sharers != 0 ? DirEntry::State::Shared
-                             : DirEntry::State::Uncached;
-    noteDir(line, e);
-
-    PendingInject pi;
-    pi.version = msg.version;
-    pi.masterClean = from_master;
-    pi.evictor = msg.src;
-    if (from_master && e.sharers != 0) {
-        // Cheaper than injection: hand mastership to a current sharer.
-        for (NodeId n = 0; n < 64; ++n) {
-            if (e.isSharer(n))
-                pi.grantCandidates.push_back(n);
+        PendingInject pi;
+        pi.version = msg.version;
+        pi.masterClean = from_master;
+        pi.evictor = msg.src;
+        if (from_master && e.sharers != 0) {
+            // Cheaper than injection: hand mastership to a current
+            // sharer.
+            for (NodeId n = 0; n < 64; ++n) {
+                if (e.isSharer(n))
+                    pi.grantCandidates.push_back(n);
+            }
+            pi.grantMode = true;
         }
-        pi.grantMode = true;
-    }
 
-    ctx_.stats().add("coma.injections");
-    e.busy = true;
-    auto [it, inserted] = pendingInjects_.emplace(line, std::move(pi));
-    if (!inserted)
-        panic("second injection started for a line");
-    stepInjection(line, it->second);
+        ctx_.stats().add("coma.injections");
+        e.busy = true;
+        auto [it, inserted] = pendingInjects_.emplace(line, std::move(pi));
+        if (!inserted)
+            panic("second injection started for a line");
+        stepInjection(line, it->second);
+        return 0;
+    });
 }
 
 NodeId

@@ -11,7 +11,21 @@ namespace pimdsm
 
 ComputeBase::ComputeBase(ProtoContext &ctx, NodeId self, spec::Role role)
     : ctx_(ctx), self_(self), role_(role),
-      dispatch_(&dispatchFor(role)),
+      dispatch_(&spec::dispatchTable<ComputeBase>(
+          role, {
+                    {MsgType::ReadReply, &ComputeBase::handleReply},
+                    {MsgType::ReadExReply, &ComputeBase::handleReply},
+                    {MsgType::UpgradeReply, &ComputeBase::handleReply},
+                    {MsgType::FwdReply, &ComputeBase::handleReply},
+                    {MsgType::InvalAck, &ComputeBase::handleInvalAck},
+                    {MsgType::Inval, &ComputeBase::handleInval},
+                    {MsgType::Fwd, &ComputeBase::handleFwd},
+                    {MsgType::WriteBackAck,
+                     &ComputeBase::handleWriteBackAck},
+                    {MsgType::Inject, &ComputeBase::handleInject},
+                    {MsgType::MasterGrant, &ComputeBase::handleMasterGrant},
+                    {MsgType::CimReply, &ComputeBase::handleCimReply},
+                })),
       l1_("l1", ctx.config().l1),
       l2_("l2",
           [&] {
@@ -134,71 +148,6 @@ ComputeBase::forEachWbPending(
         fn(line, wbPending_.at(line));
 }
 
-const ComputeBase::DispatchTable &
-ComputeBase::dispatchFor(spec::Role role)
-{
-    // One handler binding per MsgType a compute controller can
-    // process; the per-role tables below expose exactly the subset the
-    // spec accepts for that role, and building them panics if the spec
-    // accepts a type with no bound handler (spec and code cannot
-    // diverge silently).
-    struct Binding
-    {
-        MsgType type;
-        MsgHandler fn;
-    };
-    static const Binding bindings[] = {
-        {MsgType::ReadReply, &ComputeBase::handleReply},
-        {MsgType::ReadExReply, &ComputeBase::handleReply},
-        {MsgType::UpgradeReply, &ComputeBase::handleReply},
-        {MsgType::FwdReply, &ComputeBase::handleReply},
-        {MsgType::InvalAck, &ComputeBase::handleInvalAck},
-        {MsgType::Inval, &ComputeBase::handleInval},
-        {MsgType::Fwd, &ComputeBase::handleFwd},
-        {MsgType::WriteBackAck, &ComputeBase::handleWriteBackAck},
-        {MsgType::Inject, &ComputeBase::handleInject},
-        {MsgType::MasterGrant, &ComputeBase::handleMasterGrant},
-        {MsgType::CimReply, &ComputeBase::handleCimReply},
-    };
-
-    auto build = [](spec::Role r) {
-        DispatchTable table{};
-        const spec::ProtocolSpec &p = spec::ProtocolSpec::instance();
-        for (int i = 0; i < kNumMsgTypes; ++i) {
-            const auto mt = static_cast<MsgType>(i);
-            if (!p.roleAccepts(r, mt))
-                continue;
-            MsgHandler fn = nullptr;
-            for (const Binding &b : bindings) {
-                if (b.type == mt) {
-                    fn = b.fn;
-                    break;
-                }
-            }
-            if (!fn)
-                panic(std::string("protocol spec accepts ") +
-                      msgTypeName(mt) + " at " + spec::roleName(r) +
-                      " but no compute handler is bound to it");
-            table[i] = fn;
-        }
-        return table;
-    };
-
-    static const DispatchTable agg = build(spec::Role::AggCompute);
-    static const DispatchTable coma = build(spec::Role::ComaCompute);
-    static const DispatchTable numa = build(spec::Role::NumaCompute);
-    switch (role) {
-      case spec::Role::AggCompute:
-        return agg;
-      case spec::Role::ComaCompute:
-        return coma;
-      case spec::Role::NumaCompute:
-        return numa;
-      default:
-        panic("dispatchFor: not a compute role");
-    }
-}
-
 void
 ComputeBase::noteState(Addr line, const char *why)
 {
@@ -222,6 +171,15 @@ ComputeBase::memLine(Addr addr) const
 {
     return blockAlign(addr,
                       static_cast<std::uint64_t>(cfg().mem.lineBytes));
+}
+
+void
+ComputeBase::sendAt(Tick when, Message msg)
+{
+    // Unlike the home's sendAt, egress is not clamped: each message
+    // leaves exactly at @p when.
+    msg.src = self_;
+    ctx_.eq().schedule(when, [this, msg] { ctx_.send(msg); });
 }
 
 void
@@ -342,40 +300,42 @@ ComputeBase::startMiss(const PendingAccess &acc, Addr line, CohState st)
         t = acc.isWrite ? MsgType::ReadExReq : MsgType::ReadReq;
     }
     m.reqType = t;
-
-    const NodeId home = ctx_.homeOf(line, self_);
-    Message req;
-    req.type = t;
-    req.lineAddr = line;
-    req.src = self_;
-    req.dst = home;
-    req.requester = self_;
-    req.legs = home == self_ ? 0 : 1;
+    m.seq = ++nextTxnSeq_;
 
     const Tick send_time =
         now + l1_.latency() + l2_.latency() + missDetectLatency_;
     if (faultsOn_) {
-        m.seq = ++nextTxnSeq_;
         m.lastProgress = send_time;
         m.curTimeout = cfg().faults.timeoutTicks;
-        req.txnSeq = m.seq;
     }
-    ctx_.eq().schedule(send_time, [this, req] { ctx_.send(req); });
+    sendAt(send_time, requestFor(m));
     scheduleFaultSweep();
+}
+
+Message
+ComputeBase::requestFor(const Mshr &m) const
+{
+    Message req;
+    req.type = m.reqType;
+    req.lineAddr = m.line;
+    req.src = self_;
+    // Resolved per send: a failover may have remapped the page.
+    req.dst = ctx_.homeOf(m.line, self_);
+    req.requester = self_;
+    req.legs = req.dst == self_ ? 0 : 1;
+    req.txnSeq = m.seq;
+    req.retryAttempt = m.retries;
+    // Version floor: cached grants at or below it are dead (we served
+    // a superseding exclusive forward) and must not be replayed.
+    req.version = m.supersededVer;
+    return req;
 }
 
 void
 ComputeBase::handleMessage(const Message &msg)
 {
-    if (dead_)
-        return;
-    const MsgHandler h = (*dispatch_)[static_cast<int>(msg.type)];
-    if (!h)
-        panic(std::string(spec::roleName(role_)) +
-              " cannot receive " + msg.toString() + ": " +
-              spec::ProtocolSpec::instance().impossibleReason(
-                  role_, msg.type));
-    (this->*h)(msg);
+    if (!dead_)
+        spec::dispatch(*this, *dispatch_, role_, msg);
 }
 
 void
@@ -442,15 +402,20 @@ ComputeBase::ackStaleBlockingReply(const Message &msg)
     // the line has since moved on to someone else. (Found by the
     // spec-level model checker: a re-served stale read's forward
     // blocking the home forever.)
+    ctx_.stats().add("fault.stale_reply_txndone");
+    sendTxnDone(ctx_.eq().curTick() + msgEngineLatency_, msg.lineAddr,
+                msg.txnSeq);
+}
+
+void
+ComputeBase::sendTxnDone(Tick when, Addr line, std::uint64_t seq)
+{
     Message done;
     done.type = MsgType::TxnDone;
-    done.lineAddr = msg.lineAddr;
-    done.src = self_;
-    done.dst = ctx_.homeOf(msg.lineAddr, self_);
-    done.txnSeq = msg.txnSeq;
-    ctx_.stats().add("fault.stale_reply_txndone");
-    const Tick when = ctx_.eq().curTick() + msgEngineLatency_;
-    ctx_.eq().schedule(when, [this, done] { ctx_.send(done); });
+    done.lineAddr = line;
+    done.dst = ctx_.homeOf(line, self_);
+    done.txnSeq = seq;
+    sendAt(when, done);
 }
 
 void
@@ -550,16 +515,9 @@ ComputeBase::finishAccess(Mshr &m)
         complete(done, svc, w.cb);
     }
 
-    if (m.needsTxnDone) {
-        // Unblock the home line (forwarded / invalidating txns only).
-        const NodeId home = ctx_.homeOf(line, self_);
-        Message ack;
-        ack.type = MsgType::TxnDone;
-        ack.lineAddr = line;
-        ack.src = self_;
-        ack.dst = home;
-        ctx_.eq().schedule(done, [this, ack] { ctx_.send(ack); });
-    }
+    // Unblock the home line (forwarded / invalidating txns only).
+    if (m.needsTxnDone)
+        sendTxnDone(done, line, m.seq);
 
     auto deferred = std::move(m.deferred);
     std::vector<Message> fwds = std::move(m.deferredFwds);
@@ -591,10 +549,8 @@ ComputeBase::handleInval(const Message &msg)
     Message ack;
     ack.type = MsgType::InvalAck;
     ack.lineAddr = msg.lineAddr;
-    ack.src = self_;
     ack.dst = msg.requester;
-    const Tick when = ctx_.eq().curTick() + msgEngineLatency_;
-    ctx_.eq().schedule(when, [this, ack] { ctx_.send(ack); });
+    sendAt(ctx_.eq().curTick() + msgEngineLatency_, ack);
 }
 
 void
@@ -662,30 +618,19 @@ ComputeBase::handleFwd(const Message &msg)
     Message reply;
     reply.type = MsgType::FwdReply;
     reply.lineAddr = line;
-    reply.src = self_;
     reply.dst = msg.requester;
+    reply.requester = msg.requester;
     reply.legs = msg.legs + 1;
     reply.needsTxnDone = true;
     reply.txnSeq = msg.txnSeq;
 
-    if (msg.fwdKind == FwdKind::Read) {
+    const bool read = msg.fwdKind == FwdKind::Read;
+    if (read) {
         if (live) {
             setNodeState(line, downgradeState(), data_version);
             noteState(line, "fwd-downgrade");
         }
         reply.version = data_version;
-        reply.ackCount = 0;
-        ctx_.eq().schedule(when, [this, reply] { ctx_.send(reply); });
-
-        if (sendsSharingWriteback()) {
-            Message sw;
-            sw.type = MsgType::OwnerToHome;
-            sw.lineAddr = line;
-            sw.src = self_;
-            sw.dst = ctx_.homeOf(line, self_);
-            sw.version = data_version;
-            ctx_.eq().schedule(when, [this, sw] { ctx_.send(sw); });
-        }
     } else {
         if (live) {
             invalidateLocal(line);
@@ -706,7 +651,16 @@ ComputeBase::handleFwd(const Message &msg)
         }
         reply.version = msg.version; // the new write generation
         reply.ackCount = msg.ackCount;
-        ctx_.eq().schedule(when, [this, reply] { ctx_.send(reply); });
+    }
+    sendAt(when, reply);
+
+    if (read && sendsSharingWriteback()) {
+        Message sw;
+        sw.type = MsgType::OwnerToHome;
+        sw.lineAddr = line;
+        sw.dst = ctx_.homeOf(line, self_);
+        sw.version = data_version;
+        sendAt(when, sw);
     }
 }
 
@@ -739,17 +693,22 @@ ComputeBase::emitWriteBack(Addr line, CohState st, Version v)
     wb_state.curTimeout = cfg().faults.timeoutTicks;
     wb_state.seq = ++nextTxnSeq_;
     wbPending_[line] = wb_state;
-
-    Message wb;
-    wb.type = MsgType::WriteBack;
-    wb.lineAddr = line;
-    wb.src = self_;
-    wb.dst = ctx_.homeOf(line, self_);
-    wb.version = v;
-    wb.masterClean = wb_state.masterClean;
-    wb.txnSeq = wb_state.seq;
-    ctx_.send(wb);
+    sendWriteBack(line, wb_state);
     scheduleFaultSweep();
+}
+
+void
+ComputeBase::sendWriteBack(Addr line, const WbPending &wb)
+{
+    Message msg;
+    msg.type = MsgType::WriteBack;
+    msg.lineAddr = line;
+    msg.src = self_;
+    msg.dst = ctx_.homeOf(line, self_);
+    msg.version = wb.version;
+    msg.masterClean = wb.masterClean;
+    msg.txnSeq = wb.seq;
+    ctx_.send(msg);
 }
 
 void
@@ -897,21 +856,7 @@ ComputeBase::resendRequest(Mshr &m)
     m.curTimeout = static_cast<Tick>(
         static_cast<double>(m.curTimeout) * cfg().faults.backoffFactor);
     ctx_.stats().add("fault.retries");
-
-    Message req;
-    req.type = m.reqType;
-    req.lineAddr = m.line;
-    req.src = self_;
-    // Re-resolve the home: a failover may have remapped the page.
-    req.dst = ctx_.homeOf(m.line, self_);
-    req.requester = self_;
-    req.legs = req.dst == self_ ? 0 : 1;
-    req.txnSeq = m.seq;
-    req.retryAttempt = m.retries;
-    // Version floor: cached grants at or below it are dead (we served
-    // a superseding exclusive forward) and must not be replayed.
-    req.version = m.supersededVer;
-    ctx_.send(req);
+    ctx_.send(requestFor(m));
 }
 
 void
@@ -923,16 +868,7 @@ ComputeBase::resendWriteBack(Addr line, WbPending &wb)
     wb.curTimeout = static_cast<Tick>(
         static_cast<double>(wb.curTimeout) * cfg().faults.backoffFactor);
     ctx_.stats().add("fault.wb_retries");
-
-    Message msg;
-    msg.type = MsgType::WriteBack;
-    msg.lineAddr = line;
-    msg.src = self_;
-    msg.dst = ctx_.homeOf(line, self_);
-    msg.version = wb.version;
-    msg.masterClean = wb.masterClean;
-    msg.txnSeq = wb.seq;
-    ctx_.send(msg);
+    sendWriteBack(line, wb);
 }
 
 void

@@ -354,24 +354,17 @@ class ComputeBase
     Addr memLine(Addr addr) const;
     const MachineConfig &cfg() const { return ctx_.config(); }
 
-    // ------------------------------------------------------------------
-    // Spec-driven dispatch: handleMessage routes through a per-role
-    // table derived from spec::ProtocolSpec, so a message the spec
-    // declares Impossible for this role panics with the spec's reason
-    // and a spec entry without a bound handler fails at construction.
-    // ------------------------------------------------------------------
-
-    using MsgHandler = void (ComputeBase::*)(const Message &);
-    using DispatchTable = std::array<MsgHandler, kNumMsgTypes>;
-
-    /** Dispatch table for @p role (built once, checked against spec). */
-    static const DispatchTable &dispatchFor(spec::Role role);
+    /** Emit @p msg from this node at absolute tick @p when. */
+    void sendAt(Tick when, Message msg);
 
     /** Try to start @p acc; queues it if resources are busy. */
     void startAccess(const PendingAccess &acc);
 
     /** A miss: create/join an MSHR and send the request. */
     void startMiss(const PendingAccess &acc, Addr line, CohState st);
+
+    /** The request of @p m's transaction (sent first and on retries). */
+    Message requestFor(const Mshr &m) const;
 
     /** Fill the L2 and dispose of its victim. */
     void fillL2(Addr line, CohState st, Version v, bool dirty);
@@ -381,6 +374,8 @@ class ComputeBase
      *  home its unblock (the transaction is dead on this side but the
      *  home may be serving its re-served retry). */
     void ackStaleBlockingReply(const Message &msg);
+    /** Send @p line's home the TxnDone of transaction @p seq. */
+    void sendTxnDone(Tick when, Addr line, std::uint64_t seq);
     void handleInvalAck(const Message &msg);
     void handleInval(const Message &msg);
     void handleFwd(const Message &msg);
@@ -392,6 +387,9 @@ class ComputeBase
 
     /** Emit a WriteBack for an owned displaced line. */
     void emitWriteBack(Addr line, CohState st, Version v);
+
+    /** Send the WriteBack of @p wb (first send and retries). */
+    void sendWriteBack(Addr line, const WbPending &wb);
 
     /** Retry accesses blocked on a full MSHR file or pending WB. */
     void drainBlocked();
@@ -432,7 +430,7 @@ class ComputeBase
     ProtoContext &ctx_;
     NodeId self_;
     spec::Role role_;
-    const DispatchTable *dispatch_;
+    const spec::DispatchTable<ComputeBase> *dispatch_;
     Cache l1_;
     Cache l2_;
 

@@ -13,71 +13,21 @@ namespace pimdsm
 
 HomeBase::HomeBase(ProtoContext &ctx, NodeId self, spec::Role role)
     : ctx_(ctx), self_(self), role_(role),
-      dispatch_(&dispatchFor(role)),
+      dispatch_(&spec::dispatchTable<HomeBase>(
+          role, {
+                    {MsgType::ReadReq, &HomeBase::acceptRequest},
+                    {MsgType::ReadExReq, &HomeBase::acceptRequest},
+                    {MsgType::UpgradeReq, &HomeBase::acceptRequest},
+                    {MsgType::WriteBack, &HomeBase::enqueueOrServe},
+                    {MsgType::TxnDone, &HomeBase::handleTxnDone},
+                    {MsgType::OwnerToHome, &HomeBase::handleOwnerToHome},
+                    {MsgType::InjectAck, &HomeBase::handleInjectResponse},
+                    {MsgType::InjectNack, &HomeBase::handleInjectResponse},
+                    {MsgType::CimReq, &HomeBase::handleCimReq},
+                })),
       dir_(ctx.config().mem.lineBytes, ctx.config().pageBytes),
       faultsOn_(ctx.config().faults.enabled())
 {
-}
-
-const HomeBase::DispatchTable &
-HomeBase::dispatchFor(spec::Role role)
-{
-    // One handler binding per MsgType a home controller can process;
-    // building the per-role table panics if the spec accepts a type
-    // with no bound handler (spec and code cannot diverge silently).
-    struct Binding
-    {
-        MsgType type;
-        MsgHandler fn;
-    };
-    static const Binding bindings[] = {
-        {MsgType::ReadReq, &HomeBase::acceptRequest},
-        {MsgType::ReadExReq, &HomeBase::acceptRequest},
-        {MsgType::UpgradeReq, &HomeBase::acceptRequest},
-        {MsgType::WriteBack, &HomeBase::enqueueOrServe},
-        {MsgType::TxnDone, &HomeBase::handleTxnDone},
-        {MsgType::OwnerToHome, &HomeBase::handleOwnerToHome},
-        {MsgType::InjectAck, &HomeBase::handleInjectResponse},
-        {MsgType::InjectNack, &HomeBase::handleInjectResponse},
-        {MsgType::CimReq, &HomeBase::handleCimReq},
-    };
-
-    auto build = [](spec::Role r) {
-        DispatchTable table{};
-        const spec::ProtocolSpec &p = spec::ProtocolSpec::instance();
-        for (int i = 0; i < kNumMsgTypes; ++i) {
-            const auto mt = static_cast<MsgType>(i);
-            if (!p.roleAccepts(r, mt))
-                continue;
-            MsgHandler fn = nullptr;
-            for (const Binding &b : bindings) {
-                if (b.type == mt) {
-                    fn = b.fn;
-                    break;
-                }
-            }
-            if (!fn)
-                panic(std::string("protocol spec accepts ") +
-                      msgTypeName(mt) + " at " + spec::roleName(r) +
-                      " but no home handler is bound to it");
-            table[i] = fn;
-        }
-        return table;
-    };
-
-    static const DispatchTable agg = build(spec::Role::AggHome);
-    static const DispatchTable coma = build(spec::Role::ComaHome);
-    static const DispatchTable numa = build(spec::Role::NumaHome);
-    switch (role) {
-      case spec::Role::AggHome:
-        return agg;
-      case spec::Role::ComaHome:
-        return coma;
-      case spec::Role::NumaHome:
-        return numa;
-      default:
-        panic("dispatchFor: not a home role");
-    }
 }
 
 Tick
@@ -151,15 +101,8 @@ HomeBase::handleMessage(const Message &msg)
     ctx_.eq().schedule(when, [this, copy] {
         // A handler event scheduled before the node died must not run
         // after it (fail-stop).
-        if (dead_)
-            return;
-        const MsgHandler h = (*dispatch_)[static_cast<int>(copy.type)];
-        if (!h)
-            panic(std::string(spec::roleName(role_)) +
-                  " cannot receive " + copy.toString() + ": " +
-                  spec::ProtocolSpec::instance().impossibleReason(
-                      role_, copy.type));
-        (this->*h)(copy);
+        if (!dead_)
+            spec::dispatch(*this, *dispatch_, role_, copy);
     });
 }
 
@@ -223,6 +166,7 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
     const Tick now = ctx_.eq().curTick();
     const Tick start = engine_.acquire(now, scaled(costs().readOccupancy));
     Tick when = start + handlerLatency(req, costs().readLatency);
+    const int ptrs = ctx_.config().directoryPointers;
 
     if (e.state == DirEntry::State::Dirty) {
         if (faultsOn_ && e.owner == req.src) {
@@ -231,54 +175,26 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
             // failover): re-grant a master copy idempotently at the
             // already-committed version instead of forwarding to self.
             ctx_.stats().add("home.regrant_read");
-            Message r;
-            r.type = MsgType::ReadReply;
-            r.dst = req.src;
-            r.lineAddr = line;
-            r.version = e.version;
-            r.legs = req.legs + 1;
-            r.grantsMaster = grantsMasterOnRead();
-            e.state = DirEntry::State::Shared;
             e.sharers = 0;
             e.ptrOverflow = false;
-            e.addSharerLimited(req.src, ctx_.config().directoryPointers);
             e.masterOut = grantsMasterOnRead();
             if (!grantsMasterOnRead()) {
                 // NUMA: restore the always-backing home memory.
                 when += absorbData(line, e, e.version);
                 e.owner = kInvalidNode;
             }
-            updateLinkage(line, e);
-            e.busy = false;
-            noteDir(line, e);
-            sendReplyTracked(when, r, req);
+            grantRead(line, e, req, when, grantsMasterOnRead(), ptrs);
             return;
         }
         // 3-hop: the owner supplies the data and keeps mastership as a
         // SharedMaster copy (no home slot is consumed now; the owner's
         // sharing writeback may restore one).
-        Message f;
-        f.type = MsgType::Fwd;
-        f.fwdKind = FwdKind::Read;
-        f.dst = e.owner;
-        f.requester = req.src;
-        f.lineAddr = line;
-        f.legs = req.legs + 1;
-        f.txnSeq = req.txnSeq;
-        // Stamp the version the directory expects the owner to hold:
-        // if a fault lost the owner's granting reply, the owner can
-        // see the directory ran ahead of it and defer the forward
-        // until its own transaction replays (serving now would hand
-        // the reader a stale copy).
-        f.version = e.version;
-        sendAt(when, f);
-        e.fwdTo = f.dst;
-
+        forward(e, req, when, FwdKind::Read, e.owner, e.version, 0);
         e.state = DirEntry::State::Shared;
         e.sharers = 0;
         e.ptrOverflow = false;
         e.addSharer(e.owner);
-        e.addSharerLimited(req.src, ctx_.config().directoryPointers);
+        e.addSharerLimited(req.src, ptrs);
         if (grantsMasterOnRead()) {
             // The old owner keeps mastership as a SharedMaster copy.
             e.masterOut = true;
@@ -303,28 +219,12 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
             o->noteHomeServe(ctx_.eq().curTick(), self_, req.src, line,
                              e.version);
         when += dataAccessLatency(e);
-        Message r;
-        r.type = MsgType::ReadReply;
-        r.dst = req.src;
-        r.lineAddr = line;
-        r.version = e.version;
-        r.legs = req.legs + 1;
         // Re-granting mastership to the node that already holds it is
         // idempotent (only reachable when a granting reply was lost).
-        if (grantsMasterOnRead() && (!e.masterOut || e.owner == req.src)) {
-            r.grantsMaster = true;
-            e.masterOut = true;
-            e.owner = req.src;
-        }
-        e.state = DirEntry::State::Shared;
-        e.addSharerLimited(req.src, ctx_.config().directoryPointers);
-        updateLinkage(line, e);
-        // No third party involved: the line unblocks right away (the
-        // mesh delivers our later messages to the requester after
-        // this reply).
-        e.busy = false;
-        noteDir(line, e);
-        sendReplyTracked(when, r, req);
+        grantRead(line, e, req, when,
+                  grantsMasterOnRead() &&
+                      (!e.masterOut || e.owner == req.src),
+                  ptrs);
         return;
     }
 
@@ -335,21 +235,9 @@ HomeBase::serveRead(Addr line, DirEntry &e, const Message &req)
         // Home dropped its copy; 3-hop via the master (the paper's
         // motivation for discouraging SharedList reuse).
         ctx_.stats().add("home.read_via_master");
-        Message f;
-        f.type = MsgType::Fwd;
-        f.fwdKind = FwdKind::Read;
-        f.dst = e.owner;
-        f.requester = req.src;
-        f.lineAddr = line;
-        f.legs = req.legs + 1;
-        f.txnSeq = req.txnSeq;
-        // See the 3-hop forward above: lets a master whose own grant
-        // was lost detect that the directory ran ahead of its copy.
-        f.version = e.version;
-        sendAt(when, f);
-        e.fwdTo = f.dst;
+        forward(e, req, when, FwdKind::Read, e.owner, e.version, 0);
         e.state = DirEntry::State::Shared;
-        e.addSharerLimited(req.src, ctx_.config().directoryPointers);
+        e.addSharerLimited(req.src, ptrs);
         updateLinkage(line, e);
         noteDir(line, e);
         return;
@@ -366,24 +254,58 @@ HomeBase::serveColdRead(Addr line, DirEntry &e, const Message &req,
     // regular home hit.
     when += absorbData(line, e, e.version);
     when += dataAccessLatency(e);
+    grantRead(line, e, req, when, grantsMasterOnRead(),
+              ctx_.config().directoryPointers);
+}
 
+void
+HomeBase::grantRead(Addr line, DirEntry &e, const Message &req, Tick when,
+                    bool master, int max_ptrs)
+{
     Message r;
     r.type = MsgType::ReadReply;
     r.dst = req.src;
     r.lineAddr = line;
     r.version = e.version;
     r.legs = req.legs + 1;
-    if (grantsMasterOnRead()) {
-        r.grantsMaster = true;
+    r.grantsMaster = master;
+    if (master) {
         e.masterOut = true;
         e.owner = req.src;
     }
     e.state = DirEntry::State::Shared;
-    e.addSharerLimited(req.src, ctx_.config().directoryPointers);
+    e.addSharerLimited(req.src, max_ptrs);
     updateLinkage(line, e);
-    e.busy = false; // no third party involved
+    // No third party involved: the line unblocks right away (the mesh
+    // delivers our later messages to the requester after this reply).
+    e.busy = false;
     noteDir(line, e);
     sendReplyTracked(when, r, req);
+}
+
+void
+HomeBase::forward(DirEntry &e, const Message &req, Tick when, FwdKind kind,
+                  NodeId to, Version v, int acks)
+{
+    Message f;
+    f.type = MsgType::Fwd;
+    f.fwdKind = kind;
+    f.dst = to;
+    f.requester = req.src;
+    f.lineAddr = req.lineAddr;
+    // A read forward carries the version the directory expects the
+    // owner to hold: if a fault lost the owner's granting reply, the
+    // owner can see the directory ran ahead of it and defer the
+    // forward until its own transaction replays (serving now would
+    // hand the reader a stale copy). A write forward carries the new
+    // write generation.
+    f.version = v;
+    f.ackCount = acks;
+    f.legs = req.legs + 1;
+    f.txnSeq = req.txnSeq;
+    sendAt(when, f);
+    // Kept apart from owner, which a write rewrites to the requester.
+    e.fwdTo = to;
 }
 
 void
@@ -439,19 +361,7 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
         const Tick start =
             engine_.acquire(now, scaled(costs().readExOccupancy));
         const Tick when = start + handlerLatency(req, costs().readExLatency);
-        Message f;
-        f.type = MsgType::Fwd;
-        f.fwdKind = FwdKind::ReadEx;
-        f.dst = e.owner;
-        f.requester = requester;
-        f.lineAddr = line;
-        f.version = vnew;
-        f.ackCount = 0;
-        f.legs = req.legs + 1;
-        f.txnSeq = req.txnSeq;
-        sendAt(when, f);
-        e.fwdTo = f.dst; // owner is rewritten below; keep the target
-
+        forward(e, req, when, FwdKind::ReadEx, e.owner, vnew, 0);
         e.state = DirEntry::State::Dirty;
         e.owner = requester;
         e.sharers = 0;
@@ -510,18 +420,7 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
         r.needsTxnDone = n_inv > 0;
         sendReplyTracked(when, r, req);
     } else if (fwd_to_master) {
-        Message f;
-        f.type = MsgType::Fwd;
-        f.fwdKind = FwdKind::ReadEx;
-        f.dst = master;
-        f.requester = requester;
-        f.lineAddr = line;
-        f.version = vnew;
-        f.ackCount = n_inv;
-        f.legs = req.legs + 1;
-        f.txnSeq = req.txnSeq;
-        sendAt(when, f);
-        e.fwdTo = f.dst;
+        forward(e, req, when, FwdKind::ReadEx, master, vnew, n_inv);
     } else {
         if (e.pagedOut)
             when += pageIn(line, e);
@@ -563,12 +462,29 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
 void
 HomeBase::handleWriteBack(const Message &msg)
 {
+    serveWriteBack(msg, false,
+                   [&](DirEntry &e, bool from_owner, bool from_master) {
+                       return absorbWriteBack(msg.lineAddr, e, msg.src,
+                                              msg.version, from_owner,
+                                              from_master, false);
+                   });
+}
+
+void
+HomeBase::serveWriteBack(const Message &msg, bool ack_first,
+                         FunctionRef<Tick(DirEntry &, bool, bool)> tail)
+{
     DirEntry &e = entryFor(msg.lineAddr);
 
     const Tick now = ctx_.eq().curTick();
     const Tick start =
         engine_.acquire(now, scaled(costs().writeBackOccupancy));
     Tick when = start + handlerLatency(msg, costs().writeBackLatency);
+
+    Message ack;
+    ack.type = MsgType::WriteBackAck;
+    ack.dst = msg.src;
+    ack.lineAddr = msg.lineAddr;
 
     // Duplicate writebacks are discarded by sequence number, not by
     // state: after a re-injection hands the evictor the same version
@@ -580,63 +496,79 @@ HomeBase::handleWriteBack(const Message &msg)
         ServedTxn &sv = served_[{msg.lineAddr, msg.src}];
         if (msg.txnSeq <= sv.wbSeq) {
             ctx_.stats().add("home.dup_writeback_ignored");
-            Message ack;
-            ack.type = MsgType::WriteBackAck;
-            ack.dst = msg.src;
-            ack.lineAddr = msg.lineAddr;
             sendAt(when, ack);
             return;
         }
         sv.wbSeq = msg.txnSeq;
     }
 
-    // Attribution: a *dirty* writeback from the current owner, or a
-    // master-copy writeback from the current master. The masterClean
-    // flag disambiguates the race where a node's clean-master eviction
+    // A legitimate owner/master writeback always carries the entry's
+    // current version; a duplicated WriteBack can straggle until after
+    // its sender re-acquired the line (e.g. a COMA re-injection), when
+    // it would otherwise pass attribution and absorb stale data.
+    const bool stale = faultsOn_ && msg.version < e.version;
+    const auto [from_owner, from_master] =
+        attributeWriteBack(e, msg.src, msg.masterClean);
+    if (ack_first)
+        sendAt(when, ack);
+    when += tail(e, from_owner && !stale, from_master && !stale);
+    if (!ack_first)
+        sendAt(when, ack);
+}
+
+std::pair<bool, bool>
+HomeBase::attributeWriteBack(const DirEntry &e, NodeId from,
+                             bool master_clean)
+{
+    // A *dirty* writeback from the current owner, or a master-copy
+    // writeback from the current master. The masterClean flag
+    // disambiguates the race where a node's clean-master eviction
     // crosses its own upgrade: by the time the writeback arrives the
     // node is the dirty owner again, but this (v_old) data must not be
     // absorbed. Conversely, a dirty eviction whose owner was demoted
     // to master by an intervening forwarded read is still the master's
     // (current) data.
-    // A legitimate owner/master writeback always carries the entry's
-    // current version; a duplicated WriteBack can straggle until after
-    // its sender re-acquired the line (e.g. a COMA re-injection), when
-    // it would otherwise pass attribution and absorb stale data.
-    const bool stale_version = faultsOn_ && msg.version < e.version;
-    const bool from_owner = !stale_version &&
-                            e.state == DirEntry::State::Dirty &&
-                            e.owner == msg.src && !msg.masterClean;
-    const bool from_master = !stale_version &&
-                             e.state == DirEntry::State::Shared &&
-                             e.masterOut && e.owner == msg.src;
+    return {e.state == DirEntry::State::Dirty && e.owner == from &&
+                !master_clean,
+            e.state == DirEntry::State::Shared && e.masterOut &&
+                e.owner == from};
+}
 
+Tick
+HomeBase::absorbWriteBack(Addr line, DirEntry &e, NodeId from, Version v,
+                          bool from_owner, bool from_master, bool salvage)
+{
+    Tick extra = 0;
     if (from_owner) {
-        when += absorbData(msg.lineAddr, e, msg.version);
+        extra += absorbData(line, e, v);
         e.state = DirEntry::State::Uncached;
         e.owner = kInvalidNode;
         e.sharers = 0;
         e.masterOut = false;
     } else if (from_master) {
-        e.dropSharer(msg.src);
-        if (!hasData(msg.lineAddr, e) && !e.pagedOut)
-            when += absorbData(msg.lineAddr, e, msg.version);
+        e.dropSharer(from);
+        if (!hasData(line, e) && !e.pagedOut)
+            extra += absorbData(line, e, v);
         e.masterOut = false;
         e.owner = kInvalidNode;
-        if (e.sharers == 0 && hasData(msg.lineAddr, e))
+        // An evicted master leaves the line Uncached only when the home
+        // now holds the data; a salvaged one (functionalWriteBack) also
+        // when the line stays paged out.
+        if (e.sharers == 0 && (salvage || hasData(line, e)))
             e.state = DirEntry::State::Uncached;
     } else {
         // Late writeback: the transaction that took the line away has
-        // already been serialized; the data here is superseded.
-        e.dropSharer(msg.src);
+        // already been serialized; the data here is superseded. A
+        // salvage also demotes the Shared line it leaves with no
+        // sharer and no master.
+        e.dropSharer(from);
+        if (salvage && e.sharers == 0 &&
+            e.state == DirEntry::State::Shared && !e.masterOut)
+            e.state = DirEntry::State::Uncached;
     }
-    updateLinkage(msg.lineAddr, e);
-    noteDir(msg.lineAddr, e);
-
-    Message ack;
-    ack.type = MsgType::WriteBackAck;
-    ack.dst = msg.src;
-    ack.lineAddr = msg.lineAddr;
-    sendAt(when, ack);
+    updateLinkage(line, e);
+    noteDir(line, e);
+    return extra;
 }
 
 void
@@ -684,19 +616,9 @@ HomeBase::finishTxn(Addr line, NodeId from)
     e.busy = false;
     e.busyFor = kInvalidNode;
     e.fwdTo = kInvalidNode;
-    // Serve queued requests until one blocks the line again. (A queued
-    // WriteBack completes without blocking, so draining must continue
-    // past it.)
-    while (!e.busy && dir_.queued(line) != 0) {
-        std::vector<Message> &q = dir_.queue(line);
-        Message next = q.front();
-        q.erase(q.begin());
-        if (faultsOn_ && ctx_.nodeDead(next.src)) {
-            ctx_.stats().add("home.req_from_dead_dropped");
-            continue;
-        }
-        serveRequest(next);
-    }
+    // A fault-free home serves even a dead node's queued request here;
+    // the failover paths always drop them.
+    drainQueued(line, faultsOn_);
 }
 
 void
@@ -751,14 +673,17 @@ HomeBase::abortNode(NodeId dead, std::vector<Addr> *unblocked_out)
 }
 
 void
-HomeBase::drainQueued(Addr line)
+HomeBase::drainQueued(Addr line, bool drop_dead)
 {
+    // Serve queued requests until one blocks the line again. (A queued
+    // WriteBack completes without blocking, so draining must continue
+    // past it.)
     DirEntry &e = entryFor(line);
     while (!e.busy && dir_.queued(line) != 0) {
         std::vector<Message> &q = dir_.queue(line);
         Message next = q.front();
         q.erase(q.begin());
-        if (ctx_.nodeDead(next.src)) {
+        if (drop_dead && ctx_.nodeDead(next.src)) {
             ctx_.stats().add("home.req_from_dead_dropped");
             continue;
         }
@@ -909,32 +834,9 @@ HomeBase::functionalWriteBack(Addr line, NodeId from, Version v)
         ctx_.stats().add("fault.salvage_superseded");
         return;
     }
-    const bool from_owner =
-        e.state == DirEntry::State::Dirty && e.owner == from;
-    const bool from_master = e.state == DirEntry::State::Shared &&
-                             e.masterOut && e.owner == from;
-    if (from_owner) {
-        absorbData(line, e, v);
-        e.state = DirEntry::State::Uncached;
-        e.owner = kInvalidNode;
-        e.sharers = 0;
-        e.masterOut = false;
-    } else if (from_master) {
-        e.dropSharer(from);
-        if (!hasData(line, e) && !e.pagedOut)
-            absorbData(line, e, v);
-        e.masterOut = false;
-        e.owner = kInvalidNode;
-        if (e.sharers == 0)
-            e.state = DirEntry::State::Uncached;
-    } else {
-        e.dropSharer(from);
-        if (e.sharers == 0 && e.state == DirEntry::State::Shared &&
-            !e.masterOut)
-            e.state = DirEntry::State::Uncached;
-    }
-    updateLinkage(line, e);
-    noteDir(line, e);
+    const auto [from_owner, from_master] =
+        attributeWriteBack(e, from, false);
+    absorbWriteBack(line, e, from, v, from_owner, from_master, true);
 }
 
 bool
@@ -1042,8 +944,10 @@ HomeBase::scrubServedReply(Addr line, NodeId node)
 void
 HomeBase::sendReplyTracked(Tick when, Message r, const Message &req)
 {
+    // Every reply names the transaction it answers.
+    r.txnSeq = req.txnSeq;
+    r.requester = req.src;
     if (faultsOn_ && req.txnSeq != 0) {
-        r.txnSeq = req.txnSeq;
         ServedTxn &st = served_[{req.lineAddr, req.src}];
         st.seq = req.txnSeq;
         st.hasReply = true;

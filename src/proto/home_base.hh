@@ -19,7 +19,6 @@
 #ifndef PIMDSM_PROTO_HOME_BASE_HH
 #define PIMDSM_PROTO_HOME_BASE_HH
 
-#include <array>
 #include <cstdint>
 #include <utility>
 
@@ -30,6 +29,7 @@
 #include "proto/stuck.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/function_ref.hh"
 
 namespace pimdsm
 {
@@ -104,8 +104,9 @@ class HomeBase
      */
     void abortNode(NodeId dead, std::vector<Addr> *unblocked = nullptr);
 
-    /** Serve a line's queued requests until it goes busy or empties. */
-    void drainQueued(Addr line);
+    /** Serve a line's queued requests until it goes busy or empties,
+     *  dropping those from dead nodes when @p drop_dead is set. */
+    void drainQueued(Addr line, bool drop_dead = true);
 
     /**
      * Post-salvage sweep for a fail-stopped compute node: any entry
@@ -213,18 +214,6 @@ class HomeBase
     // Engine helpers (available to subclasses).
     // ------------------------------------------------------------------
 
-    // ------------------------------------------------------------------
-    // Spec-driven dispatch (mirrors ComputeBase::dispatchFor): the
-    // handler for each MsgType is looked up in a per-role table derived
-    // from spec::ProtocolSpec.
-    // ------------------------------------------------------------------
-
-    using MsgHandler = void (HomeBase::*)(const Message &);
-    using DispatchTable = std::array<MsgHandler, kNumMsgTypes>;
-
-    /** Dispatch table for @p role (built once, checked against spec). */
-    static const DispatchTable &dispatchFor(spec::Role role);
-
     /** Request entry: dedup retried transactions, then queue or serve. */
     void acceptRequest(const Message &msg);
 
@@ -243,6 +232,45 @@ class HomeBase
 
     void serveRead(Addr line, DirEntry &e, const Message &req);
     void serveWrite(Addr line, DirEntry &e, const Message &req);
+
+    /**
+     * Grant @p req a shared copy of @p line from home, as master when
+     * @p master, and unblock the line: the one ReadReply a home sends.
+     * The requester joins the sharers under the @p max_ptrs pointer
+     * limit (0: unlimited).
+     */
+    void grantRead(Addr line, DirEntry &e, const Message &req, Tick when,
+                   bool master, int max_ptrs);
+
+    /** Forward @p req to @p to (the owner or master) as a @p kind Fwd
+     *  carrying version @p v and @p acks pending invalidations. */
+    void forward(DirEntry &e, const Message &req, Tick when, FwdKind kind,
+                 NodeId to, Version v, int acks);
+
+    /**
+     * The write-back handler every home shares: charge the engine,
+     * ack and drop a duplicate by wbSeq, attribute the rest (a stale
+     * version under faults is late), run the storage-specific @p tail
+     * (DirEntry, from owner, from master) and ack. The ack leaves after
+     * the absorb latency @p tail returns, or before @p tail runs when
+     * @p ack_first.
+     */
+    void serveWriteBack(const Message &msg, bool ack_first,
+                        FunctionRef<Tick(DirEntry &, bool, bool)> tail);
+
+    /** Is a write-back of @p e from @p from the owner's dirty copy, the
+     *  master's copy, or (neither) a late one? */
+    static std::pair<bool, bool> attributeWriteBack(const DirEntry &e,
+                                                    NodeId from,
+                                                    bool master_clean);
+
+    /**
+     * Take an attributed write-back into home storage and the entry;
+     * returns the absorb latency. A @p salvage (functionalWriteBack)
+     * also demotes a Shared line it leaves without sharers or master.
+     */
+    Tick absorbWriteBack(Addr line, DirEntry &e, NodeId from, Version v,
+                         bool from_owner, bool from_master, bool salvage);
     void handleTxnDone(const Message &msg);
     void handleOwnerToHome(const Message &msg);
 
@@ -286,7 +314,7 @@ class HomeBase
     ProtoContext &ctx_;
     NodeId self_;
     spec::Role role_;
-    const DispatchTable *dispatch_;
+    const spec::DispatchTable<HomeBase> *dispatch_;
     Resource engine_;
     DirectoryTable dir_;
     /** Monotonic egress time (see sendAt). */

@@ -96,9 +96,11 @@ struct Message
     /** CIM: records to scan / matches returned. */
     std::uint64_t cimCount = 0;
     /**
-     * Requester-local transaction sequence number, used to dedup
-     * retried requests at the home and stale/duplicate replies at the
-     * MSHR. Zero (unset) when fault injection is disabled.
+     * Requester-local sequence number of the transaction (or
+     * writeback) this message belongs to; requests, their home replies
+     * and forwards, FwdReplies and TxnDones carry it. Under faults it
+     * dedups retried requests at the home and stale/duplicate replies
+     * at the MSHR. Zero on messages outside a transaction.
      */
     std::uint64_t txnSeq = 0;
 

@@ -1040,5 +1040,21 @@ ProtocolSpec::instance()
     return p;
 }
 
+void
+unboundHandler(Role r, MsgType t)
+{
+    panic(std::string("protocol spec accepts ") + msgTypeName(t) +
+          " at " + roleName(r) + " but no " +
+          (roleIsCompute(r) ? "compute" : "home") +
+          " handler is bound to it");
+}
+
+void
+cannotReceive(Role r, const Message &msg)
+{
+    panic(std::string(roleName(r)) + " cannot receive " + msg.toString() +
+          ": " + ProtocolSpec::instance().impossibleReason(r, msg.type));
+}
+
 } // namespace spec
 } // namespace pimdsm

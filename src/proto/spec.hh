@@ -24,8 +24,12 @@
 #ifndef PIMDSM_PROTO_SPEC_HH
 #define PIMDSM_PROTO_SPEC_HH
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "proto/message.hh"
@@ -288,6 +292,67 @@ class ProtocolSpec
     std::vector<Transition> transitions_;
     std::vector<MessageDecl> decls_;
 };
+
+// ------------------------------------------------------------------
+// Spec-driven dispatch: every controller routes handleMessage through
+// a table built from its role's rows, so a message the spec declares
+// Impossible for the role panics with the spec's reason, and a spec
+// row without a bound handler fails when the controller is built.
+// ------------------------------------------------------------------
+
+/** A controller's handler for each MsgType (null: not accepted). */
+template <typename Ctl>
+using DispatchTable =
+    std::array<void (Ctl::*)(const Message &), kNumMsgTypes>;
+
+/** Panic: the spec accepts @p t at @p r but no handler is bound. */
+[[noreturn]] void unboundHandler(Role r, MsgType t);
+
+/** Panic: @p msg reached role @p r, which cannot receive it. */
+[[noreturn]] void cannotReceive(Role r, const Message &msg);
+
+/**
+ * Role @p r's table: the handler @p bindings names for each MsgType the
+ * spec accepts at @p r, null for the rest. Built once per controller
+ * type and role (each type passes the same @p bindings every time).
+ */
+template <typename Ctl>
+const DispatchTable<Ctl> &
+dispatchTable(Role r,
+              std::initializer_list<
+                  std::pair<MsgType, void (Ctl::*)(const Message &)>>
+                  bindings)
+{
+    static std::array<std::once_flag, kNumRoles> built;
+    static std::array<DispatchTable<Ctl>, kNumRoles> tables{};
+    const auto role = static_cast<std::size_t>(r);
+    std::call_once(built[role], [&] {
+        DispatchTable<Ctl> &table = tables[role];
+        for (const auto &[t, fn] : bindings)
+            table[static_cast<int>(t)] = fn;
+        const ProtocolSpec &p = ProtocolSpec::instance();
+        for (int i = 0; i < kNumMsgTypes; ++i) {
+            const auto t = static_cast<MsgType>(i);
+            if (!p.roleAccepts(r, t))
+                table[i] = nullptr;
+            else if (!table[i])
+                unboundHandler(r, t);
+        }
+    });
+    return tables[role];
+}
+
+/** Run @p msg's handler from @p table on @p ctl, which plays @p r. */
+template <typename Ctl>
+void
+dispatch(Ctl &ctl, const DispatchTable<Ctl> &table, Role r,
+         const Message &msg)
+{
+    const auto h = table[static_cast<int>(msg.type)];
+    if (!h)
+        cannotReceive(r, msg);
+    (ctl.*h)(msg);
+}
 
 } // namespace spec
 } // namespace pimdsm

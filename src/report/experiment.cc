@@ -89,7 +89,6 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 }
                 const FailoverResult fr = failOverDNode(m, n);
                 result.failoverTicks += fr.cost;
-                ++result.failovers;
                 return;
             }
           case FaultDomain::PNodeDeath:
@@ -106,7 +105,6 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
                 }
                 const PNodeFailoverResult fr = failOverPNode(m, n);
                 result.pnodeFailoverTicks += fr.cost;
-                ++result.pnodeFailovers;
                 // Shrink the sync population (releases a barrier the
                 // death completed, breaks a dead-held lock) and abort
                 // the thread so the phase's done-count converges.
@@ -288,6 +286,9 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
     result.census = m.collectCensus();
     result.messages = m.messagesSent();
     result.counters = m.stats().all();
+    result.failovers = static_cast<int>(result.counter("fault.failovers"));
+    result.pnodeFailovers =
+        static_cast<int>(result.counter("fault.pnode_failovers"));
 
     // Contention summary: ticks transactions spent queued behind busy
     // resources (mesh links, home protocol engines).

@@ -74,13 +74,15 @@ struct RunResult
     double dNodeUtilization = 0.0;
     /** Reconfigurations the auto policy performed. */
     int autoReconfigs = 0;
-    /** Scheduled D-node deaths that were failed over. */
+    /**
+     * Copies of the fault.failovers and fault.pnode_failovers counters
+     * (read those): the perfbench run digest hashes these fields.
+     */
     int failovers = 0;
-    /** Modeled overhead of those failovers. */
-    Tick failoverTicks = 0;
-    /** Scheduled P-node deaths that were failed over. */
     int pnodeFailovers = 0;
-    /** Modeled overhead of those failovers. */
+    /** Modeled overhead of the D-node failovers. */
+    Tick failoverTicks = 0;
+    /** Modeled overhead of the P-node failovers. */
     Tick pnodeFailoverTicks = 0;
 
     /** Fraction of total time that is memory stall (Figure 6 split). */

@@ -408,7 +408,6 @@ TEST(Failover, DNodeDeathMidRunFailsOverAndCompletes)
     opts.checkInvariants = true;
     const RunResult r = runWorkload(cfg, *wl, opts);
 
-    EXPECT_EQ(r.failovers, 1);
     EXPECT_GT(r.failoverTicks, 0u);
     EXPECT_EQ(r.counters.at("fault.failovers"), 1.0);
     // The survivors absorbed the dead node's pages.

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <regex>
+#include <string>
+#include <vector>
+
 #include "machine/machine.hh"
 #include "sim/log.hh"
 
@@ -462,6 +467,163 @@ TEST(AggProtocol, ForwardedTransactionsDoAcknowledge)
     // completes rather than queueing forever).
     doAccess(m, 0, kLine, true);
     m.checkInvariants();
+}
+
+// ------------------------------------------------- write-back paths
+
+TEST(WriteBackPaths, SalvageDemotesTheSharedLineItEmpties)
+{
+    // A reconfiguration drains both holders of a home-backed line, the
+    // master first: its salvage leaves the line Shared at node 1 with
+    // no master out. Node 1's salvage then finds no owner or master
+    // copy; unlike a late eviction WriteBack, it demotes the emptied
+    // line to Uncached.
+    Machine m(smallCfg(ArchKind::Agg, 2, 1));
+    doAccess(m, 0, kLine, false); // master at 0, home keeps the data
+    doAccess(m, 1, kLine, false); // plain sharer at 1
+    HomeBase *home = m.home(2);
+    for (NodeId n : {0, 1}) {
+        for (auto &[line, st, v] : m.compute(n)->drainForReconfig())
+            home->functionalWriteBack(line, n, v);
+        const DirEntry *e = home->directory().find(kLine);
+        ASSERT_NE(e, nullptr);
+        EXPECT_FALSE(e->masterOut);
+        EXPECT_EQ(e->state, n == 0 ? DirEntry::State::Shared
+                                   : DirEntry::State::Uncached);
+    }
+    EXPECT_EQ(home->directory().find(kLine)->sharers, 0u);
+    m.checkInvariants();
+}
+
+TEST(WriteBackPaths, ComaAcksBeforeStartingTheInjection)
+{
+    // A COMA home acks a displaced master at its handler's tick, before
+    // it moves the line on; the first Inject or MasterGrant for the
+    // line leaves at the same tick, right after the ack.
+    MachineConfig cfg = smallCfg(ArchKind::Coma, 3, 0);
+    cfg.pNodeMemBytes = 4096;
+    Machine m(cfg);
+    struct Sent
+    {
+        Tick tick;
+        MsgType type;
+    };
+    std::vector<Sent> sent;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.lineAddr == kLine)
+            sent.push_back({m.eq().curTick(), msg.type});
+        return false;
+    });
+    doAccess(m, 0, kLine, true); // dirty at 0 (sole copy)
+    const Addr stride = 8 * 128;
+    for (int i = 1; i < 8; ++i)
+        doAccess(m, 0, kLine + i * stride, true);
+    m.eq().run();
+
+    auto at = [&](auto pred) {
+        return std::find_if(sent.begin(), sent.end(), pred) - sent.begin();
+    };
+    const auto ack = at([](const Sent &s) {
+        return s.type == MsgType::WriteBackAck;
+    });
+    const auto move = at([](const Sent &s) {
+        return s.type == MsgType::Inject || s.type == MsgType::MasterGrant;
+    });
+    ASSERT_LT(move, static_cast<std::ptrdiff_t>(sent.size()));
+    ASSERT_LT(ack, move);
+    EXPECT_EQ(sent[ack].tick, sent[move].tick);
+    m.checkInvariants();
+}
+
+TEST(WriteBackPaths, StaleVersionStragglerIsLateUnderFaults)
+{
+    // Under faults a WriteBack older than the line's latest version is
+    // late even from the current owner: a straggler duplicate the
+    // wbSeq lane has no record of (as after a failover) must not
+    // surrender the owner's newer copy.
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    cfg.faults.armRecovery = true;
+    Machine m(cfg);
+    doAccess(m, 0, kLine, true); // v1 at 0
+    doAccess(m, 1, kLine, true); // v2 at 1
+    doAccess(m, 0, kLine, true); // v3 at 0
+
+    Message wb;
+    wb.type = MsgType::WriteBack;
+    wb.lineAddr = kLine;
+    wb.src = 0;
+    wb.dst = 2;
+    wb.version = 1;
+    wb.txnSeq = 1000;
+    m.home(2)->handleMessage(wb);
+    m.eq().run();
+
+    const DirEntry *e = m.home(2)->directory().find(kLine);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->state, DirEntry::State::Dirty);
+    EXPECT_EQ(e->owner, 0);
+    EXPECT_EQ(e->version, 3u);
+    EXPECT_FALSE(e->homeHasData);
+    EXPECT_EQ(m.stats().get("home.dup_writeback_ignored"), 0.0);
+    m.checkInvariants();
+}
+
+TEST(AggProtocol, RetriedReadFromDirtyOwnerIsReGranted)
+{
+    // Under faults a read from the node the directory records as the
+    // dirty owner is a retry whose grant was lost: the home re-grants
+    // a master copy at the committed version instead of forwarding the
+    // read to the requester itself.
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    cfg.faults.armRecovery = true;
+    Machine m(cfg);
+    doAccess(m, 0, kLine, true); // v1 at 0
+    std::vector<Message> replies;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.type == MsgType::ReadReply)
+            replies.push_back(msg);
+        return false;
+    });
+
+    Message req;
+    req.type = MsgType::ReadReq;
+    req.lineAddr = kLine;
+    req.src = 0;
+    req.dst = 2;
+    req.requester = 0;
+    req.legs = 1;
+    req.txnSeq = 1000;
+    m.home(2)->handleMessage(req);
+    m.eq().run();
+
+    EXPECT_EQ(m.stats().get("home.regrant_read"), 1.0);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].dst, 0);
+    EXPECT_TRUE(replies[0].grantsMaster);
+    EXPECT_EQ(replies[0].version, 1u);
+    const DirEntry *e = m.home(2)->directory().find(kLine);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->state, DirEntry::State::Shared);
+    EXPECT_TRUE(e->masterOut);
+    EXPECT_EQ(e->owner, 0);
+    EXPECT_EQ(e->sharers, 1u);
+    EXPECT_FALSE(e->busy);
+}
+
+TEST(AggProtocol, FaultFreeReplyNamesItsTransaction)
+{
+    // Without faults every transaction is still numbered: the oracle's
+    // history of a 3-hop read shows the owner's reply carrying the
+    // reader as requester and the reader's transaction number.
+    Machine m(smallCfg(ArchKind::Agg, 2, 1));
+    doAccess(m, 0, kLine, true);
+    doAccess(m, 1, kLine, false);
+    const std::string h = m.oracle().lineHistory(kLine);
+    std::smatch match;
+    ASSERT_TRUE(std::regex_search(
+        h, match, std::regex("deliver FwdReply 0->1 req=1 seq=([0-9]+)")))
+        << h;
+    EXPECT_GT(std::stoull(match[1]), 0u) << h;
 }
 
 // ------------------------------------------------------------- common

@@ -180,7 +180,8 @@ runSchedule(const Schedule &sc)
             r.counter("fault.net.drop") > 0 ||
             r.counter("fault.net.link_deaths") > 0 ||
             r.counter("fault.net.partition_blocked") > 0 ||
-            r.failovers > 0 || r.pnodeFailovers > 0;
+            r.counter("fault.failovers") > 0 ||
+            r.counter("fault.pnode_failovers") > 0;
         rep.outcome =
             perturbed ? Outcome::Recovered : Outcome::Completed;
         return rep;

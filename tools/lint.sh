@@ -241,6 +241,24 @@ if [ -n "$hits" ]; then
     complain "hand-built JSON in bench/ or tools/ (use JsonWriter / parseJson from src/report/json.hh):" "$hits"
 fi
 
+# --- 12. One way to send a message later ------------------------------
+# A protocol controller defers a send only through its sendAt helper
+# (HomeBase::sendAt clamps egress to commit order; ComputeBase::sendAt
+# does not). Flags a scheduled lambda that sends (`] { ctx_.send(`) in
+# src/proto anywhere but inside a function named sendAt.
+hits=$(find src/proto -name '*.cc' -o -name '*.hh' | sort |
+       xargs awk '
+           FNR == 1 { fn = "" }
+           /^[A-Za-z_][A-Za-z0-9_:<>]*::[A-Za-z_][A-Za-z0-9_]*\(/ {
+               fn = $0; sub(/\(.*/, "", fn); sub(/.*::/, "", fn)
+           }
+           /\][[:space:]]*\{[[:space:]]*ctx_\.send\(/ && fn != "sendAt" {
+               print FILENAME ":" FNR ": " $0
+           }' 2>/dev/null)
+if [ -n "$hits" ]; then
+    complain "deferred send outside a sendAt helper in src/proto (use HomeBase::sendAt / ComputeBase::sendAt):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2
     exit 1
