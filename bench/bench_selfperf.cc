@@ -36,8 +36,10 @@
  * events run in the time of one reference loop, against a committed
  * BENCH_selfperf.json and exits 1 on any slowdown beyond --drift
  * (default 0.25). The product cancels the host's speed, so a baseline
- * recorded on a faster host still gates a slower one.
- * PIMDSM_PERF_WAIVE=1 downgrades the failure to a warning for
+ * recorded on a faster host still gates a slower one. It also exits 1
+ * when a row's peak_rss_kb passes the baseline's by more than
+ * kRssDrift (10%): a fatter per-line record or an unbounded buffer.
+ * PIMDSM_PERF_WAIVE=1 downgrades either failure to a warning for
  * known-noisy hosts. The baseline is read and checked
  * before any trial runs, so it may be the BENCH_selfperf.json this run
  * overwrites. It must come from a run of the same mode: a quick run
@@ -80,6 +82,9 @@ namespace
 
 /** Timed trials per row, after one untimed warm-up run. */
 constexpr int kTrials = 5;
+
+/** Largest peak-RSS growth over the baseline the gate lets through. */
+constexpr double kRssDrift = 0.10;
 
 /** One run of a workload. */
 struct Sample
@@ -352,10 +357,18 @@ measure(const std::string &name, const std::function<Sample()> &workload)
     return row;
 }
 
-/** Events per reference-loop time per workload of a committed
- *  BENCH_selfperf.json, read and checked before any trial runs; exits 2
- *  when the file is unreadable, malformed or of the other mode. */
-std::map<std::string, double>
+/** What the gate checks a row against. */
+struct BaselineRow
+{
+    /** Events per reference-loop time. */
+    double eventsPerRef = 0.0;
+    long peakRssKb = 0;
+};
+
+/** The rows of a committed BENCH_selfperf.json by workload, read and
+ *  checked before any trial runs; exits 2 when the file is unreadable,
+ *  malformed or of the other mode. */
+std::map<std::string, BaselineRow>
 loadBaseline(const std::string &path, bool quick)
 {
     auto fail = [&](const std::string &why) {
@@ -376,7 +389,7 @@ loadBaseline(const std::string &path, bool quick)
              "-mode baseline but this run is " +
              (quick ? "quick" : "full") +
              "; compare only runs of the same mode");
-    std::map<std::string, double> eps;
+    std::map<std::string, BaselineRow> rows;
     for (int i = 0;; ++i) {
         const std::string row = "rows." + std::to_string(i) + ".";
         const auto name = doc.string(row + "workload");
@@ -388,11 +401,14 @@ loadBaseline(const std::string &path, bool quick)
         const auto ref = doc.number<double>(row + "ref_kernel_s");
         if (!ref || *ref <= 0)
             fail(" row '" + *name + "' has no positive ref_kernel_s");
-        eps[*name] = eventsPerRefKernel(*v, *ref);
+        const auto rss = doc.number<long>(row + "peak_rss_kb");
+        if (!rss || *rss <= 0)
+            fail(" row '" + *name + "' has no positive peak_rss_kb");
+        rows[*name] = {eventsPerRefKernel(*v, *ref), *rss};
     }
-    if (eps.empty())
+    if (rows.empty())
         fail(" has no rows");
-    return eps;
+    return rows;
 }
 
 } // namespace
@@ -436,7 +452,7 @@ main(int argc, char **argv)
     if (quick)
         setenv("PIMDSM_QUICK", "1", 1);
     EventQueue::setDefaultKind(kind);
-    std::map<std::string, double> baseline;
+    std::map<std::string, BaselineRow> baseline;
     if (!baselinePath.empty())
         baseline = loadBaseline(baselinePath, quick);
 
@@ -517,7 +533,7 @@ main(int argc, char **argv)
                           << "', skipping\n";
                 continue;
             }
-            const double want = it->second;
+            const double want = it->second.eventsPerRef;
             const double got =
                 eventsPerRefKernel(r.eventsPerSec, r.refKernelSeconds);
             const double floor = want * (1.0 - drift);
@@ -532,6 +548,19 @@ main(int argc, char **argv)
                 std::cout << "baseline: '" << r.name << "' ok (" << got
                           << " vs " << want
                           << " events per reference loop)\n";
+            }
+            const long rssWant = it->second.peakRssKb;
+            if (static_cast<double>(r.peakRssKb) >
+                static_cast<double>(rssWant) * (1.0 + kRssDrift)) {
+                std::cerr << "bench_selfperf: '" << r.name
+                          << "' regressed: peak RSS " << r.peakRssKb
+                          << " kB vs baseline " << rssWant
+                          << " kB (allowed +" << kRssDrift * 100
+                          << "%)\n";
+                regressed = true;
+            } else {
+                std::cout << "baseline: '" << r.name << "' peak RSS ok ("
+                          << r.peakRssKb << " vs " << rssWant << " kB)\n";
             }
         }
         if (regressed) {

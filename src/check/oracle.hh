@@ -179,11 +179,11 @@ class CoherenceOracle
         /** Deliver: txnSeq; ReadObserved: issue tick; Slot: slot;
          *  DirEntry: sharer count. */
         std::uint64_t aux = 0;
-        Version version = 0;
         /** NodeState / Wipe / Slot: the hook's reason (a literal). */
         const char *why = nullptr;
         /** The line (kInvalidAddr: every line, for a failover). */
         Addr line = kInvalidAddr;
+        Version version = 0;
         /** Deliver: source; DirEntry / Slot / HomeServe: home;
          *  Failover: the dead home; else the node. */
         std::int8_t node = -1;
@@ -202,6 +202,8 @@ class CoherenceOracle
          *  kHomeData / kPagedOut. */
         std::uint8_t flags = 0;
     };
+    static_assert(sizeof(Event) == 48,
+                  "Event is not 48 B; reorder or shrink its fields");
 
     static constexpr std::uint8_t kTxnDone = 1, kMaster = 2,
                                   kMasterOut = 4, kHomeData = 8,

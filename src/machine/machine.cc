@@ -1,7 +1,6 @@
 #include "machine/machine.hh"
 
 #include <sstream>
-#include <type_traits>
 #include <vector>
 
 #include "check/scan.hh"
@@ -187,7 +186,6 @@ Machine::send(Message msg)
     // copyable Message fits InlineCallback's budget, so the mesh builds
     // the delivery directly in its event node and never touches the
     // heap.
-    static_assert(std::is_trivially_copyable_v<Message>);
     const auto deliver = [this, msg] { deliverDirect(msg); };
 
     if (src == dst) {
@@ -226,7 +224,15 @@ Machine::deliverDirect(const Message &msg)
 Version
 Machine::bumpVersion(Addr line)
 {
-    const Version v = ++versions_.slot(line);
+    Version &slot = versions_.slot(line);
+    if (slot == kVersionLimit) {
+        std::ostringstream os;
+        os << "line 0x" << std::hex << line << std::dec
+           << " wrote past the 32-bit version limit (" << kVersionLimit
+           << ")";
+        panic(os.str());
+    }
+    const Version v = ++slot;
     if (oracle_.enabled())
         oracle_.noteWriteCommit(eq_.curTick(), line, v);
     return v;

@@ -100,6 +100,13 @@ class Machine : public ProtoContext
     /** Latest committed version of @p line (0 if never written). */
     Version latestVersion(Addr line) const;
 
+    /** Test hook: set @p line's latest committed version to @p v (the
+     *  version-limit test starts a line next to kVersionLimit). */
+    void setLatestVersionForTest(Addr line, Version v)
+    {
+        versions_.slot(line) = v;
+    }
+
     // --- model-check harness hooks (check/model_check_run.hh) ---
     /**
      * Intercept every outgoing message after the dead-source filter

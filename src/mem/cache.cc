@@ -41,16 +41,16 @@ Cache::fill(Addr addr, bool dirty, CohState state, Version version)
             result.evictedLine = line->lineAddr();
             result.evictedDirty = line->dirty;
             result.evictedState = line->state;
-            result.evictedVersion = line->version();
+            result.evictedVersion = line->version;
         }
         line->reset();
         line->setLineAddr(array_.align(addr));
         line->state = state;
-        line->setVersion(version);
+        line->version = version;
     } else {
         // Upgrades may strengthen the state of a resident line.
         line->state = state;
-        line->setVersion(version);
+        line->version = version;
     }
     if (dirty)
         line->dirty = true;

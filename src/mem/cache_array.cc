@@ -36,14 +36,6 @@ CacheLine::tagOverflow(Addr line_addr)
     panic(os.str());
 }
 
-void
-CacheLine::versionOverflow(Version v)
-{
-    panic("line version " + std::to_string(v) +
-          " does not fit the 32-bit cache-line version (limit " +
-          std::to_string(kVersionLimit) + ")");
-}
-
 CacheArray::CacheArray(std::uint64_t size_bytes, int assoc, int line_bytes)
     : assoc_(assoc), lineBytes_(line_bytes)
 {

@@ -49,7 +49,7 @@ cohOwned(CohState s)
 /**
  * One tag-array entry, packed to 16 B so that four share a 64 B host
  * cache line: a 32-bit tag, LRU stamp and version, and three bytes of
- * state. A value that does not fit a narrowed field panics.
+ * state. An address that does not fit the tag panics.
  */
 struct CacheLine
 {
@@ -57,12 +57,11 @@ struct CacheLine
     static constexpr int kTagShift = 4;
     /** First line address a tag cannot hold. */
     static constexpr Addr kTagLimit = Addr{0xffffffffu} << kTagShift;
-    /** Largest version a line holds. */
-    static constexpr Version kVersionLimit = 0xffffffffu;
 
     CohState state = CohState::Invalid;
     bool dirty = false;           ///< L1/L2 write-back bit
     bool onChip = true;           ///< tagged-memory on-/off-chip residence
+    Version version = 0;          ///< functional data version (node level)
 
     bool valid() const { return state != CohState::Invalid; }
 
@@ -83,18 +82,6 @@ struct CacheLine
         tag_ = static_cast<std::uint32_t>(line_addr >> kTagShift);
     }
 
-    /** Functional data version (node level). */
-    Version version() const { return version_; }
-
-    /** Panics if @p v passes kVersionLimit. */
-    void
-    setVersion(Version v)
-    {
-        if (v > kVersionLimit)
-            versionOverflow(v);
-        version_ = static_cast<std::uint32_t>(v);
-    }
-
     /** LRU stamp: higher is more recent. */
     std::uint32_t lastUse() const { return lastUse_; }
 
@@ -105,7 +92,7 @@ struct CacheLine
         state = CohState::Invalid;
         dirty = false;
         lastUse_ = 0;
-        version_ = 0;
+        version = 0;
     }
 
   private:
@@ -114,11 +101,9 @@ struct CacheLine
     static constexpr std::uint32_t kNoTag = 0xffffffffu;
 
     [[noreturn]] static void tagOverflow(Addr line_addr);
-    [[noreturn]] static void versionOverflow(Version v);
 
     std::uint32_t tag_ = kNoTag;
     std::uint32_t lastUse_ = 0;
-    std::uint32_t version_ = 0;
 };
 
 static_assert(sizeof(CacheLine) == 16,

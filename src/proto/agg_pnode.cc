@@ -28,7 +28,7 @@ CachedMemCompute::nodeVersion(Addr line) const
     const CacheLine *l = mem_.find(line);
     if (!l || !l->valid())
         panic("nodeVersion on absent line");
-    return l->version();
+    return l->version;
 }
 
 Tick
@@ -46,7 +46,7 @@ CachedMemCompute::evictWay(CacheLine &way)
 {
     const Addr victim = way.lineAddr();
     const CohState st = way.state;
-    const Version v = way.version();
+    const Version v = way.version;
 
     // Inclusion: caches may not outlive the node-level line.
     l1_.invalidateBlock(victim, cfg().mem.lineBytes);
@@ -79,7 +79,7 @@ CachedMemCompute::installLine(Addr line, CohState st, Version v)
         way->state = st;
         mem_.array().touch(*way);
     }
-    way->setVersion(v);
+    way->version = v;
     mem_.port().acquire(ctx_.eq().curTick(), mem_.transferOccupancy());
     fillL2(line, st, v, false);
 }
@@ -91,11 +91,11 @@ CachedMemCompute::setNodeState(Addr line, CohState st, Version v)
     if (!way)
         panic("setNodeState on absent line");
     way->state = st;
-    way->setVersion(v);
+    way->version = v;
     mem_.array().touch(*way);
     if (CacheLine *l2line = l2_.array().find(line)) {
         l2line->state = st;
-        l2line->setVersion(v);
+        l2line->version = v;
         if (st != CohState::Dirty)
             l2line->dirty = false;
     }
@@ -177,7 +177,7 @@ CachedMemCompute::handleInject(const Message &msg)
         mem_.install(*way, line, CohState::SharedMaster);
     way->state = msg.masterClean ? CohState::SharedMaster
                                  : CohState::Dirty;
-    way->setVersion(msg.version);
+    way->version = msg.version;
     noteState(line, "inject");
 
     resp.type = MsgType::InjectAck;
@@ -215,7 +215,7 @@ CachedMemCompute::forEachOwnedLine(
 {
     mem_.array().forEach([&](CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr(), l.state, l.version());
+            fn(l.lineAddr(), l.state, l.version);
     });
 }
 
@@ -225,7 +225,7 @@ CachedMemCompute::forEachValidLine(
 {
     mem_.array().forEach([&](const CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr(), l.state, l.version());
+            fn(l.lineAddr(), l.state, l.version);
     });
 }
 

@@ -63,13 +63,13 @@ ComaHome::serveColdRead(Addr line, DirEntry &e, const Message &req,
 }
 
 void
-ComaHome::handleWriteBack(const Message &msg)
+ComaHome::handleWriteBack(const Message &msg, DirEntry &e)
 {
     // Acked before the home takes the line over, with no absorb
     // latency: the evictor may proceed at once, and the home now
     // safeguards the last copy.
-    serveWriteBack(msg, true, [&](DirEntry &e, bool from_owner,
-                                  bool from_master) -> Tick {
+    serveWriteBack(msg, e, true, [&](bool from_owner,
+                                     bool from_master) -> Tick {
         const Addr line = msg.lineAddr;
         e.dropSharer(msg.src);
         if (!from_owner && !from_master)

@@ -38,7 +38,7 @@ class ComaHome : public HomeBase
     bool backsLines() const override { return false; }
     void serveColdRead(Addr line, DirEntry &e, const Message &req,
                        Tick when) override;
-    void handleWriteBack(const Message &msg) override;
+    void handleWriteBack(const Message &msg, DirEntry &e) override;
     void handleInjectResponse(const Message &msg) override;
     double costFactor() const override;
     Tick handlerLatency(const Message &req, Tick base) const override;

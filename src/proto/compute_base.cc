@@ -43,12 +43,11 @@ ComputeBase::ComputeBase(ProtoContext &ctx, NodeId self, spec::Role role)
     // bench workloads (at most 30 writebacks per node on fft, 12 on
     // barnes, against a rehash threshold of 48), but an eviction
     // burst may still rehash them; walks are line-ordered, so a
-    // rehash moves no simulated result.
+    // rehash moves no simulated result. wbBlocked_ grows on first use:
+    // most nodes never block an access behind a writeback.
     const int loads = ctx.config().proc.maxOutstandingLoads;
-    const std::size_t cap =
-        2 * static_cast<std::size_t>(loads > 0 ? loads : 16);
-    wbPending_.reserve(cap);
-    wbBlocked_.reserve(cap);
+    wbPending_.reserve(2 * static_cast<std::size_t>(loads > 0 ? loads
+                                                              : 16));
 }
 
 ComputeBase::Mshr &
@@ -84,6 +83,18 @@ ComputeBase::MshrFile::clear()
         }
     }
     size_ = 0;
+    waiters_.clear();
+    deferred_.clear();
+    fwds_.clear();
+}
+
+std::vector<Message>
+ComputeBase::MshrFile::takeFwds(Addr line)
+{
+    std::vector<Message> out;
+    auto push = [&out](const Message &msg) { out.push_back(msg); };
+    take(fwds_, line, push);
+    return out;
 }
 
 std::vector<Addr>
@@ -216,9 +227,9 @@ ComputeBase::startAccess(const PendingAccess &acc)
     // Coalesce with an outstanding miss on the same line.
     if (Mshr *m = mshrs_.find(line)) {
         if (!acc.isWrite || m->isWrite)
-            m->waiters.push_back({acc.addr, acc.cb});
+            mshrs_.addWaiter(line, {acc.addr, acc.cb});
         else
-            m->deferred.push_back(acc); // write joining a read: re-issue
+            mshrs_.deferAccess(line, acc); // write joining a read
         return;
     }
 
@@ -289,7 +300,7 @@ ComputeBase::startMiss(const PendingAccess &acc, Addr line, CohState st)
     Mshr &m = mshrs_.open(line);
     m.isWrite = acc.isWrite;
     m.issueTick = now;
-    m.waiters.push_back({acc.addr, acc.cb});
+    m.first = {acc.addr, acc.cb};
 
     MsgType t;
     if (acc.isWrite && (st == CohState::Shared ||
@@ -504,7 +515,7 @@ ComputeBase::finishAccess(Mshr &m)
     else
         svc = ReadService::Hop3;
 
-    for (const Waiter &w : m.waiters) {
+    auto serve = [&](const Waiter &w) {
         auto f = l1_.fill(w.addr, m.isWrite);
         if (f.evictedDirty) {
             if (CacheLine *p = l2_.array().find(f.evictedLine))
@@ -513,23 +524,24 @@ ComputeBase::finishAccess(Mshr &m)
         if (!m.isWrite)
             readStats_.record(svc, done - m.issueTick);
         complete(done, svc, w.cb);
-    }
+    };
+    serve(m.first);
+    mshrs_.takeWaiters(line, serve);
 
     // Unblock the home line (forwarded / invalidating txns only).
     if (m.needsTxnDone)
         sendTxnDone(done, line, m.seq);
 
-    auto deferred = std::move(m.deferred);
-    std::vector<Message> fwds = std::move(m.deferredFwds);
     mshrs_.close(m);
 
     // Replay forwards that raced ahead of our data: the line is
     // installed now, so they can be served normally.
-    for (const auto &f : fwds)
+    for (const Message &f : mshrs_.takeFwds(line))
         handleFwd(f);
 
-    for (const PendingAccess &acc : deferred)
+    mshrs_.takeDeferred(line, [&](const PendingAccess &acc) {
         ctx_.eq().schedule(done, [this, acc] { startAccess(acc); });
+    });
     drainBlocked();
 }
 
@@ -571,8 +583,8 @@ ComputeBase::handleFwd(const Message &msg)
             // forward can reach us before the reply that grants us the
             // line, or after a failover reconstructed the directory
             // from stale state.
-            if (Mshr *m = mshrs_.find(line)) {
-                m->deferredFwds.push_back(msg);
+            if (mshrs_.find(line)) {
+                mshrs_.deferFwd(msg);
                 ctx_.stats().add("fault.fwd_deferred");
                 return;
             }
@@ -599,14 +611,14 @@ ComputeBase::handleFwd(const Message &msg)
     }
 
     if (live && msg.fwdKind == FwdKind::Read && msg.version > data_version) {
-        if (Mshr *m = mshrs_.find(line)) {
+        if (mshrs_.find(line)) {
             // The directory stamped a version ahead of our copy while
             // we have our own transaction in flight on this line: our
             // granting reply was lost, and serving now would hand the
             // reader a stale copy the directory believes is current.
             // Park the forward; the MSHR's retry/replay installs the
             // granted version and then re-drives it.
-            m->deferredFwds.push_back(msg);
+            mshrs_.deferFwd(msg);
             ctx_.stats().add("fault.fwd_deferred_stale");
             return;
         }
@@ -863,7 +875,7 @@ void
 ComputeBase::resendWriteBack(Addr line, WbPending &wb)
 {
     const Tick now = ctx_.eq().curTick();
-    ++wb.retries;
+    wb.retries = wb.retries + 1;
     wb.lastSend = now;
     wb.curTimeout = static_cast<Tick>(
         static_cast<double>(wb.curTimeout) * cfg().faults.backoffFactor);

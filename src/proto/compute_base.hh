@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -33,7 +34,6 @@
 #include "sim/flat_map.hh"
 #include "sim/function_ref.hh"
 #include "sim/inline_callback.hh"
-#include "sim/small_vec.hh"
 #include "sim/stats.hh"
 
 namespace pimdsm
@@ -152,41 +152,29 @@ class ComputeBase
         CompletionFn cb;
     };
 
+    /**
+     * One outstanding miss. Fields are ordered widest first; the work
+     * parked on a miss besides its first access (coalesced accesses,
+     * re-issued accesses, early forwards) lives in the file's side
+     * lists, because most misses have none, so a slot is 120 B.
+     */
     struct Mshr
     {
         Addr line = kInvalidAddr;
-        bool isWrite = false;
-        bool upgrade = false;     ///< sent UpgradeReq (had Shared copy)
         Tick issueTick = 0;
-        bool replyArrived = false;
-        bool replyHasData = false;
-        int acksExpected = -1;    ///< unknown until the reply arrives
-        int acksReceived = 0;
-        Version version = 0;
-        int legs = 0;
-        bool grantsMaster = false;
-        bool needsTxnDone = false;
-        /** Accesses coalesced here (virtual address + callback), the
-         *  one that opened the MSHR first. */
-        SmallVec<Waiter, 2> waiters;
-        /** Accesses re-issued after completion (write joining a read). */
-        SmallVec<PendingAccess, 1> deferred;
-
-        // --- fault tolerance (active only when faults are enabled) ---
-        /** Request type sent (resent verbatim on timeout). */
-        MsgType reqType = MsgType::ReadReq;
         /** Transaction sequence number; retries reuse it so a late
          *  original reply still satisfies the retried transaction. */
         std::uint64_t seq = 0;
-        int retries = 0;
         /** Last send / last protocol progress (reply, ack). */
         Tick lastProgress = 0;
         /** Current timeout (grows by backoffFactor per retry). */
         Tick curTimeout = 0;
-        /** Retry budget exhausted; left for the watchdog to report. */
-        bool failed = false;
         /** Bitmask of nodes whose InvalAck was counted (dedup). */
         std::uint64_t ackFrom = 0;
+        /** The access that opened the MSHR (virtual address +
+         *  callback); later ones wait in MshrFile's side list. */
+        Waiter first;
+        Version version = 0;
         /**
          * Highest version of an exclusive forward this node served
          * while the transaction was in flight. Serving that forward
@@ -197,21 +185,30 @@ class ComputeBase
          * replaying the dead cached grant.
          */
         Version supersededVer = 0;
-        /** Forwards that arrived before our data did (replayed after
-         *  the line installs). */
-        std::vector<Message> deferredFwds;
+        int acksExpected = -1;    ///< unknown until the reply arrives
+        int acksReceived = 0;
+        int retries = 0;
+        int legs = 0;
+        /** Request type sent (resent verbatim on timeout). */
+        MsgType reqType = MsgType::ReadReq;
+        bool isWrite = false;
+        bool upgrade = false;     ///< sent UpgradeReq (had Shared copy)
+        bool replyArrived = false;
+        bool replyHasData = false;
+        bool grantsMaster = false;
+        bool needsTxnDone = false;
+        /** Retry budget exhausted; left for the watchdog to report. */
+        bool failed = false;
     };
+    static_assert(sizeof(Mshr) == 120,
+                  "Mshr is not 120 B; reorder or shrink its fields");
 
     /** A displaced owned line awaiting WriteBackAck (retried on
      *  timeout when faults are enabled). */
     struct WbPending
     {
-        Version version = 0;
-        bool masterClean = false;
         Tick lastSend = 0;
         Tick curTimeout = 0;
-        int retries = 0;
-        bool failed = false;
         /**
          * Per-eviction sequence number (drawn from the same counter as
          * request txnSeqs) stamped on the WriteBack and its resends so
@@ -219,7 +216,13 @@ class ComputeBase
          * this node re-acquired the line at the same version.
          */
         std::uint64_t seq = 0;
+        Version version = 0;
+        Narrow<std::uint16_t, int> retries;
+        bool masterClean = false;
+        bool failed = false;
     };
+    static_assert(sizeof(WbPending) == 32,
+                  "WbPending is not 32 B; reorder or shrink its fields");
 
     /**
      * The MSHR file: one slot per load the processor may have
@@ -228,6 +231,13 @@ class ComputeBase
      * 8 B), a new transaction takes the lowest free slot, and a slot's
      * address is stable for the file's lifetime. Slot order is not
      * line order: walks go through forEachMshr.
+     *
+     * Work parked on an open miss besides its first access sits in
+     * three side lists tagged with the miss's line, each in arrival
+     * order: accesses coalesced on the miss, accesses to re-issue
+     * after it (a write joining a read) and forwards that arrived
+     * before its data. The lists keep their capacity, so parking
+     * allocates only while they grow to their high-water mark.
      */
     class MshrFile
     {
@@ -257,9 +267,10 @@ class ComputeBase
          *  file must not be full and @p line must not be open). */
         Mshr &open(Addr line);
 
-        /** Free @p m's slot. */
+        /** Free @p m's slot (its parked work is taken separately). */
         void close(Mshr &m);
 
+        /** Free every slot and drop all parked work. */
         void clear();
 
         std::size_t size() const { return size_; }
@@ -269,11 +280,70 @@ class ComputeBase
         /** Lines of the open transactions, ascending. */
         std::vector<Addr> sortedLines() const;
 
+        /** Park an access coalesced on @p line's miss. */
+        void
+        addWaiter(Addr line, const Waiter &w)
+        {
+            waiters_.emplace_back(line, w);
+        }
+
+        /** Park an access to re-issue once @p line's miss completes. */
+        void
+        deferAccess(Addr line, const PendingAccess &acc)
+        {
+            deferred_.emplace_back(line, acc);
+        }
+
+        /** Park a forward to replay once its line installs. */
+        void
+        deferFwd(const Message &msg)
+        {
+            fwds_.emplace_back(msg.lineAddr, msg);
+        }
+
+        /** Remove @p line's coalesced accesses, calling @p fn on each
+         *  in arrival order (@p fn must not park anything). */
+        template <typename F>
+        void
+        takeWaiters(Addr line, F &&fn)
+        {
+            take(waiters_, line, fn);
+        }
+
+        /** Remove @p line's re-issued accesses, as takeWaiters. */
+        template <typename F>
+        void
+        takeDeferred(Addr line, F &&fn)
+        {
+            take(deferred_, line, fn);
+        }
+
+        /** Remove and return @p line's early forwards, oldest first
+         *  (replaying them may park new ones). */
+        std::vector<Message> takeFwds(Addr line);
+
       private:
+        template <typename T, typename F>
+        static void
+        take(std::vector<std::pair<Addr, T>> &list, Addr line, F &fn)
+        {
+            auto keep = list.begin();
+            for (auto it = list.begin(); it != list.end(); ++it) {
+                if (it->first == line)
+                    fn(it->second);
+                else
+                    *keep++ = *it;
+            }
+            list.erase(keep, list.end());
+        }
+
         std::vector<Mshr> slots_;
         /** Slot i's line; kInvalidAddr marks a free slot. */
         std::vector<Addr> lines_;
         std::size_t size_ = 0;
+        std::vector<std::pair<Addr, Waiter>> waiters_;
+        std::vector<std::pair<Addr, PendingAccess>> deferred_;
+        std::vector<std::pair<Addr, Message>> fwds_;
     };
 
     /**

@@ -1,20 +1,11 @@
 #include "proto/directory.hh"
 
 #include <algorithm>
-#include <string>
 
 #include "sim/log.hh"
 
 namespace pimdsm
 {
-
-void
-NodeId16::overflow(NodeId n)
-{
-    panic("node id " + std::to_string(n) +
-          " does not fit a 16-bit directory field (limit " +
-          std::to_string(std::numeric_limits<std::int16_t>::max()) + ")");
-}
 
 DirEntry &
 DirectoryTable::entry(Addr line)

@@ -8,7 +8,6 @@
 #define PIMDSM_PROTO_DIRECTORY_HH
 
 #include <cstdint>
-#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -24,35 +23,6 @@ namespace pimdsm
 /** Nil value for a D-node Directory entry's Local Pointer. */
 constexpr std::uint32_t kNilPtr = 0xffffffffu;
 
-/**
- * A NodeId held in 16 bits. Machines have at most 64 nodes (the sharer
- * mask), so every id fits; assigning one outside int16 range panics.
- * Reads convert back to NodeId, so comparisons and calls read as for
- * a plain NodeId.
- */
-class NodeId16
-{
-  public:
-    NodeId16() = default;
-
-    NodeId16 &
-    operator=(NodeId n)
-    {
-        if (n < std::numeric_limits<std::int16_t>::min() ||
-            n > std::numeric_limits<std::int16_t>::max())
-            overflow(n);
-        v_ = static_cast<std::int16_t>(n);
-        return *this;
-    }
-
-    operator NodeId() const { return v_; }
-
-  private:
-    [[noreturn]] static void overflow(NodeId n);
-
-    std::int16_t v_ = static_cast<std::int16_t>(kInvalidNode);
-};
-
 struct DirEntry
 {
     /** Stable directory states. */
@@ -63,15 +33,16 @@ struct DirEntry
         Dirty,    ///< exactly one modified copy, at owner
     };
 
-    // Fields are ordered widest first, so the entry has no padding and
-    // is 32 B: two entries share a 64 B host cache line.
+    // Fields are ordered widest first and the state and flags share
+    // one byte, so the entry is 24 B: eight entries fill three 64 B
+    // host cache lines.
 
     /** Bit per node holding (possibly stale) a shared copy. */
     std::uint64_t sharers = 0;
-    /** Version of the home copy (when homeHasData/pagedOut). */
-    Version version = 0;
     /** AGG: index into the D-node Data array (kNilPtr if none). */
     std::uint32_t localPtr = kNilPtr;
+    /** Version of the home copy (when homeHasData/pagedOut). */
+    Version version = 0;
     /** Dirty owner, or the shared-master holder when masterOut. */
     NodeId16 owner;
     /** Requester of the in-flight transaction (meaningful only while
@@ -84,19 +55,19 @@ struct DirEntry
      *  transaction's progress depends on the old owner — if it
      *  fail-stops, the forward is lost and the home must abort. */
     NodeId16 fwdTo;
-    State state = State::Uncached;
+    State state : 2 = State::Uncached;
     /** A compute node holds mastership of this Shared line. */
-    bool masterOut = false;
+    bool masterOut : 1 = false;
     /** Home storage holds an up-to-date copy. */
-    bool homeHasData = false;
+    bool homeHasData : 1 = false;
     /** AGG: the home copy was paged out to disk. */
-    bool pagedOut = false;
+    bool pagedOut : 1 = false;
     /** Limited-pointer overflow: sharer set is imprecise and writes
      *  must broadcast invalidations (Section 2.2.2's 3-pointer
      *  limited-vector scheme). */
-    bool ptrOverflow = false;
+    bool ptrOverflow : 1 = false;
     /** A transaction is in flight; new requests queue. */
-    bool busy = false;
+    bool busy : 1 = false;
 
     bool
     isSharer(NodeId n) const
@@ -126,8 +97,8 @@ struct DirEntry
     int sharerCount() const { return __builtin_popcountll(sharers); }
 };
 
-static_assert(sizeof(DirEntry) == 32,
-              "DirEntry is not 32 B; reorder or shrink its fields");
+static_assert(sizeof(DirEntry) == 24,
+              "DirEntry is not 24 B; reorder or shrink its fields");
 static_assert(std::is_trivially_copyable_v<DirEntry>,
               "DirEntry must stay plain data (queues live in the table)");
 
@@ -141,7 +112,7 @@ static_assert(std::is_trivially_copyable_v<DirEntry>,
  * valid until clear().
  *
  * Requests that arrive while a line is busy wait in a per-line FIFO
- * held here, not in the entry, so entries stay plain 32 B records.
+ * held here, not in the entry, so entries stay plain 24 B records.
  */
 class DirectoryTable
 {

@@ -133,13 +133,12 @@ HomeBase::enqueueOrServe(const Message &msg)
         ctx_.stats().add("home.blocked_requests");
         return;
     }
-    serveRequest(msg);
+    serveRequest(msg, e);
 }
 
 void
-HomeBase::serveRequest(const Message &msg)
+HomeBase::serveRequest(const Message &msg, DirEntry &e)
 {
-    DirEntry &e = entryFor(msg.lineAddr);
     switch (msg.type) {
       case MsgType::ReadReq:
         serveRead(msg.lineAddr, e, msg);
@@ -149,7 +148,7 @@ HomeBase::serveRequest(const Message &msg)
         serveWrite(msg.lineAddr, e, msg);
         break;
       case MsgType::WriteBack:
-        handleWriteBack(msg);
+        handleWriteBack(msg, e);
         break;
       default:
         panic("serveRequest: bad type " + msg.toString());
@@ -460,22 +459,18 @@ HomeBase::serveWrite(Addr line, DirEntry &e, const Message &req)
 }
 
 void
-HomeBase::handleWriteBack(const Message &msg)
+HomeBase::handleWriteBack(const Message &msg, DirEntry &e)
 {
-    serveWriteBack(msg, false,
-                   [&](DirEntry &e, bool from_owner, bool from_master) {
-                       return absorbWriteBack(msg.lineAddr, e, msg.src,
-                                              msg.version, from_owner,
-                                              from_master, false);
-                   });
+    serveWriteBack(msg, e, false, [&](bool from_owner, bool from_master) {
+        return absorbWriteBack(msg.lineAddr, e, msg.src, msg.version,
+                               from_owner, from_master, false);
+    });
 }
 
 void
-HomeBase::serveWriteBack(const Message &msg, bool ack_first,
-                         FunctionRef<Tick(DirEntry &, bool, bool)> tail)
+HomeBase::serveWriteBack(const Message &msg, DirEntry &e, bool ack_first,
+                         FunctionRef<Tick(bool, bool)> tail)
 {
-    DirEntry &e = entryFor(msg.lineAddr);
-
     const Tick now = ctx_.eq().curTick();
     const Tick start =
         engine_.acquire(now, scaled(costs().writeBackOccupancy));
@@ -511,7 +506,7 @@ HomeBase::serveWriteBack(const Message &msg, bool ack_first,
         attributeWriteBack(e, msg.src, msg.masterClean);
     if (ack_first)
         sendAt(when, ack);
-    when += tail(e, from_owner && !stale, from_master && !stale);
+    when += tail(from_owner && !stale, from_master && !stale);
     if (!ack_first)
         sendAt(when, ack);
 }
@@ -616,9 +611,7 @@ HomeBase::finishTxn(Addr line, NodeId from)
     e.busy = false;
     e.busyFor = kInvalidNode;
     e.fwdTo = kInvalidNode;
-    // A fault-free home serves even a dead node's queued request here;
-    // the failover paths always drop them.
-    drainQueued(line, faultsOn_);
+    drainQueued(line);
 }
 
 void
@@ -673,7 +666,7 @@ HomeBase::abortNode(NodeId dead, std::vector<Addr> *unblocked_out)
 }
 
 void
-HomeBase::drainQueued(Addr line, bool drop_dead)
+HomeBase::drainQueued(Addr line)
 {
     // Serve queued requests until one blocks the line again. (A queued
     // WriteBack completes without blocking, so draining must continue
@@ -683,11 +676,15 @@ HomeBase::drainQueued(Addr line, bool drop_dead)
         std::vector<Message> &q = dir_.queue(line);
         Message next = q.front();
         q.erase(q.begin());
-        if (drop_dead && ctx_.nodeDead(next.src)) {
+        // A dead node's request can reach here only as a WriteBack it
+        // sent just before it died, queued after abortNode purged its
+        // requests (write-backs skip acceptRequest's filter). Nodes
+        // die only under faults, so fault-free runs never drop.
+        if (ctx_.nodeDead(next.src)) {
             ctx_.stats().add("home.req_from_dead_dropped");
             continue;
         }
-        serveRequest(next);
+        serveRequest(next, e);
     }
 }
 
@@ -878,7 +875,7 @@ HomeBase::dedupRequest(const Message &msg)
             Message r = it->second.reply;
             r.legs = msg.legs + 1;
             it->second.retrySeen =
-                std::max(it->second.retrySeen, msg.retryAttempt);
+                std::max<int>(it->second.retrySeen, msg.retryAttempt);
             ctx_.stats().add("home.reply_replayed");
             sendAt(start + scaled(costs().ackLatency), r);
             return true;
@@ -908,7 +905,7 @@ HomeBase::dedupRequest(const Message &msg)
         // phantom grant nobody is waiting for.
         const bool newer = msg.retryAttempt > it->second.retrySeen;
         it->second.retrySeen =
-            std::max(it->second.retrySeen, msg.retryAttempt);
+            std::max<int>(it->second.retrySeen, msg.retryAttempt);
         if (!live && newer) {
             ctx_.stats().add("home.scrubbed_retry_reserved");
             // A re-served write serializes the same store a second

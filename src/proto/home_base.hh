@@ -105,8 +105,8 @@ class HomeBase
     void abortNode(NodeId dead, std::vector<Addr> *unblocked = nullptr);
 
     /** Serve a line's queued requests until it goes busy or empties,
-     *  dropping those from dead nodes when @p drop_dead is set. */
-    void drainQueued(Addr line, bool drop_dead = true);
+     *  dropping those from dead nodes. */
+    void drainQueued(Addr line);
 
     /**
      * Post-salvage sweep for a fail-stopped compute node: any entry
@@ -175,8 +175,9 @@ class HomeBase
     virtual void serveColdRead(Addr line, DirEntry &e, const Message &req,
                                Tick when);
 
-    /** Displaced Dirty/SharedMaster line arriving at home. */
-    virtual void handleWriteBack(const Message &msg);
+    /** Displaced Dirty/SharedMaster line arriving at home; @p e is
+     *  its (idle) directory entry. */
+    virtual void handleWriteBack(const Message &msg, DirEntry &e);
 
     /** COMA injection responses; others never see these. */
     virtual void handleInjectResponse(const Message &msg);
@@ -227,8 +228,9 @@ class HomeBase
     /** Get-or-create the entry for @p line. */
     DirEntry &entryFor(Addr line);
 
-    /** Process one request now (line known not busy). */
-    void serveRequest(const Message &msg);
+    /** Process one request now; @p e is its line's entry, known not
+     *  busy. */
+    void serveRequest(const Message &msg, DirEntry &e);
 
     void serveRead(Addr line, DirEntry &e, const Message &req);
     void serveWrite(Addr line, DirEntry &e, const Message &req);
@@ -251,12 +253,12 @@ class HomeBase
      * The write-back handler every home shares: charge the engine,
      * ack and drop a duplicate by wbSeq, attribute the rest (a stale
      * version under faults is late), run the storage-specific @p tail
-     * (DirEntry, from owner, from master) and ack. The ack leaves after
-     * the absorb latency @p tail returns, or before @p tail runs when
-     * @p ack_first.
+     * (from owner, from master) on entry @p e and ack. The ack leaves
+     * after the absorb latency @p tail returns, or before @p tail runs
+     * when @p ack_first.
      */
-    void serveWriteBack(const Message &msg, bool ack_first,
-                        FunctionRef<Tick(DirEntry &, bool, bool)> tail);
+    void serveWriteBack(const Message &msg, DirEntry &e, bool ack_first,
+                        FunctionRef<Tick(bool, bool)> tail);
 
     /** Is a write-back of @p e from @p from the owner's dirty copy, the
      *  master's copy, or (neither) a late one? */

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "sim/fault.hh"
 #include "sim/types.hh"
@@ -65,22 +66,49 @@ enum class FwdKind : std::uint8_t
     ReadEx, ///< invalidate, send data to requester
 };
 
+/**
+ * One protocol message. Every delivery and every handler event copies
+ * it, so it is packed to 40 B, widest fields first: node ids take 16
+ * bits and the counts their narrowest sufficient width, each a Narrow
+ * field whose assignment panics on a value that does not fit.
+ */
 struct Message
 {
-    MsgType type = MsgType::ReadReq;
     Addr lineAddr = kInvalidAddr;
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    /** Original requester for forwarded flows and inval acks. */
-    NodeId requester = kInvalidNode;
+    /**
+     * Requester-local sequence number of the transaction (or
+     * writeback) this message belongs to; requests, their home replies
+     * and forwards, FwdReplies and TxnDones carry it. Under faults it
+     * dedups retried requests at the home and stale/duplicate replies
+     * at the MSHR. Zero on messages outside a transaction.
+     */
+    std::uint64_t txnSeq = 0;
     /** Functional data version carried by data-bearing messages. */
     Version version = 0;
-    /** Invalidation acks the requester must collect (replies). */
-    int ackCount = 0;
+    /** CIM: records to scan / matches returned. */
+    Narrow<std::uint32_t, std::uint64_t> cimCount;
+    NodeId16 src;
+    NodeId16 dst;
+    /** Original requester for forwarded flows and inval acks. */
+    NodeId16 requester;
+    /** Invalidation acks the requester must collect (replies); on a
+     *  CimReq, the matches the D-node returns. */
+    Narrow<std::uint16_t, int> ackCount;
+    /**
+     * Which timeout-driven resend of a request still stalled at the
+     * requester this is (1 for the first retry; 0 for the original
+     * request). Only a retry newer than every copy of the request the
+     * home has seen may be re-served when its dedup record was
+     * scrubbed: a mesh *duplicate* — of the original or of a seen
+     * retry — must be ignored instead, or the home would serialize a
+     * phantom grant nobody is waiting for.
+     */
+    Narrow<std::uint16_t, int> retryAttempt;
+    MsgType type = MsgType::ReadReq;
     /** Fwd subtype. */
     FwdKind fwdKind = FwdKind::Read;
     /** Network hops this transaction has made so far (for Fig 7). */
-    int legs = 0;
+    Narrow<std::uint8_t, int> legs;
     /** ReadReply: the home handed mastership to the requester. */
     bool grantsMaster = false;
     /**
@@ -93,33 +121,17 @@ struct Message
     bool needsTxnDone = false;
     /** WriteBack: line was SharedMaster (clean) rather than Dirty. */
     bool masterClean = false;
-    /** CIM: records to scan / matches returned. */
-    std::uint64_t cimCount = 0;
-    /**
-     * Requester-local sequence number of the transaction (or
-     * writeback) this message belongs to; requests, their home replies
-     * and forwards, FwdReplies and TxnDones carry it. Under faults it
-     * dedups retried requests at the home and stale/duplicate replies
-     * at the MSHR. Zero on messages outside a transaction.
-     */
-    std::uint64_t txnSeq = 0;
-
-    /**
-     * Which timeout-driven resend of a request still stalled at the
-     * requester this is (1 for the first retry; 0 for the original
-     * request). Only a retry newer than every copy of the request the
-     * home has seen may be re-served when its dedup record was
-     * scrubbed: a mesh *duplicate* — of the original or of a seen
-     * retry — must be ignored instead, or the home would serialize a
-     * phantom grant nobody is waiting for.
-     */
-    int retryAttempt = 0;
 
     /** Payload bytes (data-bearing messages carry one memory line). */
     int payloadBytes(int mem_line_bytes) const;
 
     std::string toString() const;
 };
+
+static_assert(sizeof(Message) == 40,
+              "Message is not 40 B; reorder or shrink its fields");
+static_assert(std::is_trivially_copyable_v<Message>,
+              "Message is copied as plain bytes into event closures");
 
 } // namespace pimdsm
 

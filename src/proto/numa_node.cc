@@ -27,7 +27,7 @@ NumaCompute::nodeVersion(Addr line) const
     const CacheLine *l = l2_.array().find(line);
     if (!l || !l->valid())
         panic("nodeVersion on absent NUMA line");
-    return l->version();
+    return l->version;
 }
 
 Tick
@@ -51,7 +51,7 @@ NumaCompute::setNodeState(Addr line, CohState st, Version v)
     if (!l)
         panic("setNodeState on absent NUMA line");
     l->state = st;
-    l->setVersion(v);
+    l->version = v;
     if (st != CohState::Dirty) {
         // Downgrade: the sharing writeback cleaned the data.
         l->dirty = false;
@@ -95,7 +95,7 @@ NumaCompute::forEachValidLine(
 {
     l2_.array().forEach([&](const CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr(), l.state, l.version());
+            fn(l.lineAddr(), l.state, l.version);
     });
 }
 
@@ -105,7 +105,7 @@ NumaCompute::forEachOwnedLine(
 {
     l2_.array().forEach([&](CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr(), l.state, l.version());
+            fn(l.lineAddr(), l.state, l.version);
     });
 }
 

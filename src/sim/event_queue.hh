@@ -168,6 +168,8 @@ class EventQueue
         EventNode *next = nullptr;
         Callback fn;
     };
+    static_assert(sizeof(EventNode) == 88,
+                  "EventNode is not 88 B (tick, seq, link, closure)");
 
     /** Later-first comparator for heap ordering: (when, seq). */
     struct NodeLater

@@ -96,12 +96,14 @@ class InlineFunction<R(Args...), Bytes>
 
 /**
  * The event kernel's closure. The budget fits the hot closures: a
- * this-pointer plus a Message by value (mesh delivery, handler
+ * this-pointer plus a 40 B Message by value (mesh delivery, handler
  * occupancy) or a CompletionFn plus its tick and service class.
  */
-using InlineCallback = InlineFunction<void(), 104>;
+using InlineCallback = InlineFunction<void(), 56>;
 
 static_assert(std::is_trivially_copyable_v<InlineCallback>);
+static_assert(sizeof(InlineCallback) == 64,
+              "InlineCallback is not 64 B (invoke pointer + budget)");
 
 } // namespace pimdsm
 

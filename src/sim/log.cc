@@ -5,6 +5,8 @@
 #include <mutex>
 #include <set>
 
+#include "sim/types.hh"
+
 namespace pimdsm
 {
 
@@ -22,6 +24,15 @@ fatal(const std::string &msg)
 
 namespace
 {
+
+template <typename V>
+[[noreturn]] void
+narrowPanic(V v, int bits, long long lo, unsigned long long hi)
+{
+    panic("value " + std::to_string(v) + " does not fit a " +
+          std::to_string(bits) + "-bit field (range " +
+          std::to_string(lo) + ".." + std::to_string(hi) + ")");
+}
 
 std::set<std::string> &
 warnedSet()
@@ -48,6 +59,19 @@ traceFlag()
 }
 
 } // namespace
+
+void
+narrowOverflow(long long v, int bits, long long lo, unsigned long long hi)
+{
+    narrowPanic(v, bits, lo, hi);
+}
+
+void
+narrowOverflow(unsigned long long v, int bits, long long lo,
+               unsigned long long hi)
+{
+    narrowPanic(v, bits, lo, hi);
+}
 
 bool
 warn(const std::string &msg)

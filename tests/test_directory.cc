@@ -33,7 +33,7 @@ defaultTable()
 
 TEST(Directory, NodeFieldsHold16BitIdsAndPanicPastThem)
 {
-    static_assert(sizeof(DirEntry) == 32);
+    static_assert(sizeof(DirEntry) == 24);
     DirEntry e;
     EXPECT_EQ(e.owner, kInvalidNode);
     e.owner = 63;
@@ -44,11 +44,58 @@ TEST(Directory, NodeFieldsHold16BitIdsAndPanicPastThem)
         e.fwdTo = 40000;
         ADD_FAILURE() << "a node id past int16 was stored";
     } catch (const PanicError &p) {
-        EXPECT_NE(std::string(p.what()).find("(limit 32767)"),
+        EXPECT_NE(std::string(p.what()).find("(range -32768..32767)"),
                   std::string::npos)
             << p.what();
     }
     EXPECT_EQ(e.fwdTo, kInvalidNode);
+}
+
+/** Text of the panic @p fn raises ("" if none). */
+template <typename F>
+std::string
+panicText(F fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &p) {
+        return p.what();
+    }
+    return "";
+}
+
+TEST(Message, NarrowFieldsHoldTheirRangeAndPanicPastIt)
+{
+    static_assert(sizeof(Message) == 40);
+    Message m;
+    m.src = 63;
+    m.ackCount = 65535;
+    m.retryAttempt = 65535;
+    m.legs = 255;
+    m.cimCount = std::uint64_t{0xffffffffu};
+    EXPECT_EQ(m.src, 63);
+    EXPECT_EQ(m.ackCount, 65535);
+    EXPECT_EQ(m.retryAttempt, 65535);
+    EXPECT_EQ(m.legs, 255);
+    EXPECT_EQ(m.cimCount, 0xffffffffu);
+
+    EXPECT_NE(panicText([&] { m.ackCount = 65536; })
+                  .find("value 65536 does not fit a 16-bit field"),
+              std::string::npos);
+    EXPECT_NE(panicText([&] { m.retryAttempt = -1; })
+                  .find("(range 0..65535)"),
+              std::string::npos);
+    EXPECT_NE(panicText([&] { m.legs = 256; }).find("8-bit"),
+              std::string::npos);
+    EXPECT_NE(panicText([&] { m.cimCount = std::uint64_t{1} << 32; })
+                  .find("value 4294967296 does not fit a 32-bit field"),
+              std::string::npos);
+    EXPECT_NE(panicText([&] { m.dst = 32768; }).find("16-bit"),
+              std::string::npos);
+    // A refused value leaves the field as it was.
+    EXPECT_EQ(m.ackCount, 65535);
+    EXPECT_EQ(m.legs, 255);
+    EXPECT_EQ(m.dst, kInvalidNode);
 }
 
 TEST(Directory, FindIsNullForLinesNeverCreated)

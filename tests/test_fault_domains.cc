@@ -532,5 +532,79 @@ TEST(PNodeFailover, SalvageKeepsTheMachineCoherent)
     m.checkCoherenceQuiescent();
 }
 
+TEST(PNodeFailover, DeadNodesLateWriteBackQueuedOnABusyLineIsDropped)
+{
+    // A WriteBack the node sent just before it died is still delivered.
+    // Write-backs skip acceptRequest's dead-sender filter, so one that
+    // lands on a busy line queues there after abortNode has purged the
+    // node's queued requests; when the line frees, drainQueued must
+    // drop it rather than serve it.
+    auto wl = makeWorkload("fft", 1);
+    BuildSpec spec;
+    spec.arch = ArchKind::Agg;
+    spec.threads = 4;
+    spec.dNodes = 2;
+    spec.pressure = 0.25;
+    MachineConfig cfg = buildConfig(*wl, spec);
+    cfg.faults.armRecovery = true; // arm fault paths, no mesh faults
+    Machine m(cfg);
+    const Addr line = 0x100000;
+
+    // Node 0 owns the line dirty.
+    bool done = false;
+    m.compute(0)->access(line, true, [&](Tick, ReadService) { done = true; });
+    m.eq().run();
+    ASSERT_TRUE(done);
+    const NodeId home = m.pageMap().homeOf(line);
+
+    // Node 1's read blocks the home on a forward to node 0, held back.
+    std::vector<Message> held;
+    std::vector<Message> acks_to_2;
+    m.setSendInterceptor([&](const Message &msg) {
+        if (msg.type == MsgType::Fwd && held.empty()) {
+            held.push_back(msg);
+            return true;
+        }
+        if (msg.type == MsgType::WriteBackAck && msg.dst == 2)
+            acks_to_2.push_back(msg);
+        return false;
+    });
+    done = false;
+    m.compute(1)->access(line, false, [&](Tick, ReadService) { done = true; });
+    m.eq().runUntil(m.eq().curTick() + 1000);
+    ASSERT_EQ(held.size(), 1u);
+    ASSERT_TRUE(m.home(home)->directory().find(line)->busy);
+
+    // Node 2 dies; its last WriteBack of the line is still in flight
+    // and lands on the busy line.
+    failOverPNode(m, 2);
+    Message wb;
+    wb.type = MsgType::WriteBack;
+    wb.lineAddr = line;
+    wb.src = 2;
+    wb.dst = home;
+    wb.txnSeq = 77;
+    m.home(home)->handleMessage(wb);
+    m.eq().runUntil(m.eq().curTick() + 100);
+    EXPECT_EQ(m.home(home)->directory().queued(line), 1u);
+    EXPECT_EQ(m.stats().get("home.req_from_dead_dropped"), 0.0);
+
+    // The forward goes through, node 1's TxnDone frees the line, and
+    // the queued WriteBack is dropped unserved.
+    m.deliverDirect(held[0]);
+    m.eq().run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(m.stats().get("home.req_from_dead_dropped"), 1.0);
+    EXPECT_TRUE(acks_to_2.empty());
+    const DirEntry *e = m.home(home)->directory().find(line);
+    ASSERT_NE(e, nullptr);
+    EXPECT_FALSE(e->busy);
+    EXPECT_EQ(m.home(home)->directory().queued(line), 0u);
+    EXPECT_EQ(e->state, DirEntry::State::Shared);
+    EXPECT_EQ(e->owner, 0);
+    m.checkInvariants();
+    m.checkCoherenceQuiescent();
+}
+
 } // namespace
 } // namespace pimdsm

@@ -28,7 +28,6 @@
 #include "sim/inline_callback.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
-#include "sim/small_vec.hh"
 #include "sim/stats.hh"
 #include "workload/apps.hh"
 
@@ -214,8 +213,8 @@ TEST(EventPool, CallbackSchedulingPastASlabKeepsItsCaptures)
     // than one slab holds makes the pool grow while it runs; slabs
     // never move, so its captures must read back intact.
     EventQueue eq(EventQueue::KernelKind::Calendar);
-    // Three references plus ten words: the whole inline budget.
-    std::array<std::uint64_t, 10> vals{};
+    // Three references plus words up to the whole inline budget.
+    std::array<std::uint64_t, InlineCallback::kInlineBytes / 8 - 3> vals{};
     for (std::size_t i = 0; i < vals.size(); ++i)
         vals[i] = 0x9e3779b97f4a7c15ull * (i + 1);
     std::uint64_t seen = 0;
@@ -305,8 +304,9 @@ TEST(InlineCallback, NonTriviallyCopyableClosuresDoNotCompile)
 
 TEST(InlineCallback, OversizedClosuresDoNotCompile)
 {
-    std::array<std::uint64_t, 13> event_budget{};
-    std::array<std::uint64_t, 14> event_over{};
+    constexpr std::size_t kEventWords = InlineCallback::kInlineBytes / 8;
+    std::array<std::uint64_t, kEventWords> event_budget{};
+    std::array<std::uint64_t, kEventWords + 1> event_over{};
     std::array<std::uint64_t, 3> done_budget{};
     std::array<std::uint64_t, 4> done_over{};
     [[maybe_unused]] auto event_fits = [event_budget] {
@@ -445,33 +445,40 @@ TEST(CompletionFn, CarriedThroughAnMshrFiresExactlyOnce)
     EXPECT_TRUE(c.quiescent());
 }
 
-// ---------------------------------------------------------------------
-// SmallVec.
-// ---------------------------------------------------------------------
-
-TEST(SmallVec, KeepsOrderPastInlineCapacityAndMovesOut)
+TEST(CompletionFn, CoalescedAccessesOnTwoLinesCompleteInArrivalOrder)
 {
-    SmallVec<std::string, 2> v;
-    EXPECT_TRUE(v.empty());
-    for (int i = 0; i < 5; ++i)
-        v.push_back("s" + std::to_string(i));
-    ASSERT_EQ(v.size(), 5u);
-    int i = 0;
-    for (const std::string &s : v)
-        EXPECT_EQ(s, "s" + std::to_string(i++));
-    EXPECT_EQ(i, 5);
-    EXPECT_EQ(v[3], "s3");
-
-    SmallVec<std::string, 2> moved = std::move(v);
-    EXPECT_TRUE(v.empty()); // NOLINT: moved-from state is specified
-    ASSERT_EQ(moved.size(), 5u);
-    EXPECT_EQ(moved[0], "s0");
-    EXPECT_EQ(moved[4], "s4");
-
-    v = std::move(moved);
-    EXPECT_TRUE(moved.empty()); // NOLINT: moved-from state is specified
-    ASSERT_EQ(v.size(), 5u);
-    EXPECT_EQ(v[1], "s1");
+    // Accesses after a miss's first one wait in the MSHR file's side
+    // lists, shared by every open miss; each line must get back its own
+    // accesses, in the order they joined, however the two interleave.
+    MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
+    cfg.numPNodes = 2;
+    cfg.numThreads = 2;
+    cfg.numDNodes = 1;
+    fitMesh(cfg.net, cfg.totalNodes());
+    cfg.validate();
+    Machine m(cfg);
+    ComputeBase &c = *m.compute(0);
+    const Addr a = Addr{1} << 20;
+    const Addr b = a + 64 * 1024;
+    std::vector<int> order;
+    auto read = [&](Addr addr, int id) {
+        c.access(addr, false, [&order, id](Tick, ReadService) {
+            order.push_back(id);
+        });
+    };
+    for (int i = 0; i < 4; ++i) {
+        read(a + 8 * i, i);
+        read(b + 8 * i, 10 + i);
+    }
+    c.access(a, true, [&order](Tick, ReadService) { order.push_back(4); });
+    EXPECT_EQ(c.outstanding(), 2u);
+    m.eq().run();
+    std::vector<int> on_a, on_b;
+    for (const int id : order)
+        (id < 10 ? on_a : on_b).push_back(id);
+    EXPECT_EQ(on_a, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(on_b, (std::vector<int>{10, 11, 12, 13}));
+    EXPECT_TRUE(c.quiescent());
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "machine/builder.hh"
 #include "machine/machine.hh"
@@ -55,6 +56,25 @@ TEST(MachineTest, AggPagesSpreadOverDNodes)
     EXPECT_EQ(homes, (std::set<NodeId>{4, 5}));
     // Same page => same home, regardless of toucher.
     EXPECT_EQ(m.homeOf(1ull << 20, 3), m.homeOf((1ull << 20) + 128, 1));
+}
+
+TEST(MachineTest, BumpPastTheVersionLimitPanics)
+{
+    // Versions are 32-bit; the one place that mints them refuses to
+    // wrap, naming the line and the limit.
+    Machine m(tinyCfg(ArchKind::Agg, 2, 1));
+    const Addr line = 0x12380;
+    m.setLatestVersionForTest(line, kVersionLimit - 1);
+    EXPECT_EQ(m.bumpVersion(line), kVersionLimit);
+    std::string text;
+    try {
+        m.bumpVersion(line);
+    } catch (const PanicError &e) {
+        text = e.what();
+    }
+    EXPECT_NE(text.find("line 0x12380"), std::string::npos) << text;
+    EXPECT_NE(text.find("(4294967295)"), std::string::npos) << text;
+    EXPECT_EQ(m.latestVersion(line), kVersionLimit);
 }
 
 TEST(MachineTest, NumaFirstTouchBindsToToucher)

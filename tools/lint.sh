@@ -84,7 +84,7 @@ fi
 # The simulated access path allocates nothing on the heap (DESIGN.md
 # 3.1; tests/test_alloc_budget.cc pins the count). src/sim, src/net,
 # src/proto, src/machine and src/mem use InlineCallback / FunctionRef /
-# FlatMap / SmallVec and std::vector. Every scheduled closure and every
+# FlatMap and std::vector. Every scheduled closure and every
 # access completion is trivially copyable and fits a fixed inline
 # budget (InlineFunction: InlineCallback, ComputeBase::CompletionFn);
 # the compiler rejects anything else, so this rule only has to keep
@@ -93,8 +93,8 @@ fi
 # (which allocates its map and a 512 B node on construction and on
 # every move) bring per-event allocations back; use
 # sim/inline_callback.hh (owning), sim/function_ref.hh (borrowing
-# visitor parameters), sim/flat_map.hh, sim/small_vec.hh or a vector
-# instead. Allowlist, one reason each:
+# visitor parameters), sim/flat_map.hh or a vector instead.
+# Allowlist, one reason each:
 #  - std::function<void(Tick)>: the CIM completion, one per offloaded
 #    chunk, not per access.
 #  - cimCallbacks_: one FIFO per node, allocated once; CIM requests
@@ -120,7 +120,7 @@ hits=$(find src/sim src/net src/proto src/machine src/mem \
        grep -v 'spec_check.cc:.*std::function<bool(int)> dfs' |
        grep -v 'machine.hh:.*using SendInterceptor = std::function<')
 if [ -n "$hits" ]; then
-    complain "std::function / std::deque / node-based map or set in a hot path (use sim/inline_callback.hh, sim/function_ref.hh, sim/flat_map.hh, sim/small_vec.hh, or std::vector):" "$hits"
+    complain "std::function / std::deque / node-based map or set in a hot path (use sim/inline_callback.hh, sim/function_ref.hh, sim/flat_map.hh, or std::vector):" "$hits"
 fi
 
 # --- 6b. Transition-table construction discipline ---------------------
