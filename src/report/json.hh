@@ -10,12 +10,12 @@
  * keeps the stream's default six significant digits.
  *
  * The reader flattens a document into a path → scalar map: object
- * members join by '.', array elements by their index, so a selfperf
- * baseline reads as `quick`, `rows.1.workload` and
- * `rows.1.events_per_sec`. It takes what the writer writes: objects,
- * arrays, strings with the writer's escapes, numbers and bools (not
- * null). Anything else is reported as an error string; it never
- * throws.
+ * members join by '.', array elements by their index, so a speccheck
+ * baseline reads as `archs.agg.states` and `archs.coma.truncated`,
+ * and a fault-campaign row as `0.scenario`. It takes what the writer
+ * writes: objects, arrays, strings with the writer's escapes, numbers
+ * and bools (not null). Anything else is reported as an error string;
+ * it never throws.
  */
 
 #ifndef PIMDSM_REPORT_JSON_HH

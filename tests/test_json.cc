@@ -171,17 +171,6 @@ TEST(JsonReader, ReadsTheCommittedArtifacts)
     EXPECT_EQ(spec.number<std::uint64_t>("archs.agg.states"), 1089335u);
     EXPECT_EQ(spec.boolean("archs.coma.truncated"), false);
 
-    const JsonDoc quick = parseCommitted("BENCH_selfperf_quick.json");
-    EXPECT_EQ(quick.boolean("quick"), true);
-    EXPECT_EQ(quick.string("rows.2.workload"), "fig6");
-    EXPECT_GT(quick.number<double>("rows.1.events_per_sec").value_or(0),
-              0.0);
-
-    const JsonDoc full = parseCommitted("BENCH_selfperf.json");
-    EXPECT_EQ(full.boolean("quick"), false);
-    EXPECT_EQ(full.string("bench"), "selfperf");
-    EXPECT_EQ(full.string("rows.0.workload"), "stress");
-
     const JsonDoc faults = parseCommitted("BENCH_faults.json");
     EXPECT_EQ(faults.string("0.app"), "fft");
     EXPECT_EQ(faults.string("0.scenario"), "clean");
